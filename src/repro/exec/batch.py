@@ -9,9 +9,15 @@ for every item, and can optionally fan items out over a
 ``multiprocessing`` pool (each worker unpickles the program once and
 then streams its share of the items).
 
+A serial batch without fault injection goes further: it replays the
+program's value tape (:mod:`repro.machine.tape`, one recorded clean
+run) once over every item with NumPy, and runs only the items the tape
+cannot answer on the cycle-accurate executor.
+
 Batched results are **bit-identical** to one-shot ``simulate`` calls,
-item for item: the runner changes where static state lives, never what
-the machine computes.  The differential tests lock this down.
+item for item: the runner changes where static state lives and how
+values are computed, never what the machine computes.  The differential
+tests lock this down.
 
 Batches also *degrade gracefully*: an item that raises a
 :class:`~repro.errors.SimulationError` (or whose worker crashes or
@@ -32,7 +38,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -100,6 +106,9 @@ class BatchResult:
     failures: list[ItemFailure] = field(default_factory=list)
     #: Total retries performed across the batch.
     retries: int = 0
+    #: Items answered by the value-tape replay; every other item ran on
+    #: the cycle-accurate executor.
+    value_items: int = 0
 
     @property
     def n_items(self) -> int:
@@ -244,16 +253,22 @@ class BatchRunner:
     def machine(self) -> WarpMachine:
         return self._machine
 
-    def run(self, input_sets: Sequence[InputSet]) -> BatchResult:
-        """Run every input set; results are in input order."""
+    def run(self, input_sets: Iterable[InputSet]) -> BatchResult:
+        """Run every input set; results are in input order.
+
+        ``input_sets`` is read exactly once, so any iterable will do."""
         started = time.perf_counter()
+        input_sets = list(input_sets)
         retries = 0
         if self.processes > 1 and len(input_sets) > 1:
             results, failures, retries = self._run_pool(input_sets)
             used = self.processes
+            value_items = 0
         else:
-            results, failures, retries = self._run_serial(input_sets)
+            answered = self._replay(input_sets)
+            results, failures, retries = self._run_serial(input_sets, answered)
             used = 1
+            value_items = len(answered)
         wall = time.perf_counter() - started
         obs = get_telemetry()
         obs.counter("exec.batch.items", len(results))
@@ -261,6 +276,10 @@ class BatchRunner:
             "exec.batch.cycles",
             sum(r.total_cycles for r in results if r is not None),
         )
+        if value_items:
+            obs.counter("exec.batch.value_items", value_items)
+        if len(results) > value_items:
+            obs.counter("exec.batch.fallback_items", len(results) - value_items)
         if failures:
             obs.counter("exec.batch.failures", len(failures))
         return BatchResult(
@@ -269,6 +288,7 @@ class BatchRunner:
             processes=used,
             failures=failures,
             retries=retries,
+            value_items=value_items,
         )
 
     def run_one(self, inputs: InputSet) -> SimulationResult:
@@ -290,13 +310,20 @@ class BatchRunner:
             time.sleep(min(self.retry_backoff * (2**attempt), _MAX_BACKOFF))
 
     def _run_serial(
-        self, input_sets: Sequence[InputSet]
+        self,
+        input_sets: Sequence[InputSet],
+        answered: dict[int, SimulationResult],
     ) -> tuple[list[SimulationResult | None], list[ItemFailure], int]:
+        """Items ``answered`` by the value tape as they are; every other
+        item on the cycle-accurate executor, with retries."""
         results: list[SimulationResult | None] = []
         failures: list[ItemFailure] = []
         retries = 0
         obs = get_telemetry()
         for index, inputs in enumerate(input_sets):
+            if index in answered:
+                results.append(answered[index])
+                continue
             attempt = 0
             while True:
                 injector = self._make_injector(index, attempt)
@@ -332,6 +359,22 @@ class BatchRunner:
                     )
                     break
         return results, failures, retries
+
+    def _replay(
+        self, input_sets: Sequence[InputSet]
+    ) -> dict[int, SimulationResult]:
+        """Answer the clean items of a fault-free batch from the
+        program's value tape (:mod:`repro.machine.tape`), by item index.
+
+        Items the tape leaves out (invalid inputs, zero divisors) and
+        every item of a fault-injected batch take the cycle-accurate
+        path, which reproduces their errors and retries exactly."""
+        if self.faults is not None or not input_sets:
+            return {}
+        tape = self._machine.value_tape()
+        if tape is None:
+            return {}
+        return tape.results(input_sets)
 
     def _simulate_worker_fault(self, injector) -> None:
         """In-process stand-ins for worker kill/hang faults, so serial
@@ -428,7 +471,7 @@ class BatchRunner:
 
 def run_batch(
     program: "CompiledProgram",
-    input_sets: Sequence[InputSet],
+    input_sets: Iterable[InputSet],
     processes: int = 0,
     **kwargs,
 ) -> BatchResult:

@@ -2,7 +2,7 @@
 
 from .builder import CellProgramIR, IOStatement, IRBuilder, build_ir
 from .dag import Dag, MemRef, Node, OpKind, QueueRef
-from .tree import BasicBlock, Loop, ProgramTree, TreeNode, enclosing_loops
+from .tree import BasicBlock, Loop, ProgramTree, TreeNode
 
 __all__ = [
     "BasicBlock",
@@ -18,5 +18,4 @@ __all__ = [
     "QueueRef",
     "TreeNode",
     "build_ir",
-    "enclosing_loops",
 ]

@@ -82,25 +82,3 @@ def _walk_loops(items: list[TreeNode]) -> Iterator[Loop]:
             yield item
             yield from _walk_loops(item.body)
 
-
-def enclosing_loops(
-    tree: ProgramTree, target: BasicBlock
-) -> list[Loop]:
-    """The loops containing ``target``, outermost first."""
-    path: list[Loop] = []
-
-    def search(items: list[TreeNode]) -> bool:
-        for item in items:
-            if isinstance(item, BasicBlock):
-                if item is target:
-                    return True
-            else:
-                path.append(item)
-                if search(item.body):
-                    return True
-                path.pop()
-        return False
-
-    if not search(tree.items):
-        raise ValueError(f"block {target.block_id} is not in the tree")
-    return path

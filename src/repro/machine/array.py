@@ -16,7 +16,7 @@ by its position, and dequeues it in lock step with its own schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -35,9 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - avoid circular import at run time
     from ..compiler.driver import CompiledProgram
     from ..faults.injector import FaultInjector
     from ..faults.plan import InjectionPlan
+    from .tape import ValueTape
 from .cell import CellExecutor, CellStats, TraceEvent
 from .host import HostMemory, collect_outputs, feed_input_queues
-from .plan import ExecutionPlan
+from .plan import BlockPlan, ExecutionPlan
 from .queue import TimedQueue
 
 
@@ -96,6 +97,21 @@ class WarpMachine:
             self._plan = ExecutionPlan(self._program)
         return self._plan
 
+    def value_tape(self) -> "ValueTape | None":
+        """The plan's :class:`~repro.machine.tape.ValueTape`, recorded on
+        first use.  ``None`` when the recording run fails: such a failure
+        does not depend on the data, so every item meets it on the
+        cycle-accurate path instead."""
+        plan = self.plan
+        if plan.tape is None:
+            from .tape import ValueTape
+
+            try:
+                plan.tape = ValueTape.record(self)
+            except Exception:
+                plan.tape = False
+        return plan.tape or None
+
     def run(
         self,
         inputs: dict[str, np.ndarray],
@@ -103,12 +119,29 @@ class WarpMachine:
         record: bool = False,
         faults: "InjectionPlan | FaultInjector | None" = None,
     ) -> SimulationResult:
+        injector = _injector_of(faults)
+        memory = HostMemory.from_inputs(self._program.ir.host_arrays, inputs)
+        return self._execute(
+            memory, self.plan.blocks, trace_limit, record, injector
+        )
+
+    def _execute(
+        self,
+        memory: HostMemory,
+        blocks: dict[int, BlockPlan],
+        trace_limit: int = 0,
+        record: bool = False,
+        injector: "FaultInjector | None" = None,
+        read: Callable[[Any], Any] = float,
+    ) -> SimulationResult:
+        """Feed ``memory`` through every cell and collect the outputs
+        back into it, with every run-time check.  The value-tape
+        recording run (:mod:`.tape`) differs from :meth:`run` only in
+        its memory (tokens), ``read`` and the block plans' evaluators."""
         program = self._program
         plan = self.plan
         n_cells = program.n_cells
         skew = program.skew.skew
-        injector = _injector_of(faults)
-        memory = HostMemory.from_inputs(program.ir.host_arrays, inputs)
 
         # Inter-cell data queues; index i connects cell i-1 -> cell i
         # (index 0 is the host boundary, index n_cells the collector).
@@ -136,7 +169,11 @@ class WarpMachine:
                     )
             links.append(link)
         feed_input_queues(
-            program.host_program, memory, links[0], sequences=plan.input_refs
+            program.host_program,
+            memory,
+            links[0],
+            sequences=plan.input_refs,
+            read=read,
         )
 
         # Address path: the same IU stream per cell, delayed by the hop
@@ -188,7 +225,7 @@ class WarpMachine:
                 address_queue=address_queue,
                 trace=tracer if trace_limit else None,
                 recorder=recorder,
-                block_plans=plan.blocks,
+                block_plans=blocks,
                 deadline=nominal_start + cell_cycles + watchdog_slack,
             )
             cell_stats = executor.run()

@@ -14,7 +14,9 @@ host memory according to the output bindings."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -38,7 +40,7 @@ class HostMemory:
     ) -> "HostMemory":
         arrays: dict[str, np.ndarray] = {}
         for name, dims in host_shapes.items():
-            size = int(np.prod(dims)) if dims else 1
+            size = math.prod(dims)
             if name in inputs:
                 data = np.asarray(inputs[name], dtype=np.float64).ravel()
                 if data.size > size:
@@ -59,13 +61,16 @@ def feed_input_queues(
     memory: HostMemory,
     queues: dict[Channel, TimedQueue],
     sequences: dict[Channel, list] | None = None,
+    read: Callable[[Any], Any] = float,
 ) -> None:
     """Load cell 0's input queues: item ``k`` arrives at cycle ``k``
     (one word per cycle per channel).
 
     ``sequences`` optionally supplies the per-channel input references
     precomputed by an :class:`~repro.machine.plan.ExecutionPlan`, so
-    batched runs do not re-derive them from the host program.
+    batched runs do not re-derive them from the host program.  ``read``
+    turns a host array element into the word sent (the value-tape
+    recording run sends its opaque input tokens unconverted).
     """
     for channel, queue in queues.items():
         refs = (
@@ -84,7 +89,7 @@ def feed_input_queues(
                         f"input reference {ref.array}[{ref.flat_index}] is "
                         "out of bounds"
                     )
-                value = float(data[ref.flat_index])
+                value = read(data[ref.flat_index])
             queue.enqueue(k, value)
 
 

@@ -41,6 +41,7 @@ from ..lang.ast import Channel
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from ..compiler.driver import CompiledProgram
     from ..hostcodegen.io_program import HostBinding, HostValueRef
+    from .tape import ValueTape
 
 
 @dataclass(slots=True)
@@ -187,6 +188,10 @@ class ExecutionPlan:
         self.sends_per_run, self.receives_per_run = static_io_counts(
             program.cell_code.items
         )
+        #: The value tape of one clean run (:mod:`.tape`), recorded on
+        #: first use by :meth:`~repro.machine.array.WarpMachine.value_tape`;
+        #: ``False`` once the recording run has failed.
+        self.tape: "ValueTape | bool | None" = None
 
     @property
     def skipped_slots(self) -> int:

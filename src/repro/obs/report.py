@@ -247,5 +247,7 @@ def metrics_to_json(
             "cycles_per_item": batch.cycles_per_item,
             "wall_seconds": batch.wall_seconds,
             "items_per_second": batch.items_per_second,
+            "value_items": batch.value_items,
+            "fallback_items": batch.n_items - batch.value_items,
         }
     return document

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 
@@ -271,6 +272,40 @@ def _conv2d_ref(inputs, h, w):
 @pytest.fixture(scope="session")
 def program_suite(rng):
     return small_program_suite(rng)
+
+
+def _assert_same_run(got, expected, context: str = "") -> None:
+    """``got`` equals the one-shot cycle-accurate run ``expected``:
+    outputs bit for bit (NaN payloads and -0.0 count) and every static
+    fact of the run."""
+    assert set(got.outputs) == set(expected.outputs), context
+    for name, want in expected.outputs.items():
+        assert np.array_equal(
+            got.outputs[name].view(np.uint64), want.view(np.uint64)
+        ), f"{context}:{name} differs bitwise"
+    assert got.total_cycles == expected.total_cycles, context
+    assert got.skew == expected.skew, context
+    assert got.cell_stats == expected.cell_stats, context
+    assert got.queue_occupancy == expected.queue_occupancy, context
+    mine, theirs = got.machine_metrics, expected.machine_metrics
+    assert (mine.total_cycles, mine.skew, mine.cells, mine.iu) == (
+        theirs.total_cycles,
+        theirs.skew,
+        theirs.cells,
+        theirs.iu,
+    ), context
+    assert mine.queues.keys() == theirs.queues.keys(), context
+    for name, queue in theirs.queues.items():
+        for field in dataclasses.fields(queue):
+            a = getattr(mine.queues[name], field.name)
+            b = getattr(queue, field.name)
+            same = np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
+            assert same, f"{context}:{name}.{field.name}"
+
+
+@pytest.fixture(scope="session")
+def assert_same_run():
+    return _assert_same_run
 
 
 @pytest.fixture(scope="session")

@@ -93,7 +93,7 @@ end
 class TestFuzzedPipelines:
     @given(pipeline_programs(), st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_simulator_matches_interpreter(self, case, seed):
+    def test_simulator_matches_interpreter(self, assert_same_run, case, seed):
         source, n_points = case
         rng = np.random.default_rng(seed)
         inputs = {"a": rng.uniform(-2, 2, n_points)}
@@ -104,6 +104,14 @@ class TestFuzzedPipelines:
         assert np.allclose(
             result.outputs["b"], expected["b"], rtol=1e-9, atol=1e-9
         ), source
+        # The batch engine's value path agrees with the cycle executor
+        # bit for bit.
+        items = [inputs, {"a": rng.uniform(-2, 2, n_points)}]
+        runner = BatchRunner(program)
+        assert runner.machine.value_tape() is not None, source
+        batched = runner.run(items)
+        for item, got in zip(items, batched.results):
+            assert_same_run(got, simulate(program, item), source)
 
     @given(pipeline_programs())
     @settings(max_examples=30, deadline=None)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_w2
+from repro.exec import BatchRunner
 from repro.iucodegen import lower_iu_program
 from repro.lang import analyze, parse_module
 from repro.machine import interpret, simulate
@@ -66,7 +67,7 @@ end
 class TestMemoryFuzz:
     @given(memory_programs(), st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
-    def test_simulator_matches_interpreter(self, case, seed):
+    def test_simulator_matches_interpreter(self, assert_same_run, case, seed):
         source, n = case
         rng = np.random.default_rng(seed)
         inputs = {"a": rng.uniform(-3, 3, n)}
@@ -74,6 +75,14 @@ class TestMemoryFuzz:
         program = compile_w2(source)
         result = simulate(program, inputs)
         assert np.allclose(result.outputs["b"], expected["b"]), source
+        # The batch engine's value path agrees with the cycle executor
+        # bit for bit.
+        items = [inputs, {"a": rng.uniform(-3, 3, n)}]
+        runner = BatchRunner(program)
+        assert runner.machine.value_tape() is not None, source
+        batched = runner.run(items)
+        for item, got in zip(items, batched.results):
+            assert_same_run(got, simulate(program, item), source)
 
     @given(memory_programs())
     @settings(max_examples=30, deadline=None)

@@ -388,26 +388,45 @@ end
 
 class TestBatchedMatchesOneShot:
     """The batched path is bit-identical to one-shot simulation, item
-    for item, for every bundled program (no tolerance here: batching
-    must never change what the machine computes)."""
+    for item, for every bundled program and every ``examples/`` source
+    (no tolerance here: batching must never change what the machine
+    computes).  Serial fault-free batches replay the value tape, so this
+    is the value path against the cycle-accurate executor."""
 
-    def test_bundled_programs_item_for_item(self, program_suite, rng):
-        for name, source, inputs, _ref in program_suite:
+    @staticmethod
+    def _check(name, program, items, assert_same_run):
+        runner = BatchRunner(program)
+        assert runner.machine.value_tape() is not None, name
+        batched = runner.run(items)
+        assert batched.n_items == len(items) and batched.ok
+        for item, result in zip(items, batched.results):
+            assert_same_run(result, simulate(program, item), name)
+
+    def test_bundled_programs_item_for_item(
+        self, program_suite, rng, assert_same_run
+    ):
+        for unroll in (1, 2, 4, "auto"):
+            for name, source, inputs, _ref in program_suite:
+                program = compile_w2(source, unroll=unroll)
+                items = [inputs] + [
+                    {
+                        array: rng.standard_normal(values.shape)
+                        for array, values in inputs.items()
+                    }
+                    for _ in range(2)
+                ]
+                self._check(f"{name}@{unroll}", program, items, assert_same_run)
+
+    def test_example_sources_item_for_item(self, rng, assert_same_run):
+        for name, source in _example_w2_sources():
             program = compile_w2(source)
-            items = [inputs] + [
+            items = [
                 {
-                    array: rng.standard_normal(values.shape)
-                    for array, values in inputs.items()
+                    array: rng.standard_normal(
+                        int(np.prod(dims)) if dims else 1
+                    )
+                    for array, dims in program.ir.host_arrays.items()
                 }
-                for _ in range(2)
+                for _ in range(3)
             ]
-            batched = BatchRunner(program).run(items)
-            assert batched.n_items == len(items)
-            for item, result in zip(items, batched.results):
-                one_shot = simulate(program, item)
-                assert set(result.outputs) == set(one_shot.outputs)
-                for out_name, expected in one_shot.outputs.items():
-                    assert np.array_equal(
-                        result.outputs[out_name], expected
-                    ), f"{name}:{out_name} batched != one-shot"
-                assert result.total_cycles == one_shot.total_cycles
+            self._check(name, program, items, assert_same_run)
