@@ -87,7 +87,7 @@ class WarpConfig:
     watchdog_slack: int = 64
     #: Post-compile schedule verification level: ``"off"``, ``"quick"``,
     #: ``"full"``, or ``"default"`` (resolve through the ``REPRO_VERIFY``
-    #: environment variable, falling back to off).  See
+    #: environment variable, falling back to quick).  See
     #: :mod:`repro.verify`.
     verify: str = "default"
     cell: CellConfig = field(default_factory=CellConfig)

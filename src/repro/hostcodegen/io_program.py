@@ -90,12 +90,37 @@ class HostProgram:
             yield HostBinding(array=ref.array, flat_index=ref.flat_index)
 
     def input_count(self, channel: Channel) -> int:
-        return sum(1 for _ in self.input_sequence(channel))
+        """``len(list(input_sequence(channel)))``, counted statically."""
+        return self._count(OpKind.RECV, Direction.LEFT, channel)
 
     def output_count(self, channel: Channel) -> int:
-        return sum(1 for _ in self.output_bindings(channel))
+        """``len(list(output_bindings(channel)))``, counted statically."""
+        return self._count(OpKind.SEND, Direction.RIGHT, channel)
 
     # Walk -------------------------------------------------------------------
+
+    def _count(self, kind: OpKind, direction: Direction, channel: Channel) -> int:
+        """Matching events per block times the enclosing loop trips.  Every
+        matching event's statement is still looked up, so a sequence that
+        names an unknown statement raises ``KeyError`` like the walk."""
+
+        def count(items) -> int:
+            total = 0
+            for item in items:
+                if isinstance(item, ScheduledBlock):
+                    for event in item.io_events:
+                        if (
+                            event.kind is kind
+                            and event.queue.direction is direction
+                            and event.queue.channel is channel
+                        ):
+                            self._io[event.io_index]
+                            total += 1
+                else:
+                    total += item.trip * count(item.body)
+            return total
+
+        return count(self._code.items)
 
     def _walk(
         self, kind: OpKind, direction: Direction, channel: Channel

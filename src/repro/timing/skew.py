@@ -23,14 +23,13 @@ path (one-cycle hop per cell) ahead of every consumer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..cellcodegen.emit import CellCode
 from ..errors import MappingError
 from ..lang.ast import Channel
 from .events import TooManyEventsError, count_stream_events, stream_event_times
-from .tau import TimingFunction, max_time_difference_bound
+from .tau import TimingFunction, time_difference_bounds
 from .vectors import characterize_stream, input_stream, output_stream
 
 
@@ -96,6 +95,16 @@ def minimum_skew_bound(code: CellCode, channel: Channel) -> ChannelSkew:
     inputs = [
         TimingFunction(c) for c in characterize_stream(code, input_stream(channel))
     ]
+    return channel_skew_bound(channel, outputs, inputs)
+
+
+def channel_skew_bound(
+    channel: Channel,
+    outputs: list[TimingFunction],
+    inputs: list[TimingFunction],
+) -> ChannelSkew:
+    """:func:`minimum_skew_bound` from already-built timing functions of
+    the channel's output and input statements."""
     n_sends = sum(o.char.total_executions for o in outputs)
     n_recvs = sum(i.char.total_executions for i in inputs)
     if n_recvs > n_sends:
@@ -105,16 +114,11 @@ def minimum_skew_bound(code: CellCode, channel: Channel) -> ChannelSkew:
         )
     if not inputs or not outputs:
         return ChannelSkew(channel, n_sends, n_recvs, 0, "none")
-    best: float | None = None
-    for output in outputs:
-        for input_ in inputs:
-            bound = max_time_difference_bound(output, input_)
-            if bound is None:
-                continue
-            value = float(bound)
-            if best is None or value > best:
-                best = value
-    skew = 0 if best is None else max(0, math.ceil(best))
+    numerators, denominator = time_difference_bounds(outputs, inputs)
+    present = [n for row in numerators for n in row if n is not None]
+    # Exact to the end: a float could round a bound just above an
+    # integer down to it, and the ceiling would then be one cycle short.
+    skew = max(0, -(-max(present) // denominator)) if present else 0
     return ChannelSkew(channel, n_sends, n_recvs, skew, "bound")
 
 

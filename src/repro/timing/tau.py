@@ -17,12 +17,19 @@ For the bound computation, ``tau`` is also exposed as an exact linear
 form over ``n`` and the ``g(j)`` remainders (with rational coefficients,
 as in the paper's ``52/3 + 5/3 n - 2/3 (n-4) mod 3`` example), each
 ``g(j)`` ranging over a known interval.
+
+The scalar methods are the reference; :meth:`TimingFunction.evaluate_domain`
+and :func:`time_difference_bounds` evaluate the same closed forms in
+bulk, exactly (integers only, never floats).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .vectors import IOCharacterization
 
@@ -98,6 +105,25 @@ class TimingFunction:
         """All valid ordinals (enumerated; use with small programs)."""
         return [n for n in range(self.n_min(), self.n_max() + 1) if self.in_domain(n)]
 
+    def evaluate_domain(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(domain(), [tau(n) for n in domain()])`` as int64 arrays.
+
+        The same decomposition as :meth:`in_domain` and :meth:`__call__`,
+        applied to every ordinal in ``[n_min, n_max]`` at once: one
+        ``divmod`` per loop level.
+        """
+        n = np.arange(self.n_min(), self.n_max() + 1, dtype=np.int64)
+        g = n
+        times = np.zeros_like(n)
+        valid = np.ones(n.shape, dtype=bool)
+        for j in range(self._k):
+            adjusted = g - self.char.S[j]
+            iteration, g = np.divmod(adjusted, self.char.N[j])
+            valid &= (adjusted >= 0) & (iteration < self.char.R[j])
+            times += self.char.T[j] + iteration * self.char.L[j]
+        valid &= g == 0
+        return n[valid], times[valid]
+
     # Domain extremes ------------------------------------------------------
 
     def n_min(self) -> int:
@@ -129,32 +155,56 @@ class TimingFunction:
         its term vanishes.
         """
         char = self.char
-        k = self._k
-        ratio = [Fraction(char.L[j], char.N[j]) for j in range(k)]
+        ratio = [Fraction(char.L[j], char.N[j]) for j in range(self._k)]
         constant = Fraction(sum(char.T))
-        for j in range(k):
+        for j in range(self._k):
             constant -= ratio[j] * char.S[j]
-        suffix_s = [0] * (k + 1)
-        for j in reversed(range(k)):
-            suffix_s[j] = suffix_s[j + 1] + char.S[j]
-        terms: list[LinearTerm] = []
-        for j in range(1, k):  # g(j+1) in paper indexing (1-based j>=2)
+        terms = tuple(
+            LinearTerm(ratio[j] - ratio[j - 1], lower, upper)
+            for j, lower, upper in self._g_ranges()
+            if ratio[j] != ratio[j - 1]
+        )
+        return LinearForm(
+            constant=constant,
+            n_coefficient=ratio[0],
+            g_terms=terms,
+            n_lower=self.n_min(),
+            n_upper=self.n_max(),
+        )
+
+    def scaled_extremes(self, denominator: int) -> tuple[int, int, int]:
+        """:meth:`linear_form` times ``denominator`` (a multiple of every
+        ``N[j]``), in integers: ``(n coefficient, constant + minimum of
+        the g terms, constant + maximum of the g terms)``."""
+        char = self.char
+        ratio = [char.L[j] * (denominator // char.N[j]) for j in range(self._k)]
+        constant = sum(char.T) * denominator - sum(
+            r * s for r, s in zip(ratio, char.S)
+        )
+        low = high = constant
+        for j, lower, upper in self._g_ranges():
             coefficient = ratio[j] - ratio[j - 1]
+            low += coefficient * (lower if coefficient >= 0 else upper)
+            high += coefficient * (upper if coefficient >= 0 else lower)
+        return ratio[0], low, high
+
+    def _g_ranges(self) -> list[tuple[int, int, int]]:
+        """``(j, lower, upper)`` of every g(j+1) variable (paper
+        indexing, so j >= 1) whose range is not empty."""
+        char = self.char
+        suffix_s = [0] * (self._k + 1)
+        for j in reversed(range(self._k)):
+            suffix_s[j] = suffix_s[j + 1] + char.S[j]
+        ranges = []
+        for j in range(1, self._k):
             lower = suffix_s[j]
             upper = min(
                 (char.R[j] - 1) * char.N[j] + suffix_s[j],
                 char.N[j - 1] - 1,
             )
-            if coefficient != 0 and upper >= lower:
-                terms.append(LinearTerm(coefficient, lower, upper))
-        # g(k+1) term: N[k] == 1 for statements, so (g - s) mod 1 == 0.
-        return LinearForm(
-            constant=constant,
-            n_coefficient=ratio[0],
-            g_terms=tuple(terms),
-            n_lower=self.n_min(),
-            n_upper=self.n_max(),
-        )
+            if upper >= lower:
+                ranges.append((j, lower, upper))
+        return ranges
 
 
 def max_time_difference_bound(
@@ -180,3 +230,38 @@ def max_time_difference_bound(
     for term in in_form.g_terms:
         best -= term.minimum()
     return best
+
+
+def time_difference_bounds(
+    outputs: list[TimingFunction], inputs: list[TimingFunction]
+) -> tuple[list[list[int | None]], int]:
+    """:func:`max_time_difference_bound` of every (output, input) pair,
+    as ``(numerators, denominator)``: ``numerators[i][j] / denominator``
+    is the pair's bound, None where the ordinal ranges are disjoint.
+
+    The part of each bound that depends on one side only (its constant
+    plus the extreme of its ``g`` terms) is computed once per statement,
+    in integers over the least common denominator of every ``N[j]``, so
+    the grid is exact without a single ``Fraction``.
+    """
+    denominator = math.lcm(*(n for tau in outputs + inputs for n in tau.char.N))
+    sides = [
+        [
+            (tau.n_min(), tau.n_max(), *tau.scaled_extremes(denominator))
+            for tau in side
+        ]
+        for side in (outputs, inputs)
+    ]
+    numerators: list[list[int | None]] = []
+    for out_lower, out_upper, out_slope, _low, high in sides[0]:
+        row: list[int | None] = []
+        for in_lower, in_upper, in_slope, low, _high in sides[1]:
+            lower, upper = max(out_lower, in_lower), min(out_upper, in_upper)
+            slope = out_slope - in_slope
+            row.append(
+                None
+                if lower > upper
+                else high - low + slope * (upper if slope >= 0 else lower)
+            )
+        numerators.append(row)
+    return numerators, denominator

@@ -14,8 +14,9 @@ declared ``skew`` / buffer requirements.  Three levels:
 
 ``WarpConfig.verify`` defaults to ``"default"``, which resolves through
 the ``REPRO_VERIFY`` environment variable (the test suite sets it to
-``full``) and falls back to ``off`` for production compiles, keeping the
-verifier out of the hot path unless asked for.
+``full``) and falls back to ``quick`` for production compiles: its
+static checks cost about as much as a compile's noise, while ``full``
+stays opt-in.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..iucodegen.codegen import IUProgram
 from ..obs import get_telemetry
 from ..timing.buffers import BufferRequirement
 from ..timing.skew import SkewResult
-from .iupath import check_iu_path
+from .iupath import check_emissions, check_iu_path, walk_emissions
 from .replay import replay_cell_code
 from .report import VerificationReport
 from .streams import check_streams
@@ -48,7 +49,7 @@ ENV_VAR = "REPRO_VERIFY"
 def resolve_level(level: str) -> str:
     """Resolve a configured verify level to one of :data:`LEVELS`."""
     if level == "default":
-        level = os.environ.get(ENV_VAR, "off") or "off"
+        level = os.environ.get(ENV_VAR) or "quick"
     if level not in LEVELS:
         raise ValueError(
             f"unknown verify level {level!r}; expected one of "
@@ -77,18 +78,18 @@ def verify_artifacts(
     obs = get_telemetry()
     with obs.span("verify"):
         replays = replay_cell_code(cell_code, report)
-        check_iu_path(
-            cell_code,
-            iu_program,
-            config,
-            replays,
-            report,
-            max_events=max_events if level == "full" else 0,
+        shape_ok = check_iu_path(
+            cell_code, iu_program, config, replays, report
         )
         if level == "full":
+            emissions = walk_emissions(iu_program, max_events)
+            if shape_ok:
+                check_emissions(
+                    iu_program, config, emissions, report, max_events
+                )
             check_streams(
                 cell_code,
-                iu_program,
+                emissions,
                 host_program,
                 skew,
                 buffers,
@@ -105,7 +106,9 @@ def verify_artifacts(
 def verify_program(
     program: "CompiledProgram", level: str | None = None
 ) -> VerificationReport:
-    """Verify an already-compiled program (CLI / test entry point)."""
+    """Verify an already-compiled program (CLI / test entry point), by
+    default at the level its config resolves to, or ``full`` when that is
+    ``off``."""
     if level is None:
         level = resolve_level(program.config.verify)
         if level == "off":

@@ -14,6 +14,10 @@ every address inside the cell's data memory.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
 from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledLoop
 from ..config import WarpConfig
 from ..iucodegen.codegen import IUBlock, IULoop, IUProgram, MAX_LOOKBEHIND
@@ -31,57 +35,85 @@ IU_CHECKS = (
 )
 
 
+@dataclass(frozen=True)
+class Emissions:
+    """The IU program's dynamic emission walk (taken once per
+    verification): absolute emit cycle, deadline cycle and address of
+    every emission, in FIFO order, as int64 arrays."""
+
+    emit: np.ndarray
+    deadline: np.ndarray
+    address: np.ndarray
+
+
+def walk_emissions(iu: IUProgram, max_events: int | None) -> Emissions | None:
+    """Walk every dynamic emission; None when the static tree promises
+    more than ``max_events`` of them."""
+    total = _dynamic_emissions(iu.items)
+    if max_events is not None and total > max_events:
+        return None
+    walked = np.array(list(iu.emission_times()), dtype=np.int64).reshape(-1, 3)
+    return Emissions(*walked.T)
+
+
 def check_iu_path(
     code: CellCode,
     iu: IUProgram,
     config: WarpConfig,
     replays: dict[int, BlockReplay],
     report: VerificationReport,
-    max_events: int | None = 200_000,
-) -> None:
+) -> bool:
+    """The static checks; False when the IU tree's shape diverges from
+    the cell code's, which poisons the dynamic checks."""
     for check in IU_CHECKS:
         report.ran(check)
-    shape_ok = _check_tree(
-        code.items, iu.items, iu, config, replays, report
-    )
-    if not shape_ok:
-        return
-    if max_events == 0:  # static-only (quick) level
-        return
+    return _check_tree(code.items, iu.items, iu, config, replays, report)
+
+
+def check_emissions(
+    iu: IUProgram,
+    config: WarpConfig,
+    emissions: Emissions | None,
+    report: VerificationReport,
+    max_events: int | None,
+) -> None:
+    """The dynamic checks over the whole emission walk: FIFO order and
+    deadlines on the absolute timeline, addresses inside cell memory."""
     total = _dynamic_emissions(iu.items)
-    if max_events is not None and total > max_events:
+    if emissions is None:
         report.notes.append(
             f"iu: {total} dynamic emissions exceed the {max_events} "
             "budget; dynamic address checks skipped"
         )
         return
-    previous = None
-    count = 0
-    for emit_time, deadline_time, address in iu.emission_times():
-        count += 1
-        if previous is not None and emit_time < previous:
+    emit, deadline, address = emissions.emit, emissions.deadline, emissions.address
+    reordered = np.zeros(emit.shape, dtype=bool)
+    reordered[1:] = emit[1:] < emit[:-1]
+    late = emit > deadline
+    outside = (address < 0) | (address >= config.cell.memory_words)
+    for i in np.flatnonzero(reordered | late | outside):
+        if reordered[i]:
             report.add(
                 "iu.fifo_order",
-                f"emission at absolute cycle {emit_time} follows one at "
-                f"{previous} — the address path FIFO would reorder them",
+                f"emission at absolute cycle {emit[i]} follows one at "
+                f"{emit[i - 1]} — the address path FIFO would reorder them",
             )
-        previous = emit_time
-        if emit_time > deadline_time:
+        if late[i]:
             report.add(
                 "iu.deadline",
-                f"address for absolute cycle {deadline_time} emitted at "
-                f"{emit_time}, after its deadline",
+                f"address for absolute cycle {deadline[i]} emitted at "
+                f"{emit[i]}, after its deadline",
             )
-        if not (0 <= address < config.cell.memory_words):
+        if outside[i]:
             report.add(
                 "iu.address_bounds",
-                f"emitted address {address} outside the "
+                f"emitted address {address[i]} outside the "
                 f"{config.cell.memory_words}-word data memory",
             )
-    if count != total:
+    if emit.size != total:
         report.add(
             "iu.shape",
-            f"emission walk produced {count} addresses but the static "
+            f"emission walk produced {emit.size} addresses but the static "
             f"tree promises {total}",
         )
 

@@ -18,9 +18,15 @@ instruction words) and compare:
   ``address_queue_depth`` (Section 6.2.2);
 * **tau** — every statement's closed-form tau(n) reproduces the
   enumerated event times over its whole domain (Section 6.2.1).
+
+Each stream's facts (timing functions, event times and their
+statements) are derived once per verification and shared by every
+check; the closed forms are evaluated over whole arrays.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +34,13 @@ from ..cellcodegen.emit import CellCode
 from ..config import WarpConfig
 from ..errors import MappingError
 from ..hostcodegen.io_program import HostProgram
-from ..iucodegen.codegen import IUProgram
 from ..lang.ast import Channel
 from ..timing.buffers import BufferRequirement, occupancy_requirement
-from ..timing.events import TooManyEventsError, stream_event_times
-from ..timing.events import stream_times_by_statement
-from ..timing.skew import SkewResult, minimum_skew_bound
+from ..timing.events import TooManyEventsError, group_by_statement, stream_events
+from ..timing.skew import SkewResult, channel_skew_bound
 from ..timing.tau import TimingFunction
-from ..timing.vectors import characterize_stream, input_stream, output_stream
+from ..timing.vectors import Stream, characterize_stream, input_stream, output_stream
+from .iupath import Emissions
 from .report import VerificationReport
 
 STREAM_CHECKS = (
@@ -52,9 +57,34 @@ STREAM_CHECKS = (
 )
 
 
+@dataclass(frozen=True)
+class StreamFacts:
+    """What the stream checks read of one stream, derived once per
+    verification from the cell code."""
+
+    stream: Stream
+    #: One per static statement, in program order.
+    timing: list[TimingFunction]
+    #: Cycle and statement ``io_index`` of every dynamic event, in stream
+    #: order; None when the stream exceeds the enumeration budget.
+    times: np.ndarray | None
+    statements: np.ndarray | None
+
+
+def _stream_facts(
+    code: CellCode, stream: Stream, max_events: int | None
+) -> StreamFacts:
+    timing = [TimingFunction(c) for c in characterize_stream(code, stream)]
+    try:
+        times, statements = stream_events(code, stream, max_events)
+    except TooManyEventsError:
+        times = statements = None
+    return StreamFacts(stream, timing, times, statements)
+
+
 def check_streams(
     code: CellCode,
-    iu: IUProgram,
+    emissions: Emissions | None,
     host: HostProgram,
     skew_result: SkewResult,
     buffers: list[BufferRequirement],
@@ -74,23 +104,17 @@ def check_streams(
         )
     declared_buffers = {str(b.channel): b for b in buffers}
     for channel in (Channel.X, Channel.Y):
-        try:
-            sends = stream_event_times(
-                code, output_stream(channel), max_events
-            )
-            recvs = stream_event_times(
-                code, input_stream(channel), max_events
-            )
-        except TooManyEventsError:
+        sends = _stream_facts(code, output_stream(channel), max_events)
+        recvs = _stream_facts(code, input_stream(channel), max_events)
+        if sends.times is None or recvs.times is None:
             report.notes.append(
                 f"channel {channel}: event streams exceed the "
                 f"{max_events} budget; exact stream checks skipped"
             )
             continue
-        _check_host_counts(host, channel, sends, recvs, report)
+        _check_host_counts(host, channel, sends.times, recvs.times, report)
         if n_cells > 1:
             _check_channel(
-                code,
                 channel,
                 sends,
                 recvs,
@@ -99,10 +123,11 @@ def check_streams(
                 config,
                 report,
             )
-        _check_tau(code, channel, report, max_events, tau_budget)
+        for facts in (recvs, sends):
+            _check_tau(channel, facts, report, tau_budget)
     if n_cells > 1:
         _check_address_queue(
-            code, iu, skew_result, config, n_cells, report, max_events
+            emissions, skew_result, config, n_cells, report, max_events
         )
 
 
@@ -143,15 +168,15 @@ def _check_host_counts(
 
 
 def _check_channel(
-    code: CellCode,
     channel: Channel,
-    sends: np.ndarray,
-    recvs: np.ndarray,
+    send_facts: StreamFacts,
+    recv_facts: StreamFacts,
     skew_result: SkewResult,
     declared: BufferRequirement | None,
     config: WarpConfig,
     report: VerificationReport,
 ) -> None:
+    sends, recvs = send_facts.times, recv_facts.times
     if recvs.size > sends.size:
         report.add(
             "stream.conservation",
@@ -191,7 +216,9 @@ def _check_channel(
                 channel=str(channel),
             )
         try:
-            bound = minimum_skew_bound(code, channel)
+            bound = channel_skew_bound(
+                channel, send_facts.timing, recv_facts.timing
+            )
         except MappingError as error:
             report.add(
                 "skew.bound_dominates",
@@ -235,8 +262,7 @@ def _check_channel(
 
 
 def _check_address_queue(
-    code: CellCode,
-    iu: IUProgram,
+    emissions: Emissions | None,
     skew_result: SkewResult,
     config: WarpConfig,
     n_cells: int,
@@ -246,26 +272,19 @@ def _check_address_queue(
     """The address FIFO of the most-delayed cell: emissions enter at
     ``emit + i*hop`` and leave at ``deadline + i*skew``; with skew >=
     hop, the last cell sees the worst backlog."""
-    emit_times: list[int] = []
-    deadline_times: list[int] = []
-    for emit, deadline, _address in iu.emission_times():
-        emit_times.append(emit)
-        deadline_times.append(deadline)
-        if max_events is not None and len(emit_times) > max_events:
-            report.notes.append(
-                f"address path: more than {max_events} emissions; "
-                "address-queue occupancy check skipped"
-            )
-            return
-    if not emit_times:
+    if emissions is None:
+        report.notes.append(
+            f"address path: more than {max_events} emissions; "
+            "address-queue occupancy check skipped"
+        )
+        return
+    if not emissions.emit.size:
         return
     relative = (n_cells - 1) * (
         skew_result.skew - config.address_hop_latency
     )
     occupancy = occupancy_requirement(
-        np.asarray(emit_times, dtype=np.int64),
-        np.asarray(deadline_times, dtype=np.int64),
-        max(relative, 0),
+        emissions.emit, emissions.deadline, max(relative, 0)
     )
     if occupancy > config.address_queue_depth:
         report.add(
@@ -276,63 +295,51 @@ def _check_address_queue(
 
 
 def _check_tau(
-    code: CellCode,
     channel: Channel,
+    facts: StreamFacts,
     report: VerificationReport,
-    max_events: int | None,
     tau_budget: int,
 ) -> None:
     """tau(n) closed forms vs. the enumerated event times, per statement
     and over the statement's entire ordinal domain."""
-    for stream in (input_stream(channel), output_stream(channel)):
-        characterizations = characterize_stream(code, stream)
-        if not characterizations:
-            continue
-        total = sum(c.total_executions for c in characterizations)
-        if total > tau_budget:
-            report.notes.append(
-                f"stream {stream}: {total} events exceed the tau budget "
-                f"of {tau_budget}; closed-form check skipped"
+    stream = facts.stream
+    if not facts.timing:
+        return
+    total = sum(tau.char.total_executions for tau in facts.timing)
+    if total > tau_budget:
+        report.notes.append(
+            f"stream {stream}: {total} events exceed the tau budget "
+            f"of {tau_budget}; closed-form check skipped"
+        )
+        return
+    per_statement = group_by_statement(facts.times, facts.statements)
+    for tau in facts.timing:
+        char = tau.char
+        times = per_statement.get(char.io_index)
+        if times is None:
+            report.add(
+                "tau.closed_form",
+                f"statement {char.io_index} of {stream} never "
+                "executes in the schedule but its characterisation "
+                f"promises {char.total_executions} executions",
+                channel=str(channel),
             )
             continue
-        try:
-            per_statement = stream_times_by_statement(
-                code, stream, max_events
-            )
-        except TooManyEventsError:
-            report.notes.append(
-                f"stream {stream}: enumeration over budget; closed-form "
-                "check skipped"
+        domain, evaluated = tau.evaluate_domain()
+        if domain.size != char.total_executions:
+            report.add(
+                "tau.closed_form",
+                f"statement {char.io_index} of {stream}: domain has "
+                f"{domain.size} ordinals but the characterisation "
+                f"promises {char.total_executions} executions",
+                channel=str(channel),
             )
             continue
-        for char in characterizations:
-            tau = TimingFunction(char)
-            domain = tau.domain()
-            times = per_statement.get(char.io_index)
-            if times is None:
-                report.add(
-                    "tau.closed_form",
-                    f"statement {char.io_index} of {stream} never "
-                    "executes in the schedule but its characterisation "
-                    f"promises {char.total_executions} executions",
-                    channel=str(channel),
-                )
-                continue
-            if len(domain) != char.total_executions:
-                report.add(
-                    "tau.closed_form",
-                    f"statement {char.io_index} of {stream}: domain has "
-                    f"{len(domain)} ordinals but the characterisation "
-                    f"promises {char.total_executions} executions",
-                    channel=str(channel),
-                )
-                continue
-            evaluated = [tau(n) for n in domain]
-            if evaluated != list(times):
-                report.add(
-                    "tau.closed_form",
-                    f"statement {char.io_index} of {stream}: tau(n) "
-                    f"yields {evaluated[:8]}... but the schedule "
-                    f"executes at {list(times)[:8]}...",
-                    channel=str(channel),
-                )
+        if not np.array_equal(evaluated, times):
+            report.add(
+                "tau.closed_form",
+                f"statement {char.io_index} of {stream}: tau(n) "
+                f"yields {evaluated[:8].tolist()}... but the schedule "
+                f"executes at {times[:8].tolist()}...",
+                channel=str(channel),
+            )

@@ -45,6 +45,32 @@ class TestPolynomialSequences:
         assert host.output_count(Channel.Y) == 6
 
 
+@pytest.mark.parametrize("unroll", [1, 2, 4, "auto"])
+def test_static_counts_equal_the_expanded_sequences(program_suite, unroll):
+    """The counts come from block matches times loop trips, never from
+    expanding the sequences; they must agree with the expansion."""
+    for name, source, _inputs, _ref in program_suite:
+        host = compile_w2(source, unroll=unroll).host_program
+        for channel in (Channel.X, Channel.Y):
+            assert host.input_count(channel) == len(
+                list(host.input_sequence(channel))
+            ), (name, unroll, channel)
+            assert host.output_count(channel) == len(
+                list(host.output_bindings(channel))
+            ), (name, unroll, channel)
+
+
+def test_count_still_looks_up_every_statement():
+    """A sequence naming an unknown statement fails the count too, so the
+    verifier's stream.host_counts diagnostic still fires."""
+    host = compile_w2(polynomial(6, 3)).host_program
+    host._io.clear()
+    with pytest.raises(KeyError):
+        host.input_count(Channel.X)
+    with pytest.raises(KeyError):
+        host.output_count(Channel.Y)
+
+
 class TestBinopSequences:
     def test_collection_order_reversed_within_group(self):
         program = compile_w2(binop(4, 2, 4))

@@ -89,9 +89,9 @@ class TestLevels:
         monkeypatch.setenv("REPRO_VERIFY", "quick")
         assert resolve_level("default") == "quick"
         monkeypatch.delenv("REPRO_VERIFY")
-        assert resolve_level("default") == "off"
+        assert resolve_level("default") == "quick"
         monkeypatch.setenv("REPRO_VERIFY", "")
-        assert resolve_level("default") == "off"
+        assert resolve_level("default") == "quick"
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="unknown verify level"):
@@ -210,6 +210,11 @@ class TestArtifactSurgery:
         # polynomial needs skew >= 2: the declared value must be caught
         # by the exact event re-enumeration.
         assert "skew.exact" in report.failed_checks()
+
+    def test_host_sequence_naming_unknown_statement(self, program):
+        program.host_program._io.clear()
+        report = verify_program(program, level="full")
+        assert report.failed_checks() == {"stream.host_counts"}
 
     def test_aliased_registers_break_replay(self, program):
         mutant = mutate(program, "alias_temp_registers", 0)

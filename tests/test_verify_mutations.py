@@ -32,6 +32,109 @@ SEEDS = (0, 1, 2)
 #: (queue-addressed local memory, the PR 3 bug's habitat).
 MUTATED_PROGRAMS = ("polynomial", "conv1d", "matmul")
 
+#: The failed check ids of every mutant in the matrix (unroll 1, seeds
+#: 0-2).  A change to how the verifier derives its facts must leave these
+#: exactly as they are; a change to the compiler's schedules may move
+#: them, and then they are re-recorded on purpose.
+EXPECTED_FAILED_CHECKS = {
+    ("polynomial", "swap_slots", 0): {"register.drain", "stream.io_events"},
+    ("polynomial", "swap_slots", 1): {
+        "register.in_flight_read",
+        "stream.io_events",
+    },
+    ("polynomial", "swap_slots", 2): {
+        "register.drain",
+        "register.in_flight_read",
+        "stream.io_events",
+    },
+    ("polynomial", "drop_enqueue", 0): {"stream.io_events"},
+    ("polynomial", "drop_enqueue", 1): {"stream.io_events"},
+    ("polynomial", "drop_enqueue", 2): {"stream.io_events"},
+    ("polynomial", "dup_enqueue", 0): {
+        "register.in_flight_read",
+        "stream.io_events",
+    },
+    ("polynomial", "dup_enqueue", 1): {
+        "register.temp_read_before_write",
+        "stream.io_events",
+    },
+    ("polynomial", "dup_enqueue", 2): {
+        "register.temp_read_before_write",
+        "stream.io_events",
+    },
+    ("polynomial", "alias_temp_registers", 0): {"register.waw_same_cycle"},
+    ("polynomial", "alias_temp_registers", 1): {"register.waw_same_cycle"},
+    ("polynomial", "alias_temp_registers", 2): {"register.waw_same_cycle"},
+    ("polynomial", "shrink_queue_bound", 0): {"occupancy.queue_depth"},
+    ("polynomial", "shrink_queue_bound", 1): {"occupancy.declared"},
+    ("polynomial", "shrink_queue_bound", 2): {"occupancy.queue_depth"},
+    ("conv1d", "swap_slots", 0): {
+        "register.temp_read_before_write",
+        "stream.io_events",
+    },
+    ("conv1d", "swap_slots", 1): {
+        "register.in_flight_read",
+        "stream.io_events",
+    },
+    ("conv1d", "swap_slots", 2): {"stream.io_events"},
+    ("conv1d", "drop_enqueue", 0): {"stream.io_events"},
+    ("conv1d", "drop_enqueue", 1): {"stream.io_events"},
+    ("conv1d", "drop_enqueue", 2): {"stream.io_events"},
+    ("conv1d", "dup_enqueue", 0): {
+        "register.in_flight_read",
+        "stream.io_events",
+    },
+    ("conv1d", "dup_enqueue", 1): {"stream.io_events"},
+    ("conv1d", "dup_enqueue", 2): {
+        "register.temp_read_before_write",
+        "stream.io_events",
+    },
+    ("conv1d", "shrink_queue_bound", 0): {"occupancy.queue_depth"},
+    ("conv1d", "shrink_queue_bound", 1): {"occupancy.declared"},
+    ("conv1d", "shrink_queue_bound", 2): {"occupancy.queue_depth"},
+    ("matmul", "swap_slots", 0): {
+        "iu.slot_order",
+        "register.temp_read_before_write",
+        "slot_order.addr_demands",
+    },
+    ("matmul", "swap_slots", 1): {
+        "iu.slot_order",
+        "register.drain",
+        "register.temp_read_before_write",
+        "slot_order.addr_demands",
+    },
+    ("matmul", "swap_slots", 2): {
+        "iu.slot_order",
+        "register.temp_read_before_write",
+        "register.waw_order",
+        "slot_order.addr_demands",
+    },
+    ("matmul", "off_by_one_address", 0): {"iu.expressions"},
+    ("matmul", "off_by_one_address", 1): {"iu.expressions"},
+    ("matmul", "off_by_one_address", 2): {"iu.expressions"},
+    ("matmul", "drop_enqueue", 0): {"stream.io_events"},
+    ("matmul", "drop_enqueue", 1): {"stream.io_events"},
+    ("matmul", "drop_enqueue", 2): {"stream.io_events"},
+    ("matmul", "dup_enqueue", 0): {
+        "register.temp_read_before_write",
+        "stream.io_events",
+    },
+    ("matmul", "dup_enqueue", 1): {
+        "register.temp_read_before_write",
+        "stream.io_events",
+    },
+    ("matmul", "dup_enqueue", 2): {
+        "register.temp_read_before_write",
+        "stream.io_events",
+    },
+    ("matmul", "alias_temp_registers", 0): {"register.waw_same_cycle"},
+    ("matmul", "alias_temp_registers", 1): {"register.waw_same_cycle"},
+    ("matmul", "alias_temp_registers", 2): {"register.waw_same_cycle"},
+    ("matmul", "shrink_queue_bound", 0): {"occupancy.queue_depth"},
+    ("matmul", "shrink_queue_bound", 1): {"occupancy.declared"},
+    ("matmul", "shrink_queue_bound", 2): {"occupancy.queue_depth"},
+}
+
 
 def _compile_unverified(source, unroll=1):
     config = dataclasses.replace(DEFAULT_CONFIG, verify="off")
@@ -115,6 +218,19 @@ class TestNoSilentEscapes:
                 if not verify_program(mutant.program, level="full").ok:
                     caught.add(mutant.kind)
         assert caught == set(MUTATION_KINDS)
+
+
+    def test_failed_check_ids_per_mutant_are_pinned(self, program_suite):
+        found = {}
+        for name in MUTATED_PROGRAMS:
+            _name, source, _inputs, _ref = _case(program_suite, name)
+            program = _compile_unverified(source)
+            for mutant in mutation_suite(program, seeds=SEEDS):
+                report = verify_program(mutant.program, level="full")
+                found[(name, mutant.kind, mutant.seed)] = (
+                    report.failed_checks()
+                )
+        assert found == EXPECTED_FAILED_CHECKS
 
 
 class TestHarnessMechanics:
