@@ -7,7 +7,7 @@ from .cell import CellExecutor, CellStats, TraceEvent
 from .config import DEFAULT_CONFIG, CellConfig, IUConfig, WarpConfig
 from .host import HostMemory, collect_outputs, feed_input_queues
 from .iu_machine import IUMachine, run_iu_program
-from .plan import BlockPlan, DecodedInstr, ExecutionPlan
+from .plan import BlockPlan, ExecutionPlan
 from .queue import TimedQueue
 from .reference import interpret
 
@@ -18,7 +18,6 @@ __all__ = [
     "CellMetrics",
     "CellStats",
     "DEFAULT_CONFIG",
-    "DecodedInstr",
     "ExecutionPlan",
     "HostMemory",
     "IUConfig",

@@ -102,7 +102,10 @@ class WarpMachine:
         first use.  ``None`` when the recording run fails: such a failure
         does not depend on the data, so every item meets it on the
         cycle-accurate path instead."""
-        plan = self.plan
+        try:
+            plan = self.plan
+        except SimulationError:
+            return None  # the cycle path raises it again, per item
         if plan.tape is None:
             from .tape import ValueTape
 

@@ -1,30 +1,32 @@
 """Cycle-accurate execution of one Warp cell's microcode.
 
-The executor walks the scheduled program tree instruction by instruction,
-with an absolute cycle counter (the cell's start is offset by its skew).
-Pipelining is modelled exactly: an operation issued at cycle ``t`` with
-latency ``L`` writes its destination register at ``t + L``; reads at or
-after that cycle see the new value, earlier reads see the old one —
-precisely the semantics the scheduler's latency edges assume, so any
-scheduler bug surfaces as a wrong result against the reference
-interpreter.
+The executor walks the scheduled program tree with an absolute cycle
+counter (the cell's start is offset by its skew) and runs each scheduled
+block as one generated straight-line function
+(:class:`~repro.machine.plan.BlockPlan`).  Pipelining is modelled
+exactly: an operation issued at cycle ``t`` with latency ``L`` writes
+its destination register at ``t + L``; reads at or after that cycle see
+the new value, earlier reads see the old one.  Because the schedule
+fixes every issue and writeback cycle, the generator resolves each read
+to the value it sees once, at plan time — precisely the semantics the
+scheduler's latency edges assume, so any scheduler bug surfaces as a
+wrong result against the reference interpreter.  Queue transfers keep
+their absolute cycles, so every underflow, capacity and accounting
+check still runs per item.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledLoop
-from ..cellcodegen.isa import AddressSource, Lit, Operand, Reg
 from ..errors import CellHangError
-from ..ir.dag import QueueRef
-from ..lang.ast import Channel, Direction
+from ..lang.ast import Channel
 from ..config import CellConfig
 from ..obs import get_telemetry
 from ..obs.metrics import MachineRecorder
-from .plan import BlockPlan, DecodedInstr
+from .plan import BlockPlan
 from .queue import TimedQueue
 
 
@@ -91,54 +93,50 @@ class CellExecutor:
         self._config = config
         self._cell = cell_index
         self._start = start_time
-        self._in = in_queues
-        self._out = out_queues
-        self._addr = address_queue
-        self._trace = trace
         self._recorder = recorder
         #: Watchdog: absolute cycle by which the cell must have
         #: finished.  Healthy cells finish exactly on their statically
         #: predicted cycle, so the deadline (predicted end + slack) can
         #: only be crossed by a stalled or hung cell.
         self._deadline = deadline
-        #: Skip-idle plans per block: shared across cells/runs when the
+        #: Compiled block plans: shared across cells/runs when the
         #: caller supplies them, otherwise built lazily for this cell.
         self._block_plans = block_plans if block_plans is not None else {}
+        #: Executions of each block this run, by block id.
+        self._runs: dict[int, int] = {}
         self._registers = [0.0] * config.n_registers
-        self._pending: list[tuple[int, int, int, float]] = []  # (time, seq, reg, value)
-        self._seq = 0
         self._memory = [0.0] * config.memory_words
         self.stats = CellStats(cell=cell_index, start_time=start_time)
-        #: Queue resolution memo keyed by the (shared, immutable)
-        #: QueueRef object identity — direction asserts run once per
-        #: static reference instead of once per dynamic I/O.
-        self._queue_memo: dict[int, TimedQueue] = {}
-
-    # Register file with delayed writeback --------------------------------
-
-    def _apply_writebacks(self, time: int) -> None:
-        while self._pending and self._pending[0][0] <= time:
-            _, _, reg, value = heapq.heappop(self._pending)
-            self._registers[reg] = value
-
-    def _write_later(self, time: int, reg: Reg, value: float) -> None:
-        self._seq += 1
-        heapq.heappush(self._pending, (time, self._seq, reg.index, value))
-
-    def _read(self, operand: Operand) -> float:
-        if isinstance(operand, Lit):
-            return operand.value
-        return self._registers[operand.index]
-
-    # Execution ---------------------------------------------------------------
+        #: ``trace`` as generated code calls it: (cycle, kind, queue, value).
+        emit = None if trace is None else (
+            lambda *event: trace(TraceEvent(cell_index, *event))
+        )
+        #: What every generated block function runs against.
+        self._ctx = (
+            self._registers,
+            self._memory,
+            in_queues[Channel.X].dequeue,
+            in_queues[Channel.Y].dequeue,
+            out_queues[Channel.X].enqueue,
+            out_queues[Channel.Y].enqueue,
+            address_queue.dequeue,
+            emit,
+        )
 
     def run(self) -> CellStats:
         end = self._run_items(self._code.items, self._start)
-        # Flush outstanding writebacks (architecturally they land during
-        # the drain cycles already counted in the block lengths).
-        self._apply_writebacks(end)
-        self.stats.end_time = end
-        return self.stats
+        stats = self.stats
+        stats.end_time = end
+        for block_id, n in self._runs.items():
+            plan = self._block_plans[block_id]
+            stats.issue_cycles += n * plan.issued
+            stats.alu_ops += n * plan.alu_ops
+            stats.mpy_ops += n * plan.mpy_ops
+            stats.mem_reads += n * plan.mem_reads
+            stats.mem_writes += n * plan.mem_writes
+            stats.receives += n * sum(plan.receives.values())
+            stats.sends += n * sum(plan.sends.values())
+        return stats
 
     def _run_items(self, items, time: int) -> int:
         for item in items:
@@ -161,110 +159,15 @@ class CellExecutor:
         )
 
     def _run_block(self, block: ScheduledBlock, time: int) -> int:
-        plan = self._block_plans.get(block.block_id)
+        block_id = block.block_id
+        plan = self._block_plans.get(block_id)
         if plan is None:
-            plan = BlockPlan.of(block)
-            self._block_plans[block.block_id] = plan
-        self.stats.issue_cycles += plan.issued
+            plan = BlockPlan.of(block, self._config)
+            self._block_plans[block_id] = plan
+        self._runs[block_id] = self._runs.get(block_id, 0) + 1
         if self._recorder is not None:
             self._recorder.block(
-                self._cell, block.block_id, time, block.length, plan.issued
+                self._cell, block_id, time, block.length, plan.issued
             )
-        # Skip-idle fast path: visit only the issuing cycles; nop ranges
-        # (latency bubbles, drain tails) advance the clock for free via
-        # the block length.
-        for decoded in plan.active:
-            self._execute(decoded, time + decoded.cycle)
+        plan.run(self._ctx, time)
         return time + block.length
-
-    def _execute(self, decoded: DecodedInstr, now: int) -> None:
-        # Hot path: one call per *issuing* cycle per cell per run.  The
-        # instruction arrives pre-decoded (load/store split, pure-op
-        # evaluators resolved); locals and the identity-keyed queue memo
-        # keep the per-issue constant factor low.  Behaviour is
-        # identical to the attribute-walking form this replaces.
-        pending = self._pending
-        if pending and pending[0][0] <= now:
-            self._apply_writebacks(now)
-        config = self._config
-        stats = self.stats
-        queue_memo = self._queue_memo
-        read = self._read
-        for deq in decoded.deqs:
-            queue = queue_memo.get(id(deq.queue))
-            if queue is None:
-                queue = self._queue_for(deq.queue, incoming=True)
-                queue_memo[id(deq.queue)] = queue
-            value = queue.dequeue(now)
-            self._write_later(now + config.queue_latency, deq.dest, value)
-            stats.receives += 1
-            if self._trace:
-                self._trace(
-                    TraceEvent(self._cell, now, "receive", str(deq.queue), value)
-                )
-        # IU-supplied addresses are consumed in instruction-slot order
-        # (the order the IU emitted them), which is not necessarily
-        # loads-before-stores — resolve them all up front.
-        addresses: dict[int, int] | None = None
-        if decoded.addressed:
-            addresses = {
-                id(mem): int(self._addr.dequeue(now))
-                for mem in decoded.addressed
-            }
-        # Memory: loads observe the pre-store contents of this cycle.
-        for mem in decoded.loads:
-            address = self._address(mem, addresses)
-            value = self._memory[address]
-            assert mem.reg is not None
-            self._write_later(now + config.mem_read_latency, mem.reg, value)
-            stats.mem_reads += 1
-        for mem in decoded.stores:
-            address = self._address(mem, addresses)
-            assert mem.store_value is not None
-            self._memory[address] = read(mem.store_value)
-            stats.mem_writes += 1
-        if decoded.alu is not None:
-            fn, sources, dest = decoded.alu
-            result = fn(*[read(s) for s in sources])
-            self._write_later(now + config.alu_latency, dest, result)
-            stats.alu_ops += 1
-        if decoded.mpy is not None:
-            fn, sources, dest, is_div = decoded.mpy
-            result = fn(*[read(s) for s in sources])
-            latency = config.div_latency if is_div else config.mpy_latency
-            self._write_later(now + latency, dest, result)
-            stats.mpy_ops += 1
-        move = decoded.move
-        if move is not None:
-            self._write_later(
-                now + config.move_latency, move.dest, read(move.source)
-            )
-        for enq in decoded.enqs:
-            queue = queue_memo.get(id(enq.queue))
-            if queue is None:
-                queue = self._queue_for(enq.queue, incoming=False)
-                queue_memo[id(enq.queue)] = queue
-            value = read(enq.source)
-            queue.enqueue(now, value)
-            stats.sends += 1
-            if self._trace:
-                self._trace(
-                    TraceEvent(self._cell, now, "send", str(enq.queue), value)
-                )
-
-    def _address(self, mem, addresses: dict[int, int] | None) -> int:
-        if mem.address_source is AddressSource.LITERAL:
-            return mem.address
-        assert addresses is not None
-        return addresses[id(mem)]
-
-    def _queue_for(self, ref: QueueRef, incoming: bool) -> TimedQueue:
-        if incoming:
-            assert ref.direction is Direction.LEFT, (
-                "compilable programs only receive from the left"
-            )
-            return self._in[ref.channel]
-        assert ref.direction is Direction.RIGHT, (
-            "compilable programs only send to the right"
-        )
-        return self._out[ref.channel]

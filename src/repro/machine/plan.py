@@ -5,13 +5,14 @@ independent of the cell index, the input data and the run — so one
 :class:`ExecutionPlan` is shared by all cells of a run and by every run
 of a batch:
 
-* **Skip-idle block plans.**  Scheduled blocks are dominated by nop
-  cycles (latency bubbles and drain ranges; 30–50% of instruction slots
-  on the Table 7-1 programs).  A :class:`BlockPlan` keeps only the
-  issuing cycles, so the executor jumps from one active cycle to the
-  next instead of ticking through provably idle ranges — the cycle
-  arithmetic is unchanged because each active instruction carries its
-  offset and the block's total length still advances the clock.
+* **Compiled blocks.**  The schedule fixes the cycle of every issue
+  and every register writeback, so each scheduled block becomes one
+  generated straight-line Python function (:class:`BlockPlan`): nop
+  cycles vanish (30–50% of instruction slots on the Table 7-1
+  programs), each register read names the value it sees, and the
+  block's length advances the clock.
+* **Static counts.**  Per-block operation totals and the blocks'
+  execution counts, hence each cell's per-run sends and receives.
 * **The IU address schedule** (``emissions``), identical for every cell
   up to the per-hop delay, rather than re-walked per run.
 * **The host I/O sequences** (input references and output bindings per
@@ -20,23 +21,19 @@ of a batch:
 
 from __future__ import annotations
 
+import functools
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from ..analysis.local_opt import pure_evaluator
 from ..cellcodegen.emit import CellCode, ScheduledBlock
-from ..cellcodegen.isa import (
-    AddressSource,
-    DeqOp,
-    EnqOp,
-    MemOp,
-    MicroInstr,
-    MoveOp,
-    Operand,
-    Reg,
-)
+from ..cellcodegen.isa import AddressSource, Lit, MicroInstr, Operand, Reg
+from ..config import CellConfig
+from ..errors import SimulationError
 from ..ir.dag import OpKind
-from ..lang.ast import Channel
+from ..lang.ast import Channel, Direction
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from ..compiler.driver import CompiledProgram
@@ -44,125 +41,254 @@ if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from .tape import ValueTape
 
 
-@dataclass(slots=True)
-class DecodedInstr:
-    """One issuing micro-instruction, pre-decoded for execution.
-
-    Decoding resolves everything that is the same on every dynamic
-    issue — the load/store split, the pure-op evaluation functions, the
-    operand tuples — so the executor's hot loop does no dispatch, only
-    state updates.  ``instr`` stays attached for tracing and listings.
-    """
-
-    cycle: int
-    instr: MicroInstr
-    deqs: tuple[DeqOp, ...]
-    loads: tuple[MemOp, ...]
-    stores: tuple[MemOp, ...]
-    #: Queue-addressed memory ops in *slot order* — the order the IU
-    #: emits their addresses (``addr_demands`` is stably sorted by
-    #: cycle, so same-cycle addresses arrive in instruction-slot
-    #: order).  The executor must dequeue addresses in this order even
-    #: though it applies loads before stores.
-    addressed: tuple[MemOp, ...]
-    #: ``(evaluator, sources, dest)`` or ``None``.
-    alu: tuple[Callable[..., float], tuple[Operand, ...], Reg] | None
-    #: ``(evaluator, sources, dest, is_divide)`` or ``None``.
-    mpy: tuple[Callable[..., float], tuple[Operand, ...], Reg, bool] | None
-    move: MoveOp | None
-    enqs: tuple[EnqOp, ...]
-
-    @classmethod
-    def of(cls, cycle: int, instr: MicroInstr) -> "DecodedInstr":
-        alu = mpy = None
-        if instr.alu is not None:
-            fn = pure_evaluator(instr.alu.op)
-            assert fn is not None, instr.alu.op
-            alu = (fn, tuple(instr.alu.sources), instr.alu.dest)
-        if instr.mpy is not None:
-            fn = pure_evaluator(instr.mpy.op)
-            assert fn is not None, instr.mpy.op
-            mpy = (
-                fn,
-                tuple(instr.mpy.sources),
-                instr.mpy.dest,
-                instr.mpy.op is OpKind.FDIV,
-            )
-        return cls(
-            cycle=cycle,
-            instr=instr,
-            deqs=tuple(instr.deqs),
-            loads=tuple(m for m in instr.mem if m.is_load),
-            stores=tuple(m for m in instr.mem if not m.is_load),
-            addressed=tuple(
-                m
-                for m in instr.mem
-                if m.address_source is not AddressSource.LITERAL
-            ),
-            alu=alu,
-            mpy=mpy,
-            move=instr.move,
-            enqs=tuple(instr.enqs),
-        )
-
-
 @dataclass(frozen=True)
 class BlockPlan:
-    """One scheduled block, reduced to its issuing cycles."""
+    """One scheduled block, compiled to one straight-line function."""
 
+    block_id: int
     length: int
     #: Number of non-nop instructions (the block's issue count).
     issued: int
-    #: The non-nop instructions, pre-decoded, in cycle order.
-    active: tuple[DecodedInstr, ...]
+    #: ``run(ctx, start)`` executes one pass of the block started at
+    #: absolute cycle ``start`` (see :func:`_block_source` for ``ctx``).
+    run: Callable[[tuple, int], None]
+    #: Operations issued by one pass, per unit / per channel.
+    alu_ops: int
+    mpy_ops: int
+    mem_reads: int
+    mem_writes: int
+    sends: Counter[Channel]
+    receives: Counter[Channel]
 
     @classmethod
-    def of(cls, block: ScheduledBlock) -> "BlockPlan":
-        active = tuple(
-            DecodedInstr.of(cycle, instr)
+    def of(
+        cls,
+        block: ScheduledBlock,
+        config: CellConfig,
+        evaluate: Callable[[OpKind], Callable[..., float]] = pure_evaluator,
+    ) -> "BlockPlan":
+        """The plan of ``block``; ``evaluate`` maps each ALU/MPY op to
+        the function the generated code calls (the value tape's
+        recording run swaps in recorders)."""
+        active = [
+            (cycle, instr)
             for cycle, instr in enumerate(block.instructions)
             if not instr.is_nop()
+        ]
+        source, evaluators, literals = _block_source(
+            block.block_id, block.length, active, config, evaluate
         )
-        return cls(length=block.length, issued=len(active), active=active)
+        instrs = [instr for _cycle, instr in active]
+        return cls(
+            block_id=block.block_id,
+            length=block.length,
+            issued=len(active),
+            run=_factory(source)(evaluators, literals),
+            alu_ops=sum(i.alu is not None for i in instrs),
+            mpy_ops=sum(i.mpy is not None for i in instrs),
+            mem_reads=sum(m.is_load for i in instrs for m in i.mem),
+            mem_writes=sum(not m.is_load for i in instrs for m in i.mem),
+            sends=Counter(op.queue.channel for i in instrs for op in i.enqs),
+            receives=Counter(
+                op.queue.channel for i in instrs for op in i.deqs
+            ),
+        )
 
 
-def block_plans(code: CellCode) -> dict[int, BlockPlan]:
-    """A :class:`BlockPlan` per static block of ``code``."""
-    return {block.block_id: BlockPlan.of(block) for block in code.blocks()}
+def _block_source(
+    block_id: int,
+    length: int,
+    active: list[tuple[int, MicroInstr]],
+    config: CellConfig,
+    evaluate: Callable[[OpKind], Callable[..., float]],
+) -> tuple[str, list[Callable[..., float]], list[float]]:
+    """Python source of one block as a straight-line function.
 
+    The schedule fixes the cycle of every issue and writeback, so the
+    delayed register writeback is resolved here, once: a read of
+    register ``r`` at block cycle ``c`` names the value of the write with
+    the greatest ``(landing cycle, issue order)`` among the writes issued
+    before ``c`` that land at or before ``c``, else the register's value
+    on entry.  Every block drains (each write lands within its length),
+    so the function ends by storing each written register's last value.
 
-def static_io_counts(items) -> tuple[dict[Channel, int], dict[Channel, int]]:
-    """Exact per-channel (sends, receives) of one cell's full run.
-
-    Schedules are data-independent, so these counts are a static
-    property of the code tree: every cell enqueues exactly
-    ``sends[channel]`` words per run.  The stream-accounting guard in
-    :meth:`~repro.machine.array.WarpMachine.run` compares each
-    inter-cell link against them — a dropped or duplicated send shows up
-    as a count divergence even when it would not underflow anything.
+    The source defines ``make(E, L)``, which binds the evaluators ``E``
+    and literals ``L`` *by position* and returns
+    ``run((R, M, dx, dy, ex, ey, da, trace), t)``: ``R``/``M`` are the
+    register file and data memory, ``dx``/``dy`` the dequeue and
+    ``ex``/``ey`` the enqueue methods of the X/Y queues, ``da`` the
+    address queue's dequeue and ``trace`` ``None`` or a
+    ``(cycle, kind, queue, value)`` callback.  Side effects keep the
+    order of each instruction: dequeues, IU addresses in slot order,
+    loads, stores, ALU, MPY, move, enqueues.
     """
-    sends = {Channel.X: 0, Channel.Y: 0}
-    receives = {Channel.X: 0, Channel.Y: 0}
+    evaluators: list[Callable[..., float]] = []
+    literals: list[float] = []
+    body: list[str] = []
+    entry: list[int] = []  # registers read before any in-block write
+    visible: dict[int, str] = {}
+    written: set[int] = set()
+    #: ``(landing, issue order, register, value name)`` not yet landed.
+    in_flight: list[tuple[int, int, int, str]] = []
+    issue_order, names = itertools.count(), itertools.count()
+
+    def read(operand: Operand) -> str:
+        if isinstance(operand, Lit):
+            literals.append(operand.value)
+            return f"l{len(literals) - 1}"
+        name = visible.get(operand.index)
+        if name is None:
+            name = visible[operand.index] = f"r{operand.index}"
+            entry.append(operand.index)
+        return name
+
+    def write(reg: Reg, landing: int, value: str) -> None:
+        if landing > length:
+            raise SimulationError(
+                f"block {block_id}: the write of r{reg.index} lands at "
+                f"cycle {landing}, after the block's {length}-cycle "
+                "window — the schedule does not drain"
+            )
+        in_flight.append((landing, next(issue_order), reg.index, value))
+        written.add(reg.index)
+
+    def land(cycle: int) -> None:
+        ready = sorted(w for w in in_flight if w[0] <= cycle)
+        in_flight[:] = [w for w in in_flight if w[0] > cycle]
+        for _landing, _order, reg, value in ready:
+            visible[reg] = value
+
+    def queue(ref, incoming: bool) -> str:
+        if incoming:
+            assert ref.direction is Direction.LEFT, (
+                "compilable programs only receive from the left"
+            )
+            return "dx" if ref.channel is Channel.X else "dy"
+        assert ref.direction is Direction.RIGHT, (
+            "compilable programs only send to the right"
+        )
+        return "ex" if ref.channel is Channel.X else "ey"
+
+    def value() -> str:
+        return f"v{next(names)}"
+
+    for c, ins in active:
+        land(c)
+        if ins.deqs or ins.enqs or any(
+            m.address_source is AddressSource.QUEUE for m in ins.mem
+        ):
+            body.append(f"n = t + {c}")
+        for deq in ins.deqs:
+            v = value()
+            body.append(f"{v} = {queue(deq.queue, True)}(n)")
+            body.append(
+                f"if trace is not None: trace(n, 'receive', "
+                f"{str(deq.queue)!r}, {v})"
+            )
+            write(deq.dest, c + config.queue_latency, v)
+        # IU addresses arrive in instruction-slot order (``addr_demands``
+        # is stably sorted by cycle), though loads apply before stores.
+        where = []
+        for mem in ins.mem:
+            if mem.address_source is AddressSource.LITERAL:
+                where.append(str(mem.address))
+            else:
+                where.append(value())
+                body.append(f"{where[-1]} = int(da(n))")
+        for mem, address in zip(ins.mem, where):
+            if mem.is_load:
+                assert mem.reg is not None
+                v = value()
+                body.append(f"{v} = M[{address}]")
+                write(mem.reg, c + config.mem_read_latency, v)
+        for mem, address in zip(ins.mem, where):
+            if not mem.is_load:
+                assert mem.store_value is not None
+                body.append(f"M[{address}] = {read(mem.store_value)}")
+        units = []
+        if ins.alu is not None:
+            units.append((ins.alu, config.alu_latency))
+        if ins.mpy is not None:
+            div = ins.mpy.op is OpKind.FDIV
+            latency = config.div_latency if div else config.mpy_latency
+            units.append((ins.mpy, latency))
+        for unit, latency in units:
+            fn = evaluate(unit.op)
+            assert fn is not None, unit.op
+            evaluators.append(fn)
+            args = ", ".join(read(s) for s in unit.sources)
+            v = value()
+            body.append(f"{v} = e{len(evaluators) - 1}({args})")
+            write(unit.dest, c + latency, v)
+        if ins.move is not None:
+            source = read(ins.move.source)
+            write(ins.move.dest, c + config.move_latency, source)
+        for enq in ins.enqs:
+            v = read(enq.source)
+            body.append(f"{queue(enq.queue, False)}(n, {v})")
+            body.append(
+                f"if trace is not None: trace(n, 'send', "
+                f"{str(enq.queue)!r}, {v})"
+            )
+    land(length)
+    lines = ["def make(E, L):"]
+    if evaluators:
+        names = "".join(f"e{k}, " for k in range(len(evaluators)))
+        lines.append(f"    {names}= E")
+    if literals:
+        names = "".join(f"l{k}, " for k in range(len(literals)))
+        lines.append(f"    {names}= L")
+    lines.append("    def run(ctx, t):")
+    lines.append("        R, M, dx, dy, ex, ey, da, trace = ctx")
+    lines.extend(f"        r{reg} = R[{reg}]" for reg in entry)
+    lines.extend(f"        {line}" for line in body)
+    lines.extend(
+        f"        R[{reg}] = {visible[reg]}" for reg in sorted(written)
+    )
+    lines.append("    return run")
+    return "\n".join(lines) + "\n", evaluators, literals
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory(source: str) -> Callable:
+    """The ``make`` function of one generated block source, compiled
+    once per distinct text (every run builds a fresh plan)."""
+    namespace: dict = {}
+    exec(compile(source, "<warp block>", "exec"), namespace)
+    return namespace["make"]
+
+
+def block_plans(
+    code: CellCode,
+    config: CellConfig,
+    evaluate: Callable[[OpKind], Callable[..., float]] = pure_evaluator,
+) -> dict[int, BlockPlan]:
+    """A :class:`BlockPlan` per static block of ``code``."""
+    return {
+        block.block_id: BlockPlan.of(block, config, evaluate)
+        for block in code.blocks()
+    }
+
+
+def block_runs(items, trips: int = 1) -> list[tuple[int, int]]:
+    """``(block id, executions)`` of every block in one cell run: the
+    schedule is data-independent, so these are static."""
+    runs: list[tuple[int, int]] = []
     for item in items:
         if isinstance(item, ScheduledBlock):
-            for instr in item.instructions:
-                for enq in instr.enqs:
-                    sends[enq.queue.channel] += 1
-                for deq in instr.deqs:
-                    receives[deq.queue.channel] += 1
+            runs.append((item.block_id, trips))
         else:
-            inner_sends, inner_receives = static_io_counts(item.body)
-            for channel in (Channel.X, Channel.Y):
-                sends[channel] += inner_sends[channel] * item.trip
-                receives[channel] += inner_receives[channel] * item.trip
-    return sends, receives
+            runs.extend(block_runs(item.body, trips * item.trip))
+    return runs
 
 
 class ExecutionPlan:
     """All static per-program simulation state, computed once."""
 
     def __init__(self, program: "CompiledProgram"):
-        self.blocks: dict[int, BlockPlan] = block_plans(program.cell_code)
+        self.blocks: dict[int, BlockPlan] = block_plans(
+            program.cell_code, program.config.cell
+        )
         #: ``(emit_time, deadline, address)`` per dynamic IU emission.
         self.emissions: list[tuple[int, int, int]] = list(
             program.iu_program.emission_times()
@@ -185,9 +311,15 @@ class ExecutionPlan:
         #: Static per-channel I/O counts of one cell run, used by the
         #: stream-accounting guard (every inter-cell link must carry
         #: exactly ``sends_per_run[channel]`` words).
-        self.sends_per_run, self.receives_per_run = static_io_counts(
-            program.cell_code.items
-        )
+        runs = block_runs(program.cell_code.items)
+        self.sends_per_run = {
+            channel: sum(n * self.blocks[b].sends[channel] for b, n in runs)
+            for channel in (Channel.X, Channel.Y)
+        }
+        self.receives_per_run = {
+            channel: sum(n * self.blocks[b].receives[channel] for b, n in runs)
+            for channel in (Channel.X, Channel.Y)
+        }
         #: The value tape of one clean run (:mod:`.tape`), recorded on
         #: first use by :meth:`~repro.machine.array.WarpMachine.value_tape`;
         #: ``False`` once the recording run has failed.

@@ -7,14 +7,14 @@ cycle-accurate run fixes every timing fact of every clean run.
 
 **Recording.**  :meth:`ValueTape.record` runs the program once through
 the unchanged :class:`~repro.machine.cell.CellExecutor`, with host
-memory holding one opaque token per element and each pre-decoded
-ALU/MPY evaluator swapped for a recorder.  Tokens move through
-registers, delayed writeback, cell memory, IU-addressed slots and
-queues exactly as floats do, and every underflow, capacity,
-stream-accounting, watchdog and collect check still runs.  Each
-operation on a token appends ``(op, dest, sources)`` to the tape and
-returns a fresh token; an operation on literals alone is evaluated on
-the spot by the real evaluator, exactly as every run would evaluate it.
+memory holding one opaque token per element and block plans generated
+with a recorder in place of each ALU/MPY evaluator.  Tokens move
+through registers, cell memory, IU-addressed slots and queues exactly
+as floats do, and every underflow, capacity, stream-accounting,
+watchdog and collect check still runs.  Each operation on a token
+appends ``(op, dest, sources)`` to the tape and returns a fresh token;
+an operation on literals alone is evaluated on the spot by the real
+evaluator, exactly as every run would evaluate it.
 The run's static facts (``total_cycles``, ``cell_stats``,
 ``queue_occupancy``, ``machine_metrics``) are kept as they are.
 
@@ -29,17 +29,17 @@ errors stay exactly what they are there.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import struct
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from ..analysis.local_opt import pure_evaluator
 from ..ir.dag import OpKind
 from .array import SimulationResult
 from .host import HostMemory
-from .plan import BlockPlan, DecodedInstr
+from .plan import block_plans
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from .array import WarpMachine
@@ -108,7 +108,9 @@ class _Recorder:
             known = self.literals[key] = (self.token().slot, value)
         return known[0]
 
-    def evaluator(self, op: OpKind, fn: Callable[..., float]) -> Callable:
+    def evaluator(self, op: OpKind) -> Callable:
+        """A recording stand-in for ``op``'s pure evaluator."""
+        fn = pure_evaluator(op)
         batch_fn = _BATCH_EVAL[op]
 
         def record(*args):
@@ -121,18 +123,6 @@ class _Recorder:
             return dest
 
         return record
-
-    def swap(self, decoded: DecodedInstr) -> DecodedInstr:
-        """``decoded`` with its ALU/MPY evaluators recording."""
-        alu, mpy = decoded.alu, decoded.mpy
-        if alu is not None:
-            fn, sources, dest = alu
-            alu = (self.evaluator(decoded.instr.alu.op, fn), sources, dest)
-        if mpy is not None:
-            fn, sources, dest, is_div = mpy
-            op = decoded.instr.mpy.op
-            mpy = (self.evaluator(op, fn), sources, dest, is_div)
-        return dataclasses.replace(decoded, alu=alu, mpy=mpy)
 
 
 class ValueTape:
@@ -182,7 +172,6 @@ class ValueTape:
         Raises whatever the cycle-accurate run raises for a failure that
         does not depend on the data."""
         program = machine._program
-        plan = machine.plan
         recorder = _Recorder()
         memory = HostMemory(
             {
@@ -193,14 +182,9 @@ class ValueTape:
                 for name, dims in program.ir.host_arrays.items()
             }
         )
-        blocks = {
-            block_id: BlockPlan(
-                block.length,
-                block.issued,
-                tuple(recorder.swap(d) for d in block.active),
-            )
-            for block_id, block in plan.blocks.items()
-        }
+        blocks = block_plans(
+            program.cell_code, program.config.cell, recorder.evaluator
+        )
         static = machine._execute(memory, blocks, read=lambda token: token)
         return cls(recorder, static, program.ir.host_arrays)
 

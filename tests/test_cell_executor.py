@@ -3,9 +3,23 @@
 Hand-built micro-programs exercise the exact timing rules the scheduler
 relies on: results land ``latency`` cycles after issue, reads before
 writeback see the old value, loads observe pre-store memory within a
-cycle, and queue transfers respect the one-cycle dequeue latency."""
+cycle, and queue transfers respect the one-cycle dequeue latency.
 
+The executor resolves register writeback once per block, when it
+generates the block's function.  A property test checks it bit for bit
+against a small heap-based oracle that applies each write at run time,
+in ``(landing cycle, issue order)`` order."""
+
+import dataclasses
+import heapq
+import itertools
+import math
+from collections import deque
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cellcodegen.emit import CellCode, ScheduledBlock, ScheduledLoop
 from repro.cellcodegen.isa import (
@@ -22,14 +36,21 @@ from repro.cellcodegen.isa import (
 )
 from repro.cellcodegen.layout import MemoryLayout
 from repro.config import CellConfig
-from repro.errors import QueueUnderflowError
+from repro import DEFAULT_CONFIG, compile_w2
+from repro.analysis.local_opt import evaluate_pure
+from repro.errors import QueueUnderflowError, SimulationError
+from repro.exec import BatchRunner
 from repro.ir.dag import OpKind, QueueRef
 from repro.lang.ast import Channel, Direction
 from repro.machine.cell import CellExecutor
 from repro.machine.queue import TimedQueue
+from repro.programs import polynomial
+from repro.verify import mutate
 
 IN_X = QueueRef(Direction.LEFT, Channel.X)
+IN_Y = QueueRef(Direction.LEFT, Channel.Y)
 OUT_X = QueueRef(Direction.RIGHT, Channel.X)
+OUT_Y = QueueRef(Direction.RIGHT, Channel.Y)
 CFG = CellConfig()
 
 
@@ -179,3 +200,269 @@ class TestLoopsAndStats:
         _, stats, _ = run_cell(build_code(instructions))
         assert stats.alu_ops == 1 and stats.mpy_ops == 1
         assert 0 < stats.flop_utilization <= 1
+
+
+class TestDrainGuard:
+    def test_write_landing_after_the_block_is_rejected(self):
+        """A schedule that does not drain (only reachable with
+        ``verify="off"``) is refused when the block is generated, with
+        the block, register and landing cycle named."""
+        instructions = [MicroInstr() for _ in range(2)]
+        instructions[0].alu = AluOp(OpKind.FADD, Reg(4), (Lit(1.0), Lit(2.0)))
+        block = ScheduledBlock(block_id=7, instructions=instructions, length=2)
+        code = CellCode(
+            items=[block], layout=MemoryLayout(), pinned={}, config=CFG
+        )
+        with pytest.raises(SimulationError) as caught:
+            run_cell(code)
+        message = str(caught.value)
+        assert "block 7" in message and "r4" in message
+        assert f"cycle {CFG.alu_latency}" in message
+
+    def test_batch_reports_the_drain_error_per_item(self):
+        """An unverified swap_slots mutant whose block does not drain
+        fails item by item, like any other simulation error."""
+        config = dataclasses.replace(DEFAULT_CONFIG, verify="off")
+        program = compile_w2(polynomial(16, 4), config=config)
+        mutant = mutate(program, "swap_slots", 0)
+        inputs = {"z": np.ones(16), "c": np.ones(4)}
+        result = BatchRunner(mutant.program).run([inputs, inputs])
+        assert [f.index for f in result.failures] == [0, 1]
+        for failure in result.failures:
+            assert failure.error_type == "SimulationError"
+            assert "block 3" in failure.message and "r6" in failure.message
+
+    def test_write_landing_on_the_last_cycle_drains(self):
+        instructions = [MicroInstr() for _ in range(CFG.alu_latency)]
+        instructions[0].alu = AluOp(OpKind.FADD, Reg(4), (Lit(1.0), Lit(2.0)))
+        _, _, executor = run_cell(build_code(instructions))
+        assert executor._registers[4] == 3.0
+
+
+# Executor vs a heap-based oracle ---------------------------------------
+
+SMALL = CellConfig(n_registers=4, memory_words=4)
+SPECIAL = [0.0, -0.0, 1.0, -2.5, 3.0, 1e308, math.inf, -math.inf, math.nan]
+ALU_ARITY = {
+    OpKind.FADD: 2,
+    OpKind.FSUB: 2,
+    OpKind.FNEG: 1,
+    OpKind.CMP_LT: 2,
+    OpKind.BAND: 2,
+    OpKind.SELECT: 3,
+}
+
+
+def _latencies(ins, config):
+    """``(unit, dest, latency)`` of the ALU/MPY ops ``ins`` issues."""
+    units = []
+    if ins.alu is not None:
+        units.append((ins.alu, config.alu_latency))
+    if ins.mpy is not None:
+        div = ins.mpy.op is OpKind.FDIV
+        latency = config.div_latency if div else config.mpy_latency
+        units.append((ins.mpy, latency))
+    return units
+
+
+def heap_oracle(block, trips, config, inputs, addresses):
+    """The writeback semantics the generated functions must keep: each
+    write is queued with its landing cycle and applied, in ``(landing,
+    issue order)`` order, before the first issue at or after it."""
+    regs = [0.0] * config.n_registers
+    mem = [0.0] * config.memory_words
+    pending, order = [], itertools.count()
+    queues = {channel: deque(values) for channel, values in inputs.items()}
+    addresses = deque(addresses)
+    sent = {Channel.X: [], Channel.Y: []}
+
+    def read(operand):
+        if isinstance(operand, Lit):
+            return operand.value
+        return regs[operand.index]
+
+    def later(time, reg, value):
+        heapq.heappush(pending, (time, next(order), reg.index, value))
+
+    for trip in range(trips):
+        for offset, ins in enumerate(block.instructions):
+            if ins.is_nop():
+                continue
+            now = trip * block.length + offset
+            while pending and pending[0][0] <= now:
+                _, _, reg, value = heapq.heappop(pending)
+                regs[reg] = value
+            for deq in ins.deqs:
+                value = queues[deq.queue.channel].popleft()
+                later(now + config.queue_latency, deq.dest, value)
+            queued = {
+                id(m): int(addresses.popleft())
+                for m in ins.mem
+                if m.address_source is AddressSource.QUEUE
+            }
+            where = [queued.get(id(m), m.address) for m in ins.mem]
+            for m, address in zip(ins.mem, where):
+                if m.is_load:
+                    later(now + config.mem_read_latency, m.reg, mem[address])
+            for m, address in zip(ins.mem, where):
+                if not m.is_load:
+                    mem[address] = read(m.store_value)
+            for unit, latency in _latencies(ins, config):
+                args = [read(s) for s in unit.sources]
+                later(now + latency, unit.dest, evaluate_pure(unit.op, args))
+            if ins.move is not None:
+                value = read(ins.move.source)
+                later(now + config.move_latency, ins.move.dest, value)
+            for enq in ins.enqs:
+                sent[enq.queue.channel].append((now, read(enq.source)))
+    for _, _, reg, value in sorted(pending):
+        regs[reg] = value
+    return regs, mem, sent
+
+
+REGS = st.builds(Reg, st.integers(0, SMALL.n_registers - 1))
+OPERANDS = st.one_of(REGS, st.builds(Lit, st.sampled_from(SPECIAL)))
+ADDRESS = st.integers(0, SMALL.memory_words - 1)
+LITERAL, QUEUE = st.just(AddressSource.LITERAL), st.just(AddressSource.QUEUE)
+MEM_OPS = st.one_of(
+    st.builds(MemOp, st.just(True), LITERAL, ADDRESS, REGS),
+    st.builds(MemOp, st.just(True), QUEUE, st.none(), REGS),
+    st.builds(MemOp, st.just(False), LITERAL, ADDRESS, st.none(), OPERANDS),
+    st.builds(MemOp, st.just(False), QUEUE, st.none(), st.none(), OPERANDS),
+)
+
+
+def _drain(ins, config):
+    """Cycles from issue until the last write of ``ins`` lands."""
+    return max(
+        [1, config.move_latency if ins.move else 0]
+        + [config.queue_latency] * bool(ins.deqs)
+        + [config.mem_read_latency] * any(m.is_load for m in ins.mem)
+        + [latency for _unit, latency in _latencies(ins, config)]
+    )
+
+
+@st.composite
+def straight_line_blocks(draw):
+    """A random drained block, a loop trip count, and the input queue
+    values and IU addresses the loop consumes."""
+    cycles = draw(
+        st.lists(st.integers(0, 11), min_size=1, max_size=7, unique=True)
+    )
+    instructions = [MicroInstr() for _ in range(max(cycles) + 1)]
+    for cycle in cycles:
+        ins = instructions[cycle]
+        if draw(st.booleans()):
+            op = draw(st.sampled_from(sorted(ALU_ARITY, key=str)))
+            sources = tuple(draw(OPERANDS) for _ in range(ALU_ARITY[op]))
+            ins.alu = AluOp(op, draw(REGS), sources)
+        if draw(st.booleans()):
+            op = draw(st.sampled_from([OpKind.FMUL, OpKind.FDIV]))
+            ins.mpy = MpyOp(op, draw(REGS), (draw(OPERANDS), draw(OPERANDS)))
+        if draw(st.booleans()):
+            ins.move = MoveOp(draw(REGS), draw(OPERANDS))
+        queues = st.sampled_from([IN_X, IN_Y])
+        ins.deqs = draw(st.lists(st.builds(DeqOp, queues, REGS), max_size=2))
+        queues = st.sampled_from([OUT_X, OUT_Y])
+        ins.enqs = draw(
+            st.lists(st.builds(EnqOp, queues, OPERANDS), max_size=2)
+        )
+        ins.mem = draw(st.lists(MEM_OPS, max_size=2))
+    length = max(c + _drain(ins, SMALL) for c, ins in enumerate(instructions))
+    length += draw(st.integers(0, 2))
+    instructions += [MicroInstr() for _ in range(length - len(instructions))]
+    block = ScheduledBlock(
+        block_id=0, instructions=instructions, length=length
+    )
+    trips = draw(st.integers(1, 3))
+    inputs = {}
+    for channel in Channel:
+        n = trips * sum(
+            d.queue.channel is channel
+            for ins in instructions
+            for d in ins.deqs
+        )
+        inputs[channel] = draw(
+            st.lists(st.sampled_from(SPECIAL), min_size=n, max_size=n)
+        )
+    n = trips * sum(
+        m.address_source is AddressSource.QUEUE
+        for ins in instructions
+        for m in ins.mem
+    )
+    addresses = draw(st.lists(ADDRESS.map(float), min_size=n, max_size=n))
+    return block, trips, inputs, addresses
+
+
+def _tie_block():
+    """A same-landing write-after-write tie, reads exactly at the landing
+    cycle, and a load and a store to one address in one cycle."""
+    instructions = [MicroInstr() for _ in range(CFG.alu_latency + 1)]
+    instructions[0].alu = AluOp(OpKind.FADD, Reg(1), (Lit(1.0), Lit(2.0)))
+    instructions[0].mem = [
+        MemOp(False, AddressSource.QUEUE, None, None, Lit(9.0)),
+        MemOp(True, AddressSource.QUEUE, None, Reg(2)),
+    ]
+    instructions[CFG.alu_latency - 1].move = MoveOp(Reg(1), Lit(4.0))
+    instructions[CFG.alu_latency].enqs = [
+        EnqOp(OUT_X, Reg(1)),
+        EnqOp(OUT_Y, Reg(2)),
+    ]
+    block = ScheduledBlock(
+        block_id=0, instructions=instructions, length=len(instructions)
+    )
+    return block, 2, {Channel.X: [], Channel.Y: []}, [2.0, 2.0, 3.0, 2.0]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestAgainstHeapOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(straight_line_blocks())
+    @example(_tie_block())
+    def test_generated_block_matches_heap_writeback(self, case):
+        block, trips, inputs, addresses = case
+        try:
+            expected = heap_oracle(block, trips, SMALL, inputs, addresses)
+        except ZeroDivisionError:
+            expected = None
+        loop = ScheduledLoop(
+            loop_id=0, var="i", start=0, step=1, trip=trips, body=[block]
+        )
+        code = CellCode(
+            items=[loop], layout=MemoryLayout(), pinned={}, config=SMALL
+        )
+        in_queues = {}
+        for channel, values in inputs.items():
+            in_queues[channel] = TimedQueue(f"in.{channel}")
+            for value in values:
+                in_queues[channel].enqueue(0, value)
+        out = {channel: TimedQueue(f"out.{channel}") for channel in Channel}
+        executor = CellExecutor(
+            code=code,
+            config=SMALL,
+            cell_index=0,
+            start_time=0,
+            in_queues=in_queues,
+            out_queues=out,
+            address_queue=TimedQueue(
+                "adr", send_times=[0] * len(addresses), values=addresses
+            ),
+        )
+        if expected is None:
+            with pytest.raises(ZeroDivisionError):
+                executor.run()
+            return
+        stats = executor.run()
+        regs, mem, sent = expected
+        assert _bits(executor._registers) == _bits(regs)
+        assert _bits(executor._memory) == _bits(mem)
+        for channel in Channel:
+            assert out[channel].send_times == [t for t, _ in sent[channel]]
+            assert _bits(out[channel].values) == _bits(
+                [v for _, v in sent[channel]]
+            )
+        assert stats.end_time == trips * block.length
+        assert stats.sends == sum(map(len, sent.values()))

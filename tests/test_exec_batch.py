@@ -139,7 +139,19 @@ class TestExecutionPlan:
                 1 for instr in block.instructions if not instr.is_nop()
             )
             assert block_plan.issued == issued
-            assert len(block_plan.active) == issued
+
+    def test_static_counts_equal_executed_stats(self, program_suite):
+        """The plan's per-run sends/receives (per-block totals times the
+        loop trips) equal what every cell of a real run executed."""
+        for name, source, inputs, _reference in program_suite:
+            program = compile_w2(source)
+            plan = ExecutionPlan(program)
+            result = simulate(program, inputs)
+            for stats in result.cell_stats:
+                assert stats.sends == sum(plan.sends_per_run.values()), name
+                assert stats.receives == sum(
+                    plan.receives_per_run.values()
+                ), name
 
     def test_plan_is_optional(self):
         """A cell executor without shared plans builds its own lazily
