@@ -47,7 +47,6 @@ from .exec import (
     CompileCache,
     ItemFailure,
     compile_cached,
-    run_batch,
 )
 from .faults import FaultInjector, FaultKind, FaultSpec, InjectionPlan
 from .lang import analyze, parse_module
@@ -74,7 +73,6 @@ __all__ = [
     "compile_w2",
     "interpret",
     "parse_module",
-    "run_batch",
     "simulate",
     "__version__",
 ]

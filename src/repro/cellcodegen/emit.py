@@ -20,6 +20,7 @@ Emission also produces the two streams later phases consume:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -27,6 +28,7 @@ from ..errors import RegisterPressureError
 from ..ir.builder import CellProgramIR
 from ..ir.dag import Dag, OpKind, QueueRef
 from ..ir.tree import BasicBlock, Loop, TreeNode
+from ..lang.ast import Channel
 from ..lang.semantic import AffineIndex, affine_add, affine_const
 from ..config import CellConfig
 from .isa import (
@@ -126,6 +128,50 @@ def _item_cycles(item: ScheduledItem) -> int:
     if isinstance(item, ScheduledBlock):
         return item.length
     return item.trip * sum(_item_cycles(child) for child in item.body)
+
+
+@dataclass(frozen=True)
+class OpCounts:
+    """Operations one pass of a scheduled block issues, per unit and
+    per channel."""
+
+    #: Number of non-nop instructions (the block's issue count).
+    issued: int
+    alu_ops: int
+    mpy_ops: int
+    mem_reads: int
+    mem_writes: int
+    sends: Counter[Channel]
+    receives: Counter[Channel]
+
+    @classmethod
+    def of(cls, block: ScheduledBlock) -> "OpCounts":
+        instrs = [i for i in block.instructions if not i.is_nop()]
+        return cls(
+            issued=len(instrs),
+            alu_ops=sum(i.alu is not None for i in instrs),
+            mpy_ops=sum(i.mpy is not None for i in instrs),
+            mem_reads=sum(m.is_load for i in instrs for m in i.mem),
+            mem_writes=sum(not m.is_load for i in instrs for m in i.mem),
+            sends=Counter(op.queue.channel for i in instrs for op in i.enqs),
+            receives=Counter(
+                op.queue.channel for i in instrs for op in i.deqs
+            ),
+        )
+
+
+def block_runs(
+    items: list[ScheduledItem], trips: int = 1
+) -> list[tuple[int, int]]:
+    """``(block id, executions)`` of every block in one cell run: the
+    schedule is data-independent, so these are static."""
+    runs: list[tuple[int, int]] = []
+    for item in items:
+        if isinstance(item, ScheduledBlock):
+            runs.append((item.block_id, trips))
+        else:
+            runs.extend(block_runs(item.body, trips * item.trip))
+    return runs
 
 
 class CellCodeGenerator:

@@ -56,10 +56,9 @@ from .config import DEFAULT_CONFIG
 from .errors import (
     CompilationError,
     HostDataError,
-    SimulationError,
     VerificationError,
 )
-from .exec import BatchRunner, CompileCache, default_cache
+from .exec import BatchRunner, CompileCache, ItemFailure, default_cache
 from .lang import Channel
 from .lang.errors import W2Error
 from .machine import simulate
@@ -268,33 +267,31 @@ def cmd_timing(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     plan = _injection_plan(args)
     program, cache = _compile_from_args(args, faults=plan)
-    attempt = 0
-    while True:
-        injector = None
-        if plan is not None:
-            from .faults import FaultInjector
-
-            injector = FaultInjector(plan, item=0, attempt=attempt)
-        try:
-            result = _simulate_with_exports(
+    if plan is None:
+        result = _simulate_with_exports(program, args, cache=cache)
+    else:
+        # One item under the batch retry policy.
+        def attempt(retried, injector):
+            if retried:
+                error = retried[-1]
+                name = type(error).__name__
+                print(f"retry {len(retried)}: {name}: {error}")
+            return _simulate_with_exports(
                 program, args, cache=cache, faults=injector
             )
-            break
-        except SimulationError as error:
-            if plan is None:
-                raise
-            if attempt < getattr(args, "max_retries", 0):
-                attempt += 1
-                print(f"retry {attempt}: {type(error).__name__}: {error}")
-                continue
+
+        runner = BatchRunner(
+            program, faults=plan, max_retries=args.max_retries
+        )
+        result, _retries = runner.run_item(0, attempt)
+        if isinstance(result, ItemFailure):
             print(
-                f"fault detected after {attempt + 1} attempt(s): "
-                f"{type(error).__name__}: {error}",
+                f"fault detected after {result.attempts} attempt(s): "
+                f"{result.error_type}: {result.message}",
                 file=sys.stderr,
             )
-            if injector is not None:
-                for line in injector.report():
-                    print(f"    injected: {line}", file=sys.stderr)
+            for line in result.fault_report:
+                print(f"    injected: {line}", file=sys.stderr)
             return 3
     for line in result.fault_report:
         print(f"    injected (recovered): {line}")
@@ -406,7 +403,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         item_timeout=item_timeout,
     )
     result = runner.run(input_sets)
-    result.cache_event = cache.last_event if cache is not None else None
     plural = "es" if result.processes != 1 else ""
     print(
         f"batch: {result.n_items} items through {program.module_name!r} "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledItem, ScheduledLoop
+from ..cellcodegen.emit import CellCode, OpCounts, block_runs
 from .driver import CompiledProgram
 
 
@@ -51,51 +51,25 @@ class PerformancePrediction:
         return self.fp_ops_per_cycle / (2 * self.n_cells)
 
 
-def _count_block(block: ScheduledBlock) -> dict:
-    counts = {"alu": 0, "mpy": 0, "reads": 0, "writes": 0, "recv": 0, "send": 0}
-    for instr in block.instructions:
-        if instr.alu:
-            counts["alu"] += 1
-        if instr.mpy:
-            counts["mpy"] += 1
-        for mem in instr.mem:
-            if mem.is_load:
-                counts["reads"] += 1
-            else:
-                counts["writes"] += 1
-        counts["recv"] += len(instr.deqs)
-        counts["send"] += len(instr.enqs)
-    return counts
-
-
-def _accumulate(items: list[ScheduledItem], multiplier: int, totals: dict) -> None:
-    for item in items:
-        if isinstance(item, ScheduledBlock):
-            counts = _count_block(item)
-            for key, value in counts.items():
-                totals[key] += value * multiplier
-        else:
-            assert isinstance(item, ScheduledLoop)
-            _accumulate(item.body, multiplier * item.trip, totals)
-
-
 def predict_performance(program: CompiledProgram) -> PerformancePrediction:
-    """Compute the run-time facts of one execution at compile time."""
+    """Compute the run-time facts of one execution at compile time: each
+    block's operation totals times its executions, as the simulator's
+    :class:`~repro.machine.plan.ExecutionPlan` counts them."""
     code: CellCode = program.cell_code
-    totals = {"alu": 0, "mpy": 0, "reads": 0, "writes": 0, "recv": 0, "send": 0}
-    _accumulate(code.items, 1, totals)
+    counts = {block.block_id: OpCounts.of(block) for block in code.blocks()}
+    runs = [(counts[block_id], n) for block_id, n in block_runs(code.items)]
     cycles = code.total_cycles
     return PerformancePrediction(
         n_cells=program.n_cells,
         skew=program.skew.skew,
         cycles_per_cell=cycles,
         total_cycles=cycles + program.skew.skew * (program.n_cells - 1),
-        alu_ops=totals["alu"],
-        mpy_ops=totals["mpy"],
-        mem_reads=totals["reads"],
-        mem_writes=totals["writes"],
-        receives=totals["recv"],
-        sends=totals["send"],
+        alu_ops=sum(n * c.alu_ops for c, n in runs),
+        mpy_ops=sum(n * c.mpy_ops for c, n in runs),
+        mem_reads=sum(n * c.mem_reads for c, n in runs),
+        mem_writes=sum(n * c.mem_writes for c, n in runs),
+        receives=sum(n * sum(c.receives.values()) for c, n in runs),
+        sends=sum(n * sum(c.sends.values()) for c, n in runs),
     )
 
 

@@ -19,7 +19,7 @@ gives the reproduction the same shape:
   failing item degrades the batch instead of crashing it.
 """
 
-from .batch import BatchResult, BatchRunner, ItemFailure, run_batch
+from .batch import BatchResult, BatchRunner, ItemFailure
 from .cache import CacheStats, CompileCache, compile_cached, default_cache
 from .keys import CACHE_KEY_VERSION, cache_key, config_fingerprint
 
@@ -34,5 +34,4 @@ __all__ = [
     "compile_cached",
     "config_fingerprint",
     "default_cache",
-    "run_batch",
 ]

@@ -24,7 +24,9 @@ Batches also *degrade gracefully*: an item that raises a
 hangs) is retried up to ``max_retries`` times with exponential backoff,
 and an item that still fails yields a structured :class:`ItemFailure`
 record in ``BatchResult.failures`` — never a crashed batch, and never a
-silently wrong answer.  ``item_timeout`` bounds each pool item's wall
+silently wrong answer.  :meth:`BatchRunner.run_item` is the one
+attempt loop behind that policy, for serial items, pool items and
+``repro run`` alike.  ``item_timeout`` bounds each pool item's wall
 time (a hung worker surfaces as
 :class:`~repro.errors.ItemTimeoutError`).  ``faults`` threads a
 deterministic :class:`~repro.faults.InjectionPlan` through every item
@@ -33,12 +35,13 @@ and worker — see ``docs/robustness.md``.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +49,6 @@ from ..errors import (
     FatalFault,
     ItemTimeoutError,
     SimulationError,
-    TransientFault,
     WorkerCrashError,
 )
 from ..machine.array import SimulationResult, WarpMachine
@@ -54,6 +56,7 @@ from ..obs import get_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from ..compiler.driver import CompiledProgram
+    from ..faults.injector import FaultInjector
     from ..faults.plan import InjectionPlan
 
 InputSet = dict[str, np.ndarray]
@@ -99,9 +102,6 @@ class BatchResult:
     results: list[SimulationResult | None]
     wall_seconds: float
     processes: int = 1
-    #: True when the compile that produced the program was a cache hit
-    #: (filled in by callers that know; purely informational).
-    cache_event: str | None = None
     #: Structured records for items that failed every attempt.
     failures: list[ItemFailure] = field(default_factory=list)
     #: Total retries performed across the batch.
@@ -196,15 +196,11 @@ def _run_worker_item(task: tuple[int, int, InputSet]) -> SimulationResult:
     return _worker_machine.run(inputs, faults=injector)
 
 
-def _is_retryable(error: BaseException) -> bool:
-    """Transient faults and generic simulation errors are worth a
-    retry (an injected fault may be attempt-scoped, a worker may have
-    died); fatal faults are not."""
-    if isinstance(error, FatalFault):
-        return False
-    return isinstance(
-        error, (TransientFault, SimulationError, multiprocessing.TimeoutError)
-    )
+def _is_retryable(error: SimulationError) -> bool:
+    """Fatal faults are structural, so a retry cannot clear them; every
+    other simulation error (a transient fault, detected corruption, a
+    dead or hung worker) may be scoped to one attempt."""
+    return not isinstance(error, FatalFault)
 
 
 class BatchRunner:
@@ -259,16 +255,29 @@ class BatchRunner:
         ``input_sets`` is read exactly once, so any iterable will do."""
         started = time.perf_counter()
         input_sets = list(input_sets)
-        retries = 0
         if self.processes > 1 and len(input_sets) > 1:
-            results, failures, retries = self._run_pool(input_sets)
+            answered: dict[int, SimulationResult] = {}
+            outcomes = self._run_pool(input_sets)
             used = self.processes
-            value_items = 0
         else:
             answered = self._replay(input_sets)
-            results, failures, retries = self._run_serial(input_sets, answered)
+            outcomes = {
+                index: self.run_item(
+                    index, functools.partial(self._attempt, inputs)
+                )
+                for index, inputs in enumerate(input_sets)
+                if index not in answered
+            }
             used = 1
-            value_items = len(answered)
+        results = [answered.get(index) for index in range(len(input_sets))]
+        failures: list[ItemFailure] = []
+        retries = 0
+        for index, (outcome, n_retries) in outcomes.items():
+            retries += n_retries
+            if isinstance(outcome, ItemFailure):
+                failures.append(outcome)
+            else:
+                results[index] = outcome
         wall = time.perf_counter() - started
         obs = get_telemetry()
         obs.counter("exec.batch.items", len(results))
@@ -276,10 +285,12 @@ class BatchRunner:
             "exec.batch.cycles",
             sum(r.total_cycles for r in results if r is not None),
         )
-        if value_items:
-            obs.counter("exec.batch.value_items", value_items)
-        if len(results) > value_items:
-            obs.counter("exec.batch.fallback_items", len(results) - value_items)
+        if answered:
+            obs.counter("exec.batch.value_items", len(answered))
+        if len(results) > len(answered):
+            obs.counter(
+                "exec.batch.fallback_items", len(results) - len(answered)
+            )
         if failures:
             obs.counter("exec.batch.failures", len(failures))
         return BatchResult(
@@ -288,77 +299,66 @@ class BatchRunner:
             processes=used,
             failures=failures,
             retries=retries,
-            value_items=value_items,
+            value_items=len(answered),
         )
 
-    def run_one(self, inputs: InputSet) -> SimulationResult:
-        """One item on the reused machine (the batch fast path without
-        the batch bookkeeping)."""
-        return self._machine.run(inputs)
+    def run_item(
+        self,
+        index: int,
+        attempt: Callable[
+            [list[SimulationError], "FaultInjector | None"], SimulationResult
+        ],
+    ) -> tuple[SimulationResult | ItemFailure, int]:
+        """Item ``index`` under the batch's retry policy, and the number
+        of retries it took: the one place that decides retries.
+
+        ``attempt(retried, injector)`` makes one attempt, given the
+        errors of the attempts before it (``len(retried)`` is the attempt
+        number) and that attempt's injector (``None`` without faults).
+        A :class:`~repro.errors.SimulationError` is retried after an
+        exponential backoff until ``max_retries`` is spent, unless it is
+        a :class:`~repro.errors.FatalFault`; then the item becomes an
+        :class:`ItemFailure`.  Any other exception is a programming
+        error and keeps its traceback."""
+        retried: list[SimulationError] = []
+        while True:
+            injector = None
+            if self.faults is not None:
+                from ..faults.injector import FaultInjector
+
+                injector = FaultInjector(
+                    self.faults, item=index, attempt=len(retried)
+                )
+            try:
+                return attempt(retried, injector), len(retried)
+            except SimulationError as error:
+                spent = len(retried) == self.max_retries
+                if spent or not _is_retryable(error):
+                    failure = ItemFailure(
+                        index=index,
+                        error_type=type(error).__name__,
+                        message=str(error),
+                        attempts=len(retried) + 1,
+                        fault_report=tuple(
+                            injector.report() if injector else ()
+                        ),
+                    )
+                    return failure, len(retried)
+                retried.append(error)
+                get_telemetry().counter("retry.count")
+                if self.retry_backoff > 0:
+                    backoff = self.retry_backoff * 2 ** len(retried)
+                    time.sleep(min(backoff, _MAX_BACKOFF))
 
     # Serial path ---------------------------------------------------------
 
-    def _make_injector(self, index: int, attempt: int):
-        if self.faults is None:
-            return None
-        from ..faults.injector import FaultInjector
-
-        return FaultInjector(self.faults, item=index, attempt=attempt)
-
-    def _backoff(self, attempt: int) -> None:
-        if self.retry_backoff > 0:
-            time.sleep(min(self.retry_backoff * (2**attempt), _MAX_BACKOFF))
-
-    def _run_serial(
-        self,
-        input_sets: Sequence[InputSet],
-        answered: dict[int, SimulationResult],
-    ) -> tuple[list[SimulationResult | None], list[ItemFailure], int]:
-        """Items ``answered`` by the value tape as they are; every other
-        item on the cycle-accurate executor, with retries."""
-        results: list[SimulationResult | None] = []
-        failures: list[ItemFailure] = []
-        retries = 0
-        obs = get_telemetry()
-        for index, inputs in enumerate(input_sets):
-            if index in answered:
-                results.append(answered[index])
-                continue
-            attempt = 0
-            while True:
-                injector = self._make_injector(index, attempt)
-                try:
-                    if injector is not None:
-                        self._simulate_worker_fault(injector)
-                    results.append(
-                        self._machine.run(inputs, faults=injector)
-                    )
-                    break
-                except Exception as error:
-                    if not isinstance(
-                        error, (SimulationError, multiprocessing.TimeoutError)
-                    ):
-                        raise  # programming errors keep their traceback
-                    if attempt < self.max_retries and _is_retryable(error):
-                        attempt += 1
-                        retries += 1
-                        obs.counter("retry.count")
-                        self._backoff(attempt)
-                        continue
-                    results.append(None)
-                    failures.append(
-                        ItemFailure(
-                            index=index,
-                            error_type=type(error).__name__,
-                            message=str(error),
-                            attempts=attempt + 1,
-                            fault_report=tuple(
-                                injector.report() if injector else ()
-                            ),
-                        )
-                    )
-                    break
-        return results, failures, retries
+    def _attempt(
+        self, inputs: InputSet, _retried: list, injector
+    ) -> SimulationResult:
+        """One cycle-accurate attempt on the reused machine."""
+        if injector is not None:
+            self._simulate_worker_fault(injector)
+        return self._machine.run(inputs, faults=injector)
 
     def _replay(
         self, input_sets: Sequence[InputSet]
@@ -398,83 +398,42 @@ class BatchRunner:
 
     def _run_pool(
         self, input_sets: Sequence[InputSet]
-    ) -> tuple[list[SimulationResult | None], list[ItemFailure], int]:
+    ) -> dict[int, tuple[SimulationResult | ItemFailure, int]]:
         blob = pickle.dumps(self._program, protocol=pickle.HIGHEST_PROTOCOL)
         plan_doc = self.faults.to_json() if self.faults is not None else None
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        results: list[SimulationResult | None] = [None] * len(input_sets)
-        failures: list[ItemFailure] = []
-        retries = 0
-        obs = get_telemetry()
         with context.Pool(
             processes=self.processes,
             initializer=_init_worker,
             initargs=(blob, plan_doc),
         ) as pool:
-            pending = {
-                index: pool.apply_async(
-                    _run_worker_item, ((index, 0, inputs),)
-                )
+            pending = [
+                pool.apply_async(_run_worker_item, ((index, 0, inputs),))
                 for index, inputs in enumerate(input_sets)
+            ]
+
+            def attempt(index: int, retried: list, _injector):
+                """Collect item ``index`` from its worker, resubmitted on
+                a retry; a result that misses the timeout is a hung (or
+                killed) worker."""
+                if retried:
+                    pending[index] = pool.apply_async(
+                        _run_worker_item,
+                        ((index, len(retried), input_sets[index]),),
+                    )
+                try:
+                    return pending[index].get(timeout=self.item_timeout)
+                except multiprocessing.TimeoutError:
+                    raise ItemTimeoutError(
+                        f"no result within the {self.item_timeout:.3g}s "
+                        "item timeout — the worker is hung, or was killed "
+                        "and its task lost"
+                    ) from None
+
+            return {
+                index: self.run_item(index, functools.partial(attempt, index))
+                for index in range(len(input_sets))
             }
-            attempts = dict.fromkeys(pending, 0)
-            for index, inputs in enumerate(input_sets):
-                while True:
-                    try:
-                        results[index] = pending[index].get(
-                            timeout=self.item_timeout
-                        )
-                        break
-                    except Exception as raw:
-                        error = self._classify_pool_error(raw)
-                        if not isinstance(
-                            error,
-                            (SimulationError, multiprocessing.TimeoutError),
-                        ):
-                            raise
-                        if attempts[index] < self.max_retries and _is_retryable(
-                            error
-                        ):
-                            attempts[index] += 1
-                            retries += 1
-                            obs.counter("retry.count")
-                            self._backoff(attempts[index])
-                            pending[index] = pool.apply_async(
-                                _run_worker_item,
-                                ((index, attempts[index], inputs),),
-                            )
-                            continue
-                        failures.append(
-                            ItemFailure(
-                                index=index,
-                                error_type=type(error).__name__,
-                                message=str(error),
-                                attempts=attempts[index] + 1,
-                            )
-                        )
-                        break
-        return results, failures, retries
-
-    def _classify_pool_error(self, raw: BaseException) -> BaseException:
-        """Map raw pool failures onto the fault taxonomy."""
-        if isinstance(raw, multiprocessing.TimeoutError):
-            timeout = self.item_timeout
-            return ItemTimeoutError(
-                f"no result within the {timeout:.3g}s item timeout — the "
-                "worker is hung, or was killed and its task lost"
-            )
-        return raw
-
-
-def run_batch(
-    program: "CompiledProgram",
-    input_sets: Iterable[InputSet],
-    processes: int = 0,
-    **kwargs,
-) -> BatchResult:
-    """Convenience wrapper: one-off batched run of ``input_sets``
-    (keyword arguments forward to :class:`BatchRunner`)."""
-    return BatchRunner(program, processes=processes, **kwargs).run(input_sets)

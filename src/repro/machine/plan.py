@@ -12,7 +12,10 @@ of a batch:
   programs), each register read names the value it sees, and the
   block's length advances the clock.
 * **Static counts.**  Per-block operation totals and the blocks'
-  execution counts, hence each cell's per-run sends and receives.
+  execution counts (:class:`~repro.cellcodegen.emit.OpCounts`,
+  :func:`~repro.cellcodegen.emit.block_runs`, shared with the
+  compile-time performance prediction), hence each cell's per-run
+  sends and receives.
 * **The IU address schedule** (``emissions``), identical for every cell
   up to the per-hop delay, rather than re-walked per run.
 * **The host I/O sequences** (input references and output bindings per
@@ -23,12 +26,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from ..analysis.local_opt import pure_evaluator
-from ..cellcodegen.emit import CellCode, ScheduledBlock
+from ..cellcodegen.emit import (
+    CellCode,
+    OpCounts,
+    ScheduledBlock,
+    block_runs,
+)
 from ..cellcodegen.isa import AddressSource, Lit, MicroInstr, Operand, Reg
 from ..config import CellConfig
 from ..errors import SimulationError
@@ -42,23 +49,15 @@ if TYPE_CHECKING:  # pragma: no cover - circular import at run time
 
 
 @dataclass(frozen=True)
-class BlockPlan:
-    """One scheduled block, compiled to one straight-line function."""
+class BlockPlan(OpCounts):
+    """One scheduled block, compiled to one straight-line function,
+    with the operation totals of one pass."""
 
     block_id: int
     length: int
-    #: Number of non-nop instructions (the block's issue count).
-    issued: int
     #: ``run(ctx, start)`` executes one pass of the block started at
     #: absolute cycle ``start`` (see :func:`_block_source` for ``ctx``).
     run: Callable[[tuple, int], None]
-    #: Operations issued by one pass, per unit / per channel.
-    alu_ops: int
-    mpy_ops: int
-    mem_reads: int
-    mem_writes: int
-    sends: Counter[Channel]
-    receives: Counter[Channel]
 
     @classmethod
     def of(
@@ -78,20 +77,11 @@ class BlockPlan:
         source, evaluators, literals = _block_source(
             block.block_id, block.length, active, config, evaluate
         )
-        instrs = [instr for _cycle, instr in active]
         return cls(
             block_id=block.block_id,
             length=block.length,
-            issued=len(active),
             run=_factory(source)(evaluators, literals),
-            alu_ops=sum(i.alu is not None for i in instrs),
-            mpy_ops=sum(i.mpy is not None for i in instrs),
-            mem_reads=sum(m.is_load for i in instrs for m in i.mem),
-            mem_writes=sum(not m.is_load for i in instrs for m in i.mem),
-            sends=Counter(op.queue.channel for i in instrs for op in i.enqs),
-            receives=Counter(
-                op.queue.channel for i in instrs for op in i.deqs
-            ),
+            **vars(OpCounts.of(block)),
         )
 
 
@@ -268,18 +258,6 @@ def block_plans(
         block.block_id: BlockPlan.of(block, config, evaluate)
         for block in code.blocks()
     }
-
-
-def block_runs(items, trips: int = 1) -> list[tuple[int, int]]:
-    """``(block id, executions)`` of every block in one cell run: the
-    schedule is data-independent, so these are static."""
-    runs: list[tuple[int, int]] = []
-    for item in items:
-        if isinstance(item, ScheduledBlock):
-            runs.append((item.block_id, trips))
-        else:
-            runs.extend(block_runs(item.body, trips * item.trip))
-    return runs
 
 
 class ExecutionPlan:

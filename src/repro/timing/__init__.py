@@ -13,7 +13,6 @@ from .buffers import (
 )
 from .events import (
     TooManyEventsError,
-    count_stream_events,
     stream_event_times,
     stream_times_by_statement,
 )
@@ -34,6 +33,7 @@ from .vectors import (
     IOCharacterization,
     Stream,
     characterize_stream,
+    count_stream_events,
     input_stream,
     output_stream,
 )

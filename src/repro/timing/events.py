@@ -12,21 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledItem
-from .vectors import Stream, _item_cycles
+from .vectors import Stream, _item_cycles, count_stream_events
 
 
 class TooManyEventsError(Exception):
     """Enumeration would exceed the caller's budget."""
-
-
-def count_stream_events(items: list[ScheduledItem], stream: Stream) -> int:
-    total = 0
-    for item in items:
-        if isinstance(item, ScheduledBlock):
-            total += sum(1 for e in item.io_events if stream.matches(e))
-        else:
-            total += item.trip * count_stream_events(item.body, stream)
-    return total
 
 
 def stream_events(

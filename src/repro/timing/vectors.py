@@ -86,12 +86,15 @@ def _item_cycles(item: ScheduledItem) -> int:
     return item.trip * sum(_item_cycles(child) for child in item.body)
 
 
-def _stream_count(item: ScheduledItem, stream: Stream) -> int:
-    """Stream events per single execution of ``item`` (per iteration for
-    loops it is ``trip *`` the body count; this counts the whole item)."""
-    if isinstance(item, ScheduledBlock):
-        return sum(1 for event in item.io_events if stream.matches(event))
-    return item.trip * sum(_stream_count(child, stream) for child in item.body)
+def count_stream_events(items: list[ScheduledItem], stream: Stream) -> int:
+    """Dynamic events of ``stream`` in one execution of ``items``."""
+    total = 0
+    for item in items:
+        if isinstance(item, ScheduledBlock):
+            total += sum(1 for e in item.io_events if stream.matches(e))
+        else:
+            total += item.trip * count_stream_events(item.body, stream)
+    return total
 
 
 def characterize_stream(
@@ -130,7 +133,7 @@ def characterize_stream(
                     count += 1
                 offset += item.length
             else:
-                per_iter = sum(_stream_count(child, stream) for child in item.body)
+                per_iter = count_stream_events(item.body, stream)
                 iter_len = sum(_item_cycles(child) for child in item.body)
                 loop_stack.append((item.trip, per_iter, count, iter_len, offset))
                 walk(item.body)

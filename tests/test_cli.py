@@ -323,6 +323,56 @@ class TestBatchCommand:
             main(["batch", "passthrough", "--items", "0"])
 
 
+class TestFaultInjection:
+    """``--inject`` end to end: `run` and `batch` share one retry policy
+    (docs/robustness.md) — fatal faults fail at once, others retry."""
+
+    STALL = "stall_cell:cell=1,cycles=500"
+    DROP = "drop_send:cell=1,channel=X,index=3"
+
+    def test_run_does_not_retry_a_fatal_fault(self, capsys):
+        assert main(
+            ["run", "polynomial", "--inject", self.STALL, "--max-retries", "2"]
+        ) == 3
+        captured = capsys.readouterr()
+        assert "retry" not in captured.out
+        assert "fault detected after 1 attempt(s): CellHangError" in captured.err
+        assert "injected: stall_cell cell=1 cycles=500" in captured.err
+
+    def test_run_recovers_a_transient_fault(self, capsys):
+        assert main(
+            ["run", "conv1d", "--inject", self.DROP, "--max-retries", "1"]
+        ) == 0
+        out = capsys.readouterr().out
+        retries = [line for line in out.splitlines() if line.startswith("retry")]
+        assert len(retries) == 1
+        assert retries[0].startswith("retry 1: SilentCorruptionDetected:")
+        assert "ran 'conv1d'" in out
+
+    def test_run_without_retries_reports_the_fault(self, capsys):
+        assert main(["run", "conv1d", "--inject", self.DROP]) == 3
+        captured = capsys.readouterr()
+        assert "fault detected after 1 attempt(s)" in captured.err
+        assert "injected: drop_send cell=1 channel=X index=3" in captured.err
+
+    def test_batch_retries_a_killed_worker(self, capsys):
+        assert main(
+            [
+                "batch",
+                "polynomial",
+                "--items",
+                "3",
+                "--inject",
+                "worker_kill:item=1",
+                "--max-retries",
+                "1",
+            ]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "    1 retry\n" in captured.out
+        assert "FAILED" not in captured.err
+
+
 class TestVerifyAndCheckCommands:
     def test_verify_bundled_program(self, capsys):
         assert main(["verify", "polynomial"]) == 0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import compile_w2, simulate
-from repro.exec import BatchRunner, run_batch
+from repro.exec import BatchRunner
 from repro.machine import ExecutionPlan
 from repro.programs import passthrough, polynomial
 
@@ -32,7 +32,7 @@ def _items(rng, n):
 class TestSerialBatch:
     def test_bit_identical_to_one_shot(self, program, rng):
         items = _items(rng, 6)
-        batched = run_batch(program, items)
+        batched = BatchRunner(program).run(items)
         assert batched.n_items == 6
         assert batched.processes == 1
         for item, result in zip(items, batched.results):
@@ -48,7 +48,7 @@ class TestSerialBatch:
             {"z": np.full(12, float(i)), "c": np.array([0.0, 0.0, 0.0, 1.0 + i])}
             for i in range(4)
         ]
-        batched = run_batch(program, items)
+        batched = BatchRunner(program).run(items)
         for i, result in enumerate(batched.results):
             # P(z) = 1 + i for the all-constant coefficient vector.
             assert np.allclose(result.outputs["results"], 1.0 + i)
@@ -60,17 +60,17 @@ class TestSerialBatch:
         runner.run(_items(rng, 2))
         assert runner.machine.plan is plan_before  # static state reused
 
-    def test_run_one_matches_simulate(self, program, rng):
+    def test_reused_machine_matches_simulate(self, program, rng):
         runner = BatchRunner(program)
         item = _items(rng, 1)[0]
-        result = runner.run_one(item)
+        result = runner.machine.run(item)
         expected = simulate(program, item)
         assert np.array_equal(
             result.outputs["results"], expected.outputs["results"]
         )
 
     def test_empty_batch(self, program):
-        batched = run_batch(program, [])
+        batched = BatchRunner(program).run([])
         assert batched.n_items == 0
         assert batched.total_cycles == 0
         assert batched.cycles_per_item == 0
@@ -81,8 +81,8 @@ class TestSerialBatch:
 class TestMultiprocessBatch:
     def test_pool_bit_identical_and_ordered(self, program, rng):
         items = _items(rng, 8)
-        serial = run_batch(program, items)
-        pooled = run_batch(program, items, processes=2)
+        serial = BatchRunner(program).run(items)
+        pooled = BatchRunner(program, processes=2).run(items)
         assert pooled.processes == 2
         assert pooled.n_items == serial.n_items
         for mine, theirs in zip(pooled.results, serial.results):
@@ -92,7 +92,7 @@ class TestMultiprocessBatch:
             assert mine.total_cycles == theirs.total_cycles
 
     def test_single_item_stays_in_process(self, program, rng):
-        batched = run_batch(program, _items(rng, 1), processes=4)
+        batched = BatchRunner(program, processes=4).run(_items(rng, 1))
         assert batched.processes == 1  # pool not worth spawning
 
     def test_negative_processes_rejected(self, program):
@@ -103,7 +103,7 @@ class TestMultiprocessBatch:
 class TestBatchResult:
     def test_aggregates(self, program, rng):
         items = _items(rng, 5)
-        batched = run_batch(program, items)
+        batched = BatchRunner(program).run(items)
         per_item = [r.total_cycles for r in batched.results]
         assert batched.total_cycles == sum(per_item)
         assert batched.cycles_per_item == sum(per_item) / 5
@@ -112,7 +112,7 @@ class TestBatchResult:
 
     def test_stacked_outputs(self, program, rng):
         items = _items(rng, 3)
-        batched = run_batch(program, items)
+        batched = BatchRunner(program).run(items)
         stacked = batched.outputs("results")
         assert stacked.shape == (3, 12)
         for i, result in enumerate(batched.results):
@@ -123,7 +123,7 @@ class TestBatchResult:
         from repro import obs
 
         with obs.collecting() as telemetry:
-            batched = run_batch(program, _items(rng, 3))
+            batched = BatchRunner(program).run(_items(rng, 3))
         assert telemetry.counters["exec.batch.items"] == 3
         assert telemetry.counters["exec.batch.cycles"] == batched.total_cycles
 

@@ -278,9 +278,9 @@ class TestBatchRunnerPaths:
         for item, got in zip(items, pooled.results):
             assert_same_run(got, simulate(poly, item))
 
-    def test_run_one_and_simulate_do_not_record(self, poly):
+    def test_machine_run_and_simulate_do_not_record(self, poly):
         runner = BatchRunner(poly)
-        runner.run_one(_items(1)[0])
+        runner.machine.run(_items(1)[0])
         simulate(poly, _items(1)[0])
         assert runner.machine.plan.tape is None
 
