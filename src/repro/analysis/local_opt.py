@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from ..ir.dag import Dag, Node, OpKind
 
 _ARITH_EVAL: dict[OpKind, Callable[[float, float], float]] = {
@@ -58,8 +60,18 @@ def _const_value(node: Node) -> Optional[float]:
     return None
 
 
+def _fdiv(a: float, b: float) -> float:
+    """IEEE-754 division, bit for bit as ``np.divide``: a zero divisor
+    scales ``a`` by the signed infinity, so x/±0 is ±inf and 0/0 the
+    hardware's default NaN (a NaN dividend passes through)."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return a * math.copysign(math.inf, b)
+
+
 _EXTRA_EVAL: dict[OpKind, Callable[..., float]] = {
-    OpKind.FDIV: lambda a, b: a / b,
+    OpKind.FDIV: _fdiv,
     OpKind.FNEG: lambda a: -a,
     OpKind.BNOT: lambda a: 1.0 if a == 0.0 else 0.0,
     OpKind.SELECT: lambda c, a, b: a if c != 0.0 else b,
@@ -72,6 +84,38 @@ def pure_evaluator(op: OpKind) -> Optional[Callable[..., float]]:
     Resolving the dispatch once (e.g. when the simulator pre-decodes a
     schedule) avoids a per-execution dictionary lookup."""
     return _ARITH_EVAL.get(op) or _EXTRA_EVAL.get(op)
+
+
+def _flag(mask) -> np.ndarray:
+    """Booleans as the cell datapath materialises them (0.0 / 1.0)."""
+    return np.asarray(mask, dtype=np.float64)
+
+
+#: The NumPy form of every pure evaluator: elementwise over float64
+#: columns (scalars broadcast), and bit for bit the same per element.
+_COLUMN_EVAL: dict[OpKind, Callable[..., np.ndarray]] = {
+    OpKind.FADD: np.add,
+    OpKind.FSUB: np.subtract,
+    OpKind.FMUL: np.multiply,
+    OpKind.FDIV: np.divide,
+    OpKind.FNEG: np.negative,
+    OpKind.CMP_EQ: lambda a, b: _flag(np.equal(a, b)),
+    OpKind.CMP_NE: lambda a, b: _flag(np.not_equal(a, b)),
+    OpKind.CMP_LT: lambda a, b: _flag(np.less(a, b)),
+    OpKind.CMP_LE: lambda a, b: _flag(np.less_equal(a, b)),
+    OpKind.CMP_GT: lambda a, b: _flag(np.greater(a, b)),
+    OpKind.CMP_GE: lambda a, b: _flag(np.greater_equal(a, b)),
+    OpKind.BAND: lambda a, b: _flag((a != 0.0) & (b != 0.0)),
+    OpKind.BOR: lambda a, b: _flag((a != 0.0) | (b != 0.0)),
+    OpKind.BNOT: lambda a: _flag(np.equal(a, 0.0)),
+    OpKind.SELECT: lambda c, a, b: np.where(np.not_equal(c, 0.0), a, b),
+}
+
+
+def column_evaluator(op: OpKind) -> Optional[Callable[..., np.ndarray]]:
+    """The NumPy form of :func:`pure_evaluator` (``None`` for impure
+    ops); callers silence NumPy's floating-point warnings."""
+    return _COLUMN_EVAL.get(op)
 
 
 def evaluate_pure(op: OpKind, values: Sequence[float]) -> float:
@@ -117,12 +161,9 @@ def fold(dag: Dag, op: OpKind, operands: Sequence[Node]) -> Optional[Node]:
 
     # Constant folding.
     if all(v is not None for v in values):
-        if op is OpKind.FDIV and values[1] == 0.0:
-            pass  # leave the fault to run time
-        else:
-            result = evaluate_pure(op, [v for v in values if v is not None])
-            if math.isfinite(result):
-                return dag.const(result)
+        result = evaluate_pure(op, [v for v in values if v is not None])
+        if math.isfinite(result):
+            return dag.const(result)
 
     simplified = _algebraic(dag, op, list(operands), values)
     if simplified is not None:

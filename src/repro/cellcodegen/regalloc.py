@@ -9,7 +9,9 @@ the block schedule.
 
 A freed register may be re-assigned to a writer issuing at or after the
 old value's last read: the 5-stage writeback then lands strictly after
-the read, so the old consumer always sees the old value.
+the read, so the old consumer always sees the old value.  A value that
+is never read holds its register until its own write lands, so no later
+write to that register can land first or in the same cycle.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ def allocate_registers(
             )
         reg = free.pop()
         result.dests[item.item_id] = Reg(reg)
-        end = last_use.get(item.item_id, item.cycle)
+        # A value nobody reads keeps its register until its write lands.
+        end = last_use.get(item.item_id, item.cycle + item.latency)
         active.append((end, reg, item.item_id))
         live = max(live, len(active))
     result.max_live = live + len(pinned)

@@ -9,10 +9,15 @@ for every item, and can optionally fan items out over a
 ``multiprocessing`` pool (each worker unpickles the program once and
 then streams its share of the items).
 
-A serial batch without fault injection goes further: it replays the
-program's value tape (:mod:`repro.machine.tape`, one recorded clean
-run) once over every item with NumPy, and runs only the items the tape
-cannot answer on the cycle-accurate executor.
+A serial batch without fault injection goes further.  Warp schedules
+are data-independent, so it runs the same checked cycle-accurate
+program *once* for the whole batch, over one NumPy column per host
+array (:meth:`~repro.machine.array.WarpMachine.run_columns`): every
+word moved and every operation evaluated carries all items' values at
+once.  Only items whose inputs fail validation, and every item when
+that run raises, go through one cycle-accurate run each.  While it
+runs, the queues hold every word sent as one ``(items,)`` row; nothing
+of it outlives the run.
 
 Batched results are **bit-identical** to one-shot ``simulate`` calls,
 item for item: the runner changes where static state lives and how
@@ -106,8 +111,8 @@ class BatchResult:
     failures: list[ItemFailure] = field(default_factory=list)
     #: Total retries performed across the batch.
     retries: int = 0
-    #: Items answered by the value-tape replay; every other item ran on
-    #: the cycle-accurate executor.
+    #: Items answered by the batch's one run over NumPy columns; every
+    #: other item had a cycle-accurate run of its own.
     value_items: int = 0
 
     @property
@@ -260,7 +265,7 @@ class BatchRunner:
             outcomes = self._run_pool(input_sets)
             used = self.processes
         else:
-            answered = self._replay(input_sets)
+            answered = self._run_columns(input_sets)
             outcomes = {
                 index: self.run_item(
                     index, functools.partial(self._attempt, inputs)
@@ -360,21 +365,21 @@ class BatchRunner:
             self._simulate_worker_fault(injector)
         return self._machine.run(inputs, faults=injector)
 
-    def _replay(
+    def _run_columns(
         self, input_sets: Sequence[InputSet]
     ) -> dict[int, SimulationResult]:
-        """Answer the clean items of a fault-free batch from the
-        program's value tape (:mod:`repro.machine.tape`), by item index.
+        """Answer the valid items of a fault-free batch from one run over
+        NumPy columns, by item index.
 
-        Items the tape leaves out (invalid inputs, zero divisors) and
-        every item of a fault-injected batch take the cycle-accurate
-        path, which reproduces their errors and retries exactly."""
+        Items left out (invalid inputs), every item of a fault-injected
+        batch and every item of a batch whose column run raises take one
+        run each, which reproduces their errors and retries exactly."""
         if self.faults is not None or not input_sets:
             return {}
-        tape = self._machine.value_tape()
-        if tape is None:
-            return {}
-        return tape.results(input_sets)
+        try:
+            return self._machine.run_columns(input_sets)
+        except SimulationError:
+            return {}  # data-independent: each item's own run raises it
 
     def _simulate_worker_fault(self, injector) -> None:
         """In-process stand-ins for worker kill/hang faults, so serial

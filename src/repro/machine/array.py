@@ -16,11 +16,11 @@ by its position, and dequeues it in lock step with its own schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..errors import SilentCorruptionDetected, SimulationError
+from ..errors import SilentCorruptionDetected
 from ..lang.ast import Channel
 from ..obs import get_telemetry
 from ..obs.metrics import (
@@ -35,9 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - avoid circular import at run time
     from ..compiler.driver import CompiledProgram
     from ..faults.injector import FaultInjector
     from ..faults.plan import InjectionPlan
-    from .tape import ValueTape
 from .cell import CellExecutor, CellStats, TraceEvent
-from .host import HostMemory, collect_outputs, feed_input_queues
+from .host import HostMemory, collect_outputs, feed_input_queues, load_inputs
 from .plan import BlockPlan, ExecutionPlan
 from .queue import TimedQueue
 
@@ -97,24 +96,6 @@ class WarpMachine:
             self._plan = ExecutionPlan(self._program)
         return self._plan
 
-    def value_tape(self) -> "ValueTape | None":
-        """The plan's :class:`~repro.machine.tape.ValueTape`, recorded on
-        first use.  ``None`` when the recording run fails: such a failure
-        does not depend on the data, so every item meets it on the
-        cycle-accurate path instead."""
-        try:
-            plan = self.plan
-        except SimulationError:
-            return None  # the cycle path raises it again, per item
-        if plan.tape is None:
-            from .tape import ValueTape
-
-            try:
-                plan.tape = ValueTape.record(self)
-            except Exception:
-                plan.tape = False
-        return plan.tape or None
-
     def run(
         self,
         inputs: dict[str, np.ndarray],
@@ -128,6 +109,41 @@ class WarpMachine:
             memory, self.plan.blocks, trace_limit, record, injector
         )
 
+    def run_columns(
+        self, input_sets: Sequence[dict[str, np.ndarray]]
+    ) -> dict[int, SimulationResult]:
+        """Every valid item of ``input_sets`` from one cycle-accurate run
+        over NumPy columns, by item index.
+
+        Host memory holds one ``(elements, items)`` column per host
+        array, so each word moved and each operation evaluated carries
+        every item's value at once; every queue, stream-accounting,
+        watchdog and collect check runs once for the whole batch.  The
+        items left out failed input validation.  Results share the run's
+        static facts (cell stats, queue occupancy, metrics).  A
+        :class:`~repro.errors.SimulationError` here does not depend on
+        the data, so every item would meet it on its own run too."""
+        memory, failed = load_inputs(self._program.ir.host_arrays, input_sets)
+        valid = [item for item in range(len(input_sets)) if item not in failed]
+        if not valid:
+            return {}
+        with np.errstate(all="ignore"):
+            static = self._execute(memory, self.plan.column_blocks)
+        # One contiguous (items, elements) array per output: row j is
+        # item j's output.
+        outputs = {name: out.T.copy() for name, out in static.outputs.items()}
+        return {
+            item: SimulationResult(
+                outputs={name: out[item] for name, out in outputs.items()},
+                cell_stats=static.cell_stats,
+                total_cycles=static.total_cycles,
+                skew=static.skew,
+                queue_occupancy=static.queue_occupancy,
+                machine_metrics=static.machine_metrics,
+            )
+            for item in valid
+        }
+
     def _execute(
         self,
         memory: HostMemory,
@@ -135,12 +151,11 @@ class WarpMachine:
         trace_limit: int = 0,
         record: bool = False,
         injector: "FaultInjector | None" = None,
-        read: Callable[[Any], Any] = float,
     ) -> SimulationResult:
         """Feed ``memory`` through every cell and collect the outputs
-        back into it, with every run-time check.  The value-tape
-        recording run (:mod:`.tape`) differs from :meth:`run` only in
-        its memory (tokens), ``read`` and the block plans' evaluators."""
+        back into it, with every run-time check.  A batch run over
+        columns (:meth:`run_columns`) differs from :meth:`run` only in
+        its memory and the block plans' evaluators."""
         program = self._program
         plan = self.plan
         n_cells = program.n_cells
@@ -176,7 +191,6 @@ class WarpMachine:
             memory,
             links[0],
             sequences=plan.input_refs,
-            read=read,
         )
 
         # Address path: the same IU stream per cell, delayed by the hop

@@ -10,7 +10,10 @@ of a batch:
   generated straight-line Python function (:class:`BlockPlan`): nop
   cycles vanish (30–50% of instruction slots on the Table 7-1
   programs), each register read names the value it sees, and the
-  block's length advances the clock.
+  block's length advances the clock.  A second set of the same
+  blocks, built on first use, calls NumPy evaluators instead of the
+  scalar ones: a batch runs the one checked program once, over one
+  float64 column per value holding every item's copy of it.
 * **Static counts.**  Per-block operation totals and the blocks'
   execution counts (:class:`~repro.cellcodegen.emit.OpCounts`,
   :func:`~repro.cellcodegen.emit.block_runs`, shared with the
@@ -29,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
-from ..analysis.local_opt import pure_evaluator
+from ..analysis.local_opt import column_evaluator, pure_evaluator
 from ..cellcodegen.emit import (
     CellCode,
     OpCounts,
@@ -45,7 +48,6 @@ from ..lang.ast import Channel, Direction
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from ..compiler.driver import CompiledProgram
     from ..hostcodegen.io_program import HostBinding, HostValueRef
-    from .tape import ValueTape
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ class BlockPlan(OpCounts):
         evaluate: Callable[[OpKind], Callable[..., float]] = pure_evaluator,
     ) -> "BlockPlan":
         """The plan of ``block``; ``evaluate`` maps each ALU/MPY op to
-        the function the generated code calls (the value tape's
-        recording run swaps in recorders)."""
+        the function the generated code calls (a batch run over columns
+        passes :func:`~repro.analysis.local_opt.column_evaluator`)."""
         active = [
             (cycle, instr)
             for cycle, instr in enumerate(block.instructions)
@@ -264,6 +266,7 @@ class ExecutionPlan:
     """All static per-program simulation state, computed once."""
 
     def __init__(self, program: "CompiledProgram"):
+        self._program = program
         self.blocks: dict[int, BlockPlan] = block_plans(
             program.cell_code, program.config.cell
         )
@@ -298,10 +301,15 @@ class ExecutionPlan:
             channel: sum(n * self.blocks[b].receives[channel] for b, n in runs)
             for channel in (Channel.X, Channel.Y)
         }
-        #: The value tape of one clean run (:mod:`.tape`), recorded on
-        #: first use by :meth:`~repro.machine.array.WarpMachine.value_tape`;
-        #: ``False`` once the recording run has failed.
-        self.tape: "ValueTape | bool | None" = None
+
+    @functools.cached_property
+    def column_blocks(self) -> dict[int, BlockPlan]:
+        """The blocks over NumPy columns, for batch runs (built on first
+        use, so one-shot runs never pay for them)."""
+        program = self._program
+        return block_plans(
+            program.cell_code, program.config.cell, column_evaluator
+        )
 
     @property
     def skipped_slots(self) -> int:

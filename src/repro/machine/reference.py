@@ -15,6 +15,7 @@ tolerances).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,7 +267,10 @@ class _CellInterpreter:
         if op is ast.BinaryOp.MUL:
             return left * right
         if op is ast.BinaryOp.DIV:
-            return left / right
+            try:
+                return left / right
+            except ZeroDivisionError:  # IEEE-754: x/±0 is ±inf, 0/0 NaN
+                return left * math.copysign(math.inf, right)
         comparisons = {
             ast.BinaryOp.EQ: left == right,
             ast.BinaryOp.NE: left != right,

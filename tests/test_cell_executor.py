@@ -424,10 +424,7 @@ class TestAgainstHeapOracle:
     @example(_tie_block())
     def test_generated_block_matches_heap_writeback(self, case):
         block, trips, inputs, addresses = case
-        try:
-            expected = heap_oracle(block, trips, SMALL, inputs, addresses)
-        except ZeroDivisionError:
-            expected = None
+        expected = heap_oracle(block, trips, SMALL, inputs, addresses)
         loop = ScheduledLoop(
             loop_id=0, var="i", start=0, step=1, trip=trips, body=[block]
         )
@@ -451,10 +448,6 @@ class TestAgainstHeapOracle:
                 "adr", send_times=[0] * len(addresses), values=addresses
             ),
         )
-        if expected is None:
-            with pytest.raises(ZeroDivisionError):
-                executor.run()
-            return
         stats = executor.run()
         regs, mem, sent = expected
         assert _bits(executor._registers) == _bits(regs)

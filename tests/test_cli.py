@@ -298,7 +298,7 @@ class TestBatchCommand:
         document = json.loads(path.read_text())
         assert document["batch"]["items"] == 2
         assert document["batch"]["total_cycles"] > 0
-        # A serial clean batch is answered by the value tape.
+        # A serial clean batch is answered by one run over columns.
         assert document["batch"]["value_items"] == 2
         assert document["batch"]["fallback_items"] == 0
         assert document["cache"]["misses"] == 1

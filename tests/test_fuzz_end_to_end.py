@@ -61,11 +61,16 @@ def pipeline_programs(draw):
     n_cells = draw(st.integers(1, 3))
     n_points = draw(st.integers(1, 6))
     body = [draw(statements()) for _ in range(draw(st.integers(1, 5)))]
-    use_y = draw(st.booleans())
-    y_lines = (
-        ["        receive (L, Y, v1, 0.0);", "        send (R, Y, v1 + v2);"]
-        if use_y
-        else []
+    # The Y stream: absent, read, or a dead receive (a value no one
+    # reads, which must still hold its register until it lands).
+    y_lines = draw(
+        st.sampled_from(
+            [
+                [],
+                ["receive (L, Y, v1, 0.0);", "send (R, Y, v1 + v2);"],
+                ["receive (L, Y, d, 0.0);", "send (R, Y, v1);"],
+            ]
+        )
     )
     body_text = "\n".join(f"        {line}" for line in body)
     source = f"""
@@ -74,14 +79,14 @@ float a[{n_points}];
 float b[{n_points}];
 cellprogram (cid : 0 : {n_cells - 1})
 begin
-    float v0, v1, v2, v3;
+    float v0, v1, v2, v3, d;
     int i;
     v1 := 0.0;
     v2 := 0.0;
     v3 := 0.0;
     for i := 0 to {n_points - 1} do begin
         receive (L, X, v0, a[i]);
-{chr(10).join(y_lines)}
+{chr(10).join(f"        {line}" for line in y_lines)}
 {body_text}
         send (R, X, v0 + v1 + v2 + v3, b[i]);
     end;
@@ -107,9 +112,8 @@ class TestFuzzedPipelines:
         # The batch engine's value path agrees with the cycle executor
         # bit for bit.
         items = [inputs, {"a": rng.uniform(-2, 2, n_points)}]
-        runner = BatchRunner(program)
-        assert runner.machine.value_tape() is not None, source
-        batched = runner.run(items)
+        batched = BatchRunner(program).run(items)
+        assert batched.value_items == len(items), source
         for item, got in zip(items, batched.results):
             assert_same_run(got, simulate(program, item), source)
 

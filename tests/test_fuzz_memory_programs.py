@@ -78,9 +78,8 @@ class TestMemoryFuzz:
         # The batch engine's value path agrees with the cycle executor
         # bit for bit.
         items = [inputs, {"a": rng.uniform(-3, 3, n)}]
-        runner = BatchRunner(program)
-        assert runner.machine.value_tape() is not None, source
-        batched = runner.run(items)
+        batched = BatchRunner(program).run(items)
+        assert batched.value_items == len(items), source
         for item, got in zip(items, batched.results):
             assert_same_run(got, simulate(program, item), source)
 

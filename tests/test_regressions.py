@@ -1,9 +1,13 @@
 """Regression tests for bugs found during development (mostly by the
 property-based fuzzers).  Each test documents the failure mode."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from repro.compiler import compile_w2
+from repro.config import DEFAULT_CONFIG
 from repro.lang import analyze, parse_module
 from repro.machine import interpret, simulate
 
@@ -346,3 +350,37 @@ class TestConservationPad:
             {"z": rng.uniform(-1, 1, 8), "c": rng.standard_normal(4)},
         )
         assert result.total_cycles > 0
+
+
+class TestDeadReceive:
+    SOURCE = """
+module dead (xs in, ys in, zs out)
+float xs[4];
+float ys[4];
+float zs[4];
+cellprogram (cid : 0 : 1)
+begin
+    float x, y;
+    int i;
+    for i := 0 to 3 do begin
+        receive (L, X, x, xs[i]);
+        receive (L, Y, y, ys[i]);
+        send (R, X, y, zs[i]);
+        send (R, Y, y);
+    end;
+end
+"""
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_dead_receive_keeps_its_register_until_it_lands(self, level):
+        """``x`` is received and never read.  The allocator used to free
+        its register at issue, so the ``y`` receive issued in the same
+        cycle took it too and the verifier refused the program
+        (``register.waw_same_cycle``, deq and deq)."""
+        config = dataclasses.replace(DEFAULT_CONFIG, verify=level)
+        program = compile_w2(self.SOURCE, config=config)
+        inputs = {"xs": np.arange(4.0), "ys": np.arange(10.0, 14.0)}
+        expected = interpret(analyze(parse_module(self.SOURCE)), inputs)
+        result = simulate(program, inputs)
+        assert np.array_equal(result.outputs["zs"], expected["zs"])
+        assert np.array_equal(result.outputs["zs"], inputs["ys"])

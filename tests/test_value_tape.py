@@ -1,10 +1,12 @@
-"""The value tape: serial fault-free batches replay one recorded clean
-run with NumPy instead of stepping the cycle-accurate executor per item.
+"""The value path: a serial fault-free batch runs the cycle-accurate
+program once, over one NumPy column per host array, instead of once per
+item.
 
-The contract: every item the replay answers is bit-identical to the
-cycle-accurate run, static facts included, and every item it cannot
-answer (invalid inputs, zero divisors) behaves exactly as it does on the
-cycle path — same exception, same ``ItemFailure``, same retry count.
+The contract: every item the column run answers is bit-identical to its
+own cycle-accurate run, static facts included, and every item it cannot
+answer (invalid inputs, or all items when the column run raises) behaves
+exactly as it does on the cycle path — same exception, same
+``ItemFailure``, same retry count.
 """
 
 from __future__ import annotations
@@ -18,17 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import compile_w2, obs
-from repro.analysis.local_opt import pure_evaluator
+from repro.analysis.local_opt import column_evaluator, pure_evaluator
+from repro.errors import QueueUnderflowError
 from repro.exec import BatchRunner
 from repro.faults import FaultKind, FaultSpec, InjectionPlan
 from repro.ir.dag import OpKind
-from repro.machine import simulate
-from repro.machine.tape import _BATCH_EVAL, ValueTape
-from repro.programs import colorseg, conv1d, mandelbrot, polynomial
+from repro.lang import analyze, parse_module
+from repro.machine import WarpMachine, interpret, simulate
+from repro.programs import colorseg, mandelbrot, polynomial
 
 #: Two cells divide; the ``else`` arm makes the divide dead whenever
-#: ``y <= 0`` — if-conversion still issues it, so a zero divisor raises
-#: on the cycle path even though its quotient is discarded.
+#: ``x <= 0`` — if-conversion still issues it, and the select discards
+#: its quotient (±inf or NaN for a zero divisor).
 DIVIDE = """
 module divide (a in, b in, q out)
 float a[4];
@@ -41,7 +44,7 @@ begin
     for i := 0 to 3 do begin
         receive (L, X, x, a[i]);
         receive (L, Y, y, b[i]);
-        if y > 0.0 then r := x / y; else r := -(x * y);
+        if x > 0.0 then r := x / y; else r := -(x * y);
         send (R, X, r, q[i]);
         send (R, Y, y);
     end;
@@ -87,10 +90,10 @@ def _program(name: str):
 
 
 def _cycle_runner(program, **kwargs) -> BatchRunner:
-    """A runner whose tape is marked unrecordable, so every item takes
-    the cycle-accurate path: the reference for the value path."""
+    """A runner whose column run answers no item, so every item takes
+    its own cycle-accurate run: the reference for the value path."""
     runner = BatchRunner(program, **kwargs)
-    runner.machine.plan.tape = False
+    runner._run_columns = lambda input_sets: {}
     return runner
 
 
@@ -141,29 +144,32 @@ def batches(draw, sizes: dict[str, int]):
     return items
 
 
+COLUMN_OPS = sorted(
+    (op for op in OpKind if column_evaluator(op) is not None),
+    key=lambda op: op.value,
+)
+
+
 class TestBatchEvaluators:
-    @pytest.mark.parametrize("op", sorted(_BATCH_EVAL, key=lambda op: op.value))
+    @pytest.mark.parametrize("op", COLUMN_OPS)
     def test_bitwise_equal_to_python_evaluator(self, op):
-        """Every batch evaluator gives the pure evaluator's bits on every
-        combination of special values, with literal (scalar) operands
-        too; only a zero divisor differs, and the replay never answers
-        an item with one."""
+        """Every column evaluator gives the pure evaluator's bits on every
+        combination of special values, zero divisors included, with
+        literal (scalar) operands too."""
         fn = pure_evaluator(op)
         arity = fn.__code__.co_argcount
-        combos = [
-            args
-            for args in itertools.product(SPECIAL, repeat=arity)
-            if not (op is OpKind.FDIV and args[1] == 0.0)
-        ]
+        combos = list(itertools.product(SPECIAL, repeat=arity))
         expected = np.array([fn(*args) for args in combos]).view(np.uint64)
         columns = [np.array(column) for column in zip(*combos)]
         with np.errstate(all="ignore"):
-            got = _BATCH_EVAL[op](*columns)
+            got = column_evaluator(op)(*columns)
             assert np.array_equal(got.view(np.uint64), expected)
             # A literal operand reaches the evaluator as a Python float.
             for literal in SPECIAL:
                 rows = [k for k, args in enumerate(combos) if args[0] is literal]
-                got = _BATCH_EVAL[op](literal, *[c[rows] for c in columns[1:]])
+                got = column_evaluator(op)(
+                    literal, *[c[rows] for c in columns[1:]]
+                )
                 got = np.broadcast_to(got, (len(rows),))
                 assert np.array_equal(got.view(np.uint64), expected[rows])
 
@@ -184,16 +190,30 @@ class TestSpecialValues:
             retry_backoff=0,
         )
 
-    def test_zero_divisor_raises_like_cycle_path(self):
+    def test_zero_divisor_bitwise_equal_on_every_path(self):
+        """IEEE-754 division everywhere: x/±0 is ±inf and 0/0 NaN, with
+        the same bits from the interpreter, a one-shot run and the batch,
+        whether the quotient is used (live) or discarded by a select
+        (dead)."""
         program = _program("divide")
+        analyzed = analyze(parse_module(DIVIDE))
         ok = {"a": np.arange(1.0, 5.0), "b": np.arange(2.0, 6.0)}
-        # Item 1's zero divisor only feeds the discarded arm of a select.
-        dead = {"a": np.ones(4), "b": np.array([1.0, -0.0, 2.0, 3.0])}
-        with pytest.raises(ZeroDivisionError) as cycle:
-            simulate(program, dead)
-        with pytest.raises(ZeroDivisionError) as value:
-            BatchRunner(program).run([ok, dead, ok])
-        assert str(value.value) == str(cycle.value)
+        zeros = np.array([0.0, -0.0, 0.0, -0.0])
+        live = {"a": np.array([1.0, 2.0, math.inf, 3.0]), "b": zeros}
+        # x <= 0 in both cells: every zero divisor is discarded.
+        dead = {"a": -np.ones(4), "b": np.array([1.0, -0.0, 0.0, 3.0])}
+        items = [ok, live, dead]
+        batched = BatchRunner(program).run(items)
+        assert batched.ok and batched.value_items == 3
+        for item, got in zip(items, batched.results):
+            want = simulate(program, item).outputs["q"].view(np.uint64)
+            reference = interpret(analyzed, item)["q"].view(np.uint64)
+            assert np.array_equal(got.outputs["q"].view(np.uint64), want)
+            assert np.array_equal(reference, want)
+        quotients = batched.results[1].outputs["q"]
+        assert np.isinf(quotients[[0, 2]]).all()
+        assert np.isnan(quotients[[1, 3]]).all()
+        assert np.isfinite(batched.results[2].outputs["q"]).all()
 
     def test_oversize_item_fails_like_cycle_path(self):
         program = _program("divide")
@@ -279,56 +299,43 @@ class TestBatchRunnerPaths:
             assert_same_run(got, simulate(poly, item))
 
     def test_machine_run_and_simulate_do_not_record(self, poly):
+        """One-shot runs never build the column blocks."""
         runner = BatchRunner(poly)
         runner.machine.run(_items(1)[0])
         simulate(poly, _items(1)[0])
-        assert runner.machine.plan.tape is None
+        assert "column_blocks" not in vars(runner.machine.plan)
 
-    def test_tape_recorded_once_per_plan(self, poly):
+    def test_column_blocks_built_once_per_plan(self, poly):
         runner = BatchRunner(poly)
         runner.run(_items(2))
-        tape = runner.machine.plan.tape
-        assert isinstance(tape, ValueTape) and tape.n_ops > 0
+        blocks = runner.machine.plan.column_blocks
+        assert blocks.keys() == runner.machine.plan.blocks.keys()
         runner.run(_items(2))
-        assert runner.machine.value_tape() is tape
+        assert runner.machine.plan.column_blocks is blocks
 
     def test_unrecordable_program_runs_on_cycle_path(
         self, poly, monkeypatch, assert_same_run
     ):
-        def fail(machine):
-            raise ZeroDivisionError("float division by zero")
+        """A column run that raises (a data-independent failure) sends
+        every item to its own run, with that path's failures, retries
+        and results."""
+        def fail(machine, input_sets):
+            raise QueueUnderflowError("link1.X: dequeue at cycle 0")
 
-        monkeypatch.setattr(ValueTape, "record", fail)
+        monkeypatch.setattr(WarpMachine, "run_columns", fail)
         items = _items(3)
+        items[1] = {"z": np.zeros(13)}  # oversize: an ItemFailure
+        kwargs = {"max_retries": 1, "retry_backoff": 0}
         with obs.collecting() as telemetry:
-            batched = BatchRunner(poly).run(items)
+            batched = BatchRunner(poly, **kwargs).run(items)
         assert telemetry.counters["exec.batch.fallback_items"] == 3
-        for item, got in zip(items, batched.results):
-            assert_same_run(got, simulate(poly, item))
-
-
-class TestTapeShape:
-    def test_values_released_after_last_use(self):
-        """Every value the outputs do not need is released exactly once,
-        at its last use, so replay memory follows the live values."""
-        program = compile_w2(conv1d(32, 9), unroll="auto")
-        tape = BatchRunner(program).machine.value_tape()
-        last_use: dict[int, int] = {}
-        for step, (_fn, dest, sources, _frees) in enumerate(tape.steps):
-            last_use[dest] = step
-            for slot in sources:
-                last_use[slot] = step
-        outputs = {slot for slots in tape._outputs.values() for slot in slots}
-        released: set[int] = set()
-        live: set[int] = set()
-        peak = 0
-        for step, (_fn, dest, _sources, frees) in enumerate(tape.steps):
-            live.add(dest)
-            peak = max(peak, len(live))
-            for slot in frees:
-                assert slot not in released and slot not in outputs
-                assert last_use[slot] == step
-                released.add(slot)
-                live.discard(slot)
-        assert released == set(last_use) - outputs
-        assert peak < tape.n_ops // 2
+        assert batched.value_items == 0
+        cycle = _cycle_runner(poly, **kwargs).run(items)
+        assert batched.failures == cycle.failures
+        assert [f.index for f in batched.failures] == [1]
+        assert batched.retries == cycle.retries == 1
+        assert batched.results[1] is None
+        for index in (0, 2):
+            assert_same_run(batched.results[index], cycle.results[index])
+            one_shot = simulate(poly, items[index])
+            assert_same_run(batched.results[index], one_shot)
