@@ -99,15 +99,15 @@ def main() -> None:
     print(f"IU instructions: {report.iu_instructions}; "
           f"IU-supplied addresses: {report.iu_supplied_addresses}")
     _print_iu(program.iu_program.items, indent="    ")
-    x_inputs = list(program.host_program.input_sequence(Channel.X))
+    host = program.host_program
+    x_inputs = host.feed(Channel.X)
     print(f"host X feed ({len(x_inputs)} items): "
-          + ", ".join(_fmt_ref(r) for r in x_inputs[:6]) + ", ...")
-    y_outputs = [
-        b for b in program.host_program.output_bindings(Channel.Y)
-        if not b.is_discard
-    ]
+          + ", ".join(_fmt_word(host.layout, w) for w in x_inputs[:6])
+          + ", ...")
+    y_outputs = host.collection(Channel.Y)
+    y_outputs = y_outputs[y_outputs != host.layout.discard]
     print(f"host Y collection ({len(y_outputs)} items): "
-          + ", ".join(f"{b.array}[{b.flat_index}]" for b in y_outputs[:6])
+          + ", ".join(_fmt_word(host.layout, w) for w in y_outputs[:6])
           + ", ...")
 
     print()
@@ -133,10 +133,12 @@ def _reference(x, w):
     return y
 
 
-def _fmt_ref(ref) -> str:
-    if ref.is_literal:
-        return repr(ref.literal)
-    return f"{ref.array}[{ref.flat_index}]"
+def _fmt_word(layout, offset) -> str:
+    """A host word offset as ``array[index]``, or the literal it holds."""
+    if offset >= layout.literal_base:
+        return repr(layout.literals[offset - layout.literal_base])
+    array, index = layout.locate(offset)
+    return f"{array}[{index}]"
 
 
 def _print_iu(items, indent: str) -> None:

@@ -220,7 +220,7 @@ def compile_w2(
     obs.counter("codegen.iu_instructions", iu_program.n_instructions)
     obs.counter("codegen.iu_table_entries", iu_program.table_entries)
     with obs.span("hostcodegen"):
-        host_program = generate_host_program(cell_code, ir.io_statements)
+        host_program = generate_host_program(cell_code, ir)
 
     elapsed = time.perf_counter() - started
     metrics = CompileMetrics(

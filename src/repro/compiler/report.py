@@ -47,9 +47,8 @@ def decomposition_report(program: CompiledProgram) -> DecompositionReport:
     host = program.host_program
     host_inputs = host.input_count(Channel.X) + host.input_count(Channel.Y)
     host_outputs = sum(
-        0 if binding.is_discard else 1
+        int((host.collection(channel) != host.layout.discard).sum())
         for channel in (Channel.X, Channel.Y)
-        for binding in host.output_bindings(channel)
     )
     from ..hostcodegen import lower_input_program, lower_output_program
 

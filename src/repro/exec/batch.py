@@ -3,8 +3,8 @@
 The skewed computation model amortises a cell program's load/compile
 cost over repeated invocations (Section 3); :class:`BatchRunner` is the
 software analogue.  It keeps one :class:`~repro.machine.array.WarpMachine`
-alive so the static simulation state — skip-idle block plans, the IU
-address schedule, the host I/O sequences — is computed once and reused
+alive so the static simulation state — compiled block plans, the IU
+address schedule, the host I/O word offsets — is computed once and reused
 for every item, and can optionally fan items out over a
 ``multiprocessing`` pool (each worker unpickles the program once and
 then streams its share of the items).

@@ -1,8 +1,9 @@
 """The compile cache: in-memory LRU over an optional on-disk layer.
 
 Lookup order is memory, then disk, then a real compile.  Disk entries
-are versioned pickles written atomically (temp file + ``os.replace``);
-*any* failure to read one — truncation, garbage bytes, a format-version
+are versioned pickles written atomically (temp file + ``os.replace``),
+the program pickled inside with its SHA-256 digest; *any* failure to
+read one — truncation, garbage bytes, a flipped bit, a format-version
 bump, a key mismatch from a hash-renamed file — counts as a miss and the
 offending file is removed best-effort.  A corrupt cache can cost a
 recompile, never a crash or a wrong program.
@@ -10,6 +11,7 @@ recompile, never a crash or a wrong program.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import tempfile
@@ -25,8 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle at run time only
     from ..compiler.driver import CompiledProgram
 
 #: Version of the on-disk pickle envelope (independent of the key
-#: version: bumping it invalidates files without changing keys).
-DISK_FORMAT_VERSION = 1
+#: version: bumping it invalidates files without changing keys).  2: the
+#: host program holds a host word layout; the program has a digest.
+DISK_FORMAT_VERSION = 2
 
 _ENTRY_SUFFIX = ".w2c"
 
@@ -169,7 +172,11 @@ class CompileCache:
                 or envelope.get("key") != key
             ):
                 raise ValueError("cache envelope mismatch")
-            program = envelope["program"]
+            data = envelope["program"]
+            # A bit flipped inside the program can still unpickle.
+            if hashlib.sha256(data).hexdigest() != envelope["digest"]:
+                raise ValueError("cache entry digest mismatch")
+            program = pickle.loads(data)
         except Exception:
             # Truncated, garbage, wrong version, unpicklable class, …:
             # silently recompile (and drop the bad file so it cannot
@@ -189,10 +196,12 @@ class CompileCache:
         assert self._dir is not None
         try:
             self._dir.mkdir(parents=True, exist_ok=True)
+            data = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
             envelope = {
                 "format": DISK_FORMAT_VERSION,
                 "key": key,
-                "program": program,
+                "digest": hashlib.sha256(data).hexdigest(),
+                "program": data,
             }
             fd, tmp_name = tempfile.mkstemp(
                 dir=self._dir, prefix=".tmp-", suffix=_ENTRY_SUFFIX

@@ -192,17 +192,14 @@ class FaultyQueue(TimedQueue):
     accounting totals.
     """
 
-    def __init__(self, injector: FaultInjector | None = None, **kwargs):
+    def __init__(self, injector: FaultInjector, **kwargs):
         super().__init__(**kwargs)
         self.injector = injector
         self._shadow: list[tuple[int, bytes]] = []
         self._sent_seq = 0
 
     def enqueue(self, time: int, value: float) -> None:
-        kind = None
-        stored = value
-        if self.injector is not None:
-            kind, stored = self.injector.on_enqueue(self.name, value)
+        kind, stored = self.injector.on_enqueue(self.name, value)
         seq = self._sent_seq
         self._sent_seq += 1
         if kind is FaultKind.DROP_SEND:

@@ -1,12 +1,11 @@
 """Host I/O processor code generation."""
 
-from .io_program import HostBinding, HostProgram, HostValueRef, generate_host_program
+from .io_program import HostLayout, HostProgram, generate_host_program
 from .lower import (
     BlockTransfer,
     HostTransferProgram,
     LiteralRun,
-    Scatter,
-    compress_sequence,
+    compress_offsets,
     lower_input_program,
     lower_output_program,
     transfer_statistics,
@@ -14,13 +13,11 @@ from .lower import (
 
 __all__ = [
     "BlockTransfer",
-    "HostBinding",
+    "HostLayout",
     "HostProgram",
     "HostTransferProgram",
-    "HostValueRef",
     "LiteralRun",
-    "Scatter",
-    "compress_sequence",
+    "compress_offsets",
     "generate_host_program",
     "lower_input_program",
     "lower_output_program",

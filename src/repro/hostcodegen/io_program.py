@@ -6,162 +6,197 @@ code generator derives that sequence from the ``external`` arguments of
 the first cell's receives, and symmetrically derives where to store each
 value the last cell sends.
 
-The program is kept in loop-tree form (mirroring the cell schedule) and
-expanded lazily: :meth:`HostProgram.input_sequence` yields, in order,
-what to feed into cell 0's queues, and :meth:`HostProgram.output_bindings`
-yields where each last-cell output lands in host memory.
+Every external index is affine in the loop indices (the description the
+five-vector model of Section 6.2 uses), so each channel's feed and
+collection is one ``int64`` array of word offsets into the host memory
+(:class:`HostLayout`), evaluated over each loop nest at once with NumPy
+broadcasting: the simulator feeds with one gather and collects with one
+scatter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+import math
+from typing import Callable
 
-from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledLoop
+import numpy as np
+
+from ..cellcodegen.emit import CellCode, ScheduledBlock
 from ..errors import HostDataError
-from ..ir.builder import IOStatement
+from ..ir.builder import CellProgramIR, IOStatement
 from ..ir.dag import OpKind
 from ..lang.ast import Channel, Direction
 
 
-@dataclass(frozen=True)
-class HostValueRef:
-    """One input item: a host array element or a literal the IU
-    synthesises."""
-
-    array: str | None
-    flat_index: int | None
-    literal: float | None
-
-    @property
-    def is_literal(self) -> bool:
-        return self.literal is not None
+#: The (kind, direction) of the host's feed and of its collection.
+_FEED = (OpKind.RECV, Direction.LEFT)
+_COLLECTION = (OpKind.SEND, Direction.RIGHT)
 
 
-@dataclass(frozen=True)
-class HostBinding:
-    """One output item: the host location to store into (or discard)."""
+class HostLayout:
+    """The host word numbering: host arrays row-major in declaration
+    order, then the distinct ``literals`` (the words the IU synthesises),
+    then one ``discard`` slot that absorbs unbound outputs."""
 
-    array: str | None
-    flat_index: int | None
+    def __init__(
+        self,
+        shapes: dict[str, tuple[int, ...]],
+        literals: tuple[float, ...] = (),
+    ):
+        self.literals = literals
+        #: ``name -> (first word, element count)``.
+        self.spans: dict[str, tuple[int, int]] = {}
+        base = 0
+        for name, dims in shapes.items():
+            self.spans[name] = (base, math.prod(dims))
+            base += math.prod(dims)
+        self.literal_base = base
+        # Literals are distinct by bit pattern, so -0.0 keeps its word.
+        self._literal_words = {v.hex(): base + k for k, v in enumerate(literals)}
+        self.discard = base + len(literals)
+        self.words = self.discard + 1
 
-    @property
-    def is_discard(self) -> bool:
-        return self.array is None
+    def literal_word(self, value: float) -> int:
+        """The word that holds the literal ``value``."""
+        return self._literal_words[value.hex()]
+
+    def locate(self, offset: int) -> tuple[str, int]:
+        """The host array element ``(name, flat index)`` of an array word."""
+        for name, (base, size) in self.spans.items():
+            if base <= offset < base + size:
+                return name, offset - base
+        raise ValueError(f"word {offset} is not a host array element")
 
 
 class HostProgram:
-    """Input-supply and output-collection sequences for one module."""
+    """Input-supply and output-collection offsets for one module."""
 
-    def __init__(self, code: CellCode, io_statements: list[IOStatement]):
+    def __init__(self, code: CellCode, ir: CellProgramIR):
         self._code = code
-        self._io = {stmt.io_index: stmt for stmt in io_statements}
-        self._validate()
-
-    def _validate(self) -> None:
-        """Every receive-from-left must name its host source — cell 0
-        executes the same statement as everyone else, and the host must
-        know what to feed it."""
-        for stmt in self._io.values():
-            if (
-                stmt.kind is OpKind.RECV
-                and stmt.direction is Direction.LEFT
-                and stmt.external_array is None
-                and stmt.external_literal is None
-            ):
+        self._io = {stmt.io_index: stmt for stmt in ir.io_statements}
+        literals: dict[str, float] = {}
+        for stmt in ir.io_statements:
+            if (stmt.kind, stmt.direction) != _FEED:
+                continue
+            if stmt.external_literal is not None:
+                literals[stmt.external_literal.hex()] = stmt.external_literal
+            elif stmt.external_array is None:
+                # Cell 0 executes the same statement as everyone else,
+                # and the host must know what to feed it.
                 raise HostDataError(
                     f"receive statement {stmt.io_index} has no external "
                     "source; the host cannot feed the first cell"
                 )
+        self.layout = HostLayout(ir.host_arrays, tuple(literals.values()))
 
-    # Sequences ------------------------------------------------------------
+    def feed(self, channel: Channel) -> np.ndarray:
+        """The words the host feeds into cell 0's ``channel`` queue, in
+        order, as offsets into :attr:`layout`.  Raises
+        :class:`~repro.errors.HostDataError` naming the first word that
+        lies outside its host array."""
+        return self._offsets((*_FEED, channel), "input reference")
 
-    def input_sequence(self, channel: Channel) -> Iterator[HostValueRef]:
-        """What the host feeds into cell 0's ``channel`` queue, in order."""
-        yield from self._walk(
-            kind=OpKind.RECV, direction=Direction.LEFT, channel=channel
-        )
-
-    def output_bindings(self, channel: Channel) -> Iterator[HostBinding]:
-        """Where the last cell's sends on ``channel`` land, in order."""
-        for ref in self._walk(
-            kind=OpKind.SEND, direction=Direction.RIGHT, channel=channel
-        ):
-            yield HostBinding(array=ref.array, flat_index=ref.flat_index)
+    def collection(self, channel: Channel) -> np.ndarray:
+        """Where each of the last cell's sends on ``channel`` lands, in
+        order, as offsets into :attr:`layout` (unbound sends land in the
+        discard slot).  Raises like :meth:`feed`."""
+        return self._offsets((*_COLLECTION, channel), "output binding")
 
     def input_count(self, channel: Channel) -> int:
-        """``len(list(input_sequence(channel)))``, counted statically."""
-        return self._count(OpKind.RECV, Direction.LEFT, channel)
+        """``len(feed(channel))``, counted statically."""
+        return self._count((*_FEED, channel))
 
     def output_count(self, channel: Channel) -> int:
-        """``len(list(output_bindings(channel)))``, counted statically."""
-        return self._count(OpKind.SEND, Direction.RIGHT, channel)
+        """``len(collection(channel))``, counted statically."""
+        return self._count((*_COLLECTION, channel))
 
-    # Walk -------------------------------------------------------------------
+    # Closed form ----------------------------------------------------------
 
-    def _count(self, kind: OpKind, direction: Direction, channel: Channel) -> int:
-        """Matching events per block times the enclosing loop trips.  Every
-        matching event's statement is still looked up, so a sequence that
-        names an unknown statement raises ``KeyError`` like the walk."""
+    def _statements(self, block: ScheduledBlock, stream: tuple) -> list:
+        """The statements of ``block``'s events on ``stream``, in order
+        (an unknown statement raises ``KeyError``)."""
+        return [
+            self._io[event.io_index]
+            for event in block.io_events
+            if (event.kind, event.queue.direction, event.queue.channel)
+            == stream
+        ]
+
+    def _count(self, stream: tuple) -> int:
+        """Matching events per block times the enclosing loop trips,
+        never the offsets themselves."""
 
         def count(items) -> int:
-            total = 0
-            for item in items:
-                if isinstance(item, ScheduledBlock):
-                    for event in item.io_events:
-                        if (
-                            event.kind is kind
-                            and event.queue.direction is direction
-                            and event.queue.channel is channel
-                        ):
-                            self._io[event.io_index]
-                            total += 1
-                else:
-                    total += item.trip * count(item.body)
-            return total
+            return sum(
+                len(self._statements(item, stream))
+                if isinstance(item, ScheduledBlock)
+                else item.trip * count(item.body)
+                for item in items
+            )
 
         return count(self._code.items)
 
-    def _walk(
-        self, kind: OpKind, direction: Direction, channel: Channel
-    ) -> Iterator[HostValueRef]:
-        env: dict[str, int] = {}
+    def _offsets(self, stream: tuple, what: str) -> np.ndarray:
+        layout = self.layout
 
-        def visit(items) -> Iterator[HostValueRef]:
+        def offset(stmt: IOStatement, env: dict) -> "np.ndarray | int":
+            if stmt.external_array is None:
+                if stmt.kind is OpKind.RECV:
+                    return layout.literal_word(stmt.external_literal)
+                return layout.discard
+            index = stmt.external_index.evaluate(env)
+            base, size = layout.spans.get(stmt.external_array, (0, 0))
+            inside = (0 <= index) & (index < size)
+            return np.where(inside, base + index, -1 - stmt.io_index)
+
+        offsets = self._stream(stream, offset)
+        bad = np.flatnonzero(offsets < 0)
+        if bad.size:
+            # Rare, so the raw index is found by evaluating again.
+            stmt = self._io[-1 - int(offsets[bad[0]])]
+            index = self._stream(
+                stream,
+                lambda s, env: s.external_index.evaluate(env)
+                if s.external_index is not None
+                else 0,
+            )[bad[0]]
+            raise HostDataError(
+                f"{what} {stmt.external_array}[{index}] is out of bounds"
+            )
+        return offsets
+
+    def _stream(
+        self, stream: tuple, word: Callable[[IOStatement, dict], object]
+    ) -> np.ndarray:
+        """``word(statement, env)`` of every event on ``stream``, in
+        order.  Inside ``d`` nested loops ``env`` maps each loop index to
+        its values as an array that broadcasts over the ``d`` trip axes
+        (outermost first), so each statement is evaluated once per loop
+        nest, never word by word."""
+
+        def visit(items, env: dict, trips: tuple[int, ...]) -> np.ndarray:
+            """The words of ``items``, shaped ``trips + (words per
+            innermost iteration,)``."""
+            parts = [np.zeros(trips + (0,), dtype=np.int64)]
             for item in items:
                 if isinstance(item, ScheduledBlock):
-                    for event in item.io_events:
-                        if event.kind is not kind:
-                            continue
-                        if (
-                            event.queue.direction is not direction
-                            or event.queue.channel is not channel
-                        ):
-                            continue
-                        yield self._resolve(self._io[event.io_index], env)
+                    for stmt in self._statements(item, stream):
+                        words = np.broadcast_to(word(stmt, env), trips)
+                        parts.append(words[..., None])
                 else:
-                    assert isinstance(item, ScheduledLoop)
-                    for i in range(item.trip):
-                        env[item.var] = item.start + i * item.step
-                        yield from visit(item.body)
-                    env.pop(item.var, None)
+                    inner = {name: grid[..., None] for name, grid in env.items()}
+                    inner[item.var] = item.start + item.step * np.arange(
+                        item.trip, dtype=np.int64
+                    )
+                    body = visit(item.body, inner, trips + (item.trip,))
+                    parts.append(
+                        body.reshape(trips + (item.trip * body.shape[-1],))
+                    )
+            return np.concatenate(parts, axis=-1, dtype=np.int64)
 
-        yield from visit(self._code.items)
-
-    @staticmethod
-    def _resolve(stmt: IOStatement, env: dict[str, int]) -> HostValueRef:
-        if stmt.external_literal is not None:
-            return HostValueRef(None, None, stmt.external_literal)
-        if stmt.external_array is not None:
-            assert stmt.external_index is not None
-            return HostValueRef(
-                stmt.external_array, stmt.external_index.evaluate(env), None
-            )
-        return HostValueRef(None, None, None)
+        return visit(self._code.items, {}, ())
 
 
-def generate_host_program(
-    code: CellCode, io_statements: list[IOStatement]
-) -> HostProgram:
+def generate_host_program(code: CellCode, ir: CellProgramIR) -> HostProgram:
     """Build the host I/O program for scheduled cell code."""
-    return HostProgram(code, io_statements)
+    return HostProgram(code, ir)

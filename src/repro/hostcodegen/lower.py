@@ -1,32 +1,34 @@
-"""Lowering host I/O sequences to transfer descriptors.
+"""Lowering host I/O streams to transfer descriptors.
 
 "The I/O processors in the Warp host must be programmed to supply input
 in the exact sequence as the data is used in the Warp cells"
-(Section 2.2).  The item-by-item sequence of
-:class:`~repro.hostcodegen.io_program.HostProgram` is what must happen;
+(Section 2.2).  The word offsets of
+:class:`~repro.hostcodegen.io_program.HostProgram` are what must happen;
 real I/O processors are programmed with *block transfers* — (base,
 stride, count) descriptors — not per-word scripts.
 
-This module compresses each channel's sequence into descriptors:
+This module compresses each channel's offsets into descriptors:
 
 * ``BlockTransfer`` — ``count`` words from ``array`` starting at
   ``base`` with constant ``stride`` (stride 0 = a repeated element);
 * ``LiteralRun`` — ``count`` copies of a literal (the IU synthesises
-  these);
-* ``Scatter`` — an irregular remainder kept as explicit indices.
+  these; the collection's discards are clocked as runs of 0.0).
 
-A round-trip check (descriptor expansion == original sequence) is part
+A round-trip check (descriptor expansion == original offsets) is part
 of the test suite, and :func:`transfer_statistics` feeds the
 decomposition report.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
+
+import numpy as np
 
 from ..lang.ast import Channel
-from .io_program import HostProgram, HostValueRef
+from .io_program import HostLayout, HostProgram
 
 
 @dataclass(frozen=True)
@@ -38,9 +40,9 @@ class BlockTransfer:
     stride: int
     count: int
 
-    def expand(self) -> Iterator[HostValueRef]:
-        for k in range(self.count):
-            yield HostValueRef(self.array, self.base + k * self.stride, None)
+    def offsets(self, layout: HostLayout) -> np.ndarray:
+        first, _size = layout.spans[self.array]
+        return first + self.base + self.stride * np.arange(self.count)
 
 
 @dataclass(frozen=True)
@@ -50,24 +52,11 @@ class LiteralRun:
     value: float
     count: int
 
-    def expand(self) -> Iterator[HostValueRef]:
-        for _ in range(self.count):
-            yield HostValueRef(None, None, self.value)
+    def offsets(self, layout: HostLayout) -> np.ndarray:
+        return np.full(self.count, layout.literal_word(self.value))
 
 
-@dataclass(frozen=True)
-class Scatter:
-    """An irregular access pattern kept explicit."""
-
-    array: str
-    indices: tuple[int, ...]
-
-    def expand(self) -> Iterator[HostValueRef]:
-        for index in self.indices:
-            yield HostValueRef(self.array, index, None)
-
-
-TransferOp = Union[BlockTransfer, LiteralRun, Scatter]
+TransferOp = Union[BlockTransfer, LiteralRun]
 
 
 @dataclass
@@ -79,79 +68,52 @@ class HostTransferProgram:
 
     @property
     def total_words(self) -> int:
-        return sum(
-            op.count if not isinstance(op, Scatter) else len(op.indices)
-            for op in self.ops
+        return sum(op.count for op in self.ops)
+
+    def expand(self, layout: HostLayout) -> np.ndarray:
+        """The word offsets the descriptors stand for."""
+        return np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [op.offsets(layout) for op in self.ops]
         )
 
-    def expand(self) -> Iterator[HostValueRef]:
-        for op in self.ops:
-            yield from op.expand()
 
-
-def _flush_run(
-    ops: list[TransferOp], array: str, indices: list[int]
-) -> None:
-    """Emit the longest-stride-run decomposition of ``indices``."""
+def _block_runs(array: str, indices: list[int]) -> list[BlockTransfer]:
+    """The greedy longest-constant-stride decomposition of ``indices``."""
+    runs: list[BlockTransfer] = []
     start = 0
-    n = len(indices)
-    while start < n:
-        if start + 1 == n:
-            ops.append(BlockTransfer(array, indices[start], 0, 1))
-            start += 1
-            continue
-        stride = indices[start + 1] - indices[start]
-        end = start + 1
-        while end + 1 < n and indices[end + 1] - indices[end] == stride:
+    while start < len(indices):
+        end = min(start + 1, len(indices) - 1)  # the run's last index
+        stride = indices[end] - indices[start]
+        while end + 1 < len(indices) and indices[end + 1] - indices[end] == stride:
             end += 1
-        count = end - start + 1
-        if count >= 2 or stride == 0:
-            ops.append(BlockTransfer(array, indices[start], stride, count))
-            start = end + 1
-        else:
-            ops.append(BlockTransfer(array, indices[start], 0, 1))
-            start += 1
+        runs.append(BlockTransfer(array, indices[start], stride, end - start + 1))
+        start = end + 1
+    return runs
 
 
-def compress_sequence(
-    channel: Channel, refs: list[HostValueRef]
+def compress_offsets(
+    channel: Channel, offsets: np.ndarray, layout: HostLayout
 ) -> HostTransferProgram:
-    """Compress an item sequence into transfer descriptors."""
+    """Compress a stream of word offsets into transfer descriptors."""
+
+    def source(offset: int) -> tuple[str | None, float | None]:
+        """``(array, None)`` for an array word, ``(None, literal)`` for a
+        literal word; the discard slot reads as the literal 0.0."""
+        if offset < layout.literal_base:
+            return layout.locate(offset)[0], None
+        if offset == layout.discard:
+            return None, 0.0
+        return None, layout.literals[offset - layout.literal_base]
+
     program = HostTransferProgram(channel=channel)
-    pending_array: str | None = None
-    pending_indices: list[int] = []
-    pending_literal: float | None = None
-    literal_count = 0
-
-    def flush_array() -> None:
-        nonlocal pending_array, pending_indices
-        if pending_array is not None and pending_indices:
-            _flush_run(program.ops, pending_array, pending_indices)
-        pending_array = None
-        pending_indices = []
-
-    def flush_literal() -> None:
-        nonlocal pending_literal, literal_count
-        if literal_count:
-            program.ops.append(LiteralRun(pending_literal, literal_count))
-        pending_literal = None
-        literal_count = 0
-
-    for ref in refs:
-        if ref.is_literal:
-            flush_array()
-            if pending_literal is not None and ref.literal != pending_literal:
-                flush_literal()
-            pending_literal = ref.literal
-            literal_count += 1
+    for (array, literal), run in itertools.groupby(offsets.tolist(), source):
+        words = list(run)
+        if array is None:
+            program.ops.append(LiteralRun(literal, len(words)))
         else:
-            flush_literal()
-            if ref.array != pending_array:
-                flush_array()
-                pending_array = ref.array
-            pending_indices.append(ref.flat_index)
-    flush_array()
-    flush_literal()
+            base = layout.spans[array][0]
+            program.ops.extend(_block_runs(array, [w - base for w in words]))
     return program
 
 
@@ -159,7 +121,7 @@ def lower_input_program(
     host: HostProgram, channel: Channel
 ) -> HostTransferProgram:
     """The feed of one channel as transfer descriptors."""
-    return compress_sequence(channel, list(host.input_sequence(channel)))
+    return compress_offsets(channel, host.feed(channel), host.layout)
 
 
 def lower_output_program(
@@ -167,13 +129,7 @@ def lower_output_program(
 ) -> HostTransferProgram:
     """The collection of one channel as transfer descriptors (discards
     become literal runs of 0.0 — the I/O processor still clocks them)."""
-    refs = [
-        HostValueRef(b.array, b.flat_index, None)
-        if not b.is_discard
-        else HostValueRef(None, None, 0.0)
-        for b in host.output_bindings(channel)
-    ]
-    return compress_sequence(channel, refs)
+    return compress_offsets(channel, host.collection(channel), host.layout)
 
 
 @dataclass(frozen=True)

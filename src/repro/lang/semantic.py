@@ -66,10 +66,12 @@ class AffineIndex:
         return tuple(name for name, _ in self.coefficients)
 
     def evaluate(self, env: dict[str, int]) -> int:
-        """Evaluate under a loop-index assignment."""
+        """Evaluate under a loop-index assignment.  The indices may be
+        NumPy arrays that broadcast against each other; the result is
+        then their broadcast shape."""
         value = self.constant
         for name, coeff in self.coefficients:
-            value += coeff * env[name]
+            value = value + coeff * env[name]
         return value
 
     def __str__(self) -> str:

@@ -77,8 +77,8 @@ class SimulationResult:
 class WarpMachine:
     """A configured Warp machine ready to run compiled programs.
 
-    All state derived purely from the program (skip-idle block plans,
-    the IU address schedule, the host I/O sequences) is computed once
+    All state derived purely from the program (compiled block plans,
+    the IU address schedule, the host I/O word offsets) is computed once
     on first use and reused by every subsequent :meth:`run` — keep one
     machine around when streaming many input sets through the same
     program (see :class:`repro.exec.BatchRunner`).
@@ -104,7 +104,9 @@ class WarpMachine:
         faults: "InjectionPlan | FaultInjector | None" = None,
     ) -> SimulationResult:
         injector = _injector_of(faults)
-        memory = HostMemory.from_inputs(self._program.ir.host_arrays, inputs)
+        memory = HostMemory.from_inputs(
+            self._program.host_program.layout, inputs
+        )
         return self._execute(
             memory, self.plan.blocks, trace_limit, record, injector
         )
@@ -123,7 +125,9 @@ class WarpMachine:
         static facts (cell stats, queue occupancy, metrics).  A
         :class:`~repro.errors.SimulationError` here does not depend on
         the data, so every item would meet it on its own run too."""
-        memory, failed = load_inputs(self._program.ir.host_arrays, input_sets)
+        memory, failed = load_inputs(
+            self._program.host_program.layout, input_sets
+        )
         valid = [item for item in range(len(input_sets)) if item not in failed]
         if not valid:
             return {}
@@ -165,33 +169,31 @@ class WarpMachine:
         # (index 0 is the host boundary, index n_cells the collector).
         # Clean runs build plain TimedQueues; an active injector swaps
         # in integrity-checked FaultyQueues (and may shrink capacities).
-        links: list[dict[Channel, TimedQueue]] = []
-        for i in range(n_cells + 1):
+        # The host boundary is filled whole by the feeder; no injector
+        # touches its words.
+        def capacities(i: int) -> dict[Channel, int | None]:
+            default = None if i == 0 else self._config.queue_depth
+            return {
+                channel: default
+                if injector is None
+                else injector.link_capacity(i, channel.value, default)
+                for channel in (Channel.X, Channel.Y)
+            }
+
+        links = [feed_input_queues(plan.feed, memory, capacities(0))]
+        for i in range(1, n_cells + 1):
             link: dict[Channel, TimedQueue] = {}
-            for channel in (Channel.X, Channel.Y):
-                capacity = None if i == 0 else self._config.queue_depth
+            for channel, capacity in capacities(i).items():
+                name = f"link{i}.{channel.value}"
                 if injector is not None:
-                    capacity = injector.link_capacity(
-                        i, channel.value, capacity
-                    )
                     from ..faults.injector import FaultyQueue
 
                     link[channel] = FaultyQueue(
-                        injector=injector if i >= 1 else None,
-                        name=f"link{i}.{channel.value}",
-                        capacity=capacity,
+                        injector=injector, name=name, capacity=capacity
                     )
                 else:
-                    link[channel] = TimedQueue(
-                        name=f"link{i}.{channel.value}", capacity=capacity
-                    )
+                    link[channel] = TimedQueue(name=name, capacity=capacity)
             links.append(link)
-        feed_input_queues(
-            program.host_program,
-            memory,
-            links[0],
-            sequences=plan.input_refs,
-        )
 
         # Address path: the same IU stream per cell, delayed by the hop
         # latency; emitted FIFO order is preserved.
@@ -256,7 +258,7 @@ class WarpMachine:
         # count — a dropped or duplicated send diverges here even when
         # it would never underflow (unconsumed pads are otherwise
         # legal).  The collector link is checked by collect_outputs
-        # against the host program's binding count.
+        # against the host program's collection length.
         for i in range(1, n_cells):
             for channel, queue in links[i].items():
                 occupancy[queue.name] = queue.audit_capacity()
@@ -278,12 +280,7 @@ class WarpMachine:
                     if isinstance(queue, FaultyQueue):
                         queue.verify_integrity()
 
-        collect_outputs(
-            program.host_program,
-            memory,
-            links[n_cells],
-            bindings=plan.output_bindings,
-        )
+        collect_outputs(plan.collection, memory, links[n_cells])
 
         outputs = {
             name: memory.arrays[name].copy()

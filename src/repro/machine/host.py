@@ -9,68 +9,75 @@ queue has no hard capacity; a cell trying to consume *faster* than one
 word per cycle per channel still underflows, which models the bandwidth
 limit faithfully.
 
-The collector drains the last cell's queues and scatters the values into
-host memory according to the output bindings.
-
-Host memory holds one run's arrays, or a whole batch at once: one
-``(elements, items)`` float64 column per host array, filled by
-:func:`load_inputs`, the one routine that validates host inputs for a
-single run and for a batch alike.  Schedules are data-independent, so
-the same cycle-accurate run carries either: a word is a Python float or
-a row holding every item's value of that word."""
+Host memory is one flat float64 buffer in the word numbering of
+:class:`~repro.hostcodegen.HostLayout`: ``(words,)`` for one run, or
+``(words, items)`` for a whole batch, filled by :func:`load_inputs`, the
+one routine that validates host inputs for both.  A channel's feed is
+one gather at static word offsets and its collection a scatter to them;
+a word is a Python float or a row holding every item's value of that word."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import HostDataError
-from ..hostcodegen import HostProgram
+from ..hostcodegen import HostLayout
 from ..lang.ast import Channel
 from .queue import TimedQueue
 
 
 @dataclass
 class HostMemory:
-    """Host arrays by name, as flat float64 storage: one ``(elements,)``
-    array per name for one run, or one ``(elements, items)`` column per
-    name for a batch run over NumPy columns."""
+    """One flat float64 ``buffer`` of host words: ``(words,)`` for one
+    run, ``(words, items)`` for a batch run over NumPy columns.
+    ``arrays`` holds each host array as a view into it: ``(elements,)``
+    or ``(elements, items)``."""
 
+    buffer: np.ndarray
     arrays: dict[str, np.ndarray]
+
+    @classmethod
+    def over(cls, layout: HostLayout, buffer: np.ndarray) -> "HostMemory":
+        """The memory of ``buffer``, laid out by ``layout``."""
+        spans = layout.spans.items()
+        return cls(buffer, {name: buffer[b : b + n] for name, (b, n) in spans})
 
     @classmethod
     def from_inputs(
         cls,
-        host_shapes: dict[str, tuple[int, ...]],
+        host_shapes: "HostLayout | dict[str, tuple[int, ...]]",
         inputs: dict[str, "np.ndarray"],
     ) -> "HostMemory":
-        """One item's memory; raises what :func:`load_inputs` reports."""
-        memory, failed = load_inputs(host_shapes, [inputs])
+        """One item's memory; raises what :func:`load_inputs` reports.
+        ``host_shapes`` is a program's layout or just its host array
+        shapes (the reference interpreter has no host program)."""
+        layout = host_shapes
+        if not isinstance(layout, HostLayout):
+            layout = HostLayout(layout)
+        memory, failed = load_inputs(layout, [inputs])
         if failed:
             raise failed[0]
-        return cls({name: data[:, 0] for name, data in memory.arrays.items()})
+        return cls.over(layout, memory.buffer[:, 0].copy())
 
 
 def load_inputs(
-    host_shapes: dict[str, tuple[int, ...]],
+    layout: HostLayout,
     input_sets: Sequence[dict[str, "np.ndarray"]],
 ) -> tuple[HostMemory, dict[int, Exception]]:
     """Validate every input set, writing item ``j`` straight into column
-    ``j`` of one zeroed ``(elements, items)`` array per host array (short
-    inputs are zero-padded; names the module does not declare are
-    ignored).  Returns that memory and, by item index, the error of each
-    item that failed validation; a batch run discards such an item's
-    column."""
-    batch = len(input_sets)
-    memory = HostMemory(
-        {
-            name: np.zeros((math.prod(dims), batch))
-            for name, dims in host_shapes.items()
-        }
+    ``j`` of one zeroed ``(words, items)`` buffer (short inputs are
+    zero-padded; names the module does not declare are ignored); the
+    literal words hold their literals.  Returns that memory and, by item
+    index, the error of each item that failed validation; a batch run
+    discards such an item's column."""
+    buffer = np.zeros((layout.words, len(input_sets)))
+    buffer[layout.literal_base : layout.discard] = np.reshape(
+        layout.literals, (-1, 1)
     )
+    memory = HostMemory.over(layout, buffer)
     failed: dict[int, Exception] = {}
     for item, inputs in enumerate(input_sets):
         try:
@@ -89,77 +96,69 @@ def load_inputs(
     return memory, failed
 
 
-def feed_input_queues(
-    host_program: HostProgram,
-    memory: HostMemory,
-    queues: dict[Channel, TimedQueue],
-    sequences: dict[Channel, list] | None = None,
-) -> None:
-    """Load cell 0's input queues: item ``k`` arrives at cycle ``k``
-    (one word per cycle per channel).
+@dataclass(frozen=True)
+class Collection:
+    """Where one channel's output stream lands: ``words`` words arrive,
+    and word ``sources[k]`` is stored at host word ``targets[k]``."""
 
-    ``sequences`` optionally supplies the per-channel input references
-    precomputed by an :class:`~repro.machine.plan.ExecutionPlan`, so
-    batched runs do not re-derive them from the host program.  One run
-    sends Python floats (the cells' fast scalar arithmetic); a batch run
-    sends one row of its columns per word, every item's value at once.
-    The rows are views: receives read only ``in`` arrays and the
-    collector writes only ``out`` arrays.
-    """
-    words = {
-        name: data.tolist() if data.ndim == 1 else data
-        for name, data in memory.arrays.items()
-    }
-    for channel, queue in queues.items():
-        refs = (
-            sequences[channel]
-            if sequences is not None
-            else host_program.input_sequence(channel)
+    words: int
+    sources: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def of(cls, offsets: np.ndarray, discard: int) -> "Collection":
+        """The scatter of a stream's word ``offsets``: discards are
+        dropped, and a host word written twice keeps its last write."""
+        kept = np.flatnonzero(offsets != discard)[::-1]
+        _, last = np.unique(offsets[kept], return_index=True)
+        sources = kept[last]
+        return cls(len(offsets), sources, offsets[sources])
+
+
+def feed_input_queues(
+    feed: dict[Channel, np.ndarray],
+    memory: HostMemory,
+    capacities: dict[Channel, int | None],
+) -> dict[Channel, TimedQueue]:
+    """Cell 0's input queues (link 0), built whole: word ``k`` of a
+    channel's ``feed`` offsets arrives at cycle ``k`` (one word per
+    cycle per channel).
+
+    One gather per channel reads the words: one run hands out Python
+    floats (the cells' fast scalar arithmetic), a batch run one row per
+    word, holding every item's value at once."""
+    link: dict[Channel, TimedQueue] = {}
+    for channel, offsets in feed.items():
+        words = memory.buffer[offsets]
+        link[channel] = TimedQueue(
+            name=f"link0.{channel.value}",
+            capacity=capacities[channel],
+            send_times=list(range(len(words))),
+            values=words.tolist() if words.ndim == 1 else list(words),
         )
-        for k, ref in enumerate(refs):
-            if ref.is_literal:
-                value = float(ref.literal)  # type: ignore[arg-type]
-            else:
-                assert ref.array is not None and ref.flat_index is not None
-                data = words.get(ref.array)
-                if data is None or not (0 <= ref.flat_index < len(data)):
-                    raise HostDataError(
-                        f"input reference {ref.array}[{ref.flat_index}] is "
-                        "out of bounds"
-                    )
-                value = data[ref.flat_index]
-            queue.enqueue(k, value)
+    return link
 
 
 def collect_outputs(
-    host_program: HostProgram,
+    collection: dict[Channel, Collection],
     memory: HostMemory,
     queues: dict[Channel, TimedQueue],
-    bindings: dict[Channel, list] | None = None,
 ) -> None:
-    """Scatter the last cell's output streams into host memory.
-
-    ``bindings`` optionally supplies precomputed per-channel output
-    bindings (see :func:`feed_input_queues`)."""
+    """Scatter the last cell's output streams into host memory."""
     for channel, queue in queues.items():
-        channel_bindings = (
-            bindings[channel]
-            if bindings is not None
-            else list(host_program.output_bindings(channel))
-        )
-        if len(channel_bindings) != queue.items_sent:
+        scatter = collection[channel]
+        if scatter.words != queue.items_sent:
             raise HostDataError(
                 f"channel {channel}: the last cell sent {queue.items_sent} "
-                f"items but the host program expects {len(channel_bindings)}"
+                f"items but the host program expects {scatter.words}"
             )
-        for binding, value in zip(channel_bindings, queue.values):
-            if binding.is_discard:
-                continue
-            assert binding.array is not None and binding.flat_index is not None
-            data = memory.arrays[binding.array]
-            if not (0 <= binding.flat_index < len(data)):
-                raise HostDataError(
-                    f"output binding {binding.array}[{binding.flat_index}] "
-                    "is out of bounds"
-                )
-            data[binding.flat_index] = value
+        if memory.buffer.ndim == 1:
+            values = np.array(queue.values, dtype=np.float64)
+            memory.buffer[scatter.targets] = values[scatter.sources]
+            continue
+        # A batch run stores its rows one by one: a word the cells never
+        # combined with data is still a Python float among the rows (the
+        # assignment broadcasts it), and each kept row is copied once.
+        targets, sources = scatter.targets.tolist(), scatter.sources.tolist()
+        for target, source in zip(targets, sources):
+            memory.buffer[target] = queue.values[source]

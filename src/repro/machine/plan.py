@@ -21,8 +21,9 @@ of a batch:
   sends and receives.
 * **The IU address schedule** (``emissions``), identical for every cell
   up to the per-hop delay, rather than re-walked per run.
-* **The host I/O sequences** (input references and output bindings per
-  channel), rather than re-derived from the host program per run.
+* **The host I/O streams**: per channel, the word offsets of the feed
+  (one gather) and the collection (one scatter), derived in closed form
+  by the host program and bounds-checked once, here.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from ..config import CellConfig
 from ..errors import SimulationError
 from ..ir.dag import OpKind
 from ..lang.ast import Channel, Direction
+from .host import Collection
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from ..compiler.driver import CompiledProgram
-    from ..hostcodegen.io_program import HostBinding, HostValueRef
 
 
 @dataclass(frozen=True)
@@ -281,12 +282,15 @@ class ExecutionPlan:
         self.emission_values: list[float] = [
             float(a) for _t, _d, a in self.emissions
         ]
-        self.input_refs: dict[Channel, list["HostValueRef"]] = {
-            channel: list(program.host_program.input_sequence(channel))
-            for channel in (Channel.X, Channel.Y)
+        # Per channel, the host word offsets fed into cell 0 and the
+        # collection's scatter.  A host index out of bounds raises
+        # HostDataError here, before the run starts.
+        host = program.host_program
+        self.feed = {
+            channel: host.feed(channel) for channel in (Channel.X, Channel.Y)
         }
-        self.output_bindings: dict[Channel, list["HostBinding"]] = {
-            channel: list(program.host_program.output_bindings(channel))
+        self.collection: dict[Channel, Collection] = {
+            channel: Collection.of(host.collection(channel), host.layout.discard)
             for channel in (Channel.X, Channel.Y)
         }
         #: Static per-channel I/O counts of one cell run, used by the

@@ -13,6 +13,7 @@ Properties locked down:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pickle
 
 import numpy as np
@@ -153,7 +154,15 @@ class TestDiskCache:
 
     @pytest.mark.parametrize(
         "corruption",
-        ["truncate", "garbage", "empty", "wrong_version", "wrong_key"],
+        [
+            "truncate",
+            "garbage",
+            "empty",
+            "wrong_version",
+            "stale_version",
+            "flipped_bit",
+            "wrong_key",
+        ],
     )
     def test_corrupt_entry_silently_recompiles(self, tmp_path, corruption):
         source = polynomial(10, 3)
@@ -171,6 +180,24 @@ class TestDiskCache:
         elif corruption == "wrong_version":
             envelope = pickle.loads(entry.read_bytes())
             envelope["format"] = DISK_FORMAT_VERSION + 1
+            entry.write_bytes(pickle.dumps(envelope))
+        elif corruption == "stale_version":
+            # An entry written before the last format bump: it unpickles,
+            # but its artifacts lack the fields the current code reads.
+            envelope = pickle.loads(entry.read_bytes())
+            stale = pickle.loads(envelope["program"])
+            del stale.host_program.layout
+            envelope["format"] = DISK_FORMAT_VERSION - 1
+            envelope["program"] = pickle.dumps(stale)
+            envelope["digest"] = hashlib.sha256(envelope["program"]).hexdigest()
+            entry.write_bytes(pickle.dumps(envelope))
+        elif corruption == "flipped_bit":
+            # A bit flipped in the pickled source text still unpickles;
+            # only the digest tells.
+            envelope = pickle.loads(entry.read_bytes())
+            data = bytearray(envelope["program"])
+            data[data.index(b"cellprogram")] ^= 0x01
+            envelope["program"] = bytes(data)
             entry.write_bytes(pickle.dumps(envelope))
         else:
             envelope = pickle.loads(entry.read_bytes())

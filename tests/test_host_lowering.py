@@ -1,5 +1,6 @@
 """Tests for host transfer-descriptor lowering."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 from repro.compiler import compile_w2
 from repro.hostcodegen import (
     BlockTransfer,
-    HostValueRef,
+    HostLayout,
     LiteralRun,
-    compress_sequence,
+    compress_offsets,
     lower_input_program,
     lower_output_program,
     transfer_statistics,
@@ -17,61 +18,59 @@ from repro.hostcodegen import (
 from repro.lang import Channel
 from repro.programs import TABLE_7_1_PROGRAMS, conv2d, matmul, polynomial
 
-
-def ref(array=None, index=None, literal=None):
-    return HostValueRef(array, index, literal)
-
-
-def expand_tuples(program):
-    return [(r.array, r.flat_index, r.literal) for r in program.expand()]
+#: ``a`` is words 0-39, ``b`` words 40-79, the literals 0.0/1.0/2.0
+#: words 80-82 and the discard slot word 83.
+LAYOUT = HostLayout({"a": (40,), "b": (4, 10)}, (0.0, 1.0, 2.0))
 
 
-def tuples(refs):
-    return [(r.array, r.flat_index, r.literal) for r in refs]
+def word(array=None, index=None, literal=None):
+    if array is None:
+        return LAYOUT.literal_word(literal)
+    return LAYOUT.spans[array][0] + index
+
+
+def compress(channel, words):
+    return compress_offsets(channel, np.array(words, dtype=np.int64), LAYOUT)
 
 
 class TestCompression:
     def test_contiguous_run_is_one_descriptor(self):
-        refs = [ref("a", i) for i in range(10)]
-        program = compress_sequence(Channel.X, refs)
+        program = compress(Channel.X, [word("a", i) for i in range(10)])
         assert program.ops == [BlockTransfer("a", 0, 1, 10)]
 
     def test_strided_run(self):
-        refs = [ref("a", i) for i in range(0, 30, 3)]
-        program = compress_sequence(Channel.X, refs)
+        program = compress(Channel.X, [word("a", i) for i in range(0, 30, 3)])
         assert program.ops == [BlockTransfer("a", 0, 3, 10)]
 
     def test_descending_run(self):
-        refs = [ref("a", i) for i in (9, 8, 7, 6)]
-        program = compress_sequence(Channel.X, refs)
+        program = compress(Channel.X, [word("a", i) for i in (9, 8, 7, 6)])
         assert program.ops == [BlockTransfer("a", 9, -1, 4)]
 
     def test_literal_run(self):
-        refs = [ref(literal=0.0)] * 5
-        program = compress_sequence(Channel.Y, refs)
+        program = compress(Channel.Y, [word(literal=0.0)] * 5)
         assert program.ops == [LiteralRun(0.0, 5)]
 
     def test_mixed_arrays_split(self):
-        refs = [ref("a", 0), ref("a", 1), ref("b", 0), ref("b", 1)]
-        program = compress_sequence(Channel.X, refs)
+        words = [word("a", 0), word("a", 1), word("b", 0), word("b", 1)]
+        program = compress(Channel.X, words)
         arrays = [op.array for op in program.ops]
         assert arrays == ["a", "b"]
 
     def test_literal_value_change_splits_runs(self):
-        refs = [ref(literal=0.0)] * 3 + [ref(literal=1.0)] * 2
-        program = compress_sequence(Channel.X, refs)
+        words = [word(literal=0.0)] * 3 + [word(literal=1.0)] * 2
+        program = compress(Channel.X, words)
         assert program.ops == [LiteralRun(0.0, 3), LiteralRun(1.0, 2)]
 
     def test_roundtrip_preserves_sequence(self):
-        refs = [
-            ref("a", 0),
-            ref("a", 5),
-            ref("a", 10),
-            ref(literal=2.0),
-            ref("b", 7),
+        words = [
+            word("a", 0),
+            word("a", 5),
+            word("a", 10),
+            word(literal=2.0),
+            word("b", 7),
         ]
-        program = compress_sequence(Channel.X, refs)
-        assert expand_tuples(program) == tuples(refs)
+        program = compress(Channel.X, words)
+        assert program.expand(LAYOUT).tolist() == words
 
 
 class TestOnCompiledPrograms:
@@ -82,10 +81,11 @@ class TestOnCompiledPrograms:
     )
     def test_input_roundtrip(self, source):
         program = compile_w2(source)
+        host = program.host_program
         for channel in (Channel.X, Channel.Y):
-            lowered = lower_input_program(program.host_program, channel)
-            original = list(program.host_program.input_sequence(channel))
-            assert expand_tuples(lowered) == tuples(original)
+            lowered = lower_input_program(host, channel)
+            original = host.feed(channel)
+            assert lowered.expand(host.layout).tolist() == original.tolist()
 
     def test_output_includes_discards_as_padding(self):
         program = compile_w2(polynomial(12, 4))
@@ -114,23 +114,23 @@ class TestOnCompiledPrograms:
 
 @st.composite
 def random_sequences(draw):
-    refs = []
+    words = []
     for _ in range(draw(st.integers(0, 30))):
         if draw(st.booleans()):
-            refs.append(
-                ref(
+            words.append(
+                word(
                     draw(st.sampled_from(["a", "b"])),
-                    draw(st.integers(0, 40)),
+                    draw(st.integers(0, 39)),
                 )
             )
         else:
-            refs.append(ref(literal=float(draw(st.integers(0, 2)))))
-    return refs
+            words.append(word(literal=float(draw(st.integers(0, 2)))))
+    return words
 
 
 class TestRoundTripProperty:
     @given(random_sequences())
     @settings(max_examples=200, deadline=None)
-    def test_expand_inverts_compress(self, refs):
-        program = compress_sequence(Channel.X, refs)
-        assert expand_tuples(program) == tuples(refs)
+    def test_expand_inverts_compress(self, words):
+        program = compress(Channel.X, words)
+        assert program.expand(LAYOUT).tolist() == words

@@ -384,3 +384,116 @@ end
         result = simulate(program, inputs)
         assert np.array_equal(result.outputs["zs"], expected["zs"])
         assert np.array_equal(result.outputs["zs"], inputs["ys"])
+
+
+HOST_OOB = """
+module oob (a in, b out)
+float a[4];
+float b[4];
+cellprogram (cid : 0 : 1)
+begin
+    float t;
+    int i;
+    for i := 0 to 3 do begin
+        receive (L, X, t, {receive});
+        send (R, X, t, {send});
+    end;
+end
+"""
+
+
+class TestHostIndexOutOfBounds:
+    """A host index past its array compiles (the host program is only
+    evaluated when a run is planned) and fails every run with the same
+    message as the reference interpreter's."""
+
+    @pytest.mark.parametrize(
+        "receive, send, message, interpreted",
+        [
+            ("a[i+1]", "b[i]", "input reference a[4] is out of bounds",
+             "a[4] out of bounds"),
+            ("a[i]", "b[i+1]", "output binding b[4] is out of bounds",
+             "b[4] out of bounds"),
+        ],
+        ids=["input", "output"],
+    )
+    def test_every_path_reports_it(self, receive, send, message, interpreted):
+        from repro.errors import HostDataError
+        from repro.exec import BatchRunner
+
+        source = HOST_OOB.format(receive=receive, send=send)
+        program = compile_w2(source)  # must not raise
+        inputs = {"a": np.arange(4.0)}
+        with pytest.raises(HostDataError) as error:
+            simulate(program, inputs)
+        assert str(error.value) == message
+        batch = BatchRunner(program).run([inputs, inputs, {}])
+        assert batch.results == [None, None, None]
+        assert [f.index for f in batch.failures] == [0, 1, 2]
+        for failure in batch.failures:
+            assert failure.error_type == "HostDataError"
+            assert failure.message == message
+        with pytest.raises(HostDataError) as error:
+            interpret(analyze(parse_module(source)), inputs)
+        assert str(error.value) == interpreted
+
+
+    def test_stream_with_literals_names_the_array_word(self):
+        from repro.errors import HostDataError
+
+        source = """
+module oob (a in, b out)
+float a[4];
+float b[4];
+cellprogram (cid : 0 : 1)
+begin
+    float t, u;
+    int i;
+    for i := 0 to 3 do begin
+        receive (L, X, u, 2.0);
+        receive (L, X, t, a[i+1]);
+        send (R, X, t + u, b[i]);
+        send (R, X, u);
+    end;
+end
+"""
+        with pytest.raises(HostDataError) as error:
+            simulate(compile_w2(source), {"a": np.arange(4.0)})
+        assert str(error.value) == "input reference a[4] is out of bounds"
+
+
+class TestZeroIndexDivisor:
+    """An index divisor must fold to a nonzero constant: semantic
+    analysis refuses a zero one on both the compiler's and the
+    reference interpreter's path, so the interpreter's integer ``//``
+    never sees a zero."""
+
+    @pytest.mark.parametrize("index", ["i/0", "4/0", "0/0"])
+    @pytest.mark.parametrize("subscripted", ["host", "local"])
+    def test_refused_on_both_paths(self, index, subscripted):
+        from repro.lang import UnsupportedProgramError
+
+        host, local = (
+            (f"m[{index}]", "i") if subscripted == "host" else ("m[i]", index)
+        )
+        source = f"""
+module zdiv (m in, b out)
+float m[8];
+float b[4];
+cellprogram (cid : 0 : 0)
+begin
+    float t;
+    float w[8];
+    int i;
+    for i := 0 to 3 do begin
+        receive (L, X, t, {host});
+        w[{local}] := t;
+        send (R, X, w[i], b[i]);
+    end;
+end
+"""
+        match = "division in array subscripts must fold to a constant"
+        with pytest.raises(UnsupportedProgramError, match=match):
+            compile_w2(source)
+        with pytest.raises(UnsupportedProgramError, match=match):
+            interpret(analyze(parse_module(source)), {})

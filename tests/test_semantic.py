@@ -1,5 +1,6 @@
 """Unit tests for W2 semantic analysis and the affine index machinery."""
 
+import numpy as np
 import pytest
 
 from repro.lang import (
@@ -221,6 +222,19 @@ class TestAffineAlgebra:
     def test_evaluate(self):
         form = AffineIndex(4, (("i", 2), ("j", -1)))
         assert form.evaluate({"i": 3, "j": 5}) == 4 + 6 - 5
+
+    def test_evaluate_over_broadcast_grids_equals_scalar_evaluation(self):
+        """The closed-form host streams evaluate an index once over
+        broadcast loop-index grids (outer axis first)."""
+        form = AffineIndex(4, (("i", 2), ("j", -1), ("k", 3)))
+        i = np.arange(2)[:, None, None]
+        j = 5 + 2 * np.arange(8)[:, None]
+        k = np.arange(3)
+        grid = form.evaluate({"i": i, "j": j, "k": k})
+        assert grid.shape == (2, 8, 3)
+        for a, b, c in np.ndindex(grid.shape):
+            env = {"i": int(i[a, 0, 0]), "j": int(j[b, 0]), "k": int(k[c])}
+            assert grid[a, b, c] == form.evaluate(env)
 
     def test_str_roundtrip_is_readable(self):
         form = AffineIndex(1, (("i", 2),))
