@@ -13,6 +13,7 @@ Public entry point: :func:`compile_w2`.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -31,6 +32,7 @@ from ..iucodegen import IUProgram, generate_iu_code
 from ..lang import AnalyzedModule, analyze, count_w2_lines
 from ..lang.lexer import tokenize
 from ..lang.parser import Parser
+from ..machine.plan import ExecutionPlan
 from ..config import DEFAULT_CONFIG, WarpConfig
 from ..obs import get_telemetry
 from .mirror import mirror_module
@@ -88,6 +90,17 @@ class CompiledProgram:
     @property
     def n_cells(self) -> int:
         return self.ir.n_cells
+
+    @functools.cached_property
+    def execution_plan(self) -> "ExecutionPlan":
+        """The static simulation state all runs share, built on first
+        use and left out of pickles (see :meth:`__getstate__`)."""
+        with get_telemetry().span("machine.plan"):
+            return ExecutionPlan(self)
+
+    def __getstate__(self) -> dict:
+        # The same bytes before and after a run, for the pool and cache.
+        return {k: v for k, v in vars(self).items() if k != "execution_plan"}
 
 
 def _scalar_use_counts(ir: CellProgramIR) -> dict[str, int]:

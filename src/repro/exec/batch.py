@@ -2,22 +2,19 @@
 
 The skewed computation model amortises a cell program's load/compile
 cost over repeated invocations (Section 3); :class:`BatchRunner` is the
-software analogue.  It keeps one :class:`~repro.machine.array.WarpMachine`
-alive so the static simulation state — compiled block plans, the IU
-address schedule, the host I/O word offsets — is computed once and reused
-for every item, and can optionally fan items out over a
-``multiprocessing`` pool (each worker unpickles the program once and
-then streams its share of the items).
+software analogue.  The static simulation state lives on the program
+(its :class:`~repro.machine.plan.ExecutionPlan`), so every item reuses
+it; items can also fan out over a ``multiprocessing`` pool (each worker
+unpickles the program, without its plan, once and then streams its
+share of the items).
 
 A serial batch without fault injection goes further.  Warp schedules
-are data-independent, so it runs the same checked cycle-accurate
-program *once* for the whole batch, over one NumPy column per host
-array (:meth:`~repro.machine.array.WarpMachine.run_columns`): every
-word moved and every operation evaluated carries all items' values at
-once.  Only items whose inputs fail validation, and every item when
-that run raises, go through one cycle-accurate run each.  While it
-runs, the queues hold every word sent as one ``(items,)`` row; nothing
-of it outlives the run.
+are data-independent, so it runs the program's value path *once* for
+the whole batch, over one NumPy column per host array
+(:meth:`~repro.machine.array.WarpMachine.run_columns`): every word
+moved and every operation evaluated carries all items' values at once.
+Only items whose inputs fail validation, and every item when that run
+raises, run one by one.
 
 Batched results are **bit-identical** to one-shot ``simulate`` calls,
 item for item: the runner changes where static state lives and how
@@ -360,7 +357,7 @@ class BatchRunner:
     def _attempt(
         self, inputs: InputSet, _retried: list, injector
     ) -> SimulationResult:
-        """One cycle-accurate attempt on the reused machine."""
+        """One attempt on the reused machine (checked when faulted)."""
         if injector is not None:
             self._simulate_worker_fault(injector)
         return self._machine.run(inputs, faults=injector)

@@ -11,12 +11,16 @@ capacity violations be detected precisely.
 The IU's address emissions propagate down the address path with a
 one-cycle hop per cell; every cell sees the same address stream, delayed
 by its position, and dequeues it in lock step with its own schedule.
+
+Schedules are data-independent, so the plan makes one checked run and
+later clean runs only move values (:meth:`WarpMachine._values`); traced,
+recorded and fault-injected runs stay checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoid circular import at run time
     from ..faults.plan import InjectionPlan
 from .cell import CellExecutor, CellStats, TraceEvent
 from .host import HostMemory, collect_outputs, feed_input_queues, load_inputs
-from .plan import BlockPlan, ExecutionPlan
+from .plan import ExecutionPlan
 from .queue import TimedQueue
 
 
@@ -63,10 +67,6 @@ class SimulationResult:
     #: :class:`~repro.faults.FaultInjector`).
     fault_report: list[str] = field(default_factory=list)
 
-    @property
-    def throughput_denominator(self) -> int:
-        return self.total_cycles
-
     def output(self, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
         data = self.outputs[name]
         if shape:
@@ -77,24 +77,17 @@ class SimulationResult:
 class WarpMachine:
     """A configured Warp machine ready to run compiled programs.
 
-    All state derived purely from the program (compiled block plans,
-    the IU address schedule, the host I/O word offsets) is computed once
-    on first use and reused by every subsequent :meth:`run` — keep one
-    machine around when streaming many input sets through the same
-    program (see :class:`repro.exec.BatchRunner`).
-    """
+    The static state of a program (its :class:`ExecutionPlan`) lives on
+    the program, so every machine and run of it shares one."""
 
     def __init__(self, program: "CompiledProgram"):
         self._program = program
         self._config = program.config
-        self._plan: ExecutionPlan | None = None
 
     @property
     def plan(self) -> ExecutionPlan:
-        """The reusable static simulation state (built lazily)."""
-        if self._plan is None:
-            self._plan = ExecutionPlan(self._program)
-        return self._plan
+        """The program's shared static simulation state (built lazily)."""
+        return self._program.execution_plan
 
     def run(
         self,
@@ -107,22 +100,19 @@ class WarpMachine:
         memory = HostMemory.from_inputs(
             self._program.host_program.layout, inputs
         )
-        return self._execute(
-            memory, self.plan.blocks, trace_limit, record, injector
-        )
+        if trace_limit or record or injector is not None:
+            get_telemetry().counter("machine.runs.checked")
+            return self._execute(memory, trace_limit, record, injector)
+        outputs, static = self._values(memory, self.plan.value_runs)
+        return SimulationResult(outputs, **static)
 
     def run_columns(
         self, input_sets: Sequence[dict[str, np.ndarray]]
     ) -> dict[int, SimulationResult]:
-        """Every valid item of ``input_sets`` from one cycle-accurate run
-        over NumPy columns, by item index.
-
-        Host memory holds one ``(elements, items)`` column per host
-        array, so each word moved and each operation evaluated carries
-        every item's value at once; every queue, stream-accounting,
-        watchdog and collect check runs once for the whole batch.  The
-        items left out failed input validation.  Results share the run's
-        static facts (cell stats, queue occupancy, metrics).  A
+        """Every valid item of ``input_sets`` from one value-path run over
+        NumPy columns (one ``(elements, items)`` column per host array),
+        by item index; the items left out failed input validation.
+        Results share one copy of the static facts.  A
         :class:`~repro.errors.SimulationError` here does not depend on
         the data, so every item would meet it on its own run too."""
         memory, failed = load_inputs(
@@ -132,34 +122,69 @@ class WarpMachine:
         if not valid:
             return {}
         with np.errstate(all="ignore"):
-            static = self._execute(memory, self.plan.column_blocks)
+            columns, static = self._values(memory, self.plan.column_runs)
         # One contiguous (items, elements) array per output: row j is
         # item j's output.
-        outputs = {name: out.T.copy() for name, out in static.outputs.items()}
+        outputs = {name: out.T.copy() for name, out in columns.items()}
         return {
             item: SimulationResult(
-                outputs={name: out[item] for name, out in outputs.items()},
-                cell_stats=static.cell_stats,
-                total_cycles=static.total_cycles,
-                skew=static.skew,
-                queue_occupancy=static.queue_occupancy,
-                machine_metrics=static.machine_metrics,
+                {name: out[item] for name, out in outputs.items()}, **static
             )
             for item in valid
         }
 
+    def _values(
+        self, memory: HostMemory, runs: tuple[Callable[[tuple], None], ...]
+    ) -> tuple[dict[str, np.ndarray], dict]:
+        """The outputs and static facts (:class:`SimulationResult` fields)
+        of a clean run that only moves values: each cell runs ``runs``
+        over fresh registers and memory, on its left neighbour's words.
+        Timing and facts come from the plan's checked run on zeroed
+        inputs (no evaluator raises, so its verdicts hold for every clean
+        run), kept once it passed; a failing check raises every time."""
+        plan, config = self.plan, self._config.cell
+        if plan.facts is None:
+            layout = self._program.host_program.layout
+            with get_telemetry().span("machine.plan"):
+                plan.facts = self._execute(HostMemory.from_inputs(layout, {}))
+        get_telemetry().counter("machine.runs.value")
+        link = feed_input_queues(plan.feed, memory, dict.fromkeys(Channel))
+        for _cell in range(self._program.n_cells):
+            receive = [iter(queue.values).__next__ for queue in link.values()]
+            link = {channel: TimedQueue("") for channel in Channel}
+            send = [queue.values.append for queue in link.values()]
+            memories = [0.0] * config.n_registers, [0.0] * config.memory_words
+            ctx = (*memories, *receive, *send, iter(plan.addresses).__next__)
+            for run in runs:
+                run(ctx)
+        collect_outputs(plan.collection, memory, link)
+        outputs = {
+            name: memory.arrays[name].copy()
+            for name in self._program.ir.host_arrays
+        }
+        facts, metrics = plan.facts, plan.facts.machine_metrics
+        # Fresh containers over immutable leaves: no result aliases another.
+        return outputs, dict(
+            cell_stats=list(facts.cell_stats),
+            total_cycles=facts.total_cycles,
+            skew=facts.skew,
+            queue_occupancy=dict(facts.queue_occupancy),
+            machine_metrics=MachineMetrics(
+                metrics.total_cycles, metrics.skew, list(metrics.cells),
+                dict(metrics.queues), metrics.iu,
+            ),
+        )
+
     def _execute(
         self,
         memory: HostMemory,
-        blocks: dict[int, BlockPlan],
         trace_limit: int = 0,
         record: bool = False,
         injector: "FaultInjector | None" = None,
     ) -> SimulationResult:
         """Feed ``memory`` through every cell and collect the outputs
-        back into it, with every run-time check.  A batch run over
-        columns (:meth:`run_columns`) differs from :meth:`run` only in
-        its memory and the block plans' evaluators."""
+        back into it, with every run-time check: the reference path, and
+        the one of traced, recorded and fault-injected runs."""
         program = self._program
         plan = self.plan
         n_cells = program.n_cells
@@ -197,7 +222,6 @@ class WarpMachine:
 
         # Address path: the same IU stream per cell, delayed by the hop
         # latency; emitted FIFO order is preserved.
-        emissions = plan.emissions
         hop = self._config.address_hop_latency
 
         trace: list[TraceEvent] = []
@@ -232,7 +256,7 @@ class WarpMachine:
                 name=f"adr{cell_index}",
                 capacity=self._config.address_queue_depth,
                 send_times=[t + offset for t in plan.emission_times],
-                values=list(plan.emission_values),
+                values=list(plan.addresses),
             )
             executor = CellExecutor(
                 code=program.cell_code,
@@ -244,7 +268,7 @@ class WarpMachine:
                 address_queue=address_queue,
                 trace=tracer if trace_limit else None,
                 recorder=recorder,
-                block_plans=blocks,
+                block_plans=plan.blocks,
                 deadline=nominal_start + cell_cycles + watchdog_slack,
             )
             cell_stats = executor.run()
@@ -287,7 +311,7 @@ class WarpMachine:
             for name in program.ir.host_arrays
         }
         metrics = self._build_metrics(
-            stats, links, address_queues, occupancy, emissions, end_time, skew
+            stats, links, address_queues, occupancy, end_time, skew
         )
         return SimulationResult(
             outputs=outputs,
@@ -307,7 +331,6 @@ class WarpMachine:
         links: list[dict[Channel, TimedQueue]],
         address_queues: list[TimedQueue],
         occupancy: dict[str, int],
-        emissions: list[tuple[int, int, int]],
         end_time: int,
         skew: int,
     ) -> MachineMetrics:
@@ -351,7 +374,7 @@ class WarpMachine:
                     receive_wait_cycles=wait,
                 )
             )
-        emit_times = [t for t, _deadline, _addr in emissions]
+        emit_times = self.plan.emission_times
         iu = IUMetrics(
             addresses_emitted=len(emit_times),
             first_emit_cycle=min(emit_times) if emit_times else 0,

@@ -1,4 +1,4 @@
-"""Cycle-accurate execution of one Warp cell's microcode.
+"""Cycle-accurate execution of one Warp cell's microcode: the checked path.
 
 The executor walks the scheduled program tree with an absolute cycle
 counter (the cell's start is offset by its skew) and runs each scheduled
@@ -12,7 +12,8 @@ to the value it sees once, at plan time — precisely the semantics the
 scheduler's latency edges assume, so any scheduler bug surfaces as a
 wrong result against the reference interpreter.  Queue transfers keep
 their absolute cycles, so every underflow, capacity and accounting
-check still runs per item.
+check runs per transfer: in a plan's one checked run, and traced,
+recorded and fault-injected runs.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class TraceEvent:
     value: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellStats:
     cell: int
     start_time: int
@@ -106,7 +107,6 @@ class CellExecutor:
         self._runs: dict[int, int] = {}
         self._registers = [0.0] * config.n_registers
         self._memory = [0.0] * config.memory_words
-        self.stats = CellStats(cell=cell_index, start_time=start_time)
         #: ``trace`` as generated code calls it: (cycle, kind, queue, value).
         emit = None if trace is None else (
             lambda *event: trace(TraceEvent(cell_index, *event))
@@ -125,18 +125,19 @@ class CellExecutor:
 
     def run(self) -> CellStats:
         end = self._run_items(self._code.items, self._start)
-        stats = self.stats
-        stats.end_time = end
-        for block_id, n in self._runs.items():
-            plan = self._block_plans[block_id]
-            stats.issue_cycles += n * plan.issued
-            stats.alu_ops += n * plan.alu_ops
-            stats.mpy_ops += n * plan.mpy_ops
-            stats.mem_reads += n * plan.mem_reads
-            stats.mem_writes += n * plan.mem_writes
-            stats.receives += n * sum(plan.receives.values())
-            stats.sends += n * sum(plan.sends.values())
-        return stats
+        runs = [(self._block_plans[b], n) for b, n in self._runs.items()]
+        return CellStats(
+            cell=self._cell,
+            start_time=self._start,
+            end_time=end,
+            alu_ops=sum(n * plan.alu_ops for plan, n in runs),
+            mpy_ops=sum(n * plan.mpy_ops for plan, n in runs),
+            mem_reads=sum(n * plan.mem_reads for plan, n in runs),
+            mem_writes=sum(n * plan.mem_writes for plan, n in runs),
+            receives=sum(n * sum(plan.receives.values()) for plan, n in runs),
+            sends=sum(n * sum(plan.sends.values()) for plan, n in runs),
+            issue_cycles=sum(n * plan.issued for plan, n in runs),
+        )
 
     def _run_items(self, items, time: int) -> int:
         for item in items:

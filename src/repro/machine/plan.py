@@ -2,18 +2,18 @@
 
 Everything here is a pure function of the :class:`CompiledProgram` —
 independent of the cell index, the input data and the run — so one
-:class:`ExecutionPlan` is shared by all cells of a run and by every run
-of a batch:
+:class:`ExecutionPlan`, held on the program, serves every cell and run:
 
 * **Compiled blocks.**  The schedule fixes the cycle of every issue
   and every register writeback, so each scheduled block becomes one
   generated straight-line Python function (:class:`BlockPlan`): nop
   cycles vanish (30–50% of instruction slots on the Table 7-1
   programs), each register read names the value it sees, and the
-  block's length advances the clock.  A second set of the same
-  blocks, built on first use, calls NumPy evaluators instead of the
-  scalar ones: a batch runs the one checked program once, over one
-  float64 column per value holding every item's copy of it.
+  block's length advances the clock.
+* **Untimed blocks.**  The same functions without cycles or checks, in
+  one cell run's order: clean runs only move values (``value_runs``;
+  ``column_runs`` over NumPy columns for batches), on the verdicts and
+  static facts of one checked run (``facts``).
 * **Static counts.**  Per-block operation totals and the blocks'
   execution counts (:class:`~repro.cellcodegen.emit.OpCounts`,
   :func:`~repro.cellcodegen.emit.block_runs`, shared with the
@@ -34,12 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from ..analysis.local_opt import column_evaluator, pure_evaluator
-from ..cellcodegen.emit import (
-    CellCode,
-    OpCounts,
-    ScheduledBlock,
-    block_runs,
-)
+from ..cellcodegen.emit import OpCounts, ScheduledBlock, block_runs
 from ..cellcodegen.isa import AddressSource, Lit, MicroInstr, Operand, Reg
 from ..config import CellConfig
 from ..errors import SimulationError
@@ -49,6 +44,7 @@ from .host import Collection
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from ..compiler.driver import CompiledProgram
+    from .array import SimulationResult
 
 
 @dataclass(frozen=True)
@@ -68,17 +64,19 @@ class BlockPlan(OpCounts):
         block: ScheduledBlock,
         config: CellConfig,
         evaluate: Callable[[OpKind], Callable[..., float]] = pure_evaluator,
+        timed: bool = True,
     ) -> "BlockPlan":
         """The plan of ``block``; ``evaluate`` maps each ALU/MPY op to
         the function the generated code calls (a batch run over columns
-        passes :func:`~repro.analysis.local_opt.column_evaluator`)."""
+        passes :func:`~repro.analysis.local_opt.column_evaluator`), and
+        ``timed=False`` makes ``run`` the untimed ``run(ctx)``."""
         active = [
             (cycle, instr)
             for cycle, instr in enumerate(block.instructions)
             if not instr.is_nop()
         ]
         source, evaluators, literals = _block_source(
-            block.block_id, block.length, active, config, evaluate
+            block.block_id, block.length, active, config, evaluate, timed
         )
         return cls(
             block_id=block.block_id,
@@ -94,6 +92,7 @@ def _block_source(
     active: list[tuple[int, MicroInstr]],
     config: CellConfig,
     evaluate: Callable[[OpKind], Callable[..., float]],
+    timed: bool,
 ) -> tuple[str, list[Callable[..., float]], list[float]]:
     """Python source of one block as a straight-line function.
 
@@ -114,6 +113,10 @@ def _block_source(
     ``(cycle, kind, queue, value)`` callback.  Side effects keep the
     order of each instruction: dequeues, IU addresses in slot order,
     loads, stores, ALU, MPY, move, enqueues.
+
+    Untimed (``timed=False``) it is ``run((R, M, dx, dy, ex, ey, da))``:
+    the queue and address functions take no cycle and check nothing, and
+    ``da`` returns an ``int``.
     """
     evaluators: list[Callable[..., float]] = []
     literals: list[float] = []
@@ -165,19 +168,25 @@ def _block_source(
     def value() -> str:
         return f"v{next(names)}"
 
+    now = "n" if timed else ""
+
+    def io(line: str, kind: str, transfer, v: str) -> None:
+        body.append(line)
+        if timed:
+            body.append(
+                f"if trace is not None: trace(n, {kind!r}, "
+                f"{str(transfer.queue)!r}, {v})"
+            )
+
     for c, ins in active:
         land(c)
-        if ins.deqs or ins.enqs or any(
+        if timed and (ins.deqs or ins.enqs or any(
             m.address_source is AddressSource.QUEUE for m in ins.mem
-        ):
+        )):
             body.append(f"n = t + {c}")
         for deq in ins.deqs:
             v = value()
-            body.append(f"{v} = {queue(deq.queue, True)}(n)")
-            body.append(
-                f"if trace is not None: trace(n, 'receive', "
-                f"{str(deq.queue)!r}, {v})"
-            )
+            io(f"{v} = {queue(deq.queue, True)}({now})", "receive", deq, v)
             write(deq.dest, c + config.queue_latency, v)
         # IU addresses arrive in instruction-slot order (``addr_demands``
         # is stably sorted by cycle), though loads apply before stores.
@@ -187,7 +196,8 @@ def _block_source(
                 where.append(str(mem.address))
             else:
                 where.append(value())
-                body.append(f"{where[-1]} = int(da(n))")
+                address = "int(da(n))" if timed else "da()"
+                body.append(f"{where[-1]} = {address}")
         for mem, address in zip(ins.mem, where):
             if mem.is_load:
                 assert mem.reg is not None
@@ -218,11 +228,8 @@ def _block_source(
             write(ins.move.dest, c + config.move_latency, source)
         for enq in ins.enqs:
             v = read(enq.source)
-            body.append(f"{queue(enq.queue, False)}(n, {v})")
-            body.append(
-                f"if trace is not None: trace(n, 'send', "
-                f"{str(enq.queue)!r}, {v})"
-            )
+            send = queue(enq.queue, False)
+            io(f"{send}({now and 'n, '}{v})", "send", enq, v)
     land(length)
     lines = ["def make(E, L):"]
     if evaluators:
@@ -231,8 +238,9 @@ def _block_source(
     if literals:
         names = "".join(f"l{k}, " for k in range(len(literals)))
         lines.append(f"    {names}= L")
-    lines.append("    def run(ctx, t):")
-    lines.append("        R, M, dx, dy, ex, ey, da, trace = ctx")
+    args, trace = ("ctx, t", ", trace") if timed else ("ctx", "")
+    lines.append(f"    def run({args}):")
+    lines.append(f"        R, M, dx, dy, ex, ey, da{trace} = ctx")
     lines.extend(f"        r{reg} = R[{reg}]" for reg in entry)
     lines.extend(f"        {line}" for line in body)
     lines.extend(
@@ -245,22 +253,10 @@ def _block_source(
 @functools.lru_cache(maxsize=1024)
 def _factory(source: str) -> Callable:
     """The ``make`` function of one generated block source, compiled
-    once per distinct text (every run builds a fresh plan)."""
+    once per distinct text (a recompiled program reuses them)."""
     namespace: dict = {}
     exec(compile(source, "<warp block>", "exec"), namespace)
     return namespace["make"]
-
-
-def block_plans(
-    code: CellCode,
-    config: CellConfig,
-    evaluate: Callable[[OpKind], Callable[..., float]] = pure_evaluator,
-) -> dict[int, BlockPlan]:
-    """A :class:`BlockPlan` per static block of ``code``."""
-    return {
-        block.block_id: BlockPlan.of(block, config, evaluate)
-        for block in code.blocks()
-    }
 
 
 class ExecutionPlan:
@@ -268,20 +264,18 @@ class ExecutionPlan:
 
     def __init__(self, program: "CompiledProgram"):
         self._program = program
-        self.blocks: dict[int, BlockPlan] = block_plans(
-            program.cell_code, program.config.cell
-        )
-        #: ``(emit_time, deadline, address)`` per dynamic IU emission.
-        self.emissions: list[tuple[int, int, int]] = list(
-            program.iu_program.emission_times()
-        )
-        #: The emission schedule split into parallel time/value lists so
-        #: a cell's address queue is a couple of list copies, not a
-        #: per-item enqueue loop.
-        self.emission_times: list[int] = [t for t, _d, _a in self.emissions]
-        self.emission_values: list[float] = [
-            float(a) for _t, _d, a in self.emissions
-        ]
+        self.blocks: dict[int, BlockPlan] = {
+            block.block_id: BlockPlan.of(block, program.config.cell)
+            for block in program.cell_code.blocks()
+        }
+        #: The cycle and address of every dynamic IU emission, as
+        #: parallel lists so a cell's address queue is a couple of list
+        #: copies, not a per-item enqueue loop.
+        emissions = list(program.iu_program.emission_times())
+        self.emission_times: list[int] = [t for t, _d, _a in emissions]
+        self.addresses: list[int] = [a for _t, _d, a in emissions]
+        #: The checked clean run (its verdicts and facts), once it passed.
+        self.facts: "SimulationResult | None" = None
         # Per channel, the host word offsets fed into cell 0 and the
         # collection's scatter.  A host index out of bounds raises
         # HostDataError here, before the run starts.
@@ -307,13 +301,22 @@ class ExecutionPlan:
         }
 
     @functools.cached_property
-    def column_blocks(self) -> dict[int, BlockPlan]:
-        """The blocks over NumPy columns, for batch runs (built on first
-        use, so one-shot runs never pay for them)."""
-        program = self._program
-        return block_plans(
-            program.cell_code, program.config.cell, column_evaluator
-        )
+    def value_runs(self) -> tuple[Callable[[tuple], None], ...]:
+        """One cell run's untimed block functions, loops unrolled."""
+        return self._untimed(pure_evaluator)
+
+    @functools.cached_property
+    def column_runs(self) -> tuple[Callable[[tuple], None], ...]:
+        """:attr:`value_runs` over NumPy columns (built on first use)."""
+        return self._untimed(column_evaluator)
+
+    def _untimed(self, evaluate) -> tuple[Callable[[tuple], None], ...]:
+        code, config = self._program.cell_code, self._program.config.cell
+        functions = {
+            block.block_id: BlockPlan.of(block, config, evaluate, False).run
+            for block in code.blocks()
+        }
+        return tuple(functions[b] for b in _order(code.items))
 
     @property
     def skipped_slots(self) -> int:
@@ -321,3 +324,14 @@ class ExecutionPlan:
         return sum(
             plan.length - plan.issued for plan in self.blocks.values()
         )
+
+
+def _order(items) -> list[int]:
+    """The block ids one pass over ``items`` executes, in order."""
+    order: list[int] = []
+    for item in items:
+        if isinstance(item, ScheduledBlock):
+            order.append(item.block_id)
+        else:
+            order += _order(item.body) * item.trip
+    return order

@@ -41,23 +41,23 @@ class TimedQueue:
         self.values.append(value)
 
     def dequeue(self, time: int) -> float:
-        if self._cursor >= len(self.values):
+        cursor = self._cursor
+        if cursor >= len(self.values):
             get_telemetry().counter("fault.detected")
             raise QueueUnderflowError(
                 f"{self.name}: dequeue at cycle {time} but only "
                 f"{len(self.values)} items were ever sent"
             )
-        sent = self.send_times[self._cursor]
+        sent = self.send_times[cursor]
         if sent > time:
             get_telemetry().counter("fault.detected")
             raise QueueUnderflowError(
                 f"{self.name}: dequeue at cycle {time} of an item sent at "
                 f"cycle {sent} — the skew guarantee failed"
             )
-        value = self.values[self._cursor]
         self.recv_times.append(time)
-        self._cursor += 1
-        return value
+        self._cursor = cursor + 1
+        return self.values[cursor]
 
     @property
     def items_sent(self) -> int:

@@ -237,6 +237,7 @@ def queue_metrics_from_times(
     recvs = np.asarray(recv_times, dtype=np.int64)
     consumed = min(sends.size, recvs.size)
     wait = int((recvs[:consumed] - sends[:consumed]).sum()) if consumed else 0
+    sends.flags.writeable = recvs.flags.writeable = False  # results share them
     return QueueMetrics(
         name=name,
         capacity=capacity,

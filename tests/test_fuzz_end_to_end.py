@@ -109,13 +109,18 @@ class TestFuzzedPipelines:
         assert np.allclose(
             result.outputs["b"], expected["b"], rtol=1e-9, atol=1e-9
         ), source
-        # The batch engine's value path agrees with the cycle executor
-        # bit for bit.
+        # The value path, one-shot and batched, agrees with the checked
+        # cycle executor bit for bit.
+        assert_same_run(
+            result, simulate(program, inputs, record=True), source
+        )
         items = [inputs, {"a": rng.uniform(-2, 2, n_points)}]
         batched = BatchRunner(program).run(items)
         assert batched.value_items == len(items), source
         for item, got in zip(items, batched.results):
-            assert_same_run(got, simulate(program, item), source)
+            assert_same_run(
+                got, simulate(program, item, record=True), source
+            )
 
     @given(pipeline_programs())
     @settings(max_examples=30, deadline=None)

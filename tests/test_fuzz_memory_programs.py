@@ -75,13 +75,18 @@ class TestMemoryFuzz:
         program = compile_w2(source)
         result = simulate(program, inputs)
         assert np.allclose(result.outputs["b"], expected["b"]), source
-        # The batch engine's value path agrees with the cycle executor
-        # bit for bit.
+        # The value path, one-shot and batched, agrees with the checked
+        # cycle executor bit for bit.
+        assert_same_run(
+            result, simulate(program, inputs, record=True), source
+        )
         items = [inputs, {"a": rng.uniform(-3, 3, n)}]
         batched = BatchRunner(program).run(items)
         assert batched.value_items == len(items), source
         for item, got in zip(items, batched.results):
-            assert_same_run(got, simulate(program, item), source)
+            assert_same_run(
+                got, simulate(program, item, record=True), source
+            )
 
     @given(memory_programs())
     @settings(max_examples=30, deadline=None)

@@ -1,0 +1,187 @@
+"""The value path: a clean untraced run only moves values.
+
+Schedules are data-independent, so the plan of a program runs the fully
+checked cycle-accurate path once, on zeroed inputs, and keeps its
+verdicts and static facts; every clean run after it runs untimed block
+functions and reuses them.  Every test here compares the value path with
+the checked path (``record=True``), outputs bit for bit.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import pickle
+
+import numpy as np
+import pytest
+
+from repro import compile_w2, obs
+from repro.cli import main
+from repro.config import DEFAULT_CONFIG
+from repro.exec import BatchRunner, CompileCache
+from repro.exec.keys import cache_key
+from repro.machine import simulate
+from repro.obs.core import NULL_TELEMETRY
+from repro.programs import polynomial
+
+from conftest import small_program_suite
+
+SUITE = small_program_suite(np.random.default_rng(20261017))
+
+
+def _checked(program, inputs):
+    return simulate(program, inputs, record=True)
+
+
+def _items(n, seed=3):
+    rng = np.random.default_rng(seed)
+    return [
+        {"z": rng.standard_normal(12), "c": rng.standard_normal(4)}
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("unroll", [1, 2, 4, "auto"])
+@pytest.mark.parametrize("case", SUITE, ids=[case[0] for case in SUITE])
+def test_bundled_programs_match_checked_path(assert_same_run, case, unroll):
+    """One-shot and column runs of every bundled program equal the
+    checked run, item for item."""
+    name, source, inputs, _reference = case
+    program = compile_w2(source, unroll=unroll)
+    other = {key: -2.0 * value for key, value in inputs.items()}
+    expected = [_checked(program, inputs), _checked(program, other)]
+    for _call in range(2):  # the plan's first clean run, then a warm one
+        assert_same_run(simulate(program, inputs), expected[0], name)
+    batched = BatchRunner(program).run([inputs, other])
+    assert batched.value_items == 2, name
+    for got, want in zip(batched.results, expected):
+        assert_same_run(got, want, name)
+
+
+class TestPlanOnTheProgram:
+    def test_one_plan_per_program(self):
+        program = compile_w2(polynomial(12, 4))
+        plan = program.execution_plan
+        simulate(program, _items(1)[0])
+        runner = BatchRunner(program)
+        runner.run(_items(2))
+        assert runner.machine.plan is plan
+        assert program.execution_plan is plan
+        assert plan.facts is not None
+
+    @pytest.mark.timeout(120)
+    def test_plan_stays_out_of_pickles(self, tmp_path, assert_same_run):
+        """A program pickles byte-identically before and after it ran, so
+        the pool ships it and the disk cache stores it unchanged."""
+        program = compile_w2(polynomial(12, 4))
+        before = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
+        items = _items(3)
+        simulate(program, items[0])
+        BatchRunner(program).run(items)
+        assert "execution_plan" in vars(program)
+        after = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
+        assert after == before
+        key = cache_key(program.source, DEFAULT_CONFIG, "auto", 1, True)
+        CompileCache(cache_dir=tmp_path).put(key, program)
+        disk = CompileCache(cache_dir=tmp_path)
+        loaded = disk.get(key)
+        assert disk.last_event == "disk-hit"
+        assert "execution_plan" not in vars(loaded)
+        pooled = BatchRunner(program, processes=2).run(items)
+        assert pooled.ok
+        for inputs, got in zip(items, pooled.results):
+            expected = _checked(program, inputs)
+            assert_same_run(simulate(loaded, inputs), expected)
+            assert_same_run(got, expected)
+
+    def test_results_do_not_alias(self, assert_same_run):
+        """Results reuse the plan's static facts; mutating one result
+        leaves the next call's result alone."""
+        program = compile_w2(polynomial(12, 4))
+        inputs = _items(1)[0]
+        expected = _checked(program, inputs)
+        for first in (
+            simulate(program, inputs),
+            BatchRunner(program).run([inputs]).results[0],
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                first.cell_stats[0].alu_ops += 1
+            first.cell_stats.pop()
+            first.queue_occupancy.clear()
+            first.machine_metrics.cells.pop()
+            first.machine_metrics.queues.clear()
+            assert_same_run(simulate(program, inputs), expected)
+            batched = BatchRunner(program).run([inputs])
+            assert_same_run(batched.results[0], expected)
+        metrics = simulate(program, inputs).machine_metrics
+        queue = next(iter(metrics.queues.values()))
+        with pytest.raises(ValueError):
+            queue.send_times[0] = -1
+
+
+class TestFailingCheck:
+    """A program whose checked run fails caches no verdict: every clean
+    run raises the checked path's error."""
+
+    @pytest.fixture
+    def program(self):
+        program = compile_w2(polynomial(12, 4))
+        # Too shallow for the buffers the compiler sized (it refuses such
+        # a depth at compile time, so shrink it afterwards).
+        program.config = dataclasses.replace(program.config, queue_depth=1)
+        return program
+
+    def test_simulate_raises_the_checked_error_every_time(self, program):
+        inputs = _items(1)[0]
+        with pytest.raises(Exception) as checked:
+            _checked(program, inputs)
+        assert type(checked.value).__name__ == "QueueCapacityError"
+        assert str(checked.value) == (
+            "link1.X: peak occupancy 5 exceeds the 1-word queue"
+        )
+        for _call in range(2):
+            with pytest.raises(type(checked.value)) as clean:
+                simulate(program, inputs)
+            assert str(clean.value) == str(checked.value)
+        assert program.execution_plan.facts is None
+
+    def test_batch_fails_each_item_like_the_checked_path(self, program):
+        items = _items(3)
+        runner = BatchRunner(program, max_retries=1, retry_backoff=0)
+        batched = runner.run(items)
+        with pytest.raises(Exception) as checked:
+            _checked(program, items[0])
+        assert batched.value_items == 0
+        assert [f.index for f in batched.failures] == [0, 1, 2]
+        for failure in batched.failures:
+            assert failure.error_type == type(checked.value).__name__
+            assert failure.message == str(checked.value)
+            assert failure.attempts == 2
+
+
+class TestObservability:
+    def test_counters_and_plan_span(self):
+        program = compile_w2(polynomial(12, 4))
+        inputs = _items(1)[0]
+        with obs.collecting() as telemetry:
+            simulate(program, inputs)
+            simulate(program, inputs)
+            simulate(program, inputs, record=True)
+            BatchRunner(program).run(_items(3))
+        assert telemetry.counters["machine.runs.value"] == 3
+        assert telemetry.counters["machine.runs.checked"] == 1
+        assert len(telemetry.find("machine.plan")) == 2  # build, check
+        simulate(program, inputs)
+        assert NULL_TELEMETRY.counters == {} and NULL_TELEMETRY.spans == []
+
+    def test_profile_shows_them(self, tmp_path, capsys):
+        metrics = tmp_path / "m.json"
+        argv = ["profile", "passthrough", "--no-cache"]
+        assert main(argv + ["--metrics-out", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert "machine.plan" in out and "machine.runs.value" in out
+        document = json.loads(metrics.read_text())
+        assert document["compile"]["counters"]["machine.runs.value"] == 1
+        spans = {span["name"] for span in document["compile"]["spans"]}
+        assert "machine.plan" in spans

@@ -91,9 +91,13 @@ def _program(name: str):
 
 def _cycle_runner(program, **kwargs) -> BatchRunner:
     """A runner whose column run answers no item, so every item takes
-    its own cycle-accurate run: the reference for the value path."""
+    its own checked cycle-accurate run: the reference for the value
+    path."""
     runner = BatchRunner(program, **kwargs)
     runner._run_columns = lambda input_sets: {}
+    runner._attempt = lambda inputs, _retried, injector: runner.machine.run(
+        inputs, record=True, faults=injector
+    )
     return runner
 
 
@@ -114,10 +118,11 @@ def _assert_same_outcome(program, items, assert_same_run, **kwargs):
     assert not isinstance(value, Exception), value
     assert value.failures == cycle.failures
     assert value.retries == cycle.retries
-    for got, expected in zip(value.results, cycle.results):
+    for item, got, expected in zip(items, value.results, cycle.results):
         assert (got is None) == (expected is None)
         if expected is not None:
             assert_same_run(got, expected)
+            assert_same_run(simulate(program, item), expected)
 
 
 special_values = st.one_of(
@@ -298,20 +303,22 @@ class TestBatchRunnerPaths:
         for item, got in zip(items, pooled.results):
             assert_same_run(got, simulate(poly, item))
 
-    def test_machine_run_and_simulate_do_not_record(self, poly):
-        """One-shot runs never build the column blocks."""
-        runner = BatchRunner(poly)
+    def test_machine_run_and_simulate_do_not_record(self):
+        """One-shot runs never build the column block functions."""
+        program = compile_w2(polynomial(12, 4))
+        runner = BatchRunner(program)
         runner.machine.run(_items(1)[0])
-        simulate(poly, _items(1)[0])
-        assert "column_blocks" not in vars(runner.machine.plan)
+        simulate(program, _items(1)[0])
+        assert "value_runs" in vars(program.execution_plan)
+        assert "column_runs" not in vars(program.execution_plan)
 
     def test_column_blocks_built_once_per_plan(self, poly):
         runner = BatchRunner(poly)
         runner.run(_items(2))
-        blocks = runner.machine.plan.column_blocks
-        assert blocks.keys() == runner.machine.plan.blocks.keys()
-        runner.run(_items(2))
-        assert runner.machine.plan.column_blocks is blocks
+        runs = runner.machine.plan.column_runs
+        assert len(runs) == len(runner.machine.plan.value_runs)
+        BatchRunner(poly).run(_items(2))
+        assert runner.machine.plan.column_runs is runs
 
     def test_unrecordable_program_runs_on_cycle_path(
         self, poly, monkeypatch, assert_same_run
