@@ -76,7 +76,7 @@ def test_cycles_per_result_ordering(benchmark, rng, report):
         )
         results["1d-Conv"] = (
             conv.total_cycles / n,
-            np.mean([s.flop_utilization for s in conv.cell_stats]),
+            np.mean([c.flop_utilization for c in conv.machine_metrics.cells]),
         )
         _, poly = _run(
             polynomial(n, 10),
@@ -85,7 +85,7 @@ def test_cycles_per_result_ordering(benchmark, rng, report):
         )
         results["Polynomial"] = (
             poly.total_cycles / n,
-            np.mean([s.flop_utilization for s in poly.cell_stats]),
+            np.mean([c.flop_utilization for c in poly.machine_metrics.cells]),
         )
         w, h = 10, 6
         _, seg = _run(
@@ -102,7 +102,7 @@ def test_cycles_per_result_ordering(benchmark, rng, report):
         )
         results["ColorSeg"] = (
             seg.total_cycles / (w * h),
-            np.mean([s.flop_utilization for s in seg.cell_stats]),
+            np.mean([c.flop_utilization for c in seg.machine_metrics.cells]),
         )
         return results
 
@@ -129,7 +129,7 @@ def test_array_flops_scale_with_cells(benchmark, rng, report):
         for k in (2, 5, 10):
             inputs = {"z": rng.uniform(-1, 1, n), "c": rng.standard_normal(k)}
             _, result = _run(polynomial(n, k), inputs, unroll=4)
-            flops = sum(s.alu_ops + s.mpy_ops for s in result.cell_stats)
+            flops = sum(c.fp_ops for c in result.machine_metrics.cells)
             rows.append((k, flops / result.total_cycles))
         return rows
 

@@ -66,7 +66,7 @@ def main() -> None:
     show("edge response (|Laplacian|)", edges)
 
     pixels = WIDTH * HEIGHT
-    flops = sum(s.alu_ops + s.mpy_ops for s in result.cell_stats)
+    flops = sum(c.fp_ops for c in result.machine_metrics.cells)
     print(f"\n{result.total_cycles} cycles for {pixels} pixels "
           f"({result.total_cycles / pixels:.1f} cycles/pixel, "
           f"{flops / result.total_cycles:.2f} FP ops/cycle on 3 cells)")

@@ -31,7 +31,7 @@ def main() -> None:
         program = compile_w2(matmul(n, cells), unroll=unroll)
         result = simulate(program, {"a": a, "b": b})
         assert np.allclose(result.output("c", (n, n)), a @ b)
-        flops = sum(s.alu_ops + s.mpy_ops for s in result.cell_stats)
+        flops = sum(c.fp_ops for c in result.machine_metrics.cells)
         print(
             f"{unroll:>6} {result.total_cycles:>8} "
             f"{flops / result.total_cycles:>13.2f} "

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Mapping, Union
 
 from ..errors import RegisterPressureError
 from ..ir.builder import CellProgramIR
@@ -132,10 +132,10 @@ def _item_cycles(item: ScheduledItem) -> int:
 
 @dataclass(frozen=True)
 class OpCounts:
-    """Operations one pass of a scheduled block issues, per unit and
-    per channel."""
+    """Operations issued per unit and per channel, by one pass of a
+    scheduled block (:meth:`of`) or by one cell run (:meth:`of_run`)."""
 
-    #: Number of non-nop instructions (the block's issue count).
+    #: Number of non-nop instructions (the issue cycles).
     issued: int
     alu_ops: int
     mpy_ops: int
@@ -159,18 +159,44 @@ class OpCounts:
             ),
         )
 
+    @classmethod
+    def of_run(
+        cls, code: CellCode, blocks: Mapping[int, OpCounts] | None = None
+    ) -> OpCounts:
+        """Operations one cell run of ``code`` issues: each block's
+        totals times its executions.  The schedule is data-independent,
+        so these are static; the compile-time prediction, the
+        simulator's plan and every cell run share them.  ``blocks`` maps
+        block ids to totals already computed (the plan's blocks)."""
+        if blocks is None:
+            blocks = {block.block_id: cls.of(block) for block in code.blocks()}
+        runs = [(blocks[b], n) for b, n in _block_runs(code.items)]
+        sends: Counter[Channel] = Counter()
+        receives: Counter[Channel] = Counter()
+        for counts, n in runs:
+            sends.update({ch: n * k for ch, k in counts.sends.items()})
+            receives.update({ch: n * k for ch, k in counts.receives.items()})
+        return cls(
+            issued=sum(n * c.issued for c, n in runs),
+            alu_ops=sum(n * c.alu_ops for c, n in runs),
+            mpy_ops=sum(n * c.mpy_ops for c, n in runs),
+            mem_reads=sum(n * c.mem_reads for c, n in runs),
+            mem_writes=sum(n * c.mem_writes for c, n in runs),
+            sends=sends,
+            receives=receives,
+        )
 
-def block_runs(
+
+def _block_runs(
     items: list[ScheduledItem], trips: int = 1
 ) -> list[tuple[int, int]]:
-    """``(block id, executions)`` of every block in one cell run: the
-    schedule is data-independent, so these are static."""
+    """``(block id, executions)`` of every block in one cell run."""
     runs: list[tuple[int, int]] = []
     for item in items:
         if isinstance(item, ScheduledBlock):
             runs.append((item.block_id, trips))
         else:
-            runs.extend(block_runs(item.body, trips * item.trip))
+            runs.extend(_block_runs(item.body, trips * item.trip))
     return runs
 
 

@@ -538,6 +538,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def unroll_factor(value: str) -> int | str:
+        return value if value == "auto" else int(value)
+
+    def add_unroll_option(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--unroll",
+            type=unroll_factor,
+            default=1,
+            metavar="N|auto",
+            help="unroll innermost loops up to N times; auto tries 1/2/4/8 "
+            "and keeps the fastest schedule (default: 1)",
+        )
+
     def add_cache_options(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--cache-dir",
@@ -553,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_p = sub.add_parser("compile", help="compile a W2 module")
     compile_p.add_argument("program", help="W2 file or bundled program name")
-    compile_p.add_argument("--unroll", type=int, default=1)
+    add_unroll_option(compile_p)
     compile_p.add_argument(
         "--listing", action="store_true", help="print the cell microcode"
     )
@@ -562,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     timing_p = sub.add_parser("timing", help="skew and buffer analysis")
     timing_p.add_argument("program")
-    timing_p.add_argument("--unroll", type=int, default=1)
+    add_unroll_option(timing_p)
     add_cache_options(timing_p)
     timing_p.set_defaults(func=cmd_timing)
 
@@ -586,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_simulation_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--unroll", type=int, default=1)
+        add_unroll_option(p)
         add_cache_options(p)
         p.add_argument(
             "--input",
@@ -643,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reused machine",
     )
     batch_p.add_argument("program")
-    batch_p.add_argument("--unroll", type=int, default=1)
+    add_unroll_option(batch_p)
     batch_p.add_argument(
         "--items", type=int, default=1, metavar="N",
         help="replicate the --input set N times (ignored with --inputs)",
@@ -686,18 +699,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_fault_options(batch_p)
     batch_p.set_defaults(func=cmd_batch)
 
-    def unroll_arg(value: str):
-        return value if value == "auto" else int(value)
-
     verify_p = sub.add_parser(
         "verify",
         help="compile, then re-derive and check the schedule invariants "
         "from the emitted artifacts (exit 3 on any diagnostic)",
     )
     verify_p.add_argument("program")
-    verify_p.add_argument(
-        "--unroll", type=unroll_arg, default=1, metavar="N|auto"
-    )
+    add_unroll_option(verify_p)
     verify_p.add_argument(
         "--level",
         choices=("quick", "full"),
@@ -724,9 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile + verify with a one-line verdict (exit 0/2/3)",
     )
     check_p.add_argument("program")
-    check_p.add_argument(
-        "--unroll", type=unroll_arg, default=1, metavar="N|auto"
-    )
+    add_unroll_option(check_p)
     add_cache_options(check_p)
     check_p.set_defaults(func=cmd_check)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cellcodegen.emit import CellCode, OpCounts, block_runs
+from ..cellcodegen.emit import OpCounts
 from .driver import CompiledProgram
 
 
@@ -52,24 +52,22 @@ class PerformancePrediction:
 
 
 def predict_performance(program: CompiledProgram) -> PerformancePrediction:
-    """Compute the run-time facts of one execution at compile time: each
-    block's operation totals times its executions, as the simulator's
-    :class:`~repro.machine.plan.ExecutionPlan` counts them."""
-    code: CellCode = program.cell_code
-    counts = {block.block_id: OpCounts.of(block) for block in code.blocks()}
-    runs = [(counts[block_id], n) for block_id, n in block_runs(code.items)]
-    cycles = code.total_cycles
+    """Compute the run-time facts of one execution at compile time, from
+    the same per-run operation totals the simulator counts
+    (:meth:`~repro.cellcodegen.emit.OpCounts.of_run`)."""
+    counts = OpCounts.of_run(program.cell_code)
+    cycles = program.cell_code.total_cycles
     return PerformancePrediction(
         n_cells=program.n_cells,
         skew=program.skew.skew,
         cycles_per_cell=cycles,
         total_cycles=cycles + program.skew.skew * (program.n_cells - 1),
-        alu_ops=sum(n * c.alu_ops for c, n in runs),
-        mpy_ops=sum(n * c.mpy_ops for c, n in runs),
-        mem_reads=sum(n * c.mem_reads for c, n in runs),
-        mem_writes=sum(n * c.mem_writes for c, n in runs),
-        receives=sum(n * sum(c.receives.values()) for c, n in runs),
-        sends=sum(n * sum(c.sends.values()) for c, n in runs),
+        alu_ops=counts.alu_ops,
+        mpy_ops=counts.mpy_ops,
+        mem_reads=counts.mem_reads,
+        mem_writes=counts.mem_writes,
+        receives=sum(counts.receives.values()),
+        sends=sum(counts.sends.values()),
     )
 
 

@@ -3,7 +3,7 @@ feeder/collector, plus the AST-level reference interpreter."""
 
 from ..obs.metrics import CellMetrics, IUMetrics, MachineMetrics, QueueMetrics
 from .array import SimulationResult, WarpMachine, simulate
-from .cell import CellExecutor, CellStats, TraceEvent
+from .cell import CellExecutor, TraceEvent
 from .config import DEFAULT_CONFIG, CellConfig, IUConfig, WarpConfig
 from .host import HostMemory, collect_outputs, feed_input_queues
 from .iu_machine import IUMachine, run_iu_program
@@ -16,7 +16,6 @@ __all__ = [
     "CellConfig",
     "CellExecutor",
     "CellMetrics",
-    "CellStats",
     "DEFAULT_CONFIG",
     "ExecutionPlan",
     "HostMemory",

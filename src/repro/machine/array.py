@@ -14,12 +14,15 @@ by its position, and dequeues it in lock step with its own schedule.
 
 Schedules are data-independent, so the plan makes one checked run and
 later clean runs only move values (:meth:`WarpMachine._values`); traced,
-recorded and fault-injected runs stay checked.
+recorded and fault-injected runs stay checked.  A result keeps each run
+fact once, in its :class:`~repro.obs.metrics.MachineMetrics`: one
+``CellMetrics`` per cell (what each :class:`CellExecutor` returns) and
+one ``QueueMetrics`` per queue, peak occupancy included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -28,18 +31,18 @@ from ..errors import SilentCorruptionDetected
 from ..lang.ast import Channel
 from ..obs import get_telemetry
 from ..obs.metrics import (
+    CellMetrics,
     IUMetrics,
     MachineMetrics,
     MachineRecorder,
     QueueMetrics,
-    cell_metrics_from_counts,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at run time
     from ..compiler.driver import CompiledProgram
     from ..faults.injector import FaultInjector
     from ..faults.plan import InjectionPlan
-from .cell import CellExecutor, CellStats, TraceEvent
+from .cell import CellExecutor, TraceEvent
 from .host import HostMemory, collect_outputs, feed_input_queues, load_inputs
 from .plan import ExecutionPlan
 from .queue import TimedQueue
@@ -50,15 +53,11 @@ class SimulationResult:
     """Outputs and statistics of one run."""
 
     outputs: dict[str, np.ndarray]
-    cell_stats: list[CellStats]
-    total_cycles: int
-    skew: int
-    #: Peak occupancy per inter-cell queue, name -> words.
-    queue_occupancy: dict[str, int]
+    #: Cycle-level metrics: per-cell busy/stall/idle breakdown and
+    #: operation counts, per-queue high-water marks and residency, IU
+    #: address-path statistics.
+    machine_metrics: MachineMetrics
     trace: list[TraceEvent] = field(default_factory=list)
-    #: Cycle-level metrics: per-cell busy/stall/idle breakdown, per-queue
-    #: high-water marks and residency, IU address-path statistics.
-    machine_metrics: MachineMetrics | None = None
     #: Per-block execution spans (only when ``simulate(..., record=True)``;
     #: feeds the Chrome-trace exporter).
     record: MachineRecorder | None = None
@@ -66,6 +65,14 @@ class SimulationResult:
     #: clean runs; filled from the active
     #: :class:`~repro.faults.FaultInjector`).
     fault_report: list[str] = field(default_factory=list)
+
+    @property
+    def total_cycles(self) -> int:
+        return self.machine_metrics.total_cycles
+
+    @property
+    def skew(self) -> int:
+        return self.machine_metrics.skew
 
     def output(self, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
         data = self.outputs[name]
@@ -103,8 +110,7 @@ class WarpMachine:
         if trace_limit or record or injector is not None:
             get_telemetry().counter("machine.runs.checked")
             return self._execute(memory, trace_limit, record, injector)
-        outputs, static = self._values(memory, self.plan.value_runs)
-        return SimulationResult(outputs, **static)
+        return SimulationResult(*self._values(memory, self.plan.value_runs))
 
     def run_columns(
         self, input_sets: Sequence[dict[str, np.ndarray]]
@@ -122,31 +128,32 @@ class WarpMachine:
         if not valid:
             return {}
         with np.errstate(all="ignore"):
-            columns, static = self._values(memory, self.plan.column_runs)
+            columns, metrics = self._values(memory, self.plan.column_runs)
         # One contiguous (items, elements) array per output: row j is
         # item j's output.
         outputs = {name: out.T.copy() for name, out in columns.items()}
         return {
             item: SimulationResult(
-                {name: out[item] for name, out in outputs.items()}, **static
+                {name: out[item] for name, out in outputs.items()}, metrics
             )
             for item in valid
         }
 
     def _values(
         self, memory: HostMemory, runs: tuple[Callable[[tuple], None], ...]
-    ) -> tuple[dict[str, np.ndarray], dict]:
-        """The outputs and static facts (:class:`SimulationResult` fields)
-        of a clean run that only moves values: each cell runs ``runs``
-        over fresh registers and memory, on its left neighbour's words.
-        Timing and facts come from the plan's checked run on zeroed
-        inputs (no evaluator raises, so its verdicts hold for every clean
-        run), kept once it passed; a failing check raises every time."""
+    ) -> tuple[dict[str, np.ndarray], MachineMetrics]:
+        """The outputs and static metrics of a clean run that only moves
+        values: each cell runs ``runs`` over fresh registers and memory,
+        on its left neighbour's words.  Timing and metrics come from the
+        plan's checked run on zeroed inputs (no evaluator raises, so its
+        verdicts hold for every clean run), kept once it passed; a
+        failing check raises every time."""
         plan, config = self.plan, self._config.cell
         if plan.facts is None:
             layout = self._program.host_program.layout
             with get_telemetry().span("machine.plan"):
-                plan.facts = self._execute(HostMemory.from_inputs(layout, {}))
+                checked = self._execute(HostMemory.from_inputs(layout, {}))
+            plan.facts = checked.machine_metrics
         get_telemetry().counter("machine.runs.value")
         link = feed_input_queues(plan.feed, memory, dict.fromkeys(Channel))
         for _cell in range(self._program.n_cells):
@@ -162,17 +169,10 @@ class WarpMachine:
             name: memory.arrays[name].copy()
             for name in self._program.ir.host_arrays
         }
-        facts, metrics = plan.facts, plan.facts.machine_metrics
         # Fresh containers over immutable leaves: no result aliases another.
-        return outputs, dict(
-            cell_stats=list(facts.cell_stats),
-            total_cycles=facts.total_cycles,
-            skew=facts.skew,
-            queue_occupancy=dict(facts.queue_occupancy),
-            machine_metrics=MachineMetrics(
-                metrics.total_cycles, metrics.skew, list(metrics.cells),
-                dict(metrics.queues), metrics.iu,
-            ),
+        return outputs, replace(
+            plan.facts, cells=list(plan.facts.cells),
+            queues=dict(plan.facts.queues),
         )
 
     def _execute(
@@ -236,12 +236,12 @@ class WarpMachine:
                 traced_per_cell[event.cell] = count + 1
                 trace.append(event)
 
-        stats: list[CellStats] = []
-        occupancy: dict[str, int] = {}
+        cells: list[CellMetrics] = []
         recorder = MachineRecorder() if record else None
-        address_queues: list[TimedQueue] = []
-        cell_cycles = program.cell_code.total_cycles
-        watchdog_slack = getattr(self._config, "watchdog_slack", 64)
+        address_metrics: list[QueueMetrics] = []
+        # A healthy cell ends exactly its run's cycles after its nominal
+        # start; the watchdog allows the configured slack past that.
+        budget = program.cell_code.total_cycles + self._config.watchdog_slack
         end_time = 0
         for cell_index in range(n_cells):
             nominal_start = cell_index * skew
@@ -269,24 +269,30 @@ class WarpMachine:
                 trace=tracer if trace_limit else None,
                 recorder=recorder,
                 block_plans=plan.blocks,
-                deadline=nominal_start + cell_cycles + watchdog_slack,
+                counts=plan.counts,
+                deadline=nominal_start + budget,
             )
-            cell_stats = executor.run()
-            stats.append(cell_stats)
-            end_time = max(end_time, cell_stats.end_time)
-            occupancy[address_queue.name] = address_queue.audit_capacity()
-            address_queues.append(address_queue)
+            cells.append(executor.run())
+            end_time = max(end_time, cells[-1].end_cycle)
+            address_metrics.append(address_queue.audit_capacity())
 
         # Stream accounting: schedules are data-independent, so every
         # inter-cell link must carry *exactly* the static per-run send
         # count — a dropped or duplicated send diverges here even when
         # it would never underflow (unconsumed pads are otherwise
         # legal).  The collector link is checked by collect_outputs
-        # against the host program's collection length.
+        # against the host program's collection length, and the
+        # flow-controlled host boundary (link 0) is fed whole.  Metrics
+        # cover link 0, the audited inter-cell links and the address
+        # queues; the host drains the collector link outside cell time,
+        # so its occupancy is not a machine property.
+        queues = {
+            queue.name: queue.to_metrics() for queue in links[0].values()
+        }
         for i in range(1, n_cells):
             for channel, queue in links[i].items():
-                occupancy[queue.name] = queue.audit_capacity()
-                expected = plan.sends_per_run[channel]
+                queues[queue.name] = queue.audit_capacity()
+                expected = plan.counts.sends[channel]
                 if queue.items_sent != expected:
                     get_telemetry().counter("fault.detected")
                     raise SilentCorruptionDetected(
@@ -310,82 +316,36 @@ class WarpMachine:
             name: memory.arrays[name].copy()
             for name in program.ir.host_arrays
         }
-        metrics = self._build_metrics(
-            stats, links, address_queues, occupancy, end_time, skew
+        queues.update((queue.name, queue) for queue in address_metrics)
+        emit_times = plan.emission_times
+        metrics = MachineMetrics(
+            total_cycles=end_time,
+            skew=skew,
+            # A cell's receive wait is its input queues' total wait.
+            cells=[
+                replace(
+                    cell,
+                    array_cycles=end_time,
+                    receive_wait_cycles=sum(
+                        queues[queue.name].total_wait_cycles
+                        for queue in links[cell.cell].values()
+                    ),
+                )
+                for cell in cells
+            ],
+            queues=queues,
+            iu=IUMetrics(
+                addresses_emitted=len(emit_times),
+                first_emit_cycle=min(emit_times, default=0),
+                last_emit_cycle=max(emit_times, default=0),
+            ),
         )
         return SimulationResult(
             outputs=outputs,
-            cell_stats=stats,
-            total_cycles=end_time,
-            skew=skew,
-            queue_occupancy=occupancy,
-            trace=trace,
             machine_metrics=metrics,
+            trace=trace,
             record=recorder,
             fault_report=injector.report() if injector is not None else [],
-        )
-
-    def _build_metrics(
-        self,
-        stats: list[CellStats],
-        links: list[dict[Channel, TimedQueue]],
-        address_queues: list[TimedQueue],
-        occupancy: dict[str, int],
-        end_time: int,
-        skew: int,
-    ) -> MachineMetrics:
-        """Assemble the cycle-level metrics of one finished run.
-
-        Queues covered: the host boundary (``link0``), every audited
-        inter-cell link, and the per-cell address queues.  The collector
-        link is omitted — the host drains it outside cell time, so its
-        occupancy is not a machine property.
-        """
-        n_cells = len(stats)
-        queues: dict[str, QueueMetrics] = {}
-        for i in range(n_cells):
-            for queue in links[i].values():
-                queues[queue.name] = queue.to_metrics(
-                    high_water=occupancy.get(queue.name)
-                )
-        for queue in address_queues:
-            queues[queue.name] = queue.to_metrics(
-                high_water=occupancy.get(queue.name)
-            )
-        cells = []
-        for cell_stats in stats:
-            wait = sum(
-                queue.total_wait_cycles()
-                for queue in links[cell_stats.cell].values()
-            )
-            cells.append(
-                cell_metrics_from_counts(
-                    cell=cell_stats.cell,
-                    start_cycle=cell_stats.start_time,
-                    end_cycle=cell_stats.end_time,
-                    total_cycles=end_time,
-                    issue_cycles=cell_stats.issue_cycles,
-                    alu_ops=cell_stats.alu_ops,
-                    mpy_ops=cell_stats.mpy_ops,
-                    mem_reads=cell_stats.mem_reads,
-                    mem_writes=cell_stats.mem_writes,
-                    receives=cell_stats.receives,
-                    sends=cell_stats.sends,
-                    receive_wait_cycles=wait,
-                )
-            )
-        emit_times = self.plan.emission_times
-        iu = IUMetrics(
-            addresses_emitted=len(emit_times),
-            first_emit_cycle=min(emit_times) if emit_times else 0,
-            last_emit_cycle=max(emit_times) if emit_times else 0,
-        )
-        return MachineMetrics(
-            total_cycles=end_time,
-            skew=skew,
-            cells=cells,
-            queues=queues,
-            iu=iu,
         )
 
 

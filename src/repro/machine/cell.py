@@ -13,7 +13,9 @@ scheduler's latency edges assume, so any scheduler bug surfaces as a
 wrong result against the reference interpreter.  Queue transfers keep
 their absolute cycles, so every underflow, capacity and accounting
 check runs per transfer: in a plan's one checked run, and traced,
-recorded and fault-injected runs.
+recorded and fault-injected runs.  A finished run returns the cell's
+:class:`~repro.obs.metrics.CellMetrics`, whose operation counts are the
+static per-run totals (:meth:`~repro.cellcodegen.emit.OpCounts.of_run`).
 """
 
 from __future__ import annotations
@@ -21,12 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledLoop
+from ..cellcodegen.emit import (
+    CellCode,
+    OpCounts,
+    ScheduledBlock,
+    ScheduledLoop,
+)
 from ..errors import CellHangError
 from ..lang.ast import Channel
 from ..config import CellConfig
 from ..obs import get_telemetry
-from ..obs.metrics import MachineRecorder
+from ..obs.metrics import CellMetrics, MachineRecorder
 from .plan import BlockPlan
 from .queue import TimedQueue
 
@@ -40,37 +47,6 @@ class TraceEvent:
     kind: str  # 'send' | 'receive'
     queue: str
     value: float
-
-
-@dataclass(frozen=True)
-class CellStats:
-    cell: int
-    start_time: int
-    end_time: int = 0
-    alu_ops: int = 0
-    mpy_ops: int = 0
-    mem_reads: int = 0
-    mem_writes: int = 0
-    receives: int = 0
-    sends: int = 0
-    #: Cycles that issued at least one operation (non-nop instruction).
-    issue_cycles: int = 0
-
-    @property
-    def busy_cycles(self) -> int:
-        return self.end_time - self.start_time
-
-    @property
-    def stall_cycles(self) -> int:
-        """Schedule bubbles (latency/drain nops) inside the execution
-        window."""
-        return max(self.busy_cycles - self.issue_cycles, 0)
-
-    @property
-    def flop_utilization(self) -> float:
-        """Floating-point issues per FPU issue slot (2 per cycle)."""
-        cycles = max(self.busy_cycles, 1)
-        return (self.alu_ops + self.mpy_ops) / (2 * cycles)
 
 
 class CellExecutor:
@@ -88,10 +64,10 @@ class CellExecutor:
         trace: Callable[[TraceEvent], None] | None = None,
         recorder: MachineRecorder | None = None,
         block_plans: dict[int, BlockPlan] | None = None,
+        counts: OpCounts | None = None,
         deadline: int | None = None,
     ):
         self._code = code
-        self._config = config
         self._cell = cell_index
         self._start = start_time
         self._recorder = recorder
@@ -101,10 +77,16 @@ class CellExecutor:
         #: only be crossed by a stalled or hung cell.
         self._deadline = deadline
         #: Compiled block plans: shared across cells/runs when the
-        #: caller supplies them, otherwise built lazily for this cell.
-        self._block_plans = block_plans if block_plans is not None else {}
-        #: Executions of each block this run, by block id.
-        self._runs: dict[int, int] = {}
+        #: caller supplies them, otherwise built here for this cell.
+        self._block_plans = block_plans if block_plans is not None else {
+            block.block_id: BlockPlan.of(block, config)
+            for block in code.blocks()
+        }
+        #: One run's operation totals: the plan's ``counts`` when the
+        #: caller supplies them, otherwise counted here.
+        self._counts = counts if counts is not None else OpCounts.of_run(
+            code, self._block_plans
+        )
         self._registers = [0.0] * config.n_registers
         self._memory = [0.0] * config.memory_words
         #: ``trace`` as generated code calls it: (cycle, kind, queue, value).
@@ -123,20 +105,23 @@ class CellExecutor:
             emit,
         )
 
-    def run(self) -> CellStats:
+    def run(self) -> CellMetrics:
+        """Run the cell to its end; its counts are the static
+        :meth:`~repro.cellcodegen.emit.OpCounts.of_run` totals (a run
+        either executes every block the schedule fixes or raises)."""
         end = self._run_items(self._code.items, self._start)
-        runs = [(self._block_plans[b], n) for b, n in self._runs.items()]
-        return CellStats(
+        counts = self._counts
+        return CellMetrics(
             cell=self._cell,
-            start_time=self._start,
-            end_time=end,
-            alu_ops=sum(n * plan.alu_ops for plan, n in runs),
-            mpy_ops=sum(n * plan.mpy_ops for plan, n in runs),
-            mem_reads=sum(n * plan.mem_reads for plan, n in runs),
-            mem_writes=sum(n * plan.mem_writes for plan, n in runs),
-            receives=sum(n * sum(plan.receives.values()) for plan, n in runs),
-            sends=sum(n * sum(plan.sends.values()) for plan, n in runs),
-            issue_cycles=sum(n * plan.issued for plan, n in runs),
+            start_cycle=self._start,
+            end_cycle=end,
+            busy_cycles=counts.issued,
+            alu_ops=counts.alu_ops,
+            mpy_ops=counts.mpy_ops,
+            mem_reads=counts.mem_reads,
+            mem_writes=counts.mem_writes,
+            receives=sum(counts.receives.values()),
+            sends=sum(counts.sends.values()),
         )
 
     def _run_items(self, items, time: int) -> int:
@@ -160,15 +145,10 @@ class CellExecutor:
         )
 
     def _run_block(self, block: ScheduledBlock, time: int) -> int:
-        block_id = block.block_id
-        plan = self._block_plans.get(block_id)
-        if plan is None:
-            plan = BlockPlan.of(block, self._config)
-            self._block_plans[block_id] = plan
-        self._runs[block_id] = self._runs.get(block_id, 0) + 1
+        plan = self._block_plans[block.block_id]
         if self._recorder is not None:
             self._recorder.block(
-                self._cell, block_id, time, block.length, plan.issued
+                self._cell, block.block_id, time, block.length, plan.issued
             )
         plan.run(self._ctx, time)
         return time + block.length

@@ -13,12 +13,12 @@ independent of the cell index, the input data and the run — so one
 * **Untimed blocks.**  The same functions without cycles or checks, in
   one cell run's order: clean runs only move values (``value_runs``;
   ``column_runs`` over NumPy columns for batches), on the verdicts and
-  static facts of one checked run (``facts``).
-* **Static counts.**  Per-block operation totals and the blocks'
-  execution counts (:class:`~repro.cellcodegen.emit.OpCounts`,
-  :func:`~repro.cellcodegen.emit.block_runs`, shared with the
-  compile-time performance prediction), hence each cell's per-run
-  sends and receives.
+  static metrics of one checked run (``facts``).
+* **Static counts.**  Per-block operation totals and one cell run's
+  totals (``counts``, from
+  :meth:`~repro.cellcodegen.emit.OpCounts.of_run`, which the
+  compile-time performance prediction and every checked cell run also
+  call), hence each link's per-run sends.
 * **The IU address schedule** (``emissions``), identical for every cell
   up to the per-hop delay, rather than re-walked per run.
 * **The host I/O streams**: per channel, the word offsets of the feed
@@ -34,17 +34,17 @@ from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from ..analysis.local_opt import column_evaluator, pure_evaluator
-from ..cellcodegen.emit import OpCounts, ScheduledBlock, block_runs
+from ..cellcodegen.emit import OpCounts, ScheduledBlock
 from ..cellcodegen.isa import AddressSource, Lit, MicroInstr, Operand, Reg
 from ..config import CellConfig
 from ..errors import SimulationError
 from ..ir.dag import OpKind
 from ..lang.ast import Channel, Direction
+from ..obs.metrics import MachineMetrics
 from .host import Collection
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from ..compiler.driver import CompiledProgram
-    from .array import SimulationResult
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,9 @@ class ExecutionPlan:
         emissions = list(program.iu_program.emission_times())
         self.emission_times: list[int] = [t for t, _d, _a in emissions]
         self.addresses: list[int] = [a for _t, _d, a in emissions]
-        #: The checked clean run (its verdicts and facts), once it passed.
-        self.facts: "SimulationResult | None" = None
+        #: The metrics of the checked clean run, once it passed (its
+        #: verdicts hold for every clean run).
+        self.facts: MachineMetrics | None = None
         # Per channel, the host word offsets fed into cell 0 and the
         # collection's scatter.  A host index out of bounds raises
         # HostDataError here, before the run starts.
@@ -287,18 +288,10 @@ class ExecutionPlan:
             channel: Collection.of(host.collection(channel), host.layout.discard)
             for channel in (Channel.X, Channel.Y)
         }
-        #: Static per-channel I/O counts of one cell run, used by the
-        #: stream-accounting guard (every inter-cell link must carry
-        #: exactly ``sends_per_run[channel]`` words).
-        runs = block_runs(program.cell_code.items)
-        self.sends_per_run = {
-            channel: sum(n * self.blocks[b].sends[channel] for b, n in runs)
-            for channel in (Channel.X, Channel.Y)
-        }
-        self.receives_per_run = {
-            channel: sum(n * self.blocks[b].receives[channel] for b, n in runs)
-            for channel in (Channel.X, Channel.Y)
-        }
+        #: Static operation counts of one cell run; the stream-accounting
+        #: guard checks that every inter-cell link carries exactly
+        #: ``counts.sends[channel]`` words.
+        self.counts = OpCounts.of_run(program.cell_code, self.blocks)
 
     @functools.cached_property
     def value_runs(self) -> tuple[Callable[[tuple], None], ...]:

@@ -67,35 +67,29 @@ class TimedQueue:
     def items_received(self) -> int:
         return self._cursor
 
-    def max_occupancy(self) -> int:
-        """Peak occupancy over the whole run (post-hoc audit)."""
-        return occupancy_requirement(
-            np.asarray(self.send_times, dtype=np.int64),
-            np.asarray(self.recv_times, dtype=np.int64),
-            skew=0,  # times here are already absolute
-        )
-
-    def audit_capacity(self) -> int:
-        occupancy = self.max_occupancy()
-        if self.capacity is not None and occupancy > self.capacity:
+    def audit_capacity(self) -> QueueMetrics:
+        """:meth:`to_metrics`, once the peak occupancy passed the
+        capacity check (post-hoc audit)."""
+        metrics = self.to_metrics()
+        if self.capacity is not None and metrics.high_water > self.capacity:
             get_telemetry().counter("fault.detected")
             raise QueueCapacityError(
-                f"{self.name}: peak occupancy {occupancy} exceeds the "
-                f"{self.capacity}-word queue"
+                f"{self.name}: peak occupancy {metrics.high_water} exceeds "
+                f"the {self.capacity}-word queue"
             )
-        return occupancy
+        return metrics
 
-    def total_wait_cycles(self) -> int:
-        """Cycles consumed items spent in the queue (receive - send)."""
-        consumed = len(self.recv_times)
-        return sum(self.recv_times) - sum(self.send_times[:consumed])
-
-    def to_metrics(self, high_water: int | None = None) -> QueueMetrics:
-        """Snapshot this queue's occupancy/residency statistics."""
+    def to_metrics(self) -> QueueMetrics:
+        """Snapshot this queue's occupancy/residency statistics; the peak
+        occupancy is the whole run's."""
         return queue_metrics_from_times(
             name=self.name,
             capacity=self.capacity,
-            high_water=self.max_occupancy() if high_water is None else high_water,
+            high_water=occupancy_requirement(
+                np.asarray(self.send_times, dtype=np.int64),
+                np.asarray(self.recv_times, dtype=np.int64),
+                skew=0,  # times here are already absolute
+            ),
             send_times=self.send_times,
             recv_times=self.recv_times,
         )

@@ -34,7 +34,6 @@ from .metrics import (
     MachineMetrics,
     MachineRecorder,
     QueueMetrics,
-    cell_metrics_from_counts,
     queue_metrics_from_times,
 )
 from .report import (
@@ -58,7 +57,6 @@ __all__ = [
     "QueueMetrics",
     "Span",
     "Telemetry",
-    "cell_metrics_from_counts",
     "collecting",
     "compile_trace_events",
     "disable",

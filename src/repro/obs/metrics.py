@@ -18,7 +18,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CellMetrics:
-    """One cell's cycle breakdown over the whole array run.
+    """One cell's cycle breakdown and operation counts over one run: the
+    simulator's only per-cell record.
 
     ``busy + stall + idle == array_cycles``: *busy* cycles issued at
     least one operation, *stall* cycles are schedule bubbles (latency /
@@ -30,15 +31,16 @@ class CellMetrics:
     cell: int
     start_cycle: int
     end_cycle: int
+    #: Cycles that issued at least one operation (non-nop instruction).
     busy_cycles: int
-    stall_cycles: int
-    idle_cycles: int
     alu_ops: int
     mpy_ops: int
     mem_reads: int
     mem_writes: int
     receives: int
     sends: int
+    #: Cycles of the whole array run (0 until the array run finished).
+    array_cycles: int = 0
     #: Cycles the values this cell consumed spent waiting in its input
     #: queues (sum over receives of receive cycle - send cycle).
     receive_wait_cycles: int = 0
@@ -46,6 +48,14 @@ class CellMetrics:
     @property
     def active_cycles(self) -> int:
         return self.end_cycle - self.start_cycle
+
+    @property
+    def stall_cycles(self) -> int:
+        return max(self.active_cycles - self.busy_cycles, 0)
+
+    @property
+    def idle_cycles(self) -> int:
+        return max(self.array_cycles - self.active_cycles, 0)
 
     @property
     def utilization(self) -> float:
@@ -56,6 +66,12 @@ class CellMetrics:
     @property
     def fp_ops(self) -> int:
         return self.alu_ops + self.mpy_ops
+
+    @property
+    def flop_utilization(self) -> float:
+        """Floating-point issues per FPU issue slot (2 per cycle) of the
+        cell's own execution window."""
+        return self.fp_ops / (2 * max(self.active_cycles, 1))
 
 
 @dataclass(frozen=True)
@@ -186,42 +202,6 @@ class MachineMetrics:
     @property
     def queue_high_water(self) -> dict[str, int]:
         return {name: q.high_water for name, q in self.queues.items()}
-
-
-def cell_metrics_from_counts(
-    *,
-    cell: int,
-    start_cycle: int,
-    end_cycle: int,
-    total_cycles: int,
-    issue_cycles: int,
-    alu_ops: int,
-    mpy_ops: int,
-    mem_reads: int,
-    mem_writes: int,
-    receives: int,
-    sends: int,
-    receive_wait_cycles: int = 0,
-) -> CellMetrics:
-    """Derive a :class:`CellMetrics` from raw executor counts."""
-    active = end_cycle - start_cycle
-    stall = max(active - issue_cycles, 0)
-    idle = max(total_cycles - active, 0)
-    return CellMetrics(
-        cell=cell,
-        start_cycle=start_cycle,
-        end_cycle=end_cycle,
-        busy_cycles=issue_cycles,
-        stall_cycles=stall,
-        idle_cycles=idle,
-        alu_ops=alu_ops,
-        mpy_ops=mpy_ops,
-        mem_reads=mem_reads,
-        mem_writes=mem_writes,
-        receives=receives,
-        sends=sends,
-        receive_wait_cycles=receive_wait_cycles,
-    )
 
 
 def queue_metrics_from_times(

@@ -285,8 +285,6 @@ def _assert_same_run(got, expected, context: str = "") -> None:
         ), f"{context}:{name} differs bitwise"
     assert got.total_cycles == expected.total_cycles, context
     assert got.skew == expected.skew, context
-    assert got.cell_stats == expected.cell_stats, context
-    assert got.queue_occupancy == expected.queue_occupancy, context
     mine, theirs = got.machine_metrics, expected.machine_metrics
     assert (mine.total_cycles, mine.skew, mine.cells, mine.iu) == (
         theirs.total_cycles,

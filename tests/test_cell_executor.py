@@ -186,7 +186,7 @@ class TestLoopsAndStats:
         assert out.values == [1.0, 2.0, 3.0]
         assert out.send_times == [1, 3, 5]
         assert stats.receives == 3 and stats.sends == 3
-        assert stats.end_time == 6
+        assert stats.end_cycle == 6
 
     def test_underflow_detected(self):
         instructions = [instr(deqs=[DeqOp(IN_X, Reg(0))])]
@@ -457,5 +457,5 @@ class TestAgainstHeapOracle:
             assert _bits(out[channel].values) == _bits(
                 [v for _, v in sent[channel]]
             )
-        assert stats.end_time == trips * block.length
+        assert stats.end_cycle == trips * block.length
         assert stats.sends == sum(map(len, sent.values()))

@@ -239,6 +239,20 @@ class TestOtherCommands:
     def test_unroll_option(self, capsys):
         assert main(["compile", "polynomial", "--unroll", "4"]) == 0
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "compile", "timing", "run", "profile", "compare", "batch",
+            "verify", "check",
+        ],
+    )
+    def test_every_compiling_command_accepts_auto_unroll(
+        self, command, capsys
+    ):
+        assert main([command, "passthrough", "--unroll", "auto"]) == 0
+        if command == "compare":
+            assert capsys.readouterr().out.endswith("prediction exact\n")
+
 
 class TestBatchCommand:
     def test_replicated_input(self, capsys):

@@ -147,15 +147,15 @@ class TestExecutionPlan:
             program = compile_w2(source)
             plan = ExecutionPlan(program)
             result = simulate(program, inputs)
-            for stats in result.cell_stats:
-                assert stats.sends == sum(plan.sends_per_run.values()), name
-                assert stats.receives == sum(
-                    plan.receives_per_run.values()
+            for cell in result.machine_metrics.cells:
+                assert cell.sends == sum(plan.counts.sends.values()), name
+                assert cell.receives == sum(
+                    plan.counts.receives.values()
                 ), name
 
     def test_plan_is_optional(self):
-        """A cell executor without shared plans builds its own lazily
-        and still computes the same result."""
+        """A cell executor without shared plans builds its own and
+        still computes the same result."""
         program = compile_w2(passthrough(8, 2))
         inputs = {"din": np.arange(8.0)}
         expected = simulate(program, inputs)

@@ -121,7 +121,8 @@ class TestQueueBoundTightness:
             assert np.array_equal(result.outputs[out], data)
         # The runtime peak equals the static requirement (not just <=).
         for link in range(1, program.n_cells):
-            assert result.queue_occupancy[f"link{link}.X"] == required
+            queue = result.machine_metrics.queues[f"link{link}.X"]
+            assert queue.high_water == required
 
         # Necessary: one word less always overflows.
         with pytest.raises(QueueCapacityError):

@@ -133,9 +133,9 @@ class TestFuzzedPipelines:
             suffix = f".{requirement.channel.value}"
             observed = max(
                 (
-                    v
-                    for k, v in result.queue_occupancy.items()
-                    if k.endswith(suffix)
+                    queue.high_water
+                    for k, queue in result.machine_metrics.queues.items()
+                    if k.endswith(suffix) and not k.startswith("link0.")
                 ),
                 default=0,
             )

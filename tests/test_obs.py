@@ -9,8 +9,8 @@ import pytest
 from repro import obs
 from repro.obs.core import NULL_TELEMETRY, Telemetry
 from repro.obs.metrics import (
+    CellMetrics,
     MachineRecorder,
-    cell_metrics_from_counts,
     queue_metrics_from_times,
 )
 
@@ -120,18 +120,18 @@ class TestDisabledMode:
 
 class TestMetricsDataclasses:
     def test_cell_breakdown_partitions_run(self):
-        cell = cell_metrics_from_counts(
+        cell = CellMetrics(
             cell=1,
             start_cycle=10,
             end_cycle=110,
-            total_cycles=150,
-            issue_cycles=60,
+            busy_cycles=60,
             alu_ops=30,
             mpy_ops=20,
             mem_reads=0,
             mem_writes=0,
             receives=5,
             sends=5,
+            array_cycles=150,
         )
         assert cell.busy_cycles == 60
         assert cell.stall_cycles == 40
@@ -139,6 +139,7 @@ class TestMetricsDataclasses:
         assert cell.busy_cycles + cell.stall_cycles + cell.idle_cycles == 150
         assert cell.utilization == pytest.approx(60 / 150)
         assert cell.fp_ops == 50
+        assert cell.flop_utilization == pytest.approx(50 / 200)
 
     def test_queue_metrics_residency(self):
         queue = queue_metrics_from_times(

@@ -18,6 +18,7 @@ from repro import obs
 from repro.compiler import compile_w2, predict_performance
 from repro.machine import simulate
 from repro.programs import conv1d, polynomial
+from repro.timing.buffers import occupancy_requirement
 
 #: Documented tolerance for predicted vs measured total cycles.
 #: Schedules are fully static, so the reproduction holds this at zero;
@@ -104,10 +105,10 @@ class TestQueueBounds:
             program,
             {"z": rng.uniform(-1, 1, 24), "c": rng.standard_normal(4)},
         )
-        for queue_name, peak in result.queue_occupancy.items():
-            assert (
-                result.machine_metrics.queues[queue_name].high_water == peak
-            )
+        for queue in result.machine_metrics.queues.values():
+            assert queue.high_water == occupancy_requirement(
+                queue.send_times, queue.recv_times, skew=0
+            ), queue.name
 
 
 class TestMachineMetricsConsistency:
@@ -160,11 +161,9 @@ class TestMachineMetricsConsistency:
             program,
             {"z": rng.uniform(-1, 1, 24), "c": rng.standard_normal(4)},
         )
-        for stats in result.cell_stats:
-            assert 0 < stats.issue_cycles <= stats.busy_cycles
-            assert stats.stall_cycles == (
-                stats.busy_cycles - stats.issue_cycles
-            )
+        for cell in result.machine_metrics.cells:
+            assert 0 < cell.busy_cycles <= cell.active_cycles
+            assert cell.stall_cycles == cell.active_cycles - cell.busy_cycles
 
 
 class TestIUMachineCounters:

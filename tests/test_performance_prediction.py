@@ -4,33 +4,53 @@ The central claim: because schedules are fully static, compile-time
 predictions of cycles and operation counts must match the simulator
 *exactly* — not approximately."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.cellcodegen.emit import OpCounts
 from repro.compiler import (
     compile_w2,
     format_performance,
     predict_performance,
 )
-from repro.lang import analyze, parse_module
+from repro.lang import Channel, analyze, parse_module
 from repro.machine import interpret, simulate
 from repro.programs import conv2d, matmul, polynomial
 
 
 class TestPredictionExactness:
     def test_every_program(self, program_suite):
-        for name, source, inputs, _ in program_suite:
-            program = compile_w2(source)
+        for (name, source, inputs, _), unroll in itertools.product(
+            program_suite, (1, 2, 4, "auto")
+        ):
+            case = (name, unroll)
+            program = compile_w2(source, unroll=unroll)
             prediction = predict_performance(program)
             result = simulate(program, inputs)
-            assert prediction.total_cycles == result.total_cycles, name
-            stats = result.cell_stats[0]
-            assert prediction.alu_ops == stats.alu_ops, name
-            assert prediction.mpy_ops == stats.mpy_ops, name
-            assert prediction.mem_reads == stats.mem_reads, name
-            assert prediction.mem_writes == stats.mem_writes, name
-            assert prediction.receives == stats.receives, name
-            assert prediction.sends == stats.sends, name
+            assert prediction.total_cycles == result.total_cycles, case
+            stats = result.machine_metrics.cells[0]
+            assert prediction.alu_ops == stats.alu_ops, case
+            assert prediction.mpy_ops == stats.mpy_ops, case
+            assert prediction.mem_reads == stats.mem_reads, case
+            assert prediction.mem_writes == stats.mem_writes, case
+            assert prediction.receives == stats.receives, case
+            assert prediction.sends == stats.sends, case
+            # Cell counts are static by construction; the queues count
+            # the words each link really carried.  Cell i receives from
+            # link i, and inner link i carries cell i-1's sends.
+            counts = OpCounts.of_run(program.cell_code)
+            assert sum(counts.sends.values()) == prediction.sends, case
+            assert sum(counts.receives.values()) == prediction.receives, case
+            queues = result.machine_metrics.queues
+            for cell, channel in itertools.product(
+                range(program.n_cells), Channel
+            ):
+                link = queues[f"link{cell}.{channel.value}"]
+                assert link.items_received == counts.receives[channel], case
+                if cell > 0:
+                    assert link.items_sent == counts.sends[channel], case
 
     def test_prediction_under_unrolling(self):
         rng = np.random.default_rng(0)

@@ -106,9 +106,7 @@ class TestPlanOnTheProgram:
             BatchRunner(program).run([inputs]).results[0],
         ):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                first.cell_stats[0].alu_ops += 1
-            first.cell_stats.pop()
-            first.queue_occupancy.clear()
+                first.machine_metrics.cells[0].alu_ops += 1
             first.machine_metrics.cells.pop()
             first.machine_metrics.queues.clear()
             assert_same_run(simulate(program, inputs), expected)
