@@ -382,8 +382,6 @@ def _batch_input_sets(args: argparse.Namespace, program) -> list[dict[str, np.nd
         return items
     single = dict(_parse_input(spec) for spec in args.input or [])
     _check_inputs(program, single)
-    if args.items < 1:
-        raise SystemExit("error: --items must be >= 1")
     return [dict(single) for _ in range(args.items)]
 
 
@@ -541,6 +539,17 @@ def build_parser() -> argparse.ArgumentParser:
     def unroll_factor(value: str) -> int | str:
         return value if value == "auto" else int(value)
 
+    def at_least(low: float, kind: type = int, strict: bool = False):
+        """An argparse type: a ``kind`` value >= ``low`` (> when ``strict``)."""
+        def parse(text: str):
+            value = kind(text)
+            if value < low or strict and value == low:
+                rule = ">" if strict else ">="
+                raise argparse.ArgumentTypeError(f"must be {rule} {low}, got {text}")
+            return value
+        parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+        return parse
+
     def add_unroll_option(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--unroll",
@@ -591,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-retries",
-            type=int,
+            type=at_least(0),
             default=0,
             metavar="N",
             help="retry a failed item up to N times with backoff "
@@ -626,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_fault_options(run_p)
     run_p.add_argument("--output", help="write outputs to an .npz file")
     run_p.add_argument(
-        "--trace", type=int, default=0, metavar="N",
+        "--trace", type=at_least(0), default=0, metavar="N",
         help="record and print the first N I/O events per cell",
     )
     run_p.add_argument(
@@ -658,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument("program")
     add_unroll_option(batch_p)
     batch_p.add_argument(
-        "--items", type=int, default=1, metavar="N",
+        "--items", type=at_least(1), default=1, metavar="N",
         help="replicate the --input set N times (ignored with --inputs)",
     )
     batch_p.add_argument(
@@ -674,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="all items at once: every array carries a leading item axis",
     )
     batch_p.add_argument(
-        "--processes", type=int, default=0, metavar="N",
+        "--processes", type=at_least(0), default=0, metavar="N",
         help="fan items out over N worker processes (default: in-process)",
     )
     batch_p.add_argument(
@@ -689,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_p.add_argument(
         "--item-timeout",
-        type=float,
+        type=at_least(0, float, strict=True),
         default=None,
         metavar="SECONDS",
         help="per-item wall-time bound in pool mode (a hung worker's "
@@ -715,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_p.add_argument(
         "--mutate",
-        type=int,
+        type=at_least(0),
         default=0,
         metavar="N",
         help="also miscompile the program N times (seeded artifact "

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable
 
@@ -175,13 +175,6 @@ class InjectionPlan:
 
     def __iter__(self):
         return iter(self.specs)
-
-    def with_specs(self, specs: Iterable[FaultSpec]) -> "InjectionPlan":
-        return replace(self, specs=tuple(specs))
-
-    @property
-    def has_machine_faults(self) -> bool:
-        return any(spec.kind in MACHINE_KINDS for spec in self.specs)
 
     @property
     def has_worker_faults(self) -> bool:

@@ -3,13 +3,14 @@ feeder/collector, plus the AST-level reference interpreter."""
 
 from ..obs.metrics import CellMetrics, IUMetrics, MachineMetrics, QueueMetrics
 from .array import SimulationResult, WarpMachine, simulate
-from .cell import CellExecutor, TraceEvent
+from .cell import CellExecutor
 from .config import DEFAULT_CONFIG, CellConfig, IUConfig, WarpConfig
 from .host import HostMemory, collect_outputs, feed_input_queues
 from .iu_machine import IUMachine, run_iu_program
 from .plan import BlockPlan, ExecutionPlan
 from .queue import TimedQueue
 from .reference import interpret
+from .trace import TraceEvent
 
 __all__ = [
     "BlockPlan",

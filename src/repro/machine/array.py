@@ -17,7 +17,9 @@ later clean runs only move values (:meth:`WarpMachine._values`); traced,
 recorded and fault-injected runs stay checked.  A result keeps each run
 fact once, in its :class:`~repro.obs.metrics.MachineMetrics`: one
 ``CellMetrics`` per cell (what each :class:`CellExecutor` returns) and
-one ``QueueMetrics`` per queue, peak occupancy included.
+one ``QueueMetrics`` per queue, peak occupancy included.  A checked
+run's trace and block spans are read off its finished queues and cell
+start cycles, not recorded while it runs.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ import numpy as np
 
 from ..errors import SilentCorruptionDetected
 from ..lang.ast import Channel
-from ..obs import get_telemetry
+from ..obs import chrome_trace, get_telemetry
 from ..obs.metrics import (
     CellMetrics,
+    CellSpans,
     IUMetrics,
     MachineMetrics,
-    MachineRecorder,
     QueueMetrics,
 )
 
@@ -42,10 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - avoid circular import at run time
     from ..compiler.driver import CompiledProgram
     from ..faults.injector import FaultInjector
     from ..faults.plan import InjectionPlan
-from .cell import CellExecutor, TraceEvent
+from .cell import CellExecutor
 from .host import HostMemory, collect_outputs, feed_input_queues, load_inputs
 from .plan import ExecutionPlan
 from .queue import TimedQueue
+from .trace import TraceEvent, trace_events
 
 
 @dataclass
@@ -58,9 +61,9 @@ class SimulationResult:
     #: address-path statistics.
     machine_metrics: MachineMetrics
     trace: list[TraceEvent] = field(default_factory=list)
-    #: Per-block execution spans (only when ``simulate(..., record=True)``;
-    #: feeds the Chrome-trace exporter).
-    record: MachineRecorder | None = None
+    #: Per-cell block execution spans (only when
+    #: ``simulate(..., record=True)``; feeds the Chrome-trace exporter).
+    record: list[CellSpans] | None = None
     #: Descriptions of every fault injected into this run (empty for
     #: clean runs; filled from the active
     #: :class:`~repro.faults.FaultInjector`).
@@ -223,21 +226,7 @@ class WarpMachine:
         # Address path: the same IU stream per cell, delayed by the hop
         # latency; emitted FIFO order is preserved.
         hop = self._config.address_hop_latency
-
-        trace: list[TraceEvent] = []
-        traced_per_cell: dict[int, int] = {}
-
-        def tracer(event: TraceEvent) -> None:
-            # Cells execute sequentially, so cap the budget per cell to
-            # keep early events of *every* cell (Figure 4-2 needs the
-            # first events of cells 0 and 1 side by side).
-            count = traced_per_cell.get(event.cell, 0)
-            if count < trace_limit:
-                traced_per_cell[event.cell] = count + 1
-                trace.append(event)
-
         cells: list[CellMetrics] = []
-        recorder = MachineRecorder() if record else None
         address_metrics: list[QueueMetrics] = []
         # A healthy cell ends exactly its run's cycles after its nominal
         # start; the watchdog allows the configured slack past that.
@@ -266,8 +255,6 @@ class WarpMachine:
                 in_queues=links[cell_index],
                 out_queues=links[cell_index + 1],
                 address_queue=address_queue,
-                trace=tracer if trace_limit else None,
-                recorder=recorder,
                 block_plans=plan.blocks,
                 counts=plan.counts,
                 deadline=nominal_start + budget,
@@ -343,8 +330,10 @@ class WarpMachine:
         return SimulationResult(
             outputs=outputs,
             machine_metrics=metrics,
-            trace=trace,
-            record=recorder,
+            trace=trace_events(links, trace_limit),
+            record=plan.spans(
+                cells, chrome_trace.MAX_BLOCK_SPANS // n_cells
+            ) if record else None,
             fault_report=injector.report() if injector is not None else [],
         )
 
@@ -368,9 +357,10 @@ def simulate(
 ) -> SimulationResult:
     """Run a compiled program on the simulated Warp machine.
 
-    ``record=True`` additionally collects per-block execution spans on
-    every cell (``result.record``), which the Chrome-trace exporter
-    turns into per-cell lanes.
+    ``record=True`` additionally builds each cell's per-block execution
+    spans (``result.record``), which the Chrome-trace exporter turns
+    into per-cell lanes; ``trace_limit=N`` keeps each cell's first ``N``
+    sends and receives (``result.trace``, Figure 4-2).
 
     ``faults`` injects a deterministic :class:`~repro.faults.InjectionPlan`
     into the run (see ``docs/robustness.md``); every injected fault is

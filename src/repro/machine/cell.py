@@ -16,12 +16,12 @@ check runs per transfer: in a plan's one checked run, and traced,
 recorded and fault-injected runs.  A finished run returns the cell's
 :class:`~repro.obs.metrics.CellMetrics`, whose operation counts are the
 static per-run totals (:meth:`~repro.cellcodegen.emit.OpCounts.of_run`).
+Nothing is recorded on the way: a run's trace and block spans are built
+afterwards from its queues and start cycles (:mod:`repro.machine.trace`,
+:meth:`~repro.machine.plan.ExecutionPlan.spans`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 from ..cellcodegen.emit import (
     CellCode,
@@ -33,20 +33,9 @@ from ..errors import CellHangError
 from ..lang.ast import Channel
 from ..config import CellConfig
 from ..obs import get_telemetry
-from ..obs.metrics import CellMetrics, MachineRecorder
+from ..obs.metrics import CellMetrics
 from .plan import BlockPlan
 from .queue import TimedQueue
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One observable I/O action, for execution traces (Figure 4-2)."""
-
-    cell: int
-    time: int
-    kind: str  # 'send' | 'receive'
-    queue: str
-    value: float
 
 
 class CellExecutor:
@@ -61,8 +50,6 @@ class CellExecutor:
         in_queues: dict[Channel, TimedQueue],
         out_queues: dict[Channel, TimedQueue],
         address_queue: TimedQueue,
-        trace: Callable[[TraceEvent], None] | None = None,
-        recorder: MachineRecorder | None = None,
         block_plans: dict[int, BlockPlan] | None = None,
         counts: OpCounts | None = None,
         deadline: int | None = None,
@@ -70,7 +57,6 @@ class CellExecutor:
         self._code = code
         self._cell = cell_index
         self._start = start_time
-        self._recorder = recorder
         #: Watchdog: absolute cycle by which the cell must have
         #: finished.  Healthy cells finish exactly on their statically
         #: predicted cycle, so the deadline (predicted end + slack) can
@@ -89,10 +75,6 @@ class CellExecutor:
         )
         self._registers = [0.0] * config.n_registers
         self._memory = [0.0] * config.memory_words
-        #: ``trace`` as generated code calls it: (cycle, kind, queue, value).
-        emit = None if trace is None else (
-            lambda *event: trace(TraceEvent(cell_index, *event))
-        )
         #: What every generated block function runs against.
         self._ctx = (
             self._registers,
@@ -102,7 +84,6 @@ class CellExecutor:
             out_queues[Channel.X].enqueue,
             out_queues[Channel.Y].enqueue,
             address_queue.dequeue,
-            emit,
         )
 
     def run(self) -> CellMetrics:
@@ -145,10 +126,5 @@ class CellExecutor:
         )
 
     def _run_block(self, block: ScheduledBlock, time: int) -> int:
-        plan = self._block_plans[block.block_id]
-        if self._recorder is not None:
-            self._recorder.block(
-                self._cell, block.block_id, time, block.length, plan.issued
-            )
-        plan.run(self._ctx, time)
+        self._block_plans[block.block_id].run(self._ctx, time)
         return time + block.length

@@ -14,6 +14,8 @@ independent of the cell index, the input data and the run — so one
   one cell run's order: clean runs only move values (``value_runs``;
   ``column_runs`` over NumPy columns for batches), on the verdicts and
   static metrics of one checked run (``facts``).
+* **Block spans**, walked over one cell run's block order from each
+  cell's measured start cycle (:meth:`ExecutionPlan.spans`).
 * **Static counts.**  Per-block operation totals and one cell run's
   totals (``counts``, from
   :meth:`~repro.cellcodegen.emit.OpCounts.of_run`, which the
@@ -40,7 +42,7 @@ from ..config import CellConfig
 from ..errors import SimulationError
 from ..ir.dag import OpKind
 from ..lang.ast import Channel, Direction
-from ..obs.metrics import MachineMetrics
+from ..obs.metrics import BlockSpan, CellMetrics, CellSpans, MachineMetrics
 from .host import Collection
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
@@ -106,15 +108,13 @@ def _block_source(
 
     The source defines ``make(E, L)``, which binds the evaluators ``E``
     and literals ``L`` *by position* and returns
-    ``run((R, M, dx, dy, ex, ey, da, trace), t)``: ``R``/``M`` are the
-    register file and data memory, ``dx``/``dy`` the dequeue and
-    ``ex``/``ey`` the enqueue methods of the X/Y queues, ``da`` the
-    address queue's dequeue and ``trace`` ``None`` or a
-    ``(cycle, kind, queue, value)`` callback.  Side effects keep the
-    order of each instruction: dequeues, IU addresses in slot order,
-    loads, stores, ALU, MPY, move, enqueues.
+    ``run((R, M, dx, dy, ex, ey, da), t)``: ``R``/``M`` are the register
+    file and data memory, ``dx``/``dy`` the dequeue and ``ex``/``ey`` the
+    enqueue methods of the X/Y queues and ``da`` the address queue's
+    dequeue.  Side effects keep the order of each instruction: dequeues,
+    IU addresses in slot order, loads, stores, ALU, MPY, move, enqueues.
 
-    Untimed (``timed=False``) it is ``run((R, M, dx, dy, ex, ey, da))``:
+    Untimed (``timed=False``) it is ``run(ctx)`` over the same ``ctx``:
     the queue and address functions take no cycle and check nothing, and
     ``da`` returns an ``int``.
     """
@@ -170,14 +170,6 @@ def _block_source(
 
     now = "n" if timed else ""
 
-    def io(line: str, kind: str, transfer, v: str) -> None:
-        body.append(line)
-        if timed:
-            body.append(
-                f"if trace is not None: trace(n, {kind!r}, "
-                f"{str(transfer.queue)!r}, {v})"
-            )
-
     for c, ins in active:
         land(c)
         if timed and (ins.deqs or ins.enqs or any(
@@ -186,7 +178,7 @@ def _block_source(
             body.append(f"n = t + {c}")
         for deq in ins.deqs:
             v = value()
-            io(f"{v} = {queue(deq.queue, True)}({now})", "receive", deq, v)
+            body.append(f"{v} = {queue(deq.queue, True)}({now})")
             write(deq.dest, c + config.queue_latency, v)
         # IU addresses arrive in instruction-slot order (``addr_demands``
         # is stably sorted by cycle), though loads apply before stores.
@@ -227,9 +219,8 @@ def _block_source(
             source = read(ins.move.source)
             write(ins.move.dest, c + config.move_latency, source)
         for enq in ins.enqs:
-            v = read(enq.source)
             send = queue(enq.queue, False)
-            io(f"{send}({now and 'n, '}{v})", "send", enq, v)
+            body.append(f"{send}({now and 'n, '}{read(enq.source)})")
     land(length)
     lines = ["def make(E, L):"]
     if evaluators:
@@ -238,9 +229,8 @@ def _block_source(
     if literals:
         names = "".join(f"l{k}, " for k in range(len(literals)))
         lines.append(f"    {names}= L")
-    args, trace = ("ctx, t", ", trace") if timed else ("ctx", "")
-    lines.append(f"    def run({args}):")
-    lines.append(f"        R, M, dx, dy, ex, ey, da{trace} = ctx")
+    lines.append(f"    def run({'ctx, t' if timed else 'ctx'}):")
+    lines.append("        R, M, dx, dy, ex, ey, da = ctx")
     lines.extend(f"        r{reg} = R[{reg}]" for reg in entry)
     lines.extend(f"        {line}" for line in body)
     lines.extend(
@@ -310,6 +300,28 @@ class ExecutionPlan:
             for block in code.blocks()
         }
         return tuple(functions[b] for b in _order(code.items))
+
+    def spans(self, cells: list[CellMetrics], limit: int) -> list[CellSpans]:
+        """Each cell's first ``limit`` block executions, walked over one
+        cell run's block order from its measured start cycle (a stalled
+        cell's spans move with it), and how many more its run executes."""
+        order = _order(self._program.cell_code.items)
+        head = [self.blocks[block_id] for block_id in order[:limit]]
+        offsets = list(itertools.accumulate((b.length for b in head), initial=0))
+        return [
+            CellSpans(
+                cell.cell,
+                [
+                    BlockSpan(
+                        cell.cell, b.block_id, cell.start_cycle + offset,
+                        b.length, b.issued,
+                    )
+                    for b, offset in zip(head, offsets)
+                ],
+                omitted=len(order) - len(head),
+            )
+            for cell in cells
+        ]
 
     @property
     def skipped_slots(self) -> int:

@@ -1,13 +1,61 @@
-"""Execution-trace formatting (Figure 4-2).
+"""Execution traces (Figure 4-2), read off a finished checked run.
 
 Figure 4-2 shows the logical sequence of sends and receives on the first
 two cells of the polynomial program, with arrows from each send to the
-receive that consumes it.  :func:`format_two_cell_trace` renders the
-same picture from a simulation trace, for any pair of cells."""
+receive that consumes it.  :func:`trace_events` reads each cell's events
+off the links' cycles and words once the last cell has run, and
+:func:`format_two_cell_trace` renders the picture for any pair of cells."""
 
 from __future__ import annotations
 
-from .cell import TraceEvent
+from dataclasses import dataclass
+
+from ..lang.ast import Channel
+from .queue import TimedQueue
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    """One observable I/O action, for execution traces (Figure 4-2)."""
+
+    cell: int
+    time: int
+    kind: str  # 'send' | 'receive'
+    queue: str
+    value: float
+
+
+def trace_events(
+    links: list[dict[Channel, TimedQueue]], limit: int
+) -> list[TraceEvent]:
+    """Each cell's first ``limit`` transfers, cell by cell: cell ``c``
+    receives link ``c``'s words at its receive cycles and sends link
+    ``c + 1``'s at their send cycles.  Within a cycle, receives come
+    before sends and X before Y: the order in which an instruction
+    issues its transfers.  Each queue's cycles never decrease, so its
+    first ``limit`` words are all a cell's first ``limit`` events can
+    use."""
+    events: list[TraceEvent] = []
+    for cell in range(len(links) - 1):
+        sides = (
+            ("L", links[cell], "recv_times"),
+            ("R", links[cell + 1], "send_times"),
+        )
+        transfers = sorted(
+            (
+                (time, side, str(channel), value)
+                for side, link, times in sides
+                for channel, queue in link.items()
+                for time, value in zip(getattr(queue, times)[:limit], queue.values)
+            ),
+            key=lambda transfer: transfer[:3],  # "L" < "R", "X" < "Y"
+        )
+        events += (
+            TraceEvent(cell, time, "send" if side == "R" else "receive",
+                       f"{side}.{channel}", value)
+            for time, side, channel, value in transfers[:limit]
+        )
+    return events
 
 
 def format_two_cell_trace(

@@ -30,9 +30,9 @@ from .chrome_trace import (
 from .metrics import (
     BlockSpan,
     CellMetrics,
+    CellSpans,
     IUMetrics,
     MachineMetrics,
-    MachineRecorder,
     QueueMetrics,
     queue_metrics_from_times,
 )
@@ -49,9 +49,9 @@ from .report import (
 __all__ = [
     "BlockSpan",
     "CellMetrics",
+    "CellSpans",
     "IUMetrics",
     "MachineMetrics",
-    "MachineRecorder",
     "NULL_TELEMETRY",
     "NullTelemetry",
     "QueueMetrics",

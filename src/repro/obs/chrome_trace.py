@@ -8,7 +8,8 @@ and Perfetto (https://ui.perfetto.dev): a list of event dicts with
 * **compiler** (pid 1) — one ``B``/``E`` pair per telemetry span, on a
   single driver lane, in wall-clock microseconds;
 * **warp machine** (pid 2) — one lane per cell (``X`` complete events
-  per executed block), one lane per queue (``X`` events for item
+  per executed block, up to ``MAX_BLOCK_SPANS // cells`` per lane), one
+  lane per queue (``X`` events for item
   residency — the cycles a word waited between send and receive — plus
   ``C`` counter events tracking occupancy), an IU lane with the address
   stream and a host lane for feed/collect.  Machine timestamps map one
@@ -21,7 +22,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from .core import Telemetry
-from .metrics import MachineMetrics, MachineRecorder
+from .metrics import CellSpans, MachineMetrics
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..machine.array import SimulationResult
@@ -30,9 +31,11 @@ COMPILER_PID = 1
 MACHINE_PID = 2
 
 #: Per-lane cap on per-item events (queue waits, IU emissions) so traces
-#: of long runs stay loadable; truncation is flagged on the lane's
-#: metadata.
+#: of long runs stay loadable; a cut lane ends with a ``…truncated`` span.
 MAX_EVENTS_PER_LANE = 4000
+#: Block spans a checked run keeps for its trace, shared evenly by the
+#: cell lanes (each keeps its first ``MAX_BLOCK_SPANS // cells``).
+MAX_BLOCK_SPANS = 200_000
 
 
 def _meta(pid: int, name: str, tid: int | None = None) -> dict[str, Any]:
@@ -98,12 +101,21 @@ def compile_trace_events(
 
 def machine_trace_events(
     metrics: MachineMetrics,
-    record: MachineRecorder | None = None,
+    record: list[CellSpans] | None = None,
     pid: int = MACHINE_PID,
 ) -> list[dict[str, Any]]:
     """Lanes for cells, queues, IU and host from one simulated run."""
     events: list[dict[str, Any]] = [_meta(pid, "warp machine")]
     tid = 0
+
+    def complete(
+        tid: int, name: str, ts: int, dur: int, args: dict | None = None
+    ) -> None:
+        """Append an ``X`` event: ``dur`` cycles from ``ts`` on lane ``tid``."""
+        event = {"ph": "X", "pid": pid, "tid": tid, "name": name, "ts": ts, "dur": dur}
+        if args is not None:
+            event["args"] = args
+        events.append(event)
 
     # Host lane -----------------------------------------------------------
     host_tid = tid
@@ -113,81 +125,38 @@ def machine_trace_events(
     feed_items = sum(q.items_sent for q in feed)
     if feed_items:
         last = max(int(q.send_times.max()) for q in feed if q.send_times.size)
-        events.append(
-            {
-                "ph": "X",
-                "pid": pid,
-                "tid": host_tid,
-                "name": "feed input queues",
-                "ts": 0,
-                "dur": last + 1,
-                "args": {"items": feed_items},
-            }
-        )
-    events.append(
-        {
-            "ph": "X",
-            "pid": pid,
-            "tid": host_tid,
-            "name": "collect outputs",
-            "ts": metrics.total_cycles,
-            "dur": 1,
-        }
-    )
+        complete(host_tid, "feed input queues", 0, last + 1, {"items": feed_items})
+    complete(host_tid, "collect outputs", metrics.total_cycles, 1)
 
     # IU lane -------------------------------------------------------------
     iu_tid = tid
     events.append(_meta(pid, "IU address path", tid=iu_tid))
     tid += 1
-    if metrics.iu.addresses_emitted:
-        events.append(
-            {
-                "ph": "X",
-                "pid": pid,
-                "tid": iu_tid,
-                "name": "address stream",
-                "ts": metrics.iu.first_emit_cycle,
-                "dur": metrics.iu.emit_span_cycles,
-                "args": {"addresses": metrics.iu.addresses_emitted},
-            }
-        )
+    iu = metrics.iu
+    if iu.addresses_emitted:
+        complete(iu_tid, "address stream", iu.first_emit_cycle,
+                 iu.emit_span_cycles, {"addresses": iu.addresses_emitted})
 
-    # Cell lanes ----------------------------------------------------------
+    # Cell lanes: a lane cut by the span cap ends with a marker -----------
     cell_tids: dict[int, int] = {}
     for cell in metrics.cells:
         cell_tids[cell.cell] = tid
         events.append(_meta(pid, f"cell {cell.cell}", tid=tid))
         tid += 1
-    if record is not None and record.blocks:
-        for span in record.blocks:
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": cell_tids[span.cell],
-                    "name": f"block b{span.block_id}",
-                    "ts": span.start,
-                    "dur": max(span.length, 1),
-                    "args": {"issued_ops": span.issued_ops},
-                }
-            )
-    else:
+    for lane in record or ():
+        for span in lane.spans:
+            complete(cell_tids[span.cell], f"block b{span.block_id}", span.start,
+                     max(span.length, 1), {"issued_ops": span.issued_ops})
+        if lane.omitted:
+            complete(cell_tids[lane.cell], "…truncated", metrics.total_cycles,
+                     1, {"omitted_spans": lane.omitted})
+    if not record:
         # No per-block record: one span covering each cell's execution.
         for cell in metrics.cells:
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": cell_tids[cell.cell],
-                    "name": "execute",
-                    "ts": cell.start_cycle,
-                    "dur": max(cell.active_cycles, 1),
-                    "args": {
-                        "busy_cycles": cell.busy_cycles,
-                        "stall_cycles": cell.stall_cycles,
-                    },
-                }
-            )
+            complete(cell_tids[cell.cell], "execute", cell.start_cycle,
+                     max(cell.active_cycles, 1),
+                     {"busy_cycles": cell.busy_cycles,
+                      "stall_cycles": cell.stall_cycles})
 
     # Queue lanes: item residency spans + occupancy counters --------------
     for name, queue in metrics.queues.items():
@@ -199,17 +168,8 @@ def machine_trace_events(
         for k in range(min(consumed, MAX_EVENTS_PER_LANE)):
             sent = int(queue.send_times[k])
             received = int(queue.recv_times[k])
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": queue_tid,
-                    "name": "queue wait",
-                    "ts": sent,
-                    "dur": max(received - sent, 0) + 1,
-                    "args": {"item": k},
-                }
-            )
+            complete(queue_tid, "queue wait", sent,
+                     max(received - sent, 0) + 1, {"item": k})
         times, occupancy = queue.occupancy_series()
         for t, level in zip(
             times.tolist()[:MAX_EVENTS_PER_LANE],
@@ -226,17 +186,9 @@ def machine_trace_events(
                 }
             )
         if truncated or times.size > MAX_EVENTS_PER_LANE:
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": queue_tid,
-                    "name": "…truncated",
-                    "ts": metrics.total_cycles,
-                    "dur": 1,
-                    "args": {"omitted_items": max(consumed - MAX_EVENTS_PER_LANE, 0)},
-                }
-            )
+            omitted = max(consumed - MAX_EVENTS_PER_LANE, 0)
+            complete(queue_tid, "…truncated", metrics.total_cycles, 1,
+                     {"omitted_items": omitted})
     return events
 
 

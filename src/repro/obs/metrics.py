@@ -1,7 +1,7 @@
 """Cycle-level machine metrics.
 
 Everything here is computed from raw event times (enqueue/dequeue
-cycles, block execution spans) so the simulator can build a
+cycles, block start cycles) so the simulator can build a
 :class:`MachineMetrics` without this module ever importing the machine
 package.  The occupancy definition matches the compile-time queue
 analysis (:func:`repro.timing.buffers.occupancy_requirement`): an item
@@ -160,21 +160,14 @@ class BlockSpan:
     issued_ops: int
 
 
-class MachineRecorder:
-    """Opt-in collector of per-block execution spans (Chrome traces)."""
+@dataclass(frozen=True)
+class CellSpans:
+    """The first block executions of one cell's run (a Chrome cell lane)."""
 
-    def __init__(self, limit: int = 200_000):
-        self.blocks: list[BlockSpan] = []
-        self.limit = limit
-        self.truncated = False
-
-    def block(
-        self, cell: int, block_id: int, start: int, length: int, issued: int
-    ) -> None:
-        if len(self.blocks) >= self.limit:
-            self.truncated = True
-            return
-        self.blocks.append(BlockSpan(cell, block_id, start, length, issued))
+    cell: int
+    spans: list[BlockSpan]
+    #: Block executions of the run after ``spans``, cut by the lane cap.
+    omitted: int
 
 
 @dataclass(frozen=True)
@@ -198,10 +191,6 @@ class MachineMetrics:
         if not self.cells:
             return 0.0
         return sum(c.utilization for c in self.cells) / len(self.cells)
-
-    @property
-    def queue_high_water(self) -> dict[str, int]:
-        return {name: q.high_water for name, q in self.queues.items()}
 
 
 def queue_metrics_from_times(

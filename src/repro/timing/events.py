@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledItem
-from .vectors import Stream, _item_cycles, count_stream_events
+from ..cellcodegen.emit import _item_cycles
+from .vectors import Stream, count_stream_events
 
 
 class TooManyEventsError(Exception):

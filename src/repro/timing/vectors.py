@@ -26,7 +26,7 @@ from ..cellcodegen.emit import (
     IOEvent,
     ScheduledBlock,
     ScheduledItem,
-    ScheduledLoop,
+    _item_cycles,
 )
 from ..ir.dag import OpKind, QueueRef
 from ..lang.ast import Channel, Direction
@@ -78,12 +78,6 @@ class IOCharacterization:
         for r in self.R:
             total *= r
         return total
-
-
-def _item_cycles(item: ScheduledItem) -> int:
-    if isinstance(item, ScheduledBlock):
-        return item.length
-    return item.trip * sum(_item_cycles(child) for child in item.body)
 
 
 def count_stream_events(items: list[ScheduledItem], stream: Stream) -> int:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cellcodegen.emit import ScheduledBlock
+from repro.cellcodegen.emit import ScheduledBlock, _item_cycles
 from repro.compiler import compile_w2
 from repro.lang import Channel
 from repro.timing import (
@@ -28,7 +28,6 @@ from repro.timing import (
 )
 from repro.timing.skew import channel_skew_bound
 from repro.timing.tau import time_difference_bounds
-from repro.timing.vectors import _item_cycles
 
 
 @st.composite

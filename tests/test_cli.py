@@ -337,6 +337,40 @@ class TestBatchCommand:
             main(["batch", "passthrough", "--items", "0"])
 
 
+class TestBadCounts:
+    """Every count flag is bounded in argparse: a bad value exits 2 with
+    a usage error naming the flag, never a traceback or a silent no-op."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["batch", "passthrough", "--processes", "-1"],
+            ["batch", "passthrough", "--max-retries", "-1"],
+            ["batch", "passthrough", "--item-timeout", "0"],
+            ["batch", "passthrough", "--items", "0"],
+            ["run", "polynomial", "--inject", "stall_cell:cell=1,cycles=5",
+             "--max-retries", "-2"],
+            ["run", "polynomial", "--trace", "-1"],
+            ["verify", "polynomial", "--mutate", "-3"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+    )
+    def test_bad_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be" in err
+        assert "Traceback" not in err
+
+    def test_bounds_are_inclusive(self, capsys):
+        assert main(["run", "passthrough", "--trace", "0"]) == 0
+        assert main([
+            "batch", "passthrough", "--items", "1", "--processes", "0",
+            "--max-retries", "0", "--item-timeout", "0.5",
+        ]) == 0
+
+
 class TestFaultInjection:
     """``--inject`` end to end: `run` and `batch` share one retry policy
     (docs/robustness.md) — fatal faults fail at once, others retry."""

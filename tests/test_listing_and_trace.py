@@ -8,7 +8,7 @@ from repro.cellcodegen.listing import format_cell_code
 from repro.compiler import compile_w2, format_metrics_table
 from repro.lang import Channel
 from repro.machine import simulate
-from repro.machine.cell import TraceEvent
+from repro.machine import TraceEvent
 from repro.machine.trace import format_two_cell_trace
 from repro.programs import passthrough, polynomial
 from repro.timing import count_stream_events, input_stream, output_stream

@@ -10,7 +10,6 @@ from repro import obs
 from repro.obs.core import NULL_TELEMETRY, Telemetry
 from repro.obs.metrics import (
     CellMetrics,
-    MachineRecorder,
     queue_metrics_from_times,
 )
 
@@ -173,13 +172,6 @@ class TestMetricsDataclasses:
         histogram = queue.occupancy_histogram()
         assert sum(histogram.values()) == times.max() - times.min() + 1
 
-    def test_recorder_truncates_at_limit(self):
-        recorder = MachineRecorder(limit=2)
-        for k in range(5):
-            recorder.block(0, k, k * 10, 10, 3)
-        assert len(recorder.blocks) == 2
-        assert recorder.truncated
-
 
 def _spans_fixture() -> Telemetry:
     clock = iter([0.0, 0.1, 0.2, 0.3, 0.4, 0.5]).__next__
@@ -249,6 +241,51 @@ class TestChromeTraceExport:
             e["ph"] == "X" and e["name"].startswith("block b")
             for e in events
         )
+
+    def test_cell_lanes_share_the_span_cap(self, rng, monkeypatch):
+        """Each cell lane keeps its first MAX_BLOCK_SPANS // cells spans;
+        a lane cut short ends with a marker counting the rest."""
+        from repro.compiler import compile_w2
+        from repro.machine import simulate
+        from repro.obs import chrome_trace
+        from repro.programs import polynomial
+
+        program = compile_w2(polynomial(12, 3))
+        inputs = {"z": rng.uniform(-1, 1, 12), "c": rng.standard_normal(3)}
+
+        def cell_lanes():
+            result = simulate(program, inputs, record=True)
+            events = obs.machine_trace_events(
+                result.machine_metrics, result.record
+            )
+            names = {
+                e["tid"]: e["args"]["name"]
+                for e in events
+                if e["ph"] == "M" and e.get("tid") is not None
+            }
+            lanes: dict[str, list] = {}
+            for event in events:
+                if event["ph"] == "X" and names[event["tid"]].startswith("cell"):
+                    lanes.setdefault(names[event["tid"]], []).append(event)
+            return lanes
+
+        whole = cell_lanes()
+        runs = len(whole["cell 0"])
+        assert runs > 3
+        assert all(len(lane) == runs for lane in whole.values())
+        assert not any(
+            e["name"] == "…truncated" for lane in whole.values() for e in lane
+        )
+
+        # 3 cells share 10 spans: 3 each, and the 1 left over is unused.
+        monkeypatch.setattr(chrome_trace, "MAX_BLOCK_SPANS", 10)
+        cut = cell_lanes()
+        assert sorted(cut) == [f"cell {c}" for c in range(program.n_cells)]
+        for name, lane in cut.items():
+            *spans, marker = lane
+            assert spans == whole[name][:3]
+            assert marker["name"] == "…truncated"
+            assert marker["args"] == {"omitted_spans": runs - 3}
 
     def test_trace_document_roundtrips(self, rng, tmp_path):
         from repro.compiler import compile_w2
