@@ -94,6 +94,23 @@ class TestTraceRendering:
         cells = {event.cell for event in result.trace}
         assert {0, 1, 2, 3} <= cells
 
+    @pytest.mark.parametrize("unroll", [1, 2, 4, "auto"])
+    def test_trace_order_is_issue_order(self, unroll):
+        """The trace orders a cycle's transfers receives first, X before
+        Y; that is the issue order because every instruction issues its
+        dequeues, then its enqueues, each X before Y."""
+        from conftest import small_program_suite
+
+        for _name, source, _inputs, _ref in small_program_suite(
+            np.random.default_rng(0)
+        ):
+            code = compile_w2(source, unroll=unroll).cell_code
+            for block_ in code.blocks():
+                for ins in block_.instructions:
+                    for transfers in (ins.deqs, ins.enqs):
+                        channels = [t.queue.channel.value for t in transfers]
+                        assert channels == sorted(channels), ins
+
 
 class TestSyntheticBuilders:
     def test_block_events(self):
