@@ -12,7 +12,7 @@ defaults are the paper's sizes.  The five Table 7-1 programs:
 * :func:`mandelbrot` — fixed-iteration Mandelbrot on one cell.
 
 Extras used by examples and tests: :func:`matmul`, :func:`passthrough`,
-and the bidirectional programs of Figure 5-1.
+:func:`deep_nest`, and the bidirectional programs of Figure 5-1.
 """
 
 from .sources import (
@@ -22,6 +22,7 @@ from .sources import (
     colorseg,
     conv1d,
     conv2d,
+    deep_nest,
     fir_bank,
     mandelbrot,
     matmul,
@@ -38,6 +39,7 @@ __all__ = [
     "colorseg",
     "conv1d",
     "conv2d",
+    "deep_nest",
     "fir_bank",
     "mandelbrot",
     "matmul",

@@ -541,6 +541,34 @@ end
 """
 
 
+def deep_nest(depth: int = 25, n_points: int = 4, n_cells: int = 2) -> str:
+    """A stream scaled and offset inside ``depth`` nested one-trip loops.
+
+    Deeper than the 20 statically nested blocks Python allows in one
+    function, so it guards every layer that walks or generates code for
+    the loop tree against assuming shallow nests.
+    """
+    loops = "".join(
+        f"    for k{d} := 0 to 0 do begin\n" for d in range(depth)
+    )
+    ends = "    end;\n" * depth
+    names = ", ".join(f"k{d}" for d in range(depth))
+    return f"""
+module deepnest (din in, dout out)
+float din[{n_points}];
+float dout[{n_points}];
+cellprogram (cid : 0 : {n_cells - 1})
+begin
+    float t;
+    int i, {names};
+{loops}    for i := 0 to {n_points - 1} do begin
+        receive (L, X, t, din[i]);
+        send (R, X, t * 2.0 + 1.0, dout[i]);
+    end;
+{ends}end
+"""
+
+
 def bidirectional_exchange(n_points: int = 8, n_cells: int = 4) -> str:
     """Figure 5-1 program A: bidirectional traffic with *unrelated* data,
     hence no communication cycle in either direction.

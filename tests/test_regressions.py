@@ -497,3 +497,34 @@ end
             compile_w2(source)
         with pytest.raises(UnsupportedProgramError, match=match):
             interpret(analyze(parse_module(source)), {})
+
+
+class TestDeepLoopNest:
+    """Python allows at most 20 statically nested blocks in one
+    function, so code generated for a cell's loop tree must not nest
+    one ``for`` per W2 loop without bound: a 25-deep nest of one-trip
+    loops once failed with ``SyntaxError: too many statically nested
+    blocks``."""
+
+    @pytest.mark.parametrize("unroll", [1, "auto"])
+    def test_every_path_matches_the_interpreter(self, unroll):
+        from repro.exec import BatchRunner
+        from repro.programs import deep_nest
+
+        source = deep_nest(depth=25)
+        program = compile_w2(source, unroll=unroll)
+        items = [{"din": np.arange(4.0) + k} for k in range(3)]
+        for inputs in items:
+            want = interpret(analyze(parse_module(source)), inputs)["dout"]
+            clean = simulate(program, inputs)
+            recorded = simulate(program, inputs, record=True)
+            for got in (clean, recorded):
+                assert np.array_equal(got.outputs["dout"], want)
+            assert recorded.machine_metrics.cells == clean.machine_metrics.cells
+            assert recorded.record is not None
+        batch = BatchRunner(program).run(items)
+        assert batch.ok and batch.value_items == len(items)
+        for inputs, result in zip(items, batch.results):
+            assert np.array_equal(
+                result.outputs["dout"], simulate(program, inputs).outputs["dout"]
+            )
