@@ -113,7 +113,7 @@ class WarpMachine:
         if trace_limit or record or injector is not None:
             get_telemetry().counter("machine.runs.checked")
             return self._execute(memory, trace_limit, record, injector)
-        return SimulationResult(*self._values(memory, self.plan.value_runs))
+        return SimulationResult(*self._values(memory, self.plan.value_driver))
 
     def run_columns(
         self, input_sets: Sequence[dict[str, np.ndarray]]
@@ -131,7 +131,7 @@ class WarpMachine:
         if not valid:
             return {}
         with np.errstate(all="ignore"):
-            columns, metrics = self._values(memory, self.plan.column_runs)
+            columns, metrics = self._values(memory, self.plan.column_driver)
         # One contiguous (items, elements) array per output: row j is
         # item j's output.
         outputs = {name: out.T.copy() for name, out in columns.items()}
@@ -143,14 +143,15 @@ class WarpMachine:
         }
 
     def _values(
-        self, memory: HostMemory, runs: tuple[Callable[[tuple], None], ...]
+        self, memory: HostMemory, drive: Callable[[tuple], None]
     ) -> tuple[dict[str, np.ndarray], MachineMetrics]:
         """The outputs and static metrics of a clean run that only moves
-        values: each cell runs ``runs`` over fresh registers and memory,
-        on its left neighbour's words.  Timing and metrics come from the
-        plan's checked run on zeroed inputs (no evaluator raises, so its
-        verdicts hold for every clean run), kept once it passed; a
-        failing check raises every time."""
+        values: each cell runs the untimed loop driver ``drive`` over
+        fresh registers and memory, on its left neighbour's words.
+        Timing and metrics come from the plan's checked run on zeroed
+        inputs (no evaluator raises, so its verdicts hold for every
+        clean run), kept once it passed; a failing check raises every
+        time."""
         plan, config = self.plan, self._config.cell
         if plan.facts is None:
             layout = self._program.host_program.layout
@@ -164,9 +165,7 @@ class WarpMachine:
             link = {channel: TimedQueue("") for channel in Channel}
             send = [queue.values.append for queue in link.values()]
             memories = [0.0] * config.n_registers, [0.0] * config.memory_words
-            ctx = (*memories, *receive, *send, iter(plan.addresses).__next__)
-            for run in runs:
-                run(ctx)
+            drive((*memories, *receive, *send, iter(plan.addresses).__next__))
         collect_outputs(plan.collection, memory, link)
         outputs = {
             name: memory.arrays[name].copy()
@@ -258,6 +257,7 @@ class WarpMachine:
                 block_plans=plan.blocks,
                 counts=plan.counts,
                 deadline=nominal_start + budget,
+                driver=plan.driver,
             )
             cells.append(executor.run())
             end_time = max(end_time, cells[-1].end_cycle)

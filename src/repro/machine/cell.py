@@ -1,9 +1,11 @@
 """Cycle-accurate execution of one Warp cell's microcode: the checked path.
 
-The executor walks the scheduled program tree with an absolute cycle
-counter (the cell's start is offset by its skew) and runs each scheduled
-block as one generated straight-line function
-(:class:`~repro.machine.plan.BlockPlan`).  Pipelining is modelled
+The executor runs the program's generated loop driver
+(:func:`~repro.machine.plan.loop_driver`): nested loops over the
+scheduled program tree that carry an absolute cycle counter (the cell's
+start is offset by its skew), run each scheduled block as one generated
+straight-line function (:class:`~repro.machine.plan.BlockPlan`) and
+check the watchdog deadline after every block.  Pipelining is modelled
 exactly: an operation issued at cycle ``t`` with latency ``L`` writes
 its destination register at ``t + L``; reads at or after that cycle see
 the new value, earlier reads see the old one.  Because the schedule
@@ -23,18 +25,16 @@ afterwards from its queues and start cycles (:mod:`repro.machine.trace`,
 
 from __future__ import annotations
 
-from ..cellcodegen.emit import (
-    CellCode,
-    OpCounts,
-    ScheduledBlock,
-    ScheduledLoop,
-)
+import math
+from typing import Callable
+
+from ..cellcodegen.emit import CellCode, OpCounts
 from ..errors import CellHangError
 from ..lang.ast import Channel
 from ..config import CellConfig
 from ..obs import get_telemetry
 from ..obs.metrics import CellMetrics
-from .plan import BlockPlan
+from .plan import BlockPlan, loop_driver
 from .queue import TimedQueue
 
 
@@ -53,8 +53,8 @@ class CellExecutor:
         block_plans: dict[int, BlockPlan] | None = None,
         counts: OpCounts | None = None,
         deadline: int | None = None,
+        driver: Callable | None = None,
     ):
-        self._code = code
         self._cell = cell_index
         self._start = start_time
         #: Watchdog: absolute cycle by which the cell must have
@@ -73,6 +73,12 @@ class CellExecutor:
         self._counts = counts if counts is not None else OpCounts.of_run(
             code, self._block_plans
         )
+        #: The timed loop driver of ``code`` (the plan's when supplied).
+        self._driver = driver if driver is not None else loop_driver(
+            code.items,
+            {block_id: p.run for block_id, p in self._block_plans.items()},
+            timed=True,
+        )
         self._registers = [0.0] * config.n_registers
         self._memory = [0.0] * config.memory_words
         #: What every generated block function runs against.
@@ -90,7 +96,10 @@ class CellExecutor:
         """Run the cell to its end; its counts are the static
         :meth:`~repro.cellcodegen.emit.OpCounts.of_run` totals (a run
         either executes every block the schedule fixes or raises)."""
-        end = self._run_items(self._code.items, self._start)
+        deadline = math.inf if self._deadline is None else self._deadline
+        end = self._driver(
+            self._ctx, self._start, deadline, self._watchdog_expired
+        )
         counts = self._counts
         return CellMetrics(
             cell=self._cell,
@@ -105,18 +114,6 @@ class CellExecutor:
             sends=sum(counts.sends.values()),
         )
 
-    def _run_items(self, items, time: int) -> int:
-        for item in items:
-            if isinstance(item, ScheduledBlock):
-                time = self._run_block(item, time)
-                if self._deadline is not None and time > self._deadline:
-                    self._watchdog_expired(time)
-            else:
-                assert isinstance(item, ScheduledLoop)
-                for _ in range(item.trip):
-                    time = self._run_items(item.body, time)
-        return time
-
     def _watchdog_expired(self, time: int) -> None:
         get_telemetry().counter("fault.detected")
         raise CellHangError(
@@ -124,7 +121,3 @@ class CellExecutor:
             f"cycle {time}, deadline was cycle {self._deadline} "
             f"(started at cycle {self._start}); the cell is stalled or hung"
         )
-
-    def _run_block(self, block: ScheduledBlock, time: int) -> int:
-        self._block_plans[block.block_id].run(self._ctx, time)
-        return time + block.length

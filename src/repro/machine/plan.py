@@ -10,12 +10,17 @@ independent of the cell index, the input data and the run — so one
   cycles vanish (30–50% of instruction slots on the Table 7-1
   programs), each register read names the value it sees, and the
   block's length advances the clock.
-* **Untimed blocks.**  The same functions without cycles or checks, in
-  one cell run's order: clean runs only move values (``value_runs``;
-  ``column_runs`` over NumPy columns for batches), on the verdicts and
-  static metrics of one checked run (``facts``).
-* **Block spans**, walked over one cell run's block order from each
-  cell's measured start cycle (:meth:`ExecutionPlan.spans`).
+* **Loop drivers.**  One generated driver per cell program walks the
+  scheduled loop tree with nested ``for`` loops and calls the block
+  functions (:func:`loop_driver`): ``driver`` carries the cycle and the
+  watchdog check of a checked run; clean runs only move values, under
+  ``value_driver`` (``column_driver`` over NumPy columns for batches)
+  over the same functions without cycles or checks, on the verdicts
+  and static metrics of one checked run (``facts``).  Every driver's
+  size is the static code's, whatever the trip counts.
+* **Block spans** of one cell run's first blocks, as read-only arrays
+  built once from the loop tree; each cell's start cycles are its
+  measured start plus their offsets (:meth:`ExecutionPlan.spans`).
 * **Static counts.**  Per-block operation totals and one cell run's
   totals (``counts``, from
   :meth:`~repro.cellcodegen.emit.OpCounts.of_run`, which the
@@ -32,17 +37,19 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, TYPE_CHECKING
 
+import numpy as np
+
 from ..analysis.local_opt import column_evaluator, pure_evaluator
-from ..cellcodegen.emit import OpCounts, ScheduledBlock
+from ..cellcodegen.emit import OpCounts, ScheduledBlock, ScheduledItem
 from ..cellcodegen.isa import AddressSource, Lit, MicroInstr, Operand, Reg
 from ..config import CellConfig
 from ..errors import SimulationError
 from ..ir.dag import OpKind
 from ..lang.ast import Channel, Direction
-from ..obs.metrics import BlockSpan, CellMetrics, CellSpans, MachineMetrics
+from ..obs.metrics import CellMetrics, CellSpans, MachineMetrics
 from .host import Collection
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
@@ -240,10 +247,83 @@ def _block_source(
     return "\n".join(lines) + "\n", evaluators, literals
 
 
+#: Loops one generated driver function nests at most.  Python refuses
+#: more than 20 statically nested blocks in one function, so a deeper
+#: loop continues in a function of its own.
+MAX_NEST = 10
+
+
+def _driver_source(items: list[ScheduledItem], timed: bool) -> str:
+    """Python source of the loop driver of one cell program.
+
+    The paper keeps loop structure in the generated loop control
+    (Section 6.3.1); so does the driver, so its size does not grow with
+    trip counts: nested ``for _ in range(trip):`` loops over the
+    :class:`~repro.cellcodegen.emit.ScheduledLoop` tree that call each
+    block's function in one cell run's order.  The source defines
+    ``make(B)``, which binds each block's function ``B[id]`` as
+    ``b<id>`` and returns the driver.
+
+    Timed, it is ``drive(ctx, t, deadline, expired) -> end``: each block
+    runs at cycle ``t``, ``t`` advances by the block's length, and once
+    ``t`` passes ``deadline`` the driver calls ``expired(t)`` (the
+    watchdog, which raises).  Untimed, it is ``drive(ctx)``.  A loop
+    :data:`MAX_NEST` deep in one function continues in a function of
+    its own (``l<k>``).
+    """
+    args = "ctx, t, deadline, expired" if timed else "ctx"
+    functions: list[list[str]] = []
+    block_ids: set[int] = set()
+
+    def function(name: str, body: list[ScheduledItem]) -> None:
+        lines = [f"    def {name}({args}):"]
+        functions.append(lines)
+        emit(body, lines, "        ", 0)
+        lines.append("        return t" if timed else "        return")
+
+    def emit(
+        body: list[ScheduledItem], lines: list[str], pad: str, depth: int
+    ) -> None:
+        for item in body:
+            if isinstance(item, ScheduledBlock):
+                block_ids.add(item.block_id)
+                if timed:
+                    lines.append(f"{pad}b{item.block_id}(ctx, t)")
+                    lines.append(f"{pad}t += {item.length}")
+                    lines.append(f"{pad}if t > deadline: expired(t)")
+                else:
+                    lines.append(f"{pad}b{item.block_id}(ctx)")
+            elif depth == MAX_NEST:
+                name = f"l{len(functions)}"
+                function(name, [item])
+                lines.append(f"{pad}{'t = ' if timed else ''}{name}({args})")
+            else:
+                lines.append(f"{pad}for _ in range({item.trip}):")
+                emit(item.body, lines, pad + "    ", depth + 1)
+                if lines[-1].endswith(":"):  # a loop over no blocks
+                    lines.append(f"{pad}    pass")
+
+    function("drive", items)
+    lines = ["def make(B):"]
+    lines.extend(f"    b{b} = B[{b}]" for b in sorted(block_ids))
+    for body in functions:
+        lines.extend(body)
+    lines.append("    return drive")
+    return "\n".join(lines) + "\n"
+
+
+def loop_driver(
+    items: list[ScheduledItem], functions: dict[int, Callable], timed: bool
+) -> Callable:
+    """The loop driver of ``items`` over the block ``functions`` (by
+    block id); see :func:`_driver_source`."""
+    return _factory(_driver_source(items, timed))(functions)
+
+
 @functools.lru_cache(maxsize=1024)
 def _factory(source: str) -> Callable:
-    """The ``make`` function of one generated block source, compiled
-    once per distinct text (a recompiled program reuses them)."""
+    """The ``make`` function of one generated block or driver source,
+    compiled once per distinct text (a recompiled program reuses them)."""
     namespace: dict = {}
     exec(compile(source, "<warp block>", "exec"), namespace)
     return namespace["make"]
@@ -258,6 +338,13 @@ class ExecutionPlan:
             block.block_id: BlockPlan.of(block, program.config.cell)
             for block in program.cell_code.blocks()
         }
+        #: One checked cell run: ``driver(ctx, start, deadline, expired)``
+        #: walks the loop tree over the timed block functions.
+        self.driver = loop_driver(
+            program.cell_code.items,
+            {block_id: plan.run for block_id, plan in self.blocks.items()},
+            timed=True,
+        )
         #: The cycle and address of every dynamic IU emission, as
         #: parallel lists so a cell's address queue is a couple of list
         #: copies, not a per-item enqueue loop.
@@ -282,46 +369,62 @@ class ExecutionPlan:
         #: guard checks that every inter-cell link carries exactly
         #: ``counts.sends[channel]`` words.
         self.counts = OpCounts.of_run(program.cell_code, self.blocks)
+        #: By lane cap, the spans of a cell started at cycle 0.
+        self._heads: dict[int, CellSpans] = {}
 
     @functools.cached_property
-    def value_runs(self) -> tuple[Callable[[tuple], None], ...]:
-        """One cell run's untimed block functions, loops unrolled."""
+    def value_driver(self) -> Callable[[tuple], None]:
+        """One untimed cell run: ``value_driver(ctx)`` walks the loop
+        tree over the untimed block functions."""
         return self._untimed(pure_evaluator)
 
     @functools.cached_property
-    def column_runs(self) -> tuple[Callable[[tuple], None], ...]:
-        """:attr:`value_runs` over NumPy columns (built on first use)."""
+    def column_driver(self) -> Callable[[tuple], None]:
+        """:attr:`value_driver` over NumPy columns (built on first use)."""
         return self._untimed(column_evaluator)
 
-    def _untimed(self, evaluate) -> tuple[Callable[[tuple], None], ...]:
+    def _untimed(self, evaluate) -> Callable[[tuple], None]:
         code, config = self._program.cell_code, self._program.config.cell
         functions = {
             block.block_id: BlockPlan.of(block, config, evaluate, False).run
             for block in code.blocks()
         }
-        return tuple(functions[b] for b in _order(code.items))
+        return loop_driver(code.items, functions, timed=False)
 
     def spans(self, cells: list[CellMetrics], limit: int) -> list[CellSpans]:
-        """Each cell's first ``limit`` block executions, walked over one
-        cell run's block order from its measured start cycle (a stalled
-        cell's spans move with it), and how many more its run executes."""
-        order = _order(self._program.cell_code.items)
-        head = [self.blocks[block_id] for block_id in order[:limit]]
-        offsets = list(itertools.accumulate((b.length for b in head), initial=0))
+        """Each cell's first ``limit`` block executions, from its
+        measured start cycle (a stalled cell's spans move with it), and
+        how many more its run executes.  Only the start cycles are per
+        cell; the other arrays are the plan's, read-only."""
+        head = self._heads.get(limit)
+        if head is None:
+            head = self._heads[limit] = self._span_head(limit)
         return [
-            CellSpans(
-                cell.cell,
-                [
-                    BlockSpan(
-                        cell.cell, b.block_id, cell.start_cycle + offset,
-                        b.length, b.issued,
-                    )
-                    for b, offset in zip(head, offsets)
-                ],
-                omitted=len(order) - len(head),
+            replace(
+                head, cell=cell.cell,
+                starts=_read_only(cell.start_cycle + head.starts),
             )
             for cell in cells
         ]
+
+    def _span_head(self, limit: int) -> CellSpans:
+        """The first ``limit`` spans of a cell started at cycle 0."""
+        block_ids, total = _head(self._program.cell_code.items, limit)
+        size = max(self.blocks, default=-1) + 1
+        length_of = np.zeros(size, np.int64)
+        issued_of = np.zeros(size, np.int64)
+        for plan in self.blocks.values():
+            length_of[plan.block_id] = plan.length
+            issued_of[plan.block_id] = plan.issued
+        lengths = length_of[block_ids]
+        return CellSpans(
+            cell=0,
+            block_ids=_read_only(block_ids),
+            starts=_read_only(np.cumsum(lengths) - lengths),
+            lengths=_read_only(lengths),
+            issued_ops=_read_only(issued_of[block_ids]),
+            omitted=total - block_ids.size,
+        )
 
     @property
     def skipped_slots(self) -> int:
@@ -331,12 +434,23 @@ class ExecutionPlan:
         )
 
 
-def _order(items) -> list[int]:
-    """The block ids one pass over ``items`` executes, in order."""
-    order: list[int] = []
+def _head(items: list[ScheduledItem], limit: int) -> tuple[np.ndarray, int]:
+    """The first ``limit`` block ids one pass over ``items`` executes,
+    and how many it executes in all."""
+    parts, total = [], 0
     for item in items:
+        room = max(limit - total, 0)
         if isinstance(item, ScheduledBlock):
-            order.append(item.block_id)
+            ids, count = np.array([item.block_id], np.int64), 1
         else:
-            order += _order(item.body) * item.trip
-    return order
+            body, per_trip = _head(item.body, room)
+            count = per_trip * item.trip
+            ids = np.tile(body, min(item.trip, -(-room // max(body.size, 1))))
+        parts.append(ids[:room])
+        total += count
+    return np.concatenate(parts or [np.empty(0, np.int64)]), total
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array

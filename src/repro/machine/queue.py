@@ -81,15 +81,15 @@ class TimedQueue:
 
     def to_metrics(self) -> QueueMetrics:
         """Snapshot this queue's occupancy/residency statistics; the peak
-        occupancy is the whole run's."""
+        occupancy is the whole run's.  Each time list becomes one array,
+        which the metrics keep."""
+        sends = np.asarray(self.send_times, dtype=np.int64)
+        recvs = np.asarray(self.recv_times, dtype=np.int64)
         return queue_metrics_from_times(
             name=self.name,
             capacity=self.capacity,
-            high_water=occupancy_requirement(
-                np.asarray(self.send_times, dtype=np.int64),
-                np.asarray(self.recv_times, dtype=np.int64),
-                skew=0,  # times here are already absolute
-            ),
-            send_times=self.send_times,
-            recv_times=self.recv_times,
+            # Times here are already absolute.
+            high_water=occupancy_requirement(sends, recvs, skew=0),
+            send_times=sends,
+            recv_times=recvs,
         )

@@ -28,7 +28,6 @@ from .chrome_trace import (
     write_chrome_trace,
 )
 from .metrics import (
-    BlockSpan,
     CellMetrics,
     CellSpans,
     IUMetrics,
@@ -47,7 +46,6 @@ from .report import (
 )
 
 __all__ = [
-    "BlockSpan",
     "CellMetrics",
     "CellSpans",
     "IUMetrics",

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from .core import Telemetry
 from .metrics import CellSpans, MachineMetrics
 
@@ -144,9 +146,13 @@ def machine_trace_events(
         events.append(_meta(pid, f"cell {cell.cell}", tid=tid))
         tid += 1
     for lane in record or ():
-        for span in lane.spans:
-            complete(cell_tids[span.cell], f"block b{span.block_id}", span.start,
-                     max(span.length, 1), {"issued_ops": span.issued_ops})
+        lane_tid = cell_tids[lane.cell]
+        for block_id, start, length, issued in zip(
+            lane.block_ids.tolist(), lane.starts.tolist(),
+            np.maximum(lane.lengths, 1).tolist(), lane.issued_ops.tolist(),
+        ):
+            complete(lane_tid, f"block b{block_id}", start, length,
+                     {"issued_ops": issued})
         if lane.omitted:
             complete(cell_tids[lane.cell], "…truncated", metrics.total_cycles,
                      1, {"omitted_spans": lane.omitted})

@@ -3,15 +3,19 @@
 Everything here is computed from raw event times (enqueue/dequeue
 cycles, block start cycles) so the simulator can build a
 :class:`MachineMetrics` without this module ever importing the machine
-package.  The occupancy definition matches the compile-time queue
-analysis (:func:`repro.timing.buffers.occupancy_requirement`): an item
-occupies the buffer from its send cycle up to *and including* the cycle
-of its receive.
+package.  Times are NumPy arrays, made read-only once built so results
+can share them: a queue's send and receive cycles, and a cell lane's
+block spans (:class:`CellSpans`).  The occupancy definition matches the
+compile-time queue analysis
+(:func:`repro.timing.buffers.occupancy_requirement`): an item occupies
+the buffer from its send cycle up to *and including* the cycle of its
+receive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -150,23 +154,19 @@ class IUMetrics:
 
 
 @dataclass(frozen=True)
-class BlockSpan:
-    """One execution of a scheduled block on one cell (for traces)."""
-
-    cell: int
-    block_id: int
-    start: int
-    length: int
-    issued_ops: int
-
-
-@dataclass(frozen=True)
 class CellSpans:
-    """The first block executions of one cell's run (a Chrome cell lane)."""
+    """The first block executions of one cell's run (a Chrome cell lane),
+    as parallel read-only arrays: span ``k`` runs block ``block_ids[k]``
+    for ``lengths[k]`` cycles from cycle ``starts[k]``, issuing
+    ``issued_ops[k]`` operations.  Only ``starts`` is the cell's own;
+    the other arrays are shared by every lane and run of a program."""
 
     cell: int
-    spans: list[BlockSpan]
-    #: Block executions of the run after ``spans``, cut by the lane cap.
+    block_ids: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    lengths: np.ndarray = field(repr=False)
+    issued_ops: np.ndarray = field(repr=False)
+    #: Block executions of the run after these spans, cut by the lane cap.
     omitted: int
 
 
@@ -198,10 +198,11 @@ def queue_metrics_from_times(
     name: str,
     capacity: int | None,
     high_water: int,
-    send_times: list[int],
-    recv_times: list[int],
+    send_times: Sequence[int] | np.ndarray,
+    recv_times: Sequence[int] | np.ndarray,
 ) -> QueueMetrics:
-    """Derive a :class:`QueueMetrics` from raw enqueue/dequeue cycles."""
+    """Derive a :class:`QueueMetrics` from raw enqueue/dequeue cycles
+    (``int64`` arrays are taken as they are, not copied)."""
     sends = np.asarray(send_times, dtype=np.int64)
     recvs = np.asarray(recv_times, dtype=np.int64)
     consumed = min(sends.size, recvs.size)

@@ -201,6 +201,41 @@ class TestLoopsAndStats:
         assert stats.alu_ops == 1 and stats.mpy_ops == 1
         assert 0 < stats.flop_utilization <= 1
 
+    def test_loop_driver_past_the_nesting_limit(self):
+        """A nest deeper than ``MAX_NEST`` continues in functions of its
+        own and keeps every trip count; a loop over no blocks runs
+        nothing; the timed driver advances the cycle by each block's
+        length and calls the watchdog once it passes the deadline."""
+        from repro.machine.plan import MAX_NEST, loop_driver
+
+        block = ScheduledBlock(block_id=0, instructions=[instr()], length=3)
+        items = [block]
+        for depth in range(2 * MAX_NEST + 5):
+            items = [
+                ScheduledLoop(
+                    loop_id=depth, var=f"i{depth}", start=0, step=1,
+                    trip=2 if depth % 8 == 0 else 1, body=items,
+                )
+            ]
+        items.append(
+            ScheduledLoop(loop_id=99, var="j", start=0, step=1, trip=5)
+        )
+        passes = []
+        loop_driver(items, {0: passes.append}, timed=False)("ctx")
+        assert passes == ["ctx"] * 16  # four loops of two trips
+        starts = []
+        timed = loop_driver(
+            items, {0: lambda ctx, t: starts.append(t)}, timed=True
+        )
+        assert timed("ctx", 100, math.inf, None) == 100 + 16 * 3
+        assert starts == [100 + 3 * k for k in range(16)]
+
+        def expired(t):
+            raise SimulationError(f"expired at {t}")
+
+        with pytest.raises(SimulationError, match="expired at 9"):
+            timed("ctx", 0, 7, expired)
+
 
 class TestDrainGuard:
     def test_write_landing_after_the_block_is_rejected(self):

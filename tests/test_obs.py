@@ -287,6 +287,39 @@ class TestChromeTraceExport:
             assert marker["name"] == "…truncated"
             assert marker["args"] == {"omitted_spans": runs - 3}
 
+    def test_span_arrays_are_read_only_and_unaliased(self, rng):
+        """A lane's block ids, lengths and issued ops are the plan's,
+        shared by every lane and run, so no array of a lane can be
+        written, nor is it a view of anything writable; each lane's
+        start cycles are its own."""
+        from repro.compiler import compile_w2
+        from repro.machine import simulate
+        from repro.programs import polynomial
+
+        program = compile_w2(polynomial(12, 3))
+        inputs = {"z": rng.uniform(-1, 1, 12), "c": rng.standard_normal(3)}
+        first, second = (
+            simulate(program, inputs, record=True).record for _ in range(2)
+        )
+        lanes = first + second
+        for lane in lanes:
+            for array in (
+                lane.block_ids, lane.starts, lane.lengths, lane.issued_ops
+            ):
+                while array is not None:
+                    assert not array.flags.writeable
+                    array = array.base
+            with pytest.raises(ValueError):
+                lane.starts[0] = -1
+        starts = [lane.starts for lane in lanes]
+        assert not any(
+            np.shares_memory(a, b)
+            for k, a in enumerate(starts) for b in starts[k + 1:]
+        )
+        for a, b in zip(first, second):
+            assert np.array_equal(a.starts, b.starts)
+            assert a.block_ids is b.block_ids
+
     def test_trace_document_roundtrips(self, rng, tmp_path):
         from repro.compiler import compile_w2
         from repro.machine import simulate

@@ -27,6 +27,7 @@ from repro.faults import FaultKind, FaultSpec, InjectionPlan
 from repro.ir.dag import OpKind
 from repro.lang import analyze, parse_module
 from repro.machine import WarpMachine, interpret, simulate
+from repro.machine import plan as plan_module
 from repro.programs import colorseg, mandelbrot, polynomial
 
 #: Two cells divide; the ``else`` arm makes the divide dead whenever
@@ -304,21 +305,38 @@ class TestBatchRunnerPaths:
             assert_same_run(got, simulate(poly, item))
 
     def test_machine_run_and_simulate_do_not_record(self):
-        """One-shot runs never build the column block functions."""
+        """One-shot runs never build the column loop driver."""
         program = compile_w2(polynomial(12, 4))
         runner = BatchRunner(program)
         runner.machine.run(_items(1)[0])
         simulate(program, _items(1)[0])
-        assert "value_runs" in vars(program.execution_plan)
-        assert "column_runs" not in vars(program.execution_plan)
+        assert "value_driver" in vars(program.execution_plan)
+        assert "column_driver" not in vars(program.execution_plan)
 
-    def test_column_blocks_built_once_per_plan(self, poly):
-        runner = BatchRunner(poly)
+    def test_drivers_built_once_per_plan(self, monkeypatch):
+        """The checked and the float loop drivers are generated once per
+        plan, however many runs use them, and the column driver only on
+        first batched use."""
+        built = []
+        generate = plan_module.loop_driver
+
+        def counting(items, functions, timed):
+            built.append("timed" if timed else "untimed")
+            return generate(items, functions, timed)
+
+        monkeypatch.setattr(plan_module, "loop_driver", counting)
+        program = compile_w2(polynomial(12, 4))
+        for item in _items(3):
+            simulate(program, item)
+            simulate(program, item, record=True)
+        assert built == ["timed", "untimed"]
+        runner = BatchRunner(program)
         runner.run(_items(2))
-        runs = runner.machine.plan.column_runs
-        assert len(runs) == len(runner.machine.plan.value_runs)
-        BatchRunner(poly).run(_items(2))
-        assert runner.machine.plan.column_runs is runs
+        drive = runner.machine.plan.column_driver
+        assert drive is not runner.machine.plan.value_driver
+        BatchRunner(program).run(_items(2))
+        assert built == ["timed", "untimed", "untimed"]
+        assert runner.machine.plan.column_driver is drive
 
     def test_unrecordable_program_runs_on_cycle_path(
         self, poly, monkeypatch, assert_same_run
