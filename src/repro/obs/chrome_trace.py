@@ -154,8 +154,8 @@ def machine_trace_events(
             complete(lane_tid, f"block b{block_id}", start, length,
                      {"issued_ops": issued})
         if lane.omitted:
-            complete(cell_tids[lane.cell], "…truncated", metrics.total_cycles,
-                     1, {"omitted_spans": lane.omitted})
+            complete(lane_tid, "…truncated", metrics.total_cycles, 1,
+                     {"omitted_spans": lane.omitted})
     if not record:
         # No per-block record: one span covering each cell's execution.
         for cell in metrics.cells:
