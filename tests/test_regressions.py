@@ -528,3 +528,107 @@ class TestDeepLoopNest:
             assert np.array_equal(
                 result.outputs["dout"], simulate(program, inputs).outputs["dout"]
             )
+
+
+def _mutated(source: str, old: str, new: str) -> str:
+    assert old in source
+    return source.replace(old, new)
+
+
+def huge_loop_source() -> str:
+    """``polynomial(16, 8)`` whose data loop runs a billion times."""
+    from repro.programs import polynomial
+
+    return _mutated(
+        polynomial(16, 8), "for i := 0 to 15", "for i := 0 to 999999999"
+    )
+
+
+def index_after_loop_source() -> str:
+    """``fir_bank(64, 10, 8)`` whose inner Y loop body is a bare
+    ``receive``, so the following ``send`` names ``j`` after its loop."""
+    from repro.programs import fir_bank
+
+    return _mutated(
+        fir_bank(64, 10, 8),
+        """            for j := 1 to 9 do begin
+                receive (L, Y, t1, 0.0);
+                send (R, Y, t1, y[9 - j, i]);
+            end;""",
+        """            for j := 1 to 1 do receive (L, Y, t1, 0.0);
+                send (R, Y, t1, y[9 - j, i]);""",
+    )
+
+
+class TestTooManyTimingEvents:
+    """Found by mutating bundled sources: a loop bound of ``999999999``
+    gave streams too long to enumerate, and the buffer check let the
+    enumerator's raw ``TooManyEventsError`` escape ``compile_w2``."""
+
+    def test_compile_refuses_with_a_compilation_error(self):
+        from repro.errors import CompilationError
+
+        with pytest.raises(CompilationError, match="999999"):
+            compile_w2(huge_loop_source())
+
+    def test_variable_skew_plan_refuses_alike(self):
+        from repro.errors import CompilationError
+        from repro.lang.ast import Channel
+        from repro.timing import plan_variable_skew
+
+        program = compile_w2(
+            _mutated(huge_loop_source(), "999999999", "15"),
+        )
+        plan_variable_skew(program.cell_code, Channel.X, program.skew.skew)
+        with pytest.raises(CompilationError, match="budget 2"):
+            plan_variable_skew(
+                program.cell_code, Channel.X, program.skew.skew, max_events=2
+            )
+
+
+class TestLoopIndexAfterItsLoop:
+    """Found by mutating bundled sources: a host subscript naming a loop
+    index after its loop compiled, then the host I/O program failed with
+    a raw ``KeyError: 'bank$1.j'``; subscripts may only name the indices
+    of enclosing loops."""
+
+    def test_compile_and_interpreter_refuse(self):
+        from repro.lang.errors import SemanticError
+
+        source = index_after_loop_source()
+        match = "'j' is not the index of an enclosing loop"
+        with pytest.raises(SemanticError, match=match):
+            compile_w2(source)
+        with pytest.raises(SemanticError, match=match):
+            interpret(analyze(parse_module(source)), {})
+
+    def test_cell_subscript_after_its_loop_is_refused(self):
+        from repro.lang.errors import SemanticError
+
+        source = """
+module m (a in, b out)
+float a[4];
+float b[4];
+cellprogram (cid : 0 : 0)
+begin
+    float t, w[4];
+    int i;
+    for i := 0 to 3 do receive (L, X, t, a[i]);
+    w[i] := t;
+    send (R, X, w[0], b[0]);
+end
+"""
+        with pytest.raises(SemanticError, match="enclosing loop"):
+            compile_w2(source)
+
+
+@pytest.mark.parametrize(
+    "make_source", [huge_loop_source, index_after_loop_source]
+)
+def test_cli_compile_ends_in_a_structured_error(make_source, tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "mutant.w2"
+    path.write_text(make_source())
+    assert main(["compile", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
