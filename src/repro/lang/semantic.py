@@ -111,8 +111,9 @@ def affine_var(name: str) -> AffineIndex:
 class _AffineBuilder:
     """Convert an integer expression over loop indices into affine form."""
 
-    def __init__(self, scope: Scope):
+    def __init__(self, scope: Scope, loop_indices: list[str]):
         self._scope = scope
+        self._loop_indices = loop_indices
 
     def build(self, expr: ast.Expr) -> AffineIndex:
         if isinstance(expr, ast.IntLiteral):
@@ -123,6 +124,16 @@ class _AffineBuilder:
                 raise SemanticError(
                     f"{expr.name!r} is not a loop index; array subscripts may "
                     "only use loop indices and constants",
+                    expr.location,
+                )
+            if (
+                symbol.kind is SymbolKind.LOOP_INDEX
+                and expr.name not in self._loop_indices
+            ):
+                raise SemanticError(
+                    f"{expr.name!r} is not the index of an enclosing loop; "
+                    "array subscripts may only use the indices of the "
+                    "loops around them",
                     expr.location,
                 )
             return affine_var(expr.name)
@@ -214,7 +225,9 @@ class SemanticAnalyzer:
         self._array_index_forms: dict[int, tuple[AffineIndex, ...]] = {}
         self._loop_bounds: dict[int, tuple[int, int, int]] = {}
         self._io_info: dict[int, IOStatementInfo] = {}
-        self._loop_depth = 0
+        #: The index variables of the loops around the statement being
+        #: checked, outermost first.
+        self._loop_indices: list[str] = []
 
     def analyze(self) -> AnalyzedModule:
         self._check_params()
@@ -374,11 +387,11 @@ class SemanticAnalyzer:
                 stmt.location,
             )
         self._loop_bounds[id(stmt)] = (start, stop, trip)
-        self._loop_depth += 1
+        self._loop_indices.append(stmt.var)
         try:
             self._check_statement(stmt.body, scope, in_function)
         finally:
-            self._loop_depth -= 1
+            self._loop_indices.pop()
 
     def _check_receive(self, stmt: ast.Receive, scope: Scope) -> None:
         target_type = self._check_lvalue(stmt.target, scope, cell_side=True)
@@ -436,7 +449,7 @@ class SemanticAnalyzer:
             name = expr.name
             location = expr.location
             indices = tuple(
-                _AffineBuilder(scope).build(index) for index in expr.indices
+                _AffineBuilder(scope, self._loop_indices).build(index) for index in expr.indices
             )
             self._array_index_forms[id(expr)] = indices
         else:
@@ -508,7 +521,7 @@ class SemanticAnalyzer:
                     expr.location,
                 )
             forms = tuple(
-                _AffineBuilder(scope).build(index) for index in expr.indices
+                _AffineBuilder(scope, self._loop_indices).build(index) for index in expr.indices
             )
             self._array_index_forms[id(expr)] = forms
             return ExprType.FLOAT

@@ -84,7 +84,10 @@ def check_buffers(
     max_events: int | None = 2_000_000,
 ) -> list[BufferRequirement]:
     """Verify every channel fits its queue; raise QueueOverflowError if
-    not (reporting the required size, as the paper's compiler does)."""
+    not (reporting the required size, as the paper's compiler does).
+    There is no analytic fallback: a stream longer than ``max_events``
+    refuses the program with
+    :class:`~repro.timing.events.TooManyEventsError`."""
     requirements = minimum_buffer_sizes(code, skew, max_events)
     for requirement in requirements:
         if requirement.required > queue_depth:

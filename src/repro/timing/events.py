@@ -13,11 +13,14 @@ import numpy as np
 
 from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledItem
 from ..cellcodegen.emit import _item_cycles
+from ..errors import CompilationError
 from .vectors import Stream, count_stream_events
 
 
-class TooManyEventsError(Exception):
-    """Enumeration would exceed the caller's budget."""
+class TooManyEventsError(CompilationError):
+    """Enumeration would exceed the caller's budget.  Callers with an
+    analytic method (the skew) fall back to it; the others (the queue
+    sizes) refuse the program with this error."""
 
 
 def stream_events(
@@ -65,7 +68,8 @@ def _check_budget(
     total = count_stream_events(code.items, stream)
     if max_events is not None and total > max_events:
         raise TooManyEventsError(
-            f"stream {stream} has {total} events (budget {max_events})"
+            f"stream {stream} has {total} events (budget {max_events}); "
+            "its timing is too long to enumerate exactly"
         )
 
 

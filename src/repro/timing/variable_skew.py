@@ -64,12 +64,17 @@ def receive_delays(sends: np.ndarray, recvs: np.ndarray) -> np.ndarray:
 
 
 def plan_variable_skew(
-    code: CellCode, channel: Channel, constant_skew: int
+    code: CellCode,
+    channel: Channel,
+    constant_skew: int,
+    max_events: int | None = 2_000_000,
 ) -> VariableSkewPlan:
     """Compare buffer demand under variable vs constant skew for one
-    channel of a compiled program."""
-    sends = stream_event_times(code, output_stream(channel))
-    recvs = stream_event_times(code, input_stream(channel))
+    channel of a compiled program; a stream of more than ``max_events``
+    events raises :class:`~repro.timing.events.TooManyEventsError` (a
+    :class:`~repro.errors.CompilationError`)."""
+    sends = stream_event_times(code, output_stream(channel), max_events)
+    recvs = stream_event_times(code, input_stream(channel), max_events)
     delays = receive_delays(sends, recvs)
     if recvs.size:
         shifted = recvs + delays

@@ -568,7 +568,7 @@ class TestTooManyTimingEvents:
     def test_compile_refuses_with_a_compilation_error(self):
         from repro.errors import CompilationError
 
-        with pytest.raises(CompilationError, match="999999"):
+        with pytest.raises(CompilationError, match="too long to enumerate"):
             compile_w2(huge_loop_source())
 
     def test_variable_skew_plan_refuses_alike(self):
@@ -631,4 +631,5 @@ def test_cli_compile_ends_in_a_structured_error(make_source, tmp_path, capsys):
     path = tmp_path / "mutant.w2"
     path.write_text(make_source())
     assert main(["compile", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error[") and "Traceback" not in err
