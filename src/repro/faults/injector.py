@@ -13,10 +13,14 @@ retry.
 detection layer for them: it keeps a shadow copy of every enqueued word
 (modelling the queue memory's parity/ECC bits) and raises
 :class:`~repro.errors.SilentCorruptionDetected` the moment a dequeued
-word's bits disagree with the bits that were enqueued.  Clean runs never
-construct it — the machine builds plain :class:`TimedQueue` objects
-unless an injector is active, so the fault layer costs nothing and
-cannot perturb results when disabled.
+word's bits disagree with the bits that were enqueued.  It overrides
+the value halves of the checked transfer binding
+(:meth:`~repro.machine.queue.TimedQueue.put`,
+:meth:`~repro.machine.queue.TimedQueue.take`), so an injected run is
+always a checked run.  Clean runs never construct it — the machine
+builds plain :class:`TimedQueue` objects unless an injector is active,
+so the fault layer costs nothing and cannot perturb results when
+disabled.
 """
 
 from __future__ import annotations
@@ -198,16 +202,16 @@ class FaultyQueue(TimedQueue):
         self._shadow: list[tuple[int, bytes]] = []
         self._sent_seq = 0
 
-    def enqueue(self, time: int, value: float) -> None:
+    def put(self, value: float) -> None:
         kind, stored = self.injector.on_enqueue(self.name, value)
         seq = self._sent_seq
         self._sent_seq += 1
         if kind is FaultKind.DROP_SEND:
             return  # sent (seq consumed) but lost on the link
-        super().enqueue(time, stored)
+        super().put(stored)
         self._shadow.append((seq, _PACK.pack(value)))
         if kind is FaultKind.DUP_SEND:
-            super().enqueue(time, stored)
+            super().put(stored)
             self._shadow.append((seq, _PACK.pack(value)))
 
     def _check_slot(self, slot: int, value: float, when: str) -> None:
@@ -227,11 +231,13 @@ class FaultyQueue(TimedQueue):
                 f"corrupted ({when})"
             )
 
-    def dequeue(self, time: int) -> float:
-        cursor = self._cursor
-        value = super().dequeue(time)
-        if cursor < len(self._shadow):
-            self._check_slot(cursor, value, f"in flight at cycle {time}")
+    def take(self) -> float:
+        slot = len(self.recv_times) - 1
+        value = super().take()
+        if slot < len(self._shadow):
+            self._check_slot(
+                slot, value, f"in flight at cycle {self.recv_times[-1]}"
+            )
         return value
 
     def verify_integrity(self) -> None:

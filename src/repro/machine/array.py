@@ -14,7 +14,12 @@ by its position, and dequeues it in lock step with its own schedule.
 
 Schedules are data-independent, so the plan makes one checked run and
 later clean runs only move values (:meth:`WarpMachine._values`); traced,
-recorded and fault-injected runs stay checked.  A result keeps each run
+recorded and fault-injected runs stay checked.  A checked run without
+an injector moves its words on the clean transfer binding and checks
+every queue in one NumPy pass after the last cell
+(:func:`~repro.obs.metrics.queue_metrics`); only a run that fails runs
+again on the checked binding, to raise the exact error of the check
+that failed first.  A result keeps each run
 fact once, in its :class:`~repro.obs.metrics.MachineMetrics`: one
 ``CellMetrics`` per cell (what each :class:`CellExecutor` returns) and
 one ``QueueMetrics`` per queue, peak occupancy included.  A checked
@@ -35,9 +40,10 @@ from ..obs import chrome_trace, get_telemetry
 from ..obs.metrics import (
     CellMetrics,
     CellSpans,
-    IUMetrics,
     MachineMetrics,
     QueueMetrics,
+    QueueTimes,
+    queue_metrics,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at run time
@@ -47,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoid circular import at run time
 from .cell import CellExecutor
 from .host import HostMemory, collect_outputs, feed_input_queues, load_inputs
 from .plan import ExecutionPlan
-from .queue import TimedQueue
+from .queue import TimedQueue, audit
 from .trace import TraceEvent, trace_events
 
 
@@ -186,7 +192,71 @@ class WarpMachine:
     ) -> SimulationResult:
         """Feed ``memory`` through every cell and collect the outputs
         back into it, with every run-time check: the reference path, and
-        the one of traced, recorded and fault-injected runs."""
+        the one of traced, recorded and fault-injected runs.
+
+        Without an injector the cells first run on the clean transfer
+        binding and one pass checks every queue afterwards.  A run that
+        fails there (or raises in a cell) runs again on the checked
+        binding, which raises at the first failing check: schedules are
+        data-independent and runs deterministic, so that is the error a
+        checked run alone raises."""
+        run = None
+        if injector is None:
+            try:
+                run = self._run_cells(memory, injector, checked=False)
+            except Exception:  # noqa: BLE001 - the checked re-run raises it
+                pass
+            if run is None:
+                get_telemetry().counter("machine.runs.rechecked")
+        if run is None:
+            run = self._run_cells(memory, injector, checked=True)
+        links, cells, queues = run
+        program, plan = self._program, self.plan
+        n_cells = program.n_cells
+        collect_outputs(plan.collection, memory, links[n_cells])
+
+        outputs = {
+            name: memory.arrays[name].copy()
+            for name in program.ir.host_arrays
+        }
+        end_time = max(cell.end_cycle for cell in cells)
+        metrics = MachineMetrics(
+            total_cycles=end_time,
+            skew=program.skew.skew,
+            # A cell's receive wait is its input queues' total wait.
+            cells=[
+                replace(
+                    cell,
+                    array_cycles=end_time,
+                    receive_wait_cycles=sum(
+                        queues[queue.name].total_wait_cycles
+                        for queue in links[cell.cell].values()
+                    ),
+                )
+                for cell in cells
+            ],
+            queues=queues,
+            iu=plan.iu,
+        )
+        return SimulationResult(
+            outputs=outputs,
+            machine_metrics=metrics,
+            trace=trace_events(links, trace_limit),
+            record=plan.spans(
+                cells, chrome_trace.MAX_BLOCK_SPANS // n_cells
+            ) if record else None,
+            fault_report=injector.report() if injector is not None else [],
+        )
+
+    def _run_cells(
+        self,
+        memory: HostMemory,
+        injector: "FaultInjector | None",
+        checked: bool,
+    ) -> "_CellsRun | None":
+        """Run every cell on its queues, under the checked or the clean
+        transfer binding (``checked``).  A checked run raises at its
+        first failing check; a clean run that fails one returns None."""
         program = self._program
         plan = self.plan
         n_cells = program.n_cells
@@ -223,29 +293,27 @@ class WarpMachine:
             links.append(link)
 
         # Address path: the same IU stream per cell, delayed by the hop
-        # latency; emitted FIFO order is preserved.
+        # latency; emitted FIFO order is preserved.  Every cell reads the
+        # plan's address list; only a checked run lists its send cycles.
         hop = self._config.address_hop_latency
         cells: list[CellMetrics] = []
-        address_metrics: list[QueueMetrics] = []
+        addresses: list[QueueTimes] = []
         # A healthy cell ends exactly its run's cycles after its nominal
         # start; the watchdog allows the configured slack past that.
         budget = program.cell_code.total_cycles + self._config.watchdog_slack
-        end_time = 0
         for cell_index in range(n_cells):
             nominal_start = cell_index * skew
             start = nominal_start
             if injector is not None:
                 start += injector.stall_cycles(cell_index)
-            # Pre-materialised from the plan: the same IU stream for
-            # every cell, shifted by the hop delay (emission times are
-            # already non-decreasing, so no per-item enqueue checks).
-            offset = cell_index * hop
             address_queue = TimedQueue(
                 name=f"adr{cell_index}",
                 capacity=self._config.address_queue_depth,
-                send_times=[t + offset for t in plan.emission_times],
-                values=list(plan.addresses),
+                values=plan.addresses,
             )
+            address_sends = plan.emission_times + cell_index * hop
+            if checked:
+                address_queue.send_times = address_sends.tolist()
             executor = CellExecutor(
                 code=program.cell_code,
                 config=self._config.cell,
@@ -258,10 +326,17 @@ class WarpMachine:
                 counts=plan.counts,
                 deadline=nominal_start + budget,
                 driver=plan.driver,
+                checked=checked,
             )
             cells.append(executor.run())
-            end_time = max(end_time, cells[-1].end_cycle)
-            address_metrics.append(address_queue.audit_capacity())
+            addresses.append(QueueTimes(
+                address_queue.name, address_queue.capacity, address_sends,
+                address_queue.recv_times,
+            ))
+            # Only a queue that carries more words than it holds can
+            # overflow; a checked run audits it before the next cell.
+            if checked and len(plan.addresses) > address_queue.capacity:
+                audit(queue_metrics(addresses[-1:])[0][0])
 
         # Stream accounting: schedules are data-independent, so every
         # inter-cell link must carry *exactly* the static per-run send
@@ -272,13 +347,25 @@ class WarpMachine:
         # flow-controlled host boundary (link 0) is fed whole.  Metrics
         # cover link 0, the audited inter-cell links and the address
         # queues; the host drains the collector link outside cell time,
-        # so its occupancy is not a machine property.
-        queues = {
-            queue.name: queue.to_metrics() for queue in links[0].values()
-        }
+        # so its occupancy is not a machine property.  One pass measures
+        # them all and, for a clean run, checks every transfer's order
+        # too; the collector link's sends come from one cell's clock,
+        # which never goes back, so the pass leaves them out.
+        metrics, passed = queue_metrics(
+            [queue.times() for queue in links[0].values()]
+            + [
+                queue.times(plan.counts.sends[channel])
+                for link in links[1:n_cells]
+                for channel, queue in link.items()
+            ]
+            + addresses
+        )
+        queues = {m.name: m for m in metrics}
+        if not checked:
+            return (links, cells, queues) if passed.all() else None
         for i in range(1, n_cells):
             for channel, queue in links[i].items():
-                queues[queue.name] = queue.audit_capacity()
+                audit(queues[queue.name])
                 expected = plan.counts.sends[channel]
                 if queue.items_sent != expected:
                     get_telemetry().counter("fault.detected")
@@ -296,46 +383,15 @@ class WarpMachine:
                 for queue in link.values():
                     if isinstance(queue, FaultyQueue):
                         queue.verify_integrity()
+        return links, cells, queues
 
-        collect_outputs(plan.collection, memory, links[n_cells])
 
-        outputs = {
-            name: memory.arrays[name].copy()
-            for name in program.ir.host_arrays
-        }
-        queues.update((queue.name, queue) for queue in address_metrics)
-        emit_times = plan.emission_times
-        metrics = MachineMetrics(
-            total_cycles=end_time,
-            skew=skew,
-            # A cell's receive wait is its input queues' total wait.
-            cells=[
-                replace(
-                    cell,
-                    array_cycles=end_time,
-                    receive_wait_cycles=sum(
-                        queues[queue.name].total_wait_cycles
-                        for queue in links[cell.cell].values()
-                    ),
-                )
-                for cell in cells
-            ],
-            queues=queues,
-            iu=IUMetrics(
-                addresses_emitted=len(emit_times),
-                first_emit_cycle=min(emit_times, default=0),
-                last_emit_cycle=max(emit_times, default=0),
-            ),
-        )
-        return SimulationResult(
-            outputs=outputs,
-            machine_metrics=metrics,
-            trace=trace_events(links, trace_limit),
-            record=plan.spans(
-                cells, chrome_trace.MAX_BLOCK_SPANS // n_cells
-            ) if record else None,
-            fault_report=injector.report() if injector is not None else [],
-        )
+#: A finished run of every cell: the links (``links[i]`` connects cell
+#: ``i - 1`` to cell ``i``), each cell's metrics and the metrics of the
+#: queues a result reports, by name.
+_CellsRun = tuple[
+    list[dict[Channel, TimedQueue]], list[CellMetrics], dict[str, QueueMetrics]
+]
 
 
 def _injector_of(faults) -> "FaultInjector | None":

@@ -1,4 +1,4 @@
-"""Cycle-accurate execution of one Warp cell's microcode: the checked path.
+"""Cycle-accurate execution of one Warp cell's microcode.
 
 The executor runs the program's generated loop driver
 (:func:`~repro.machine.plan.loop_driver`): nested loops over the
@@ -12,15 +12,20 @@ the new value, earlier reads see the old one.  Because the schedule
 fixes every issue and writeback cycle, the generator resolves each read
 to the value it sees once, at plan time — precisely the semantics the
 scheduler's latency edges assume, so any scheduler bug surfaces as a
-wrong result against the reference interpreter.  Queue transfers keep
-their absolute cycles, so every underflow, capacity and accounting
-check runs per transfer: in a plan's one checked run, and traced,
-recorded and fault-injected runs.  A finished run returns the cell's
+wrong result against the reference interpreter.
+
+Every queue transfer keeps its absolute cycle, split into a time half
+and a value half, and ``checked`` picks their binding
+(:meth:`~repro.machine.queue.TimedQueue.receiver`): a clean cell only
+appends cycles and words to its queues' lists, and the machine checks
+them all at once after the last cell; a checked cell (fault-injected
+runs, and the re-run of a clean run that failed) raises at the transfer
+that fails.  A finished run returns the cell's
 :class:`~repro.obs.metrics.CellMetrics`, whose operation counts are the
 static per-run totals (:meth:`~repro.cellcodegen.emit.OpCounts.of_run`).
-Nothing is recorded on the way: a run's trace and block spans are built
-afterwards from its queues and start cycles (:mod:`repro.machine.trace`,
-:meth:`~repro.machine.plan.ExecutionPlan.spans`).
+Nothing else is recorded on the way: a run's trace and block spans are
+built afterwards from its queues and start cycles
+(:mod:`repro.machine.trace`, :meth:`~repro.machine.plan.ExecutionPlan.spans`).
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ class CellExecutor:
         counts: OpCounts | None = None,
         deadline: int | None = None,
         driver: Callable | None = None,
+        checked: bool = True,
     ):
         self._cell = cell_index
         self._start = start_time
@@ -79,17 +85,19 @@ class CellExecutor:
             {block_id: p.run for block_id, p in self._block_plans.items()},
             timed=True,
         )
+        self._checked = checked
         self._registers = [0.0] * config.n_registers
         self._memory = [0.0] * config.memory_words
-        #: What every generated block function runs against.
+        rx, dx = in_queues[Channel.X].receiver(checked)
+        ry, dy = in_queues[Channel.Y].receiver(checked)
+        sx, ex = out_queues[Channel.X].sender(checked)
+        sy, ey = out_queues[Channel.Y].sender(checked)
+        ra, da = address_queue.receiver(checked)
+        #: What every generated block function runs against: the value
+        #: halves of the transfers, then their time halves.
         self._ctx = (
-            self._registers,
-            self._memory,
-            in_queues[Channel.X].dequeue,
-            in_queues[Channel.Y].dequeue,
-            out_queues[Channel.X].enqueue,
-            out_queues[Channel.Y].enqueue,
-            address_queue.dequeue,
+            self._registers, self._memory,
+            dx, dy, ex, ey, da, rx, ry, sx, sy, ra,
         )
 
     def run(self) -> CellMetrics:
@@ -115,7 +123,8 @@ class CellExecutor:
         )
 
     def _watchdog_expired(self, time: int) -> None:
-        get_telemetry().counter("fault.detected")
+        if self._checked:  # a clean run that fails is run again, checked
+            get_telemetry().counter("fault.detected")
         raise CellHangError(
             f"cell {self._cell}: watchdog expired — still executing at "
             f"cycle {time}, deadline was cycle {self._deadline} "

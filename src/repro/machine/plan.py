@@ -9,7 +9,11 @@ independent of the cell index, the input data and the run — so one
   generated straight-line Python function (:class:`BlockPlan`): nop
   cycles vanish (30–50% of instruction slots on the Table 7-1
   programs), each register read names the value it sees, and the
-  block's length advances the clock.
+  block's length advances the clock.  In the one timed form, each
+  queue transfer is a time half (its absolute cycle) and a value half;
+  a run binds them to list appends and iterators (clean: the machine
+  checks every queue in one pass afterwards) or to the queues'
+  checking methods (checked; see :mod:`repro.machine.queue`).
 * **Loop drivers.**  One generated driver per cell program walks the
   scheduled loop tree with nested ``for`` loops and calls the block
   functions (:func:`loop_driver`): ``driver`` carries the cycle and the
@@ -26,7 +30,8 @@ independent of the cell index, the input data and the run — so one
   :meth:`~repro.cellcodegen.emit.OpCounts.of_run`, which the
   compile-time performance prediction and every checked cell run also
   call), hence each link's per-run sends.
-* **The IU address schedule** (``emissions``), identical for every cell
+* **The IU address schedule** (``emission_times``, ``addresses``) and
+  its :class:`~repro.obs.metrics.IUMetrics`, identical for every cell
   up to the per-hop delay, rather than re-walked per run.
 * **The host I/O streams**: per channel, the word offsets of the feed
   (one gather) and the collection (one scatter), derived in closed form
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
@@ -49,7 +54,7 @@ from ..config import CellConfig
 from ..errors import SimulationError
 from ..ir.dag import OpKind
 from ..lang.ast import Channel, Direction
-from ..obs.metrics import CellMetrics, CellSpans, MachineMetrics
+from ..obs.metrics import CellMetrics, CellSpans, IUMetrics, MachineMetrics
 from .host import Collection
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
@@ -115,15 +120,21 @@ def _block_source(
 
     The source defines ``make(E, L)``, which binds the evaluators ``E``
     and literals ``L`` *by position* and returns
-    ``run((R, M, dx, dy, ex, ey, da), t)``: ``R``/``M`` are the register
-    file and data memory, ``dx``/``dy`` the dequeue and ``ex``/``ey`` the
-    enqueue methods of the X/Y queues and ``da`` the address queue's
-    dequeue.  Side effects keep the order of each instruction: dequeues,
-    IU addresses in slot order, loads, stores, ALU, MPY, move, enqueues.
+    ``run((R, M, dx, dy, ex, ey, da, rx, ry, sx, sy, ra), t)``:
+    ``R``/``M`` are the register file and data memory.  Each transfer
+    at absolute cycle ``n`` comes in two halves, its time and then its
+    value: a dequeue is ``rx(n)`` then ``v = dx()``, an enqueue
+    ``sx(n)`` then ``ex(v)`` (``ry``/``dy``, ``sy``/``ey`` for Y), an
+    IU address ``ra(n)`` then ``int(da())``.  The caller binds them
+    (:meth:`~repro.machine.queue.TimedQueue.receiver`,
+    :meth:`~repro.machine.queue.TimedQueue.sender`): to list appends
+    and iterators in a clean run, to the queues' checking methods in a
+    checked one.  Side effects keep the order of each instruction:
+    dequeues, IU addresses in slot order, loads, stores, ALU, MPY, move,
+    enqueues.
 
-    Untimed (``timed=False``) it is ``run(ctx)`` over the same ``ctx``:
-    the queue and address functions take no cycle and check nothing, and
-    ``da`` returns an ``int``.
+    Untimed (``timed=False``) it is ``run((R, M, dx, dy, ex, ey, da))``:
+    only the value halves, and ``da`` returns an ``int``.
     """
     evaluators: list[Callable[..., float]] = []
     literals: list[float] = []
@@ -175,7 +186,11 @@ def _block_source(
     def value() -> str:
         return f"v{next(names)}"
 
-    now = "n" if timed else ""
+    def at(half: str) -> None:
+        """Emit the time half of the timed transfer whose value half is
+        ``half``: ``dx`` → ``rx``, ``ex`` → ``sx``, ``da`` → ``ra``."""
+        if timed:
+            body.append(f"{'s' if half[0] == 'e' else 'r'}{half[1]}(n)")
 
     for c, ins in active:
         land(c)
@@ -184,8 +199,9 @@ def _block_source(
         )):
             body.append(f"n = t + {c}")
         for deq in ins.deqs:
-            v = value()
-            body.append(f"{v} = {queue(deq.queue, True)}({now})")
+            v, receive = value(), queue(deq.queue, True)
+            at(receive)
+            body.append(f"{v} = {receive}()")
             write(deq.dest, c + config.queue_latency, v)
         # IU addresses arrive in instruction-slot order (``addr_demands``
         # is stably sorted by cycle), though loads apply before stores.
@@ -195,7 +211,8 @@ def _block_source(
                 where.append(str(mem.address))
             else:
                 where.append(value())
-                address = "int(da(n))" if timed else "da()"
+                at("da")
+                address = "int(da())" if timed else "da()"
                 body.append(f"{where[-1]} = {address}")
         for mem, address in zip(ins.mem, where):
             if mem.is_load:
@@ -227,7 +244,8 @@ def _block_source(
             write(ins.move.dest, c + config.move_latency, source)
         for enq in ins.enqs:
             send = queue(enq.queue, False)
-            body.append(f"{send}({now and 'n, '}{read(enq.source)})")
+            at(send)
+            body.append(f"{send}({read(enq.source)})")
     land(length)
     lines = ["def make(E, L):"]
     if evaluators:
@@ -237,7 +255,11 @@ def _block_source(
         names = "".join(f"l{k}, " for k in range(len(literals)))
         lines.append(f"    {names}= L")
     lines.append(f"    def run({'ctx, t' if timed else 'ctx'}):")
-    lines.append("        R, M, dx, dy, ex, ey, da = ctx")
+    lines.append(
+        "        R, M, dx, dy, ex, ey, da, rx, ry, sx, sy, ra = ctx"
+        if timed
+        else "        R, M, dx, dy, ex, ey, da = ctx"
+    )
     lines.extend(f"        r{reg} = R[{reg}]" for reg in entry)
     lines.extend(f"        {line}" for line in body)
     lines.extend(
@@ -345,12 +367,20 @@ class ExecutionPlan:
             {block_id: plan.run for block_id, plan in self.blocks.items()},
             timed=True,
         )
-        #: The cycle and address of every dynamic IU emission, as
-        #: parallel lists so a cell's address queue is a couple of list
-        #: copies, not a per-item enqueue loop.
+        #: The cycle (a read-only array) and address of every dynamic
+        #: IU emission: cell ``c`` receives ``addresses`` sent at
+        #: ``emission_times + c × hop``, so no run enqueues them.
         emissions = list(program.iu_program.emission_times())
-        self.emission_times: list[int] = [t for t, _d, _a in emissions]
+        self.emission_times = _read_only(
+            np.array([t for t, _d, _a in emissions], np.int64)
+        )
         self.addresses: list[int] = [a for _t, _d, a in emissions]
+        times = self.emission_times
+        self.iu = IUMetrics(
+            addresses_emitted=times.size,
+            first_emit_cycle=int(times.min()) if times.size else 0,
+            last_emit_cycle=int(times.max()) if times.size else 0,
+        )
         #: The metrics of the checked clean run, once it passed (its
         #: verdicts hold for every clean run).
         self.facts: MachineMetrics | None = None
@@ -400,9 +430,10 @@ class ExecutionPlan:
         if head is None:
             head = self._heads[limit] = self._span_head(limit)
         return [
-            replace(
-                head, cell=cell.cell,
-                starts=_read_only(cell.start_cycle + head.starts),
+            CellSpans(
+                cell.cell, head.block_ids,
+                _read_only(cell.start_cycle + head.starts),
+                head.lengths, head.issued_ops, head.omitted,
             )
             for cell in cells
         ]

@@ -36,7 +36,7 @@ def trace_events(
     first ``limit`` words are all a cell's first ``limit`` events can
     use."""
     events: list[TraceEvent] = []
-    for cell in range(len(links) - 1):
+    for cell in range(len(links) - 1 if limit else 0):
         sides = (
             ("L", links[cell], "recv_times"),
             ("R", links[cell + 1], "send_times"),

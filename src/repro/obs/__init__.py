@@ -33,7 +33,8 @@ from .metrics import (
     IUMetrics,
     MachineMetrics,
     QueueMetrics,
-    queue_metrics_from_times,
+    QueueTimes,
+    queue_metrics,
 )
 from .report import (
     format_cache_status,
@@ -53,6 +54,7 @@ __all__ = [
     "NULL_TELEMETRY",
     "NullTelemetry",
     "QueueMetrics",
+    "QueueTimes",
     "Span",
     "Telemetry",
     "collecting",
@@ -67,7 +69,7 @@ __all__ = [
     "get_telemetry",
     "machine_trace_events",
     "metrics_to_json",
-    "queue_metrics_from_times",
+    "queue_metrics",
     "simulation_trace_events",
     "telemetry_to_json",
     "trace_document",

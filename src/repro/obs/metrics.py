@@ -14,8 +14,10 @@ receive.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,28 +195,140 @@ class MachineMetrics:
         return sum(c.utilization for c in self.cells) / len(self.cells)
 
 
-def queue_metrics_from_times(
-    *,
-    name: str,
-    capacity: int | None,
-    high_water: int,
-    send_times: Sequence[int] | np.ndarray,
-    recv_times: Sequence[int] | np.ndarray,
-) -> QueueMetrics:
-    """Derive a :class:`QueueMetrics` from raw enqueue/dequeue cycles
-    (``int64`` arrays are taken as they are, not copied)."""
-    sends = np.asarray(send_times, dtype=np.int64)
-    recvs = np.asarray(recv_times, dtype=np.int64)
-    consumed = min(sends.size, recvs.size)
-    wait = int((recvs[:consumed] - sends[:consumed]).sum()) if consumed else 0
-    sends.flags.writeable = recvs.flags.writeable = False  # results share them
-    return QueueMetrics(
-        name=name,
-        capacity=capacity,
-        items_sent=int(sends.size),
-        items_received=int(recvs.size),
-        high_water=high_water,
-        total_wait_cycles=wait,
-        send_times=sends,
-        recv_times=recvs,
+#: Cycles stay below this, so ``queue * _SPAN + cycle`` orders the
+#: transfers of many queues by queue, then by cycle.
+_SPAN = 1 << 40
+
+
+class QueueTimes(NamedTuple):
+    """One queue's transfer cycles, as :func:`queue_metrics` reads them:
+    the send cycles (a list, or an ``int64`` array such as an address
+    queue's shifted emission times), the receive cycles, and what its
+    checks compare them with."""
+
+    name: str
+    #: Peak occupancy allowed (None: not audited).
+    capacity: int | None
+    send_times: Sequence[int] | np.ndarray
+    recv_times: Sequence[int]
+    #: The exact number of words the queue must carry (stream
+    #: accounting; None: not counted).
+    expected: int | None = None
+
+
+def queue_metrics(
+    queues: Sequence[QueueTimes],
+) -> tuple[list[QueueMetrics], np.ndarray]:
+    """Every queue's :class:`QueueMetrics`, and whether it passed its
+    checks, in one NumPy pass over all of them.
+
+    A queue passes when its sends never go back in time, receive ``k``
+    takes word ``k``, which was sent at or before the receive's cycle
+    (no receive finds the queue empty), its peak occupancy fits its
+    capacity and it carried its expected word count.  The peak is
+    :func:`~repro.timing.buffers.occupancy_requirement`'s (times here
+    are absolute): the most words present at any receive, or the words
+    never received.  Send lists and every receive list are read by one
+    ``np.fromiter``; the time arrays the metrics keep are read-only
+    views of the two flat arrays.  Cycles are non-negative and below
+    ``2**40``.  The figures of a queue that failed its order checks are
+    not meaningful."""
+    n = len(queues)
+    # Listed sends first, then array sends: one fromiter, one concatenate.
+    order = sorted(
+        range(n), key=lambda k: isinstance(queues[k].send_times, np.ndarray)
     )
+    queues = [queues[k] for k in order]
+    listed = [
+        q.send_times for q in queues
+        if not isinstance(q.send_times, np.ndarray)
+    ]
+    n_sent = [len(q.send_times) for q in queues]
+    n_recv = [len(q.recv_times) for q in queues]
+    n_listed = sum(n_sent[: len(listed)])
+    flat = np.fromiter(
+        itertools.chain(*listed, *(q.recv_times for q in queues)),
+        np.int64,
+        n_listed + sum(n_recv),
+    )
+    sends, recvs = flat[:n_listed], flat[n_listed:]
+    if len(listed) < n:
+        sends = np.concatenate(
+            [sends, *(q.send_times for q in queues[len(listed):])]
+        )
+    sends.flags.writeable = recvs.flags.writeable = False  # results share them
+    s_end = list(itertools.accumulate(n_sent))
+    r_end = list(itertools.accumulate(n_recv))
+    s_start = [end - count for end, count in zip(s_end, n_sent)]
+    r_start = [end - count for end, count in zip(r_end, n_recv)]
+    # Receive k of a queue takes its word k: the first min(sent,
+    # received) receives of each queue are paired with a send.
+    paired = [min(sent, got) for sent, got in zip(n_sent, n_recv)]
+    received = recvs
+    if paired != n_recv:
+        received = np.concatenate(
+            [recvs[r0 : r0 + count] for r0, count in zip(r_start, paired)]
+        )
+    p_start = [
+        end - count
+        for end, count in zip(itertools.accumulate(paired), paired)
+    ]
+    ranks = np.arange(received.size)
+    shift = np.array(
+        [s0 - p0 for s0, p0 in zip(s_start, p_start)], np.int64
+    )
+    #: The flat index of the send of each paired receive's word.
+    matched = ranks + np.repeat(shift, paired)
+    waits = received - sends[matched]
+    starts = [p0 for p0, count in zip(p_start, paired) if count]
+    totals = earliest = peaks = []
+    if starts:
+        totals = np.add.reduceat(waits, starts).tolist()
+        earliest = np.minimum.reduceat(waits, starts).tolist()
+        # Words present at a receive: its queue's sends up to its cycle,
+        # less the words taken before it.  Keyed by (queue, cycle), both
+        # arrays are sorted, so one stable merge counts the sends; a
+        # send and a receive in one cycle merge send first (the word
+        # counts, as in occupancy_requirement).
+        keyed = np.arange(n) * _SPAN
+        keys = np.concatenate([
+            np.repeat(keyed, n_sent) + sends,
+            np.repeat(keyed, paired) + received,
+        ])
+        rank = np.empty_like(keys)
+        rank[np.argsort(keys, kind="stable")] = np.arange(keys.size)
+        present = rank[sends.size:] - ranks - matched
+        peaks = np.maximum.reduceat(present, starts).tolist()
+    # Queues with a send before its predecessor's (within the queue).
+    back = sends[1:] < sends[:-1]
+    back[[end - 1 for end in s_end[:-1] if 0 < end < sends.size]] = False
+    back = {
+        bisect.bisect_right(s_end, j) for j in np.flatnonzero(back).tolist()
+    }
+    metrics: list = [None] * n
+    passed = np.zeros(n, bool)
+    pair = 0
+    for k, q in enumerate(queues):
+        high_water = max(n_sent[k] - n_recv[k], 0)  # words never received
+        wait, in_order = 0, paired[k] == n_recv[k] and k not in back
+        if paired[k]:
+            high_water = max(high_water, peaks[pair])
+            wait = totals[pair]
+            in_order = in_order and earliest[pair] >= 0
+            pair += 1
+        passed[order[k]] = (
+            in_order
+            and (q.capacity is None or high_water <= q.capacity)
+            and (q.expected is None or n_sent[k] == q.expected)
+        )
+        metrics[order[k]] = QueueMetrics(
+            name=q.name,
+            capacity=q.capacity,
+            items_sent=n_sent[k],
+            items_received=n_recv[k],
+            high_water=high_water,
+            total_wait_cycles=wait,
+            send_times=sends[s_start[k] : s_end[k]],
+            recv_times=recvs[r_start[k] : r_end[k]],
+        )
+    return metrics, passed

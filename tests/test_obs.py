@@ -10,7 +10,8 @@ from repro import obs
 from repro.obs.core import NULL_TELEMETRY, Telemetry
 from repro.obs.metrics import (
     CellMetrics,
-    queue_metrics_from_times,
+    QueueTimes,
+    queue_metrics,
 )
 
 
@@ -141,12 +142,8 @@ class TestMetricsDataclasses:
         assert cell.flop_utilization == pytest.approx(50 / 200)
 
     def test_queue_metrics_residency(self):
-        queue = queue_metrics_from_times(
-            name="q",
-            capacity=8,
-            high_water=2,
-            send_times=[0, 1, 2, 3],
-            recv_times=[2, 3, 4],
+        [queue], _passed = queue_metrics(
+            [QueueTimes("q", 8, [0, 1, 2, 3], [2, 3, 4])]
         )
         assert queue.items_sent == 4
         assert queue.items_received == 3
@@ -154,13 +151,7 @@ class TestMetricsDataclasses:
         assert queue.mean_residency == pytest.approx(2.0)
 
     def test_occupancy_series_and_histogram(self):
-        queue = queue_metrics_from_times(
-            name="q",
-            capacity=None,
-            high_water=2,
-            send_times=[0, 1],
-            recv_times=[1, 4],
-        )
+        [queue], _passed = queue_metrics([QueueTimes("q", None, [0, 1], [1, 4])])
         times, occupancy = queue.occupancy_series()
         # t=0: 1 in flight; t=1: second send + first receive -> 2, then
         # drops to 1 at t=2; empties after t=4.
