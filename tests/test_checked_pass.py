@@ -123,7 +123,9 @@ def test_clean_and_checked_bindings_agree(
     name, source, inputs, _reference = case
     program = compile_w2(source, unroll=unroll)
     kwargs = {"record": True, "trace_limit": 5}
-    clean = simulate(program, inputs, **kwargs)
+    with obs.collecting() as telemetry:
+        clean = simulate(program, inputs, **kwargs)
+    assert "machine.runs.rechecked" not in telemetry.counters
     injected = simulate(
         program, inputs, faults=FaultInjector(InjectionPlan()), **kwargs
     )
