@@ -277,7 +277,7 @@ def queue_metrics(
     shift = np.array(
         [s0 - p0 for s0, p0 in zip(s_start, p_start)], np.int64
     )
-    #: The flat index of the send of each paired receive's word.
+    # The flat index of the send of each paired receive's word.
     matched = ranks + np.repeat(shift, paired)
     waits = received - sends[matched]
     starts = [p0 for p0, count in zip(p_start, paired) if count]
@@ -299,10 +299,10 @@ def queue_metrics(
         rank[np.argsort(keys, kind="stable")] = np.arange(keys.size)
         present = rank[sends.size:] - ranks - matched
         peaks = np.maximum.reduceat(present, starts).tolist()
-    # Queues with a send before its predecessor's (within the queue).
+    # Queues with a send earlier than the send before it.
     back = sends[1:] < sends[:-1]
     back[[end - 1 for end in s_end[:-1] if 0 < end < sends.size]] = False
-    back = {
+    backward = {
         bisect.bisect_right(s_end, j) for j in np.flatnonzero(back).tolist()
     }
     metrics: list = [None] * n
@@ -310,7 +310,7 @@ def queue_metrics(
     pair = 0
     for k, q in enumerate(queues):
         high_water = max(n_sent[k] - n_recv[k], 0)  # words never received
-        wait, in_order = 0, paired[k] == n_recv[k] and k not in back
+        wait, in_order = 0, paired[k] == n_recv[k] and k not in backward
         if paired[k]:
             high_water = max(high_water, peaks[pair])
             wait = totals[pair]
