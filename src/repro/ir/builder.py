@@ -291,7 +291,7 @@ class IRBuilder:
         elif isinstance(stmt, ast.For):
             self._build_for(stmt, renamer)
         elif isinstance(stmt, ast.Call):
-            self._build_call(stmt)
+            self._build_call(stmt, renamer)
         elif isinstance(stmt, ast.Receive):
             self._build_receive(stmt, renamer)
         elif isinstance(stmt, ast.Send):
@@ -299,12 +299,14 @@ class IRBuilder:
         else:  # pragma: no cover
             raise UnsupportedProgramError("unknown statement", stmt.location)
 
-    def _build_call(self, stmt: ast.Call) -> None:
+    def _build_call(self, stmt: ast.Call, caller: _Renamer) -> None:
         function = self._analyzed.functions[stmt.name]
         self._inline_counter += 1
         prefix = f"{stmt.name}${self._inline_counter}."
         mapping = {decl.name: prefix + decl.name for decl in function.locals}
-        renamer = _Renamer(mapping)
+        # Other names resolve as at the call site: the body may subscript
+        # with the caller's (renamed, possibly unrolled) loop indices.
+        renamer = _Renamer(mapping, parent=caller)
         self._declare_locals(function.locals, renamer)
         for inner in function.body.statements:
             self._build_stmt(inner, renamer)

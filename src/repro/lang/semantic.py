@@ -11,7 +11,9 @@ restrictions of Section 5.1:
   "currently can only handle" constant bounds);
 * array subscripts must be *affine* expressions in enclosing loop indices,
   so the IU can generate every address with additions only after strength
-  reduction (Section 6.3.2);
+  reduction (Section 6.3.2); a function body may also use the indices of
+  the loops around each of its calls, and no loop may reuse an index that
+  is already open there;
 * ``receive`` externals name host input data (or a literal, which the IU
   synthesises); ``send`` externals name host output locations;
 * functions take no arguments, may not contain ``call`` (hence no
@@ -26,9 +28,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import ast
-from .errors import SemanticError, UnsupportedProgramError
+from .errors import SemanticError, SourceLocation, UnsupportedProgramError
 from .symbols import Scope, Symbol, SymbolKind, host_kind
 
 
@@ -111,9 +114,11 @@ def affine_var(name: str) -> AffineIndex:
 class _AffineBuilder:
     """Convert an integer expression over loop indices into affine form."""
 
-    def __init__(self, scope: Scope, loop_indices: list[str]):
+    def __init__(
+        self, scope: Scope, check_index: Callable[[str, SourceLocation], None]
+    ):
         self._scope = scope
-        self._loop_indices = loop_indices
+        self._check_index = check_index
 
     def build(self, expr: ast.Expr) -> AffineIndex:
         if isinstance(expr, ast.IntLiteral):
@@ -126,16 +131,8 @@ class _AffineBuilder:
                     "only use loop indices and constants",
                     expr.location,
                 )
-            if (
-                symbol.kind is SymbolKind.LOOP_INDEX
-                and expr.name not in self._loop_indices
-            ):
-                raise SemanticError(
-                    f"{expr.name!r} is not the index of an enclosing loop; "
-                    "array subscripts may only use the indices of the "
-                    "loops around them",
-                    expr.location,
-                )
+            if symbol.kind is SymbolKind.LOOP_INDEX:
+                self._check_index(expr.name, expr.location)
             return affine_var(expr.name)
         if isinstance(expr, ast.UnaryExpr) and expr.op is ast.UnaryOp.NEG:
             return affine_scale(self.build(expr.operand), -1)
@@ -214,6 +211,20 @@ class AnalyzedModule:
         return self.loop_bounds[id(loop)]
 
 
+def _not_enclosing(name: str) -> str:
+    return (
+        f"{name!r} is not the index of an enclosing loop; array subscripts "
+        "may only use the indices of the loops around them"
+    )
+
+
+def _reused_index(name: str) -> str:
+    return (
+        f"{name!r} is already the index of an enclosing loop; a loop may "
+        "not reuse it"
+    )
+
+
 class SemanticAnalyzer:
     """Single-pass checker producing an :class:`AnalyzedModule`."""
 
@@ -226,8 +237,16 @@ class SemanticAnalyzer:
         self._loop_bounds: dict[int, tuple[int, int, int]] = {}
         self._io_info: dict[int, IOStatementInfo] = {}
         #: The index variables of the loops around the statement being
-        #: checked, outermost first.
+        #: checked, outermost first (in a function body, the function's
+        #: own loops only).
         self._loop_indices: list[str] = []
+        #: The function whose body is being checked, if any.
+        self._function: ast.FunctionDecl | None = None
+        #: Per function: the caller's loop indices its subscripts name
+        #: (each with its first use), and the indices its loops run over.
+        #: Every call site must have the former open and none of the latter.
+        self._caller_indices: dict[str, dict[str, SourceLocation]] = {}
+        self._function_loops: dict[str, set[str]] = {}
 
     def analyze(self) -> AnalyzedModule:
         self._check_params()
@@ -253,7 +272,11 @@ class SemanticAnalyzer:
             scope = Scope(self._cell_scope)
             for decl in function.locals:
                 self._define_cell_var(scope, decl)
+            self._function = function
+            self._caller_indices[function.name] = {}
+            self._function_loops[function.name] = set()
             self._check_statements(function.body.statements, scope, in_function=True)
+            self._function = None
         self._check_statements(
             cellprogram.body, self._cell_scope, in_function=False
         )
@@ -344,6 +367,7 @@ class SemanticAnalyzer:
                 raise SemanticError(
                     f"call of undefined function {stmt.name!r}", stmt.location
                 )
+            self._check_call_loops(stmt)
         elif isinstance(stmt, ast.Receive):
             self._check_receive(stmt, scope)
         elif isinstance(stmt, ast.Send):
@@ -386,12 +410,46 @@ class SemanticAnalyzer:
                 "meaningful on the Warp array",
                 stmt.location,
             )
+        if stmt.var in self._loop_indices:
+            raise SemanticError(_reused_index(stmt.var), stmt.location)
+        if self._function is not None:
+            self._function_loops[self._function.name].add(stmt.var)
         self._loop_bounds[id(stmt)] = (start, stop, trip)
         self._loop_indices.append(stmt.var)
         try:
             self._check_statement(stmt.body, scope, in_function)
         finally:
             self._loop_indices.pop()
+
+    def _check_loop_index(self, name: str, location: SourceLocation) -> None:
+        """A subscript may name the index of a loop around it.  In a
+        function body it may also name a caller's index (not one of the
+        function's locals); each call site is checked for it."""
+        if name in self._loop_indices:
+            return
+        function = self._function
+        if function is not None and all(
+            decl.name != name for decl in function.locals
+        ):
+            self._caller_indices[function.name].setdefault(name, location)
+            return
+        raise SemanticError(_not_enclosing(name), location)
+
+    def _check_call_loops(self, stmt: ast.Call) -> None:
+        for name, use in self._caller_indices[stmt.name].items():
+            if name not in self._loop_indices:
+                raise SemanticError(
+                    f"{_not_enclosing(name)} (function {stmt.name!r} "
+                    f"subscripts with it at {use})",
+                    stmt.location,
+                )
+        for name in self._loop_indices:
+            if name in self._function_loops[stmt.name]:
+                raise SemanticError(
+                    f"{_reused_index(name)} (function {stmt.name!r} loops "
+                    "over it)",
+                    stmt.location,
+                )
 
     def _check_receive(self, stmt: ast.Receive, scope: Scope) -> None:
         target_type = self._check_lvalue(stmt.target, scope, cell_side=True)
@@ -449,7 +507,8 @@ class SemanticAnalyzer:
             name = expr.name
             location = expr.location
             indices = tuple(
-                _AffineBuilder(scope, self._loop_indices).build(index) for index in expr.indices
+                _AffineBuilder(scope, self._check_loop_index).build(index)
+                for index in expr.indices
             )
             self._array_index_forms[id(expr)] = indices
         else:
@@ -521,7 +580,8 @@ class SemanticAnalyzer:
                     expr.location,
                 )
             forms = tuple(
-                _AffineBuilder(scope, self._loop_indices).build(index) for index in expr.indices
+                _AffineBuilder(scope, self._check_loop_index).build(index)
+                for index in expr.indices
             )
             self._array_index_forms[id(expr)] = forms
             return ExprType.FLOAT

@@ -27,7 +27,7 @@ from typing import Callable
 
 from ..errors import QueueCapacityError, QueueUnderflowError
 from ..obs import get_telemetry
-from ..obs.metrics import QueueMetrics, QueueTimes, queue_metrics
+from ..obs.metrics import QueueMetrics, QueueTimes
 
 
 @dataclass
@@ -119,16 +119,6 @@ class TimedQueue:
             self.name, self.capacity, self.send_times, self.recv_times,
             expected,
         )
-
-    def audit_capacity(self) -> QueueMetrics:
-        """:meth:`to_metrics`, once the peak occupancy passed the
-        capacity check (post-hoc audit)."""
-        return audit(self.to_metrics())
-
-    def to_metrics(self) -> QueueMetrics:
-        """This queue's occupancy/residency statistics; the peak
-        occupancy is the whole run's."""
-        return queue_metrics([self.times()])[0][0]
 
 
 def audit(metrics: QueueMetrics) -> QueueMetrics:

@@ -64,17 +64,14 @@ def receive_delays(sends: np.ndarray, recvs: np.ndarray) -> np.ndarray:
 
 
 def plan_variable_skew(
-    code: CellCode,
-    channel: Channel,
-    constant_skew: int,
-    max_events: int | None = 2_000_000,
+    code: CellCode, channel: Channel, constant_skew: int
 ) -> VariableSkewPlan:
     """Compare buffer demand under variable vs constant skew for one
-    channel of a compiled program; a stream of more than ``max_events``
-    events raises :class:`~repro.timing.events.TooManyEventsError` (a
+    channel of a compiled program; a stream too long to enumerate raises
+    :class:`~repro.timing.events.TooManyEventsError` (a
     :class:`~repro.errors.CompilationError`)."""
-    sends = stream_event_times(code, output_stream(channel), max_events)
-    recvs = stream_event_times(code, input_stream(channel), max_events)
+    sends = stream_event_times(code, output_stream(channel))
+    recvs = stream_event_times(code, input_stream(channel))
     delays = receive_delays(sends, recvs)
     if recvs.size:
         shifted = recvs + delays

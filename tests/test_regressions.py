@@ -571,19 +571,22 @@ class TestTooManyTimingEvents:
         with pytest.raises(CompilationError, match="too long to enumerate"):
             compile_w2(huge_loop_source())
 
-    def test_variable_skew_plan_refuses_alike(self):
+    def test_variable_skew_plan_refuses_alike(self, monkeypatch):
         from repro.errors import CompilationError
         from repro.lang.ast import Channel
-        from repro.timing import plan_variable_skew
+        from repro.timing import events, plan_variable_skew, variable_skew
 
         program = compile_w2(
             _mutated(huge_loop_source(), "999999999", "15"),
         )
         plan_variable_skew(program.cell_code, Channel.X, program.skew.skew)
+        monkeypatch.setattr(
+            variable_skew,
+            "stream_event_times",
+            lambda code, stream: events.stream_event_times(code, stream, 2),
+        )
         with pytest.raises(CompilationError, match="budget 2"):
-            plan_variable_skew(
-                program.cell_code, Channel.X, program.skew.skew, max_events=2
-            )
+            plan_variable_skew(program.cell_code, Channel.X, program.skew.skew)
 
 
 class TestLoopIndexAfterItsLoop:
@@ -619,6 +622,75 @@ begin
 end
 """
         with pytest.raises(SemanticError, match="enclosing loop"):
+            compile_w2(source)
+
+
+CALLER_INDEX_SOURCE = """
+module m (a in, b out)
+float a[8];
+float b[8];
+cellprogram (cid : 0 : 2)
+begin
+    float t, w[8];
+    int i;
+    function step
+    begin
+        float u[2];
+        int k;
+
+        receive (L, X, t, a[i]);
+        for k := 0 to 1 do u[k] := t + 1.0;
+        w[7 - i] := u[1];
+        send (R, X, w[7 - i] * 2.0, b[i]);
+    end
+    for i := 0 to 7 do call step;
+end
+"""
+
+
+class TestFunctionSubscriptsCallerIndex:
+    """A function body may subscript with the index of a loop around its
+    call: it is inlined at the call site, where that index is open.  The
+    body used to be inlined without the caller's loop renaming, so the
+    machine run failed with a raw ``KeyError: 'i'``."""
+
+    @pytest.mark.parametrize("unroll", [1, 2, 4, "auto"])
+    def test_matches_the_interpreter(self, unroll):
+        source = CALLER_INDEX_SOURCE
+        program = compile_w2(source, unroll=unroll)
+        inputs = {"a": np.arange(8.0) - 3.0}
+        want = interpret(analyze(parse_module(source)), inputs)["b"]
+        for record in (False, True):
+            got = simulate(program, inputs, record=record).outputs["b"]
+            assert np.array_equal(got, want)
+
+    def test_call_outside_the_loop_is_refused(self):
+        from repro.lang.errors import SemanticError
+
+        source = _mutated(
+            CALLER_INDEX_SOURCE,
+            "for i := 0 to 7 do call step;",
+            "for i := 0 to 7 do call step;\n    call step;",
+        )
+        with pytest.raises(
+            SemanticError, match="'i' is not the index of an enclosing loop"
+        ):
+            compile_w2(source)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # The function's loop would overwrite the caller's index.
+            ("for k := 0 to 1 do u[k]", "for i := 0 to 1 do u[i]"),
+            # A nested loop would, too.
+            ("for i := 0 to 7 do call", "for i := 0 to 7 do for i := 0 to 0 do call"),
+        ],
+    )
+    def test_reusing_an_open_index_is_refused(self, old, new):
+        from repro.lang.errors import SemanticError
+
+        source = _mutated(CALLER_INDEX_SOURCE, old, new)
+        with pytest.raises(SemanticError, match="already the index"):
             compile_w2(source)
 
 

@@ -12,7 +12,9 @@ from repro.errors import (
     QueueUnderflowError,
 )
 from repro.machine import TimedQueue, simulate
+from repro.machine.queue import audit
 from repro.machine.trace import format_two_cell_trace
+from repro.obs import queue_metrics
 from repro.programs import passthrough, polynomial
 
 
@@ -53,7 +55,7 @@ class TestTimedQueue:
         for _ in range(3):
             q.dequeue(10)
         with pytest.raises(QueueCapacityError):
-            q.audit_capacity()
+            audit(queue_metrics([q.times()])[0][0])
 
     def test_occupancy_value(self):
         q = TimedQueue("q", capacity=8)
@@ -61,7 +63,7 @@ class TestTimedQueue:
         q.enqueue(1, 2.0)
         q.dequeue(1)
         q.dequeue(2)
-        assert q.audit_capacity().high_water == 2
+        assert audit(queue_metrics([q.times()])[0][0]).high_water == 2
 
 
 class TestSimulationChecks:
