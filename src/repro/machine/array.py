@@ -13,13 +13,14 @@ one-cycle hop per cell; every cell sees the same address stream, delayed
 by its position, and dequeues it in lock step with its own schedule.
 
 Schedules are data-independent, so the plan makes one checked run and
-later clean runs only move values (:meth:`WarpMachine._values`); traced,
-recorded and fault-injected runs stay checked.  A checked run without
-an injector moves its words on the clean transfer binding and checks
-every queue in one NumPy pass after the last cell
-(:func:`~repro.obs.metrics.queue_metrics`); only a run that fails runs
-again on the checked binding, to raise the exact error of the check
-that failed first.  A result keeps each run
+later clean runs only move values (:meth:`WarpMachine._values`),
+recorded ones too: their block spans are the plan's, from each cell's
+start cycle in its facts.  Traced and fault-injected runs stay checked.
+A checked run without an injector moves its words on the clean
+transfer binding and checks every queue in one NumPy pass after the
+last cell (:func:`~repro.obs.metrics.queue_metrics`); only a run that
+fails runs again on the checked binding, to raise the exact error of
+the check that failed first.  A result keeps each run
 fact once, in its :class:`~repro.obs.metrics.MachineMetrics`: one
 ``CellMetrics`` per cell (what each :class:`CellExecutor` returns) and
 one ``QueueMetrics`` per queue, peak occupancy included.  A checked
@@ -69,6 +70,8 @@ class SimulationResult:
     trace: list[TraceEvent] = field(default_factory=list)
     #: Per-cell block execution spans (only when
     #: ``simulate(..., record=True)``; feeds the Chrome-trace exporter).
+    #: Built from the plan and each cell's start cycle, on the value
+    #: path and the checked path alike.
     record: list[CellSpans] | None = None
     #: Descriptions of every fault injected into this run (empty for
     #: clean runs; filled from the active
@@ -112,14 +115,21 @@ class WarpMachine:
         record: bool = False,
         faults: "InjectionPlan | FaultInjector | None" = None,
     ) -> SimulationResult:
+        """One run of the program on ``inputs``.  A traced or
+        fault-injected run takes the checked path (:meth:`_execute`);
+        every other run, recorded or not, only moves values on the
+        plan's verdicts, and a recorded one gets the plan's block
+        spans from each cell's start cycle."""
         injector = _injector_of(faults)
         memory = HostMemory.from_inputs(
             self._program.host_program.layout, inputs
         )
-        if trace_limit or record or injector is not None:
+        if trace_limit or injector is not None:
             get_telemetry().counter("machine.runs.checked")
             return self._execute(memory, trace_limit, record, injector)
-        return SimulationResult(*self._values(memory, self.plan.value_driver))
+        outputs, metrics = self._values(memory, self.plan.value_driver)
+        spans = self._spans(metrics.cells) if record else None
+        return SimulationResult(outputs, metrics, record=spans)
 
     def run_columns(
         self, input_sets: Sequence[dict[str, np.ndarray]]
@@ -170,7 +180,7 @@ class WarpMachine:
             receive = [iter(queue.values).__next__ for queue in link.values()]
             link = {channel: TimedQueue("") for channel in Channel}
             send = [queue.values.append for queue in link.values()]
-            memories = [0.0] * config.n_registers, [0.0] * config.memory_words
+            memories = [0.0] * config.n_registers, [0.0] * plan.memory_words
             drive((*memories, *receive, *send, iter(plan.addresses).__next__))
         collect_outputs(plan.collection, memory, link)
         outputs = {
@@ -192,7 +202,8 @@ class WarpMachine:
     ) -> SimulationResult:
         """Feed ``memory`` through every cell and collect the outputs
         back into it, with every run-time check: the reference path, and
-        the one of traced, recorded and fault-injected runs.
+        the one of traced and fault-injected runs and of the plan's
+        checked run.
 
         Without an injector the cells first run on the clean transfer
         binding and one pass checks every queue afterwards.  A run that
@@ -242,11 +253,15 @@ class WarpMachine:
             outputs=outputs,
             machine_metrics=metrics,
             trace=trace_events(links, trace_limit),
-            record=plan.spans(
-                cells, chrome_trace.MAX_BLOCK_SPANS // n_cells
-            ) if record else None,
+            record=self._spans(cells) if record else None,
             fault_report=injector.report() if injector is not None else [],
         )
+
+    def _spans(self, cells: list[CellMetrics]) -> list[CellSpans]:
+        """Each cell's block spans from its start cycle, every lane
+        capped at its share of the Chrome trace's spans."""
+        limit = chrome_trace.MAX_BLOCK_SPANS // self._program.n_cells
+        return self.plan.spans(cells, limit)
 
     def _run_cells(
         self,
@@ -324,6 +339,7 @@ class WarpMachine:
                 address_queue=address_queue,
                 block_plans=plan.blocks,
                 counts=plan.counts,
+                memory_words=plan.memory_words,
                 deadline=nominal_start + budget,
                 driver=plan.driver,
                 checked=checked,

@@ -57,6 +57,7 @@ class CellExecutor:
         address_queue: TimedQueue,
         block_plans: dict[int, BlockPlan] | None = None,
         counts: OpCounts | None = None,
+        memory_words: int | None = None,
         deadline: int | None = None,
         driver: Callable | None = None,
         checked: bool = True,
@@ -87,7 +88,11 @@ class CellExecutor:
         )
         self._checked = checked
         self._registers = [0.0] * config.n_registers
-        self._memory = [0.0] * config.memory_words
+        #: Data memory: the plan's ``memory_words`` (one past the
+        #: largest static address) when supplied, else the whole memory.
+        self._memory = [0.0] * (
+            config.memory_words if memory_words is None else memory_words
+        )
         rx, dx = in_queues[Channel.X].receiver(checked)
         ry, dy = in_queues[Channel.Y].receiver(checked)
         sx, ex = out_queues[Channel.X].sender(checked)

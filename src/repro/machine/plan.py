@@ -32,7 +32,9 @@ independent of the cell index, the input data and the run — so one
   call), hence each link's per-run sends.
 * **The IU address schedule** (``emission_times``, ``addresses``) and
   its :class:`~repro.obs.metrics.IUMetrics`, identical for every cell
-  up to the per-hop delay, rather than re-walked per run.
+  up to the per-hop delay, rather than re-walked per run; with the
+  literal addresses, it sizes each cell run's data memory
+  (``memory_words``).
 * **The host I/O streams**: per channel, the word offsets of the feed
   (one gather) and the collection (one scatter), derived in closed form
   by the host program and bounds-checked once, here.
@@ -48,7 +50,9 @@ from typing import Callable, TYPE_CHECKING
 import numpy as np
 
 from ..analysis.local_opt import column_evaluator, pure_evaluator
-from ..cellcodegen.emit import OpCounts, ScheduledBlock, ScheduledItem
+from ..cellcodegen.emit import (
+    CellCode, OpCounts, ScheduledBlock, ScheduledItem,
+)
 from ..cellcodegen.isa import AddressSource, Lit, MicroInstr, Operand, Reg
 from ..config import CellConfig
 from ..errors import SimulationError
@@ -381,6 +385,13 @@ class ExecutionPlan:
             first_emit_cycle=int(times.min()) if times.size else 0,
             last_emit_cycle=int(times.max()) if times.size else 0,
         )
+        #: Data-memory words one cell run allocates: one past the
+        #: largest static address (literal or IU-emitted); every
+        #: address is checked against the configured memory here.
+        self.memory_words = _memory_words(
+            program.cell_code, self.addresses,
+            program.config.cell.memory_words,
+        )
         #: The metrics of the checked clean run, once it passed (its
         #: verdicts hold for every clean run).
         self.facts: MachineMetrics | None = None
@@ -463,6 +474,31 @@ class ExecutionPlan:
         return sum(
             plan.length - plan.issued for plan in self.blocks.values()
         )
+
+
+def _memory_words(code: CellCode, addresses: list[int], size: int) -> int:
+    """One past the largest data address a run of ``code`` touches: the
+    literal addresses in its instructions and the IU's ``addresses``.
+    An address outside the ``size``-word memory raises here, before any
+    run."""
+    literal = [
+        mem.address
+        for block in code.blocks()
+        for instr in block.instructions
+        for mem in instr.mem
+        if mem.address_source is AddressSource.LITERAL
+    ]
+    used = literal + addresses
+    if not used:
+        return 0
+    low, high = min(used), max(used)
+    for address in (low, high):
+        if not 0 <= address < size:
+            raise SimulationError(
+                f"static data address {address} lies outside the "
+                f"{size}-word data memory"
+            )
+    return high + 1
 
 
 def _head(items: list[ScheduledItem], limit: int) -> tuple[np.ndarray, int]:

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_w2
+from repro.machine import WarpMachine
+from repro.machine.host import HostMemory
 from repro.programs import (
     binop,
     colorseg,
@@ -274,10 +276,31 @@ def program_suite(rng):
     return small_program_suite(rng)
 
 
+def checked_run(program, inputs):
+    """The reference run of ``program`` on ``inputs``: the cycle-accurate
+    executor with every run-time check, block spans included.  A clean
+    ``simulate(..., record=True)`` only moves values, so a test that
+    compares a path with the checked one calls this instead."""
+    memory = HostMemory.from_inputs(program.host_program.layout, inputs)
+    return WarpMachine(program)._execute(memory, record=True)
+
+
+def _differing_fields(mine, theirs) -> list[str]:
+    """The dataclass fields where ``mine`` and ``theirs`` differ (arrays
+    compared by value)."""
+    differ = []
+    for field in dataclasses.fields(theirs):
+        a, b = getattr(mine, field.name), getattr(theirs, field.name)
+        same = np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
+        if not same:
+            differ.append(field.name)
+    return differ
+
+
 def _assert_same_run(got, expected, context: str = "") -> None:
     """``got`` equals the one-shot cycle-accurate run ``expected``:
-    outputs bit for bit (NaN payloads and -0.0 count) and every static
-    fact of the run."""
+    outputs bit for bit (NaN payloads and -0.0 count), every static
+    fact of the run and, when ``got`` has them, its block spans."""
     assert set(got.outputs) == set(expected.outputs), context
     for name, want in expected.outputs.items():
         assert np.array_equal(
@@ -294,11 +317,14 @@ def _assert_same_run(got, expected, context: str = "") -> None:
     ), context
     assert mine.queues.keys() == theirs.queues.keys(), context
     for name, queue in theirs.queues.items():
-        for field in dataclasses.fields(queue):
-            a = getattr(mine.queues[name], field.name)
-            b = getattr(queue, field.name)
-            same = np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
-            assert same, f"{context}:{name}.{field.name}"
+        differ = _differing_fields(mine.queues[name], queue)
+        assert not differ, f"{context}:{name}.{differ}"
+    if got.record is not None:
+        assert expected.record is not None, context
+        assert len(got.record) == len(expected.record), context
+        for lane, want in zip(got.record, expected.record):
+            differ = _differing_fields(lane, want)
+            assert not differ, f"{context}:cell {want.cell} spans {differ}"
 
 
 @pytest.fixture(scope="session")

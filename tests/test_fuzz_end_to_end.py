@@ -17,6 +17,8 @@ from repro.exec import BatchRunner
 from repro.lang import analyze, parse_module
 from repro.machine import interpret, simulate
 
+from conftest import checked_run
+
 VARS = ["v0", "v1", "v2", "v3"]
 
 
@@ -109,18 +111,18 @@ class TestFuzzedPipelines:
         assert np.allclose(
             result.outputs["b"], expected["b"], rtol=1e-9, atol=1e-9
         ), source
-        # The value path, one-shot and batched, agrees with the checked
-        # cycle executor bit for bit.
-        assert_same_run(
-            result, simulate(program, inputs, record=True), source
-        )
+        # The value path, one-shot, recorded and batched, agrees with
+        # the checked cycle executor bit for bit, block spans included.
+        reference = checked_run(program, inputs)
+        assert_same_run(result, reference, source)
+        recorded = simulate(program, inputs, record=True)
+        assert recorded.record is not None, source
+        assert_same_run(recorded, reference, source)
         items = [inputs, {"a": rng.uniform(-2, 2, n_points)}]
         batched = BatchRunner(program).run(items)
         assert batched.value_items == len(items), source
         for item, got in zip(items, batched.results):
-            assert_same_run(
-                got, simulate(program, item, record=True), source
-            )
+            assert_same_run(got, checked_run(program, item), source)
 
     @given(pipeline_programs())
     @settings(max_examples=30, deadline=None)

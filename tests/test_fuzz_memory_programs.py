@@ -19,6 +19,8 @@ from repro.lang import analyze, parse_module
 from repro.machine import interpret, simulate
 from repro.machine.iu_machine import run_iu_program
 
+from conftest import checked_run
+
 
 @st.composite
 def memory_programs(draw):
@@ -75,18 +77,18 @@ class TestMemoryFuzz:
         program = compile_w2(source)
         result = simulate(program, inputs)
         assert np.allclose(result.outputs["b"], expected["b"]), source
-        # The value path, one-shot and batched, agrees with the checked
-        # cycle executor bit for bit.
-        assert_same_run(
-            result, simulate(program, inputs, record=True), source
-        )
+        # The value path, one-shot, recorded and batched, agrees with
+        # the checked cycle executor bit for bit, block spans included.
+        reference = checked_run(program, inputs)
+        assert_same_run(result, reference, source)
+        recorded = simulate(program, inputs, record=True)
+        assert recorded.record is not None, source
+        assert_same_run(recorded, reference, source)
         items = [inputs, {"a": rng.uniform(-3, 3, n)}]
         batched = BatchRunner(program).run(items)
         assert batched.value_items == len(items), source
         for item, got in zip(items, batched.results):
-            assert_same_run(
-                got, simulate(program, item, record=True), source
-            )
+            assert_same_run(got, checked_run(program, item), source)
 
     @given(memory_programs())
     @settings(max_examples=30, deadline=None)

@@ -507,9 +507,11 @@ class TestDeepLoopNest:
     blocks``."""
 
     @pytest.mark.parametrize("unroll", [1, "auto"])
-    def test_every_path_matches_the_interpreter(self, unroll):
+    def test_every_path_matches_the_interpreter(self, unroll, assert_same_run):
         from repro.exec import BatchRunner
         from repro.programs import deep_nest
+
+        from conftest import checked_run
 
         source = deep_nest(depth=25)
         program = compile_w2(source, unroll=unroll)
@@ -518,16 +520,65 @@ class TestDeepLoopNest:
             want = interpret(analyze(parse_module(source)), inputs)["dout"]
             clean = simulate(program, inputs)
             recorded = simulate(program, inputs, record=True)
-            for got in (clean, recorded):
+            reference = checked_run(program, inputs)
+            for got in (clean, recorded, reference):
                 assert np.array_equal(got.outputs["dout"], want)
-            assert recorded.machine_metrics.cells == clean.machine_metrics.cells
             assert recorded.record is not None
+            for got in (clean, recorded):
+                assert_same_run(got, reference)
         batch = BatchRunner(program).run(items)
         assert batch.ok and batch.value_items == len(items)
         for inputs, result in zip(items, batch.results):
             assert np.array_equal(
                 result.outputs["dout"], simulate(program, inputs).outputs["dout"]
             )
+
+
+class TestStaticAddressBounds:
+    """Every data address a cell run touches is static, so the plan
+    checks them all against the data memory once and sizes each run's
+    memory to the largest: an address outside it is a structured error
+    before any run (a negative one used to wrap silently, a large one
+    to raise a raw ``IndexError``)."""
+
+    @pytest.fixture
+    def program(self):
+        from repro.programs import fir_bank
+
+        # One literal address (4) and IU addresses 0..7.
+        return compile_w2(fir_bank(16, 3, 4))
+
+    def test_plan_sizes_memory_to_the_largest_address(self, program):
+        assert program.execution_plan.memory_words == 8
+
+    def test_address_past_the_memory(self, program):
+        from repro.errors import SimulationError
+
+        cell = dataclasses.replace(program.config.cell, memory_words=6)
+        program.config = dataclasses.replace(program.config, cell=cell)
+        with pytest.raises(SimulationError) as error:
+            simulate(program, {})
+        assert str(error.value) == (
+            "static data address 7 lies outside the 6-word data memory"
+        )
+
+    def test_negative_literal_address(self, program):
+        from repro.cellcodegen.isa import AddressSource
+        from repro.errors import SimulationError
+
+        (instr, k), = [
+            (instr, k)
+            for block in program.cell_code.blocks()
+            for instr in block.instructions
+            for k, mem in enumerate(instr.mem)
+            if mem.address_source is AddressSource.LITERAL
+        ]
+        instr.mem[k] = dataclasses.replace(instr.mem[k], address=-1)
+        with pytest.raises(SimulationError) as error:
+            simulate(program, {})
+        assert str(error.value) == (
+            "static data address -1 lies outside the 4096-word data memory"
+        )
 
 
 def _mutated(source: str, old: str, new: str) -> str:

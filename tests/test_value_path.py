@@ -3,8 +3,9 @@
 Schedules are data-independent, so the plan of a program runs the fully
 checked cycle-accurate path once, on zeroed inputs, and keeps its
 verdicts and static facts; every clean run after it runs untimed block
-functions and reuses them.  Every test here compares the value path with
-the checked path (``record=True``), outputs bit for bit.
+functions and reuses them, recorded runs included (their block spans
+come from the plan).  Every test here compares the value path with the
+checked path (``conftest.checked_run``), outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -21,17 +22,14 @@ from repro.cli import main
 from repro.config import DEFAULT_CONFIG
 from repro.exec import BatchRunner, CompileCache
 from repro.exec.keys import cache_key
-from repro.machine import simulate
+from repro.faults import FaultKind, FaultSpec, InjectionPlan
+from repro.machine import WarpMachine, simulate
 from repro.obs.core import NULL_TELEMETRY
 from repro.programs import polynomial
 
-from conftest import small_program_suite
+from conftest import checked_run, small_program_suite
 
 SUITE = small_program_suite(np.random.default_rng(20261017))
-
-
-def _checked(program, inputs):
-    return simulate(program, inputs, record=True)
 
 
 def _items(n, seed=3):
@@ -50,9 +48,12 @@ def test_bundled_programs_match_checked_path(assert_same_run, case, unroll):
     name, source, inputs, _reference = case
     program = compile_w2(source, unroll=unroll)
     other = {key: -2.0 * value for key, value in inputs.items()}
-    expected = [_checked(program, inputs), _checked(program, other)]
+    expected = [checked_run(program, inputs), checked_run(program, other)]
     for _call in range(2):  # the plan's first clean run, then a warm one
         assert_same_run(simulate(program, inputs), expected[0], name)
+    recorded = simulate(program, inputs, record=True)
+    assert recorded.record is not None
+    assert_same_run(recorded, expected[0], name)
     batched = BatchRunner(program).run([inputs, other])
     assert batched.value_items == 2, name
     for got, want in zip(batched.results, expected):
@@ -91,7 +92,7 @@ class TestPlanOnTheProgram:
         pooled = BatchRunner(program, processes=2).run(items)
         assert pooled.ok
         for inputs, got in zip(items, pooled.results):
-            expected = _checked(program, inputs)
+            expected = checked_run(program, inputs)
             assert_same_run(simulate(loaded, inputs), expected)
             assert_same_run(got, expected)
 
@@ -100,7 +101,7 @@ class TestPlanOnTheProgram:
         leaves the next call's result alone."""
         program = compile_w2(polynomial(12, 4))
         inputs = _items(1)[0]
-        expected = _checked(program, inputs)
+        expected = checked_run(program, inputs)
         for first in (
             simulate(program, inputs),
             BatchRunner(program).run([inputs]).results[0],
@@ -118,6 +119,67 @@ class TestPlanOnTheProgram:
             queue.send_times[0] = -1
 
 
+#: Cell 3 (the last of polynomial(12, 4)) starts 10 cycles late.
+STALL = InjectionPlan((FaultSpec(FaultKind.STALL_CELL, cell=3, cycles=10),))
+
+
+class TestRoutes:
+    """Which runs reach the cycle-accurate ``_execute``: the reference
+    helper, traced and fault-injected runs, and the plan's one checked
+    run; a clean recorded run does not."""
+
+    @pytest.fixture
+    def executed(self, monkeypatch):
+        calls = []
+        execute = WarpMachine._execute
+
+        def counting(
+            self, memory, trace_limit=0, record=False, injector=None
+        ):
+            calls.append((trace_limit, record, injector is not None))
+            return execute(self, memory, trace_limit, record, injector)
+
+        monkeypatch.setattr(WarpMachine, "_execute", counting)
+        return calls
+
+    def test_only_checked_runs_execute(self, executed):
+        program = compile_w2(polynomial(12, 4))
+        inputs = _items(1)[0]
+        simulate(program, inputs)
+        assert executed == [(0, False, False)]  # the plan's checked run
+        executed.clear()
+        recorded = simulate(program, inputs, record=True)
+        assert executed == [] and recorded.record is not None
+        assert checked_run(program, inputs).record is not None
+        assert executed == [(0, True, False)]
+        simulate(program, inputs, trace_limit=2, record=True)
+        simulate(program, inputs, record=True, faults=STALL)
+        assert executed[1:] == [(2, True, False), (0, True, True)]
+
+    def test_recorded_chrome_events_equal_the_reference(self):
+        program = compile_w2(polynomial(12, 4))
+        inputs = _items(1)[0]
+        got, want = simulate(program, inputs, record=True), checked_run(
+            program, inputs
+        )
+        events = obs.machine_trace_events(got.machine_metrics, got.record)
+        assert events == obs.machine_trace_events(
+            want.machine_metrics, want.record
+        )
+
+    def test_stalled_recorded_run_shifts_its_spans(self):
+        """A fault-injected recorded run stays checked: the stalled
+        cell's spans start its stall later, the others' do not move."""
+        program = compile_w2(polynomial(12, 4))
+        inputs = _items(1)[0]
+        clean = simulate(program, inputs, record=True).record
+        stalled = simulate(program, inputs, record=True, faults=STALL).record
+        for lane, base in zip(stalled, clean):
+            shift = 10 if lane.cell == 3 else 0
+            assert np.array_equal(lane.starts, base.starts + shift)
+            assert np.array_equal(lane.block_ids, base.block_ids)
+
+
 class TestFailingCheck:
     """A program whose checked run fails caches no verdict: every clean
     run raises the checked path's error."""
@@ -131,16 +193,18 @@ class TestFailingCheck:
         return program
 
     def test_simulate_raises_the_checked_error_every_time(self, program):
+        """Clean and recorded runs alike, since both take the value
+        path on the plan's verdicts."""
         inputs = _items(1)[0]
         with pytest.raises(Exception) as checked:
-            _checked(program, inputs)
+            checked_run(program, inputs)
         assert type(checked.value).__name__ == "QueueCapacityError"
         assert str(checked.value) == (
             "link1.X: peak occupancy 5 exceeds the 1-word queue"
         )
-        for _call in range(2):
+        for record in (False, True, False, True):
             with pytest.raises(type(checked.value)) as clean:
-                simulate(program, inputs)
+                simulate(program, inputs, record=record)
             assert str(clean.value) == str(checked.value)
         assert program.execution_plan.facts is None
 
@@ -149,7 +213,7 @@ class TestFailingCheck:
         runner = BatchRunner(program, max_retries=1, retry_backoff=0)
         batched = runner.run(items)
         with pytest.raises(Exception) as checked:
-            _checked(program, items[0])
+            checked_run(program, items[0])
         assert batched.value_items == 0
         assert [f.index for f in batched.failures] == [0, 1, 2]
         for failure in batched.failures:
@@ -166,8 +230,11 @@ class TestObservability:
             simulate(program, inputs)
             simulate(program, inputs)
             simulate(program, inputs, record=True)
+            simulate(program, inputs, trace_limit=1)
             BatchRunner(program).run(_items(3))
-        assert telemetry.counters["machine.runs.value"] == 3
+        # A recorded run is a value run (its spans come from the plan);
+        # only the traced one is checked.
+        assert telemetry.counters["machine.runs.value"] == 4
         assert telemetry.counters["machine.runs.checked"] == 1
         assert len(telemetry.find("machine.plan")) == 2  # build, check
         simulate(program, inputs)

@@ -30,6 +30,8 @@ from repro.machine import WarpMachine, interpret, simulate
 from repro.machine import plan as plan_module
 from repro.programs import colorseg, mandelbrot, polynomial
 
+from conftest import checked_run
+
 #: Two cells divide; the ``else`` arm makes the divide dead whenever
 #: ``x <= 0`` — if-conversion still issues it, and the select discards
 #: its quotient (±inf or NaN for a zero divisor).
@@ -93,12 +95,16 @@ def _program(name: str):
 def _cycle_runner(program, **kwargs) -> BatchRunner:
     """A runner whose column run answers no item, so every item takes
     its own checked cycle-accurate run: the reference for the value
-    path."""
+    path (a fault-injected run is checked on its own)."""
     runner = BatchRunner(program, **kwargs)
     runner._run_columns = lambda input_sets: {}
-    runner._attempt = lambda inputs, _retried, injector: runner.machine.run(
-        inputs, record=True, faults=injector
-    )
+
+    def attempt(inputs, _retried, injector):
+        if injector is None:
+            return checked_run(program, inputs)
+        return runner.machine.run(inputs, record=True, faults=injector)
+
+    runner._attempt = attempt
     return runner
 
 
@@ -124,6 +130,9 @@ def _assert_same_outcome(program, items, assert_same_run, **kwargs):
         if expected is not None:
             assert_same_run(got, expected)
             assert_same_run(simulate(program, item), expected)
+            recorded = simulate(program, item, record=True)
+            assert recorded.record is not None
+            assert_same_run(recorded, expected)
 
 
 special_values = st.one_of(
