@@ -22,8 +22,7 @@ cycles, never miss one, so "mappable" verdicts are sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Iterator
 
 from ..ir.dag import OpKind, QueueRef
 from ..ir.tree import ProgramTree
@@ -77,7 +76,13 @@ def _receive_queue_for_send(queue: QueueRef) -> QueueRef:
 def analyze_communication(tree: ProgramTree) -> CommReport:
     """Build the communication graph of a lowered cell program and
     classify its cycles."""
-    graph = nx.DiGraph()
+    # Successors by node.
+    graph: dict[str, set[str]] = {}
+
+    def add_edge(source: str, target: str) -> None:
+        graph.setdefault(source, set()).add(target)
+        graph.setdefault(target, set())
+
     sends: list[tuple[str, QueueRef]] = []
     receives: dict[QueueRef, list[str]] = {}
     # Global (conservative) scalar/array flow endpoints.
@@ -92,10 +97,10 @@ def analyze_communication(tree: ProgramTree) -> CommReport:
         for node_id in alive:
             node = dag.nodes[node_id]
             name = f"b{block.block_id}.n{node_id}"
-            graph.add_node(name)
+            graph.setdefault(name, set())
             for operand in node.operands:
                 if operand in alive:
-                    graph.add_edge(f"b{block.block_id}.n{operand}", name)
+                    add_edge(f"b{block.block_id}.n{operand}", name)
             if node.op is OpKind.SEND:
                 sends.append((name, node.attr))
             elif node.op is OpKind.RECV:
@@ -110,7 +115,7 @@ def analyze_communication(tree: ProgramTree) -> CommReport:
                 array_loads.setdefault(node.attr.array, []).append(name)
         for earlier, later in dag.order_edges:
             if earlier in alive and later in alive:
-                graph.add_edge(
+                add_edge(
                     f"b{block.block_id}.n{earlier}", f"b{block.block_id}.n{later}"
                 )
 
@@ -118,35 +123,33 @@ def analyze_communication(tree: ProgramTree) -> CommReport:
     for var, writers in scalar_writes.items():
         for writer in writers:
             for reader in scalar_reads.get(var, []):
-                graph.add_edge(writer, reader)
+                add_edge(writer, reader)
     for array, stores in array_stores.items():
         for store in stores:
             for load in array_loads.get(array, []):
-                graph.add_edge(store, load)
+                add_edge(store, load)
 
     # Communication edges, labelled by the direction the data travels.
     comm_label: dict[tuple[str, str], str] = {}
     for send_name, queue in sends:
         label = "right" if queue.direction is Direction.RIGHT else "left"
         for recv_name in receives.get(_receive_queue_for_send(queue), []):
-            graph.add_edge(send_name, recv_name)
+            add_edge(send_name, recv_name)
             comm_label[(send_name, recv_name)] = label
 
-    has_right = False
-    has_left = False
-    for component in nx.strongly_connected_components(graph):
-        if len(component) < 2:
-            node = next(iter(component))
-            if not graph.has_edge(node, node):
-                continue
-        for u, v in graph.edges(component):
-            if v not in component:
-                continue
-            label = comm_label.get((u, v))
-            if label == "right":
-                has_right = True
-            elif label == "left":
-                has_left = True
+    # A communication edge lies on a cycle exactly when both its ends
+    # are in one strongly connected component.
+    component = {
+        node: k
+        for k, members in enumerate(strongly_connected_components(graph))
+        for node in members
+    }
+    on_cycles = {
+        label
+        for (send_name, recv_name), label in comm_label.items()
+        if component[send_name] == component[recv_name]
+    }
+    has_right, has_left = "right" in on_cycles, "left" in on_cycles
 
     queues_sent = {queue for _, queue in sends}
     queues_received = set(receives)
@@ -162,3 +165,48 @@ def analyze_communication(tree: ProgramTree) -> CommReport:
             q.direction is Direction.RIGHT for q in queues_received
         ),
     )
+
+
+def strongly_connected_components(graph: dict[str, set[str]]) -> list[set[str]]:
+    """The strongly connected components of ``graph`` (each node's
+    successors; every successor is a node), by Tarjan's algorithm with
+    an explicit stack, so deep graphs do not recurse."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components: list[set[str]] = []
+    # The nodes being visited, each with its successors not yet seen.
+    work: list[tuple[str, Iterator[str]]] = []
+
+    def visit(node: str) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(graph[node])))
+
+    for root in graph:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            node, successors = work[-1]
+            for successor in successors:
+                if successor not in index:
+                    visit(successor)
+                    break
+                if successor in on_stack:
+                    low[node] = min(low[node], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    members, member = set(), None
+                    while member != node:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        members.add(member)
+                    components.append(members)
+    return components

@@ -14,9 +14,9 @@ detection layer for them: it keeps a shadow copy of every enqueued word
 (modelling the queue memory's parity/ECC bits) and raises
 :class:`~repro.errors.SilentCorruptionDetected` the moment a dequeued
 word's bits disagree with the bits that were enqueued.  It overrides
-the value halves of the checked transfer binding
+the value halves of a checked cell's transfers
 (:meth:`~repro.machine.queue.TimedQueue.put`,
-:meth:`~repro.machine.queue.TimedQueue.take`), so an injected run is
+:meth:`~repro.machine.queue.TimedQueue.take`); an injected run is
 always a checked run.  Clean runs never construct it — the machine
 builds plain :class:`TimedQueue` objects unless an injector is active,
 so the fault layer costs nothing and cannot perturb results when

@@ -12,20 +12,19 @@ The IU's address emissions propagate down the address path with a
 one-cycle hop per cell; every cell sees the same address stream, delayed
 by its position, and dequeues it in lock step with its own schedule.
 
-Schedules are data-independent, so the plan makes one checked run and
-later clean runs only move values (:meth:`WarpMachine._values`),
-recorded ones too: their block spans are the plan's, from each cell's
-start cycle in its facts.  Traced and fault-injected runs stay checked.
-A checked run without an injector moves its words on the clean
-transfer binding and checks every queue in one NumPy pass after the
-last cell (:func:`~repro.obs.metrics.queue_metrics`); only a run that
-fails runs again on the checked binding, to raise the exact error of
-the check that failed first.  A result keeps each run
-fact once, in its :class:`~repro.obs.metrics.MachineMetrics`: one
-``CellMetrics`` per cell (what each :class:`CellExecutor` returns) and
-one ``QueueMetrics`` per queue, peak occupancy included.  A checked
-run's trace and block spans are read off its finished queues and cell
-start cycles, not recorded while it runs.
+Schedules are data-independent, so a clean run only moves values
+(:meth:`WarpMachine._values`): its metrics and verdicts come once per
+program from the plan's static transfer timeline
+(:meth:`~repro.machine.plan.ExecutionPlan.timeline`), its trace's cycles
+from the same timeline and its block spans from each cell's start
+cycle.  Fault-injected runs take the checked path
+(:meth:`WarpMachine._execute`), whose cells raise at the first failing
+check; so does a program whose timeline fails, on zeroed inputs, to
+raise that check's exact error.  A result keeps each run fact once, in
+its :class:`~repro.obs.metrics.MachineMetrics`: one ``CellMetrics`` per
+cell and one ``QueueMetrics`` per queue, peak occupancy included.  A
+checked run's trace and block spans are read off its finished queues
+and cell start cycles, not recorded while it runs.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from ..obs.metrics import (
     CellMetrics,
     CellSpans,
     MachineMetrics,
-    QueueMetrics,
     QueueTimes,
     queue_metrics,
 )
@@ -115,21 +113,23 @@ class WarpMachine:
         record: bool = False,
         faults: "InjectionPlan | FaultInjector | None" = None,
     ) -> SimulationResult:
-        """One run of the program on ``inputs``.  A traced or
-        fault-injected run takes the checked path (:meth:`_execute`);
-        every other run, recorded or not, only moves values on the
-        plan's verdicts, and a recorded one gets the plan's block
-        spans from each cell's start cycle."""
+        """One run of the program on ``inputs``.  A fault-injected run
+        takes the checked path (:meth:`_execute`); every other run,
+        traced or recorded too, only moves values on the plan's
+        verdicts, and takes its trace's cycles from the plan's static
+        timeline and its block spans from each cell's start cycle."""
         injector = _injector_of(faults)
         memory = HostMemory.from_inputs(
             self._program.host_program.layout, inputs
         )
-        if trace_limit or injector is not None:
+        if injector is not None:
             get_telemetry().counter("machine.runs.checked")
             return self._execute(memory, trace_limit, record, injector)
-        outputs, metrics = self._values(memory, self.plan.value_driver)
+        outputs, metrics, trace = self._values(
+            memory, self.plan.value_driver, trace_limit
+        )
         spans = self._spans(metrics.cells) if record else None
-        return SimulationResult(outputs, metrics, record=spans)
+        return SimulationResult(outputs, metrics, trace, spans)
 
     def run_columns(
         self, input_sets: Sequence[dict[str, np.ndarray]]
@@ -147,7 +147,7 @@ class WarpMachine:
         if not valid:
             return {}
         with np.errstate(all="ignore"):
-            columns, metrics = self._values(memory, self.plan.column_driver)
+            columns, metrics, _ = self._values(memory, self.plan.column_driver)
         # One contiguous (items, elements) array per output: row j is
         # item j's output.
         outputs = {name: out.T.copy() for name, out in columns.items()}
@@ -159,39 +159,60 @@ class WarpMachine:
         }
 
     def _values(
-        self, memory: HostMemory, drive: Callable[[tuple], None]
-    ) -> tuple[dict[str, np.ndarray], MachineMetrics]:
-        """The outputs and static metrics of a clean run that only moves
+        self,
+        memory: HostMemory,
+        drive: Callable[[tuple], None],
+        trace_limit: int = 0,
+    ) -> tuple[dict[str, np.ndarray], MachineMetrics, list[TraceEvent]]:
+        """The outputs, static metrics and trace (each cell's first
+        ``trace_limit`` transfers) of a clean run that only moves
         values: each cell runs the untimed loop driver ``drive`` over
         fresh registers and memory, on its left neighbour's words.
-        Timing and metrics come from the plan's checked run on zeroed
-        inputs (no evaluator raises, so its verdicts hold for every
-        clean run), kept once it passed; a failing check raises every
-        time."""
+
+        Metrics come from the plan's static transfer timeline, kept
+        once it passed; a timeline that fails sends the run to the
+        checked path on zeroed inputs (no evaluator raises, so the
+        verdicts hold for every input), which raises the exact error of
+        the check that fails first, every time."""
         plan, config = self.plan, self._config.cell
         if plan.facts is None:
-            layout = self._program.host_program.layout
-            with get_telemetry().span("machine.plan"):
-                checked = self._execute(HostMemory.from_inputs(layout, {}))
-            plan.facts = checked.machine_metrics
+            with get_telemetry().span("machine.timeline"):
+                facts, passed = plan.timeline()
+            if not passed:
+                layout = self._program.host_program.layout
+                zeroed = HostMemory.from_inputs(layout, {})
+                facts = self._execute(zeroed).machine_metrics
+            plan.facts = facts
         get_telemetry().counter("machine.runs.value")
-        link = feed_input_queues(plan.feed, memory, dict.fromkeys(Channel))
+        links = [feed_input_queues(plan.feed, memory, dict.fromkeys(Channel))]
         for _cell in range(self._program.n_cells):
-            receive = [iter(queue.values).__next__ for queue in link.values()]
-            link = {channel: TimedQueue("") for channel in Channel}
-            send = [queue.values.append for queue in link.values()]
+            # Only a trace reads the earlier links.
+            left = links[-1] if trace_limit else links.pop()
+            receive = [iter(queue.values).__next__ for queue in left.values()]
+            links.append({channel: TimedQueue("") for channel in Channel})
+            send = [queue.values.append for queue in links[-1].values()]
             memories = [0.0] * config.n_registers, [0.0] * plan.memory_words
             drive((*memories, *receive, *send, iter(plan.addresses).__next__))
-        collect_outputs(plan.collection, memory, link)
+        collect_outputs(plan.collection, memory, links[-1])
         outputs = {
             name: memory.arrays[name].copy()
             for name in self._program.ir.host_arrays
         }
+        # Cell c makes its transfers at its start plus one cell run's.
+        for cell in plan.facts.cells if trace_limit else ():
+            for channel in Channel:
+                start, at = cell.start_cycle, plan.transfers
+                links[cell.cell][channel].recv_times = (
+                    at[f"r{channel}"][:trace_limit] + start
+                ).tolist()
+                links[cell.cell + 1][channel].send_times = (
+                    at[f"s{channel}"][:trace_limit] + start
+                ).tolist()
         # Fresh containers over immutable leaves: no result aliases another.
         return outputs, replace(
             plan.facts, cells=list(plan.facts.cells),
             queues=dict(plan.facts.queues),
-        )
+        ), trace_events(links, trace_limit)
 
     def _execute(
         self,
@@ -201,77 +222,9 @@ class WarpMachine:
         injector: "FaultInjector | None" = None,
     ) -> SimulationResult:
         """Feed ``memory`` through every cell and collect the outputs
-        back into it, with every run-time check: the reference path, and
-        the one of traced and fault-injected runs and of the plan's
-        checked run.
-
-        Without an injector the cells first run on the clean transfer
-        binding and one pass checks every queue afterwards.  A run that
-        fails there (or raises in a cell) runs again on the checked
-        binding, which raises at the first failing check: schedules are
-        data-independent and runs deterministic, so that is the error a
-        checked run alone raises."""
-        run = None
-        if injector is None:
-            try:
-                run = self._run_cells(memory, injector, checked=False)
-            except Exception:  # noqa: BLE001 - the checked re-run raises it
-                pass
-            if run is None:
-                get_telemetry().counter("machine.runs.rechecked")
-        if run is None:
-            run = self._run_cells(memory, injector, checked=True)
-        links, cells, queues = run
-        program, plan = self._program, self.plan
-        n_cells = program.n_cells
-        collect_outputs(plan.collection, memory, links[n_cells])
-
-        outputs = {
-            name: memory.arrays[name].copy()
-            for name in program.ir.host_arrays
-        }
-        end_time = max(cell.end_cycle for cell in cells)
-        metrics = MachineMetrics(
-            total_cycles=end_time,
-            skew=program.skew.skew,
-            # A cell's receive wait is its input queues' total wait.
-            cells=[
-                replace(
-                    cell,
-                    array_cycles=end_time,
-                    receive_wait_cycles=sum(
-                        queues[queue.name].total_wait_cycles
-                        for queue in links[cell.cell].values()
-                    ),
-                )
-                for cell in cells
-            ],
-            queues=queues,
-            iu=plan.iu,
-        )
-        return SimulationResult(
-            outputs=outputs,
-            machine_metrics=metrics,
-            trace=trace_events(links, trace_limit),
-            record=self._spans(cells) if record else None,
-            fault_report=injector.report() if injector is not None else [],
-        )
-
-    def _spans(self, cells: list[CellMetrics]) -> list[CellSpans]:
-        """Each cell's block spans from its start cycle, every lane
-        capped at its share of the Chrome trace's spans."""
-        limit = chrome_trace.MAX_BLOCK_SPANS // self._program.n_cells
-        return self.plan.spans(cells, limit)
-
-    def _run_cells(
-        self,
-        memory: HostMemory,
-        injector: "FaultInjector | None",
-        checked: bool,
-    ) -> "_CellsRun | None":
-        """Run every cell on its queues, under the checked or the clean
-        transfer binding (``checked``).  A checked run raises at its
-        first failing check; a clean run that fails one returns None."""
+        back into it, with every run-time check, each raising at the
+        transfer or block that fails it: the reference path, and the one
+        of fault-injected runs and of a plan whose timeline failed."""
         program = self._program
         plan = self.plan
         n_cells = program.n_cells
@@ -279,10 +232,10 @@ class WarpMachine:
 
         # Inter-cell data queues; index i connects cell i-1 -> cell i
         # (index 0 is the host boundary, index n_cells the collector).
-        # Clean runs build plain TimedQueues; an active injector swaps
-        # in integrity-checked FaultyQueues (and may shrink capacities).
-        # The host boundary is filled whole by the feeder; no injector
-        # touches its words.
+        # Without an injector they are plain TimedQueues; an active one
+        # swaps in integrity-checked FaultyQueues (and may shrink
+        # capacities).  The host boundary is filled whole by the feeder;
+        # no injector touches its words.
         def capacities(i: int) -> dict[Channel, int | None]:
             default = None if i == 0 else self._config.queue_depth
             return {
@@ -309,7 +262,7 @@ class WarpMachine:
 
         # Address path: the same IU stream per cell, delayed by the hop
         # latency; emitted FIFO order is preserved.  Every cell reads the
-        # plan's address list; only a checked run lists its send cycles.
+        # plan's address list.
         hop = self._config.address_hop_latency
         cells: list[CellMetrics] = []
         addresses: list[QueueTimes] = []
@@ -321,14 +274,13 @@ class WarpMachine:
             start = nominal_start
             if injector is not None:
                 start += injector.stall_cycles(cell_index)
+            address_sends = plan.emission_times + cell_index * hop
             address_queue = TimedQueue(
                 name=f"adr{cell_index}",
                 capacity=self._config.address_queue_depth,
+                send_times=address_sends.tolist(),
                 values=plan.addresses,
             )
-            address_sends = plan.emission_times + cell_index * hop
-            if checked:
-                address_queue.send_times = address_sends.tolist()
             executor = CellExecutor(
                 code=program.cell_code,
                 config=self._config.cell,
@@ -337,21 +289,16 @@ class WarpMachine:
                 in_queues=links[cell_index],
                 out_queues=links[cell_index + 1],
                 address_queue=address_queue,
-                block_plans=plan.blocks,
                 counts=plan.counts,
                 memory_words=plan.memory_words,
                 deadline=nominal_start + budget,
                 driver=plan.driver,
-                checked=checked,
             )
             cells.append(executor.run())
-            addresses.append(QueueTimes(
-                address_queue.name, address_queue.capacity, address_sends,
-                address_queue.recv_times,
-            ))
+            addresses.append(address_queue.times())
             # Only a queue that carries more words than it holds can
-            # overflow; a checked run audits it before the next cell.
-            if checked and len(plan.addresses) > address_queue.capacity:
+            # overflow; it is audited before the next cell.
+            if len(plan.addresses) > address_queue.capacity:
                 audit(queue_metrics(addresses[-1:])[0][0])
 
         # Stream accounting: schedules are data-independent, so every
@@ -364,21 +311,12 @@ class WarpMachine:
         # cover link 0, the audited inter-cell links and the address
         # queues; the host drains the collector link outside cell time,
         # so its occupancy is not a machine property.  One pass measures
-        # them all and, for a clean run, checks every transfer's order
-        # too; the collector link's sends come from one cell's clock,
-        # which never goes back, so the pass leaves them out.
-        metrics, passed = queue_metrics(
-            [queue.times() for queue in links[0].values()]
-            + [
-                queue.times(plan.counts.sends[channel])
-                for link in links[1:n_cells]
-                for channel, queue in link.items()
-            ]
+        # them all.
+        metrics, _passed = queue_metrics(
+            [queue.times() for link in links[:n_cells] for queue in link.values()]
             + addresses
         )
         queues = {m.name: m for m in metrics}
-        if not checked:
-            return (links, cells, queues) if passed.all() else None
         for i in range(1, n_cells):
             for channel, queue in links[i].items():
                 audit(queues[queue.name])
@@ -399,15 +337,24 @@ class WarpMachine:
                 for queue in link.values():
                     if isinstance(queue, FaultyQueue):
                         queue.verify_integrity()
-        return links, cells, queues
+        collect_outputs(plan.collection, memory, links[n_cells])
+        outputs = {
+            name: memory.arrays[name].copy()
+            for name in program.ir.host_arrays
+        }
+        return SimulationResult(
+            outputs=outputs,
+            machine_metrics=plan.machine_metrics(cells, queues),
+            trace=trace_events(links, trace_limit),
+            record=self._spans(cells) if record else None,
+            fault_report=injector.report() if injector is not None else [],
+        )
 
-
-#: A finished run of every cell: the links (``links[i]`` connects cell
-#: ``i - 1`` to cell ``i``), each cell's metrics and the metrics of the
-#: queues a result reports, by name.
-_CellsRun = tuple[
-    list[dict[Channel, TimedQueue]], list[CellMetrics], dict[str, QueueMetrics]
-]
+    def _spans(self, cells: list[CellMetrics]) -> list[CellSpans]:
+        """Each cell's block spans from its start cycle, every lane
+        capped at its share of the Chrome trace's spans."""
+        limit = chrome_trace.MAX_BLOCK_SPANS // self._program.n_cells
+        return self.plan.spans(cells, limit)
 
 
 def _injector_of(faults) -> "FaultInjector | None":

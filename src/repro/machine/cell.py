@@ -4,7 +4,7 @@ The executor runs the program's generated loop driver
 (:func:`~repro.machine.plan.loop_driver`): nested loops over the
 scheduled program tree that carry an absolute cycle counter (the cell's
 start is offset by its skew), run each scheduled block as one generated
-straight-line function (:class:`~repro.machine.plan.BlockPlan`) and
+straight-line function (:func:`~repro.machine.plan.block_function`) and
 check the watchdog deadline after every block.  Pipelining is modelled
 exactly: an operation issued at cycle ``t`` with latency ``L`` writes
 its destination register at ``t + L``; reads at or after that cycle see
@@ -15,12 +15,13 @@ scheduler's latency edges assume, so any scheduler bug surfaces as a
 wrong result against the reference interpreter.
 
 Every queue transfer keeps its absolute cycle, split into a time half
-and a value half, and ``checked`` picks their binding
-(:meth:`~repro.machine.queue.TimedQueue.receiver`): a clean cell only
-appends cycles and words to its queues' lists, and the machine checks
-them all at once after the last cell; a checked cell (fault-injected
-runs, and the re-run of a clean run that failed) raises at the transfer
-that fails.  A finished run returns the cell's
+and a value half, bound to the queue's checking methods
+(:class:`~repro.machine.queue.TimedQueue`), so a cell raises at the
+transfer that fails.  Only the machine's checked path
+(:meth:`~repro.machine.array.WarpMachine._execute`) runs cells:
+fault-injected runs, the reference run tests compare with, and the run
+that raises the exact error of a program whose static timeline fails a
+check.  A finished run returns the cell's
 :class:`~repro.obs.metrics.CellMetrics`, whose operation counts are the
 static per-run totals (:meth:`~repro.cellcodegen.emit.OpCounts.of_run`).
 Nothing else is recorded on the way: a run's trace and block spans are
@@ -39,7 +40,7 @@ from ..lang.ast import Channel
 from ..config import CellConfig
 from ..obs import get_telemetry
 from ..obs.metrics import CellMetrics
-from .plan import BlockPlan, loop_driver
+from .plan import block_function, cell_metrics, loop_driver
 from .queue import TimedQueue
 
 
@@ -55,12 +56,10 @@ class CellExecutor:
         in_queues: dict[Channel, TimedQueue],
         out_queues: dict[Channel, TimedQueue],
         address_queue: TimedQueue,
-        block_plans: dict[int, BlockPlan] | None = None,
         counts: OpCounts | None = None,
         memory_words: int | None = None,
         deadline: int | None = None,
         driver: Callable | None = None,
-        checked: bool = True,
     ):
         self._cell = cell_index
         self._start = start_time
@@ -69,67 +68,45 @@ class CellExecutor:
         #: predicted cycle, so the deadline (predicted end + slack) can
         #: only be crossed by a stalled or hung cell.
         self._deadline = deadline
-        #: Compiled block plans: shared across cells/runs when the
-        #: caller supplies them, otherwise built here for this cell.
-        self._block_plans = block_plans if block_plans is not None else {
-            block.block_id: BlockPlan.of(block, config)
-            for block in code.blocks()
-        }
         #: One run's operation totals: the plan's ``counts`` when the
         #: caller supplies them, otherwise counted here.
-        self._counts = counts if counts is not None else OpCounts.of_run(
-            code, self._block_plans
-        )
+        self._counts = counts if counts is not None else OpCounts.of_run(code)
         #: The timed loop driver of ``code`` (the plan's when supplied).
         self._driver = driver if driver is not None else loop_driver(
             code.items,
-            {block_id: p.run for block_id, p in self._block_plans.items()},
+            {
+                block.block_id: block_function(block, config)
+                for block in code.blocks()
+            },
             timed=True,
         )
-        self._checked = checked
         self._registers = [0.0] * config.n_registers
         #: Data memory: the plan's ``memory_words`` (one past the
         #: largest static address) when supplied, else the whole memory.
         self._memory = [0.0] * (
             config.memory_words if memory_words is None else memory_words
         )
-        rx, dx = in_queues[Channel.X].receiver(checked)
-        ry, dy = in_queues[Channel.Y].receiver(checked)
-        sx, ex = out_queues[Channel.X].sender(checked)
-        sy, ey = out_queues[Channel.Y].sender(checked)
-        ra, da = address_queue.receiver(checked)
+        rx, ry = in_queues[Channel.X], in_queues[Channel.Y]
+        sx, sy = out_queues[Channel.X], out_queues[Channel.Y]
         #: What every generated block function runs against: the value
         #: halves of the transfers, then their time halves.
         self._ctx = (
             self._registers, self._memory,
-            dx, dy, ex, ey, da, rx, ry, sx, sy, ra,
+            rx.take, ry.take, sx.put, sy.put, address_queue.take,
+            rx.receive_at, ry.receive_at, sx.send_at, sy.send_at,
+            address_queue.receive_at,
         )
 
     def run(self) -> CellMetrics:
-        """Run the cell to its end; its counts are the static
-        :meth:`~repro.cellcodegen.emit.OpCounts.of_run` totals (a run
-        either executes every block the schedule fixes or raises)."""
+        """Run the cell to its end."""
         deadline = math.inf if self._deadline is None else self._deadline
         end = self._driver(
             self._ctx, self._start, deadline, self._watchdog_expired
         )
-        counts = self._counts
-        return CellMetrics(
-            cell=self._cell,
-            start_cycle=self._start,
-            end_cycle=end,
-            busy_cycles=counts.issued,
-            alu_ops=counts.alu_ops,
-            mpy_ops=counts.mpy_ops,
-            mem_reads=counts.mem_reads,
-            mem_writes=counts.mem_writes,
-            receives=sum(counts.receives.values()),
-            sends=sum(counts.sends.values()),
-        )
+        return cell_metrics(self._cell, self._start, end, self._counts)
 
     def _watchdog_expired(self, time: int) -> None:
-        if self._checked:  # a clean run that fails is run again, checked
-            get_telemetry().counter("fault.detected")
+        get_telemetry().counter("fault.detected")
         raise CellHangError(
             f"cell {self._cell}: watchdog expired — still executing at "
             f"cycle {time}, deadline was cycle {self._deadline} "

@@ -6,30 +6,33 @@ independent of the cell index, the input data and the run — so one
 
 * **Compiled blocks.**  The schedule fixes the cycle of every issue
   and every register writeback, so each scheduled block becomes one
-  generated straight-line Python function (:class:`BlockPlan`): nop
-  cycles vanish (30–50% of instruction slots on the Table 7-1
+  generated straight-line Python function (:func:`block_function`):
+  nop cycles vanish (30–50% of instruction slots on the Table 7-1
   programs), each register read names the value it sees, and the
-  block's length advances the clock.  In the one timed form, each
-  queue transfer is a time half (its absolute cycle) and a value half;
-  a run binds them to list appends and iterators (clean: the machine
-  checks every queue in one pass afterwards) or to the queues'
-  checking methods (checked; see :mod:`repro.machine.queue`).
+  block's length advances the clock.  In the timed form, each queue
+  transfer is a time half (its absolute cycle), bound to the queue's
+  checking method, and a value half.
 * **Loop drivers.**  One generated driver per cell program walks the
   scheduled loop tree with nested ``for`` loops and calls the block
-  functions (:func:`loop_driver`): ``driver`` carries the cycle and the
-  watchdog check of a checked run; clean runs only move values, under
+  functions (:func:`loop_driver`): clean runs only move values, under
   ``value_driver`` (``column_driver`` over NumPy columns for batches)
-  over the same functions without cycles or checks, on the verdicts
-  and static metrics of one checked run (``facts``).  Every driver's
+  without cycles or checks; ``driver``, built on first use, carries
+  the cycle and the watchdog check of a checked run.  Every driver's
   size is the static code's, whatever the trip counts.
+* **The transfer timeline.**  Each block's transfer cycles, read off
+  its instructions (:func:`_transfers`) and tiled over the loop
+  tree once (``transfers``), give every queue's send and receive
+  cycles in a clean run; one pass over them (:meth:`ExecutionPlan.timeline`)
+  yields the metrics and the verdicts of every clean run (``facts``)
+  without running a cell.
 * **Block spans** of one cell run's first blocks, as read-only arrays
   built once from the loop tree; each cell's start cycles are its
   measured start plus their offsets (:meth:`ExecutionPlan.spans`).
 * **Static counts.**  Per-block operation totals and one cell run's
   totals (``counts``, from
   :meth:`~repro.cellcodegen.emit.OpCounts.of_run`, which the
-  compile-time performance prediction and every checked cell run also
-  call), hence each link's per-run sends.
+  compile-time performance prediction also calls), hence each link's
+  per-run sends.
 * **The IU address schedule** (``emission_times``, ``addresses``) and
   its :class:`~repro.obs.metrics.IUMetrics`, identical for every cell
   up to the per-hop delay, rather than re-walked per run; with the
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
@@ -53,61 +56,73 @@ from ..analysis.local_opt import column_evaluator, pure_evaluator
 from ..cellcodegen.emit import (
     CellCode, OpCounts, ScheduledBlock, ScheduledItem,
 )
-from ..cellcodegen.isa import AddressSource, Lit, MicroInstr, Operand, Reg
+from ..cellcodegen.isa import AddressSource, Lit, Operand, Reg
 from ..config import CellConfig
 from ..errors import SimulationError
 from ..ir.dag import OpKind
 from ..lang.ast import Channel, Direction
-from ..obs.metrics import CellMetrics, CellSpans, IUMetrics, MachineMetrics
+from ..obs.metrics import (
+    CellMetrics, CellSpans, IUMetrics, MachineMetrics, QueueMetrics,
+    QueueTimes, queue_metrics,
+)
+from ..timing.events import tile_events
 from .host import Collection
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from ..compiler.driver import CompiledProgram
 
 
+#: The queues of a cell's transfers: receives on X and Y, sends on X
+#: and Y, IU address receives.
+TRANSFERS = ("rX", "rY", "sX", "sY", "ra")
+
+
 @dataclass(frozen=True)
 class BlockPlan(OpCounts):
-    """One scheduled block, compiled to one straight-line function,
-    with the operation totals of one pass."""
+    """One scheduled block's operation totals of one pass, and its
+    length."""
 
     block_id: int
     length: int
-    #: ``run(ctx, start)`` executes one pass of the block started at
-    #: absolute cycle ``start`` (see :func:`_block_source` for ``ctx``).
-    run: Callable[[tuple, int], None]
 
-    @classmethod
-    def of(
-        cls,
-        block: ScheduledBlock,
-        config: CellConfig,
-        evaluate: Callable[[OpKind], Callable[..., float]] = pure_evaluator,
-        timed: bool = True,
-    ) -> "BlockPlan":
-        """The plan of ``block``; ``evaluate`` maps each ALU/MPY op to
-        the function the generated code calls (a batch run over columns
-        passes :func:`~repro.analysis.local_opt.column_evaluator`), and
-        ``timed=False`` makes ``run`` the untimed ``run(ctx)``."""
-        active = [
-            (cycle, instr)
-            for cycle, instr in enumerate(block.instructions)
-            if not instr.is_nop()
-        ]
-        source, evaluators, literals = _block_source(
-            block.block_id, block.length, active, config, evaluate, timed
+
+def _transfers(block: ScheduledBlock) -> np.ndarray:
+    """Two rows over ``block``'s transfers: each one's cycle from the
+    block's start and its queue (an index into :data:`TRANSFERS`), read
+    off the instructions: the compile-time timing analyses read the
+    scheduler's ``io_events``, and the simulator stays a check on them."""
+    transfers = [
+        (cycle, TRANSFERS.index(queue))
+        for cycle, instr in enumerate(block.instructions)
+        for queue in (
+            *(f"r{op.queue.channel}" for op in instr.deqs),
+            *(
+                "ra" for mem in instr.mem
+                if mem.address_source is AddressSource.QUEUE
+            ),
+            *(f"s{op.queue.channel}" for op in instr.enqs),
         )
-        return cls(
-            block_id=block.block_id,
-            length=block.length,
-            run=_factory(source)(evaluators, literals),
-            **vars(OpCounts.of(block)),
-        )
+    ]
+    return np.array(transfers, np.int64).reshape(-1, 2).T
+
+
+def block_function(
+    block: ScheduledBlock,
+    config: CellConfig,
+    evaluate: Callable[[OpKind], Callable[..., float]] = pure_evaluator,
+    timed: bool = True,
+) -> Callable:
+    """``block`` compiled to one straight-line function, timed
+    ``run(ctx, start)`` or untimed ``run(ctx)`` (see
+    :func:`_block_source`); ``evaluate`` maps each ALU/MPY op to the
+    function the generated code calls (a batch run over columns passes
+    :func:`~repro.analysis.local_opt.column_evaluator`)."""
+    source, evaluators, literals = _block_source(block, config, evaluate, timed)
+    return _factory(source)(evaluators, literals)
 
 
 def _block_source(
-    block_id: int,
-    length: int,
-    active: list[tuple[int, MicroInstr]],
+    block: ScheduledBlock,
     config: CellConfig,
     evaluate: Callable[[OpKind], Callable[..., float]],
     timed: bool,
@@ -129,17 +144,16 @@ def _block_source(
     at absolute cycle ``n`` comes in two halves, its time and then its
     value: a dequeue is ``rx(n)`` then ``v = dx()``, an enqueue
     ``sx(n)`` then ``ex(v)`` (``ry``/``dy``, ``sy``/``ey`` for Y), an
-    IU address ``ra(n)`` then ``int(da())``.  The caller binds them
-    (:meth:`~repro.machine.queue.TimedQueue.receiver`,
-    :meth:`~repro.machine.queue.TimedQueue.sender`): to list appends
-    and iterators in a clean run, to the queues' checking methods in a
-    checked one.  Side effects keep the order of each instruction:
+    IU address ``ra(n)`` then ``int(da())``.  A checked cell binds them
+    to its queues' checking methods (:class:`~repro.machine.queue.TimedQueue`).
+    Side effects keep the order of each instruction:
     dequeues, IU addresses in slot order, loads, stores, ALU, MPY, move,
     enqueues.
 
     Untimed (``timed=False``) it is ``run((R, M, dx, dy, ex, ey, da))``:
     only the value halves, and ``da`` returns an ``int``.
     """
+    block_id, length = block.block_id, block.length
     evaluators: list[Callable[..., float]] = []
     literals: list[float] = []
     body: list[str] = []
@@ -196,7 +210,9 @@ def _block_source(
         if timed:
             body.append(f"{'s' if half[0] == 'e' else 'r'}{half[1]}(n)")
 
-    for c, ins in active:
+    for c, ins in enumerate(block.instructions):
+        if ins.is_nop():  # nop cycles generate no code
+            continue
         land(c)
         if timed and (ins.deqs or ins.enqs or any(
             m.address_source is AddressSource.QUEUE for m in ins.mem
@@ -361,16 +377,12 @@ class ExecutionPlan:
     def __init__(self, program: "CompiledProgram"):
         self._program = program
         self.blocks: dict[int, BlockPlan] = {
-            block.block_id: BlockPlan.of(block, program.config.cell)
+            block.block_id: BlockPlan(
+                block_id=block.block_id, length=block.length,
+                **vars(OpCounts.of(block)),
+            )
             for block in program.cell_code.blocks()
         }
-        #: One checked cell run: ``driver(ctx, start, deadline, expired)``
-        #: walks the loop tree over the timed block functions.
-        self.driver = loop_driver(
-            program.cell_code.items,
-            {block_id: plan.run for block_id, plan in self.blocks.items()},
-            timed=True,
-        )
         #: The cycle (a read-only array) and address of every dynamic
         #: IU emission: cell ``c`` receives ``addresses`` sent at
         #: ``emission_times + c × hop``, so no run enqueues them.
@@ -392,8 +404,8 @@ class ExecutionPlan:
             program.cell_code, self.addresses,
             program.config.cell.memory_words,
         )
-        #: The metrics of the checked clean run, once it passed (its
-        #: verdicts hold for every clean run).
+        #: The metrics of every clean run, once its :meth:`timeline`
+        #: passed (its verdicts hold for every clean run).
         self.facts: MachineMetrics | None = None
         # Per channel, the host word offsets fed into cell 0 and the
         # collection's scatter.  A host index out of bounds raises
@@ -414,23 +426,113 @@ class ExecutionPlan:
         self._heads: dict[int, CellSpans] = {}
 
     @functools.cached_property
+    def driver(self) -> Callable:
+        """One checked cell run: ``driver(ctx, start, deadline, expired)``
+        walks the loop tree over the timed block functions."""
+        return self._driver(pure_evaluator, timed=True)
+
+    @functools.cached_property
     def value_driver(self) -> Callable[[tuple], None]:
         """One untimed cell run: ``value_driver(ctx)`` walks the loop
         tree over the untimed block functions."""
-        return self._untimed(pure_evaluator)
+        return self._driver(pure_evaluator, timed=False)
 
     @functools.cached_property
     def column_driver(self) -> Callable[[tuple], None]:
         """:attr:`value_driver` over NumPy columns (built on first use)."""
-        return self._untimed(column_evaluator)
+        return self._driver(column_evaluator, timed=False)
 
-    def _untimed(self, evaluate) -> Callable[[tuple], None]:
+    def _driver(self, evaluate, timed: bool) -> Callable:
         code, config = self._program.cell_code, self._program.config.cell
         functions = {
-            block.block_id: BlockPlan.of(block, config, evaluate, False).run
+            block.block_id: block_function(block, config, evaluate, timed)
             for block in code.blocks()
         }
-        return loop_driver(code.items, functions, timed=False)
+        return loop_driver(code.items, functions, timed)
+
+    @functools.cached_property
+    def transfers(self) -> dict[str, np.ndarray]:
+        """The cycles of one cell run's transfers from its start, by
+        queue (:data:`TRANSFERS`): each block's, tiled over the loop
+        tree."""
+        times, queues = tile_events(self._program.cell_code.items, _transfers)
+        return {
+            queue: _read_only(times[queues == k])
+            for k, queue in enumerate(TRANSFERS)
+        }
+
+    def timeline(self) -> tuple[MachineMetrics, bool]:
+        """The metrics of every clean run from static transfer times,
+        and whether they pass every check of a checked run.  Clean cell
+        ``c`` starts at ``c × skew``, runs ``cell_code.total_cycles``
+        and transfers at its start plus :attr:`transfers`; word ``k``
+        of link 0 arrives at cycle ``k``, and cell ``c``'s addresses at
+        ``emission_times + c × hop``.  The verdict also needs the
+        collection's word counts and a non-negative watchdog slack."""
+        program, at = self._program, self.transfers
+        config, skew = program.config, program.skew.skew
+        run = program.cell_code.total_cycles
+        starts = [cell * skew for cell in range(program.n_cells)]
+        times = [
+            QueueTimes(
+                f"link0.{channel}", None,
+                np.arange(len(self.feed[channel])), at[f"r{channel}"],
+            )
+            for channel in Channel
+        ] + [
+            QueueTimes(
+                f"link{cell}.{channel}", config.queue_depth,
+                at[f"s{channel}"] + start - skew, at[f"r{channel}"] + start,
+            )
+            for cell, start in enumerate(starts[1:], 1)
+            for channel in Channel
+        ] + [
+            QueueTimes(
+                f"adr{cell}", config.address_queue_depth,
+                self.emission_times + cell * config.address_hop_latency,
+                at["ra"] + start,
+            )
+            for cell, start in enumerate(starts)
+        ]
+        metrics, passed = queue_metrics(times)
+        cells = [
+            cell_metrics(cell, start, start + run, self.counts)
+            for cell, start in enumerate(starts)
+        ]
+        passed = (
+            passed.all()
+            and config.watchdog_slack >= 0
+            and all(
+                self.collection[channel].words == at[f"s{channel}"].size
+                for channel in Channel
+            )
+        )
+        queues = {m.name: m for m in metrics}
+        return self.machine_metrics(cells, queues), bool(passed)
+
+    def machine_metrics(
+        self, cells: list[CellMetrics], queues: dict[str, QueueMetrics]
+    ) -> MachineMetrics:
+        """A run's metrics from its cells' and its queues' (by name); a
+        cell's receive wait is its input link's total wait."""
+        end = max(cell.end_cycle for cell in cells)
+        return MachineMetrics(
+            total_cycles=end,
+            skew=self._program.skew.skew,
+            cells=[
+                replace(
+                    cell,
+                    array_cycles=end,
+                    receive_wait_cycles=sum(
+                        queues[f"link{cell.cell}.{channel}"].total_wait_cycles
+                        for channel in Channel
+                    ),
+                )
+                for cell in cells
+            ],
+            queues=queues,
+            iu=self.iu,
+        )
 
     def spans(self, cells: list[CellMetrics], limit: int) -> list[CellSpans]:
         """Each cell's first ``limit`` block executions, from its
@@ -474,6 +576,26 @@ class ExecutionPlan:
         return sum(
             plan.length - plan.issued for plan in self.blocks.values()
         )
+
+
+def cell_metrics(
+    cell: int, start: int, end: int, counts: OpCounts
+) -> CellMetrics:
+    """The :class:`CellMetrics` of a cell run from ``start`` to ``end``:
+    its operation counts are the static per-run ``counts`` (a run either
+    executes every block the schedule fixes or raises)."""
+    return CellMetrics(
+        cell=cell,
+        start_cycle=start,
+        end_cycle=end,
+        busy_cycles=counts.issued,
+        alu_ops=counts.alu_ops,
+        mpy_ops=counts.mpy_ops,
+        mem_reads=counts.mem_reads,
+        mem_writes=counts.mem_writes,
+        receives=sum(counts.receives.values()),
+        sends=sum(counts.sends.values()),
+    )
 
 
 def _memory_words(code: CellCode, addresses: list[int], size: int) -> int:

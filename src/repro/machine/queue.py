@@ -7,14 +7,12 @@ it happened and every receive the cycle it took its word.  A receive at
 cycle ``t`` must find its word already sent at some cycle ``<= t``;
 otherwise the compiler's skew guarantee failed.
 
-A transfer has a time half and a value half (:meth:`TimedQueue.receiver`,
-:meth:`TimedQueue.sender`), and a cell runs under one of two bindings of
-them.  The *clean* binding is the queue's own list methods: no Python
-frame runs per transfer, and every check waits for one NumPy pass over
-all queues after the last cell (:func:`~repro.obs.metrics.queue_metrics`).
-The *checked* binding calls this class's methods, which raise
-:class:`QueueUnderflowError` at the receive that fails; fault-injected
-runs, and the re-run of a clean run that failed a check, use it.
+A transfer has a time half and a value half: a checked cell binds
+:meth:`TimedQueue.receive_at` and :meth:`TimedQueue.take`,
+:meth:`TimedQueue.send_at` and :meth:`TimedQueue.put`, and a receive
+that fails raises :class:`QueueUnderflowError` there.  Clean runs use
+no queue timing at all: their verdicts come from the plan's static
+transfer timeline (:meth:`~repro.machine.plan.ExecutionPlan.timeline`).
 
 Capacity is audited after both endpoints have run, using the same
 occupancy definition as the compile-time analysis
@@ -23,7 +21,6 @@ occupancy definition as the compile-time analysis
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..errors import QueueCapacityError, QueueUnderflowError
 from ..obs import get_telemetry
@@ -41,25 +38,6 @@ class TimedQueue:
     recv_times: list[int] = field(default_factory=list)
     #: The cycle of the send whose word :meth:`put` stores next.
     _send_time: int = 0
-
-    def receiver(
-        self, checked: bool
-    ) -> tuple[Callable[[int], None], Callable[[], float]]:
-        """A receive's ``(time half, value half)``: checked,
-        :meth:`receive_at` and :meth:`take`; clean, appending the cycle
-        and reading the next word."""
-        if checked:
-            return self.receive_at, self.take
-        return self.recv_times.append, iter(self.values).__next__
-
-    def sender(
-        self, checked: bool
-    ) -> tuple[Callable[[int], None], Callable[[float], None]]:
-        """A send's ``(time half, value half)``: checked,
-        :meth:`send_at` and :meth:`put`; clean, appending each."""
-        if checked:
-            return self.send_at, self.put
-        return self.send_times.append, self.values.append
 
     def receive_at(self, time: int) -> None:
         """The time half of a checked receive: the next word must have
@@ -108,16 +86,11 @@ class TimedQueue:
     def items_sent(self) -> int:
         return len(self.values)
 
-    @property
-    def items_received(self) -> int:
-        return len(self.recv_times)
-
-    def times(self, expected: int | None = None) -> QueueTimes:
+    def times(self) -> QueueTimes:
         """What :func:`~repro.obs.metrics.queue_metrics` reads of this
-        queue; ``expected`` is the word count it must carry, if any."""
+        queue."""
         return QueueTimes(
-            self.name, self.capacity, self.send_times, self.recv_times,
-            expected,
+            self.name, self.capacity, self.send_times, self.recv_times
         )
 
 

@@ -202,18 +202,13 @@ _SPAN = 1 << 40
 
 class QueueTimes(NamedTuple):
     """One queue's transfer cycles, as :func:`queue_metrics` reads them:
-    the send cycles (a list, or an ``int64`` array such as an address
-    queue's shifted emission times), the receive cycles, and what its
-    checks compare them with."""
+    the send and the receive cycles (each a list or an ``int64``
+    array), and the peak occupancy allowed (None: not audited)."""
 
     name: str
-    #: Peak occupancy allowed (None: not audited).
     capacity: int | None
     send_times: Sequence[int] | np.ndarray
-    recv_times: Sequence[int]
-    #: The exact number of words the queue must carry (stream
-    #: accounting; None: not counted).
-    expected: int | None = None
+    recv_times: Sequence[int] | np.ndarray
 
 
 def queue_metrics(
@@ -224,38 +219,24 @@ def queue_metrics(
 
     A queue passes when its sends never go back in time, receive ``k``
     takes word ``k``, which was sent at or before the receive's cycle
-    (no receive finds the queue empty), its peak occupancy fits its
-    capacity and it carried its expected word count.  The peak is
+    (no receive finds the queue empty), and its peak occupancy fits its
+    capacity.  The peak is
     :func:`~repro.timing.buffers.occupancy_requirement`'s (times here
     are absolute): the most words present at any receive, or the words
-    never received.  Send lists and every receive list are read by one
-    ``np.fromiter``; the time arrays the metrics keep are read-only
-    views of the two flat arrays.  Cycles are non-negative and below
-    ``2**40``.  The figures of a queue that failed its order checks are
-    not meaningful."""
+    never received.  The time arrays the metrics keep are read-only
+    views of two flat arrays, one of all sends and one of all receives.
+    Cycles are non-negative and below ``2**40``.  The figures of a
+    queue that failed its order checks are not meaningful."""
     n = len(queues)
-    # Listed sends first, then array sends: one fromiter, one concatenate.
-    order = sorted(
-        range(n), key=lambda k: isinstance(queues[k].send_times, np.ndarray)
-    )
-    queues = [queues[k] for k in order]
-    listed = [
-        q.send_times for q in queues
-        if not isinstance(q.send_times, np.ndarray)
-    ]
     n_sent = [len(q.send_times) for q in queues]
     n_recv = [len(q.recv_times) for q in queues]
-    n_listed = sum(n_sent[: len(listed)])
-    flat = np.fromiter(
-        itertools.chain(*listed, *(q.recv_times for q in queues)),
-        np.int64,
-        n_listed + sum(n_recv),
+    empty = np.empty(0, np.int64)
+    sends = np.concatenate(
+        [empty, *(np.asarray(q.send_times, np.int64) for q in queues)]
     )
-    sends, recvs = flat[:n_listed], flat[n_listed:]
-    if len(listed) < n:
-        sends = np.concatenate(
-            [sends, *(q.send_times for q in queues[len(listed):])]
-        )
+    recvs = np.concatenate(
+        [empty, *(np.asarray(q.recv_times, np.int64) for q in queues)]
+    )
     sends.flags.writeable = recvs.flags.writeable = False  # results share them
     s_end = list(itertools.accumulate(n_sent))
     r_end = list(itertools.accumulate(n_recv))
@@ -305,7 +286,7 @@ def queue_metrics(
     backward = {
         bisect.bisect_right(s_end, j) for j in np.flatnonzero(back).tolist()
     }
-    metrics: list = [None] * n
+    metrics: list[QueueMetrics] = []
     passed = np.zeros(n, bool)
     pair = 0
     for k, q in enumerate(queues):
@@ -316,12 +297,10 @@ def queue_metrics(
             wait = totals[pair]
             in_order = in_order and earliest[pair] >= 0
             pair += 1
-        passed[order[k]] = (
-            in_order
-            and (q.capacity is None or high_water <= q.capacity)
-            and (q.expected is None or n_sent[k] == q.expected)
+        passed[k] = in_order and (
+            q.capacity is None or high_water <= q.capacity
         )
-        metrics[order[k]] = QueueMetrics(
+        metrics.append(QueueMetrics(
             name=q.name,
             capacity=q.capacity,
             items_sent=n_sent[k],
@@ -330,5 +309,5 @@ def queue_metrics(
             total_wait_cycles=wait,
             send_times=sends[s_start[k] : s_end[k]],
             recv_times=recvs[r_start[k] : r_end[k]],
-        )
+        ))
     return metrics, passed

@@ -4,10 +4,14 @@ The ground truth against which the five-vector timing functions are
 validated, and the input to the exact skew/buffer computations.  Loops
 are expanded with numpy tiling, so enumeration is cheap up to millions
 of events; callers bound the cost with ``max_events`` and fall back to
-the analytic method beyond it.
+the analytic method beyond it.  The simulator's plan tiles each
+block's transfer cycles with the same :func:`tile_events`.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +34,7 @@ def stream_events(
     order: its absolute cycle and the ``io_index`` of its static
     statement, as int64 arrays."""
     _check_budget(code, stream, max_events)
-    return _events(code.items, stream, labelled=True)
+    return tile_events(code.items, partial(_stream_offsets, stream, True))
 
 
 def stream_event_times(
@@ -38,7 +42,7 @@ def stream_event_times(
 ) -> np.ndarray:
     """Absolute cycle of every dynamic event of ``stream``, in order."""
     _check_budget(code, stream, max_events)
-    return _events(code.items, stream, labelled=False)[0]
+    return tile_events(code.items, partial(_stream_offsets, stream, False))[0]
 
 
 def stream_times_by_statement(
@@ -73,40 +77,47 @@ def _check_budget(
         )
 
 
-def _events(
-    items: list[ScheduledItem], stream: Stream, labelled: bool
+def _stream_offsets(
+    stream: Stream, labelled: bool, block: ScheduledBlock
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Event times and, when ``labelled``, their statements (else an
-    empty array: the compile-time skew and buffer analyses need only the
-    times, and the labels cost a second tiling)."""
+    """The cycles of ``stream``'s events in ``block`` and, when
+    ``labelled``, their statements (the compile-time skew and buffer
+    analyses need only the times, and the labels cost a second tiling)."""
+    matched = [e for e in block.io_events if stream.matches(e)]
+    return (
+        np.array([e.cycle for e in matched], np.int64),
+        np.array([e.io_index for e in matched] if labelled else [], np.int64),
+    )
+
+
+def tile_events(
+    items: list[ScheduledItem],
+    offsets: Callable[[ScheduledBlock], tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The absolute cycles and labels of the events of one pass over
+    ``items``, in order.  ``offsets(block)`` gives the cycle of each of a
+    block's events from the block's start, and their labels (an empty
+    array when the caller wants none); loops tile their body's events
+    with NumPy, once per trip."""
     times: list[np.ndarray] = []
-    statements: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
     offset = 0
     for item in items:
         if isinstance(item, ScheduledBlock):
-            matched = [e for e in item.io_events if stream.matches(e)]
-            if matched:
-                times.append(
-                    np.asarray([e.cycle for e in matched], dtype=np.int64)
-                    + offset
-                )
-                if labelled:
-                    statements.append(
-                        np.asarray(
-                            [e.io_index for e in matched], dtype=np.int64
-                        )
-                    )
+            cycles, marks = offsets(item)
+            if cycles.size:
+                times.append(cycles + offset)
+                labels.append(marks)
             offset += item.length
         else:
-            body_times, body_statements = _events(item.body, stream, labelled)
+            body_times, body_labels = tile_events(item.body, offsets)
             iter_len = sum(_item_cycles(child) for child in item.body)
             if body_times.size:
                 starts = offset + iter_len * np.arange(item.trip, dtype=np.int64)
                 times.append((body_times[None, :] + starts[:, None]).ravel())
-                if labelled:
-                    statements.append(np.tile(body_statements, item.trip))
+                labels.append(np.tile(body_labels, item.trip))
             offset += item.trip * iter_len
-    return _concatenate(times), _concatenate(statements)
+    return _concatenate(times), _concatenate(labels)
 
 
 def _concatenate(parts: list[np.ndarray]) -> np.ndarray:

@@ -276,13 +276,15 @@ def program_suite(rng):
     return small_program_suite(rng)
 
 
-def checked_run(program, inputs):
+def checked_run(program, inputs, trace_limit=0):
     """The reference run of ``program`` on ``inputs``: the cycle-accurate
-    executor with every run-time check, block spans included.  A clean
-    ``simulate(..., record=True)`` only moves values, so a test that
-    compares a path with the checked one calls this instead."""
+    executor with every run-time check, block spans and each cell's
+    first ``trace_limit`` transfers included.  Clean runs only move
+    values and take their timing from the plan's static timeline, so a
+    test that compares a path with the checked one, or measures timing
+    independently of that timeline, calls this instead."""
     memory = HostMemory.from_inputs(program.host_program.layout, inputs)
-    return WarpMachine(program)._execute(memory, record=True)
+    return WarpMachine(program)._execute(memory, trace_limit, record=True)
 
 
 def _differing_fields(mine, theirs) -> list[str]:
@@ -308,23 +310,33 @@ def _assert_same_run(got, expected, context: str = "") -> None:
         ), f"{context}:{name} differs bitwise"
     assert got.total_cycles == expected.total_cycles, context
     assert got.skew == expected.skew, context
-    mine, theirs = got.machine_metrics, expected.machine_metrics
-    assert (mine.total_cycles, mine.skew, mine.cells, mine.iu) == (
-        theirs.total_cycles,
-        theirs.skew,
-        theirs.cells,
-        theirs.iu,
-    ), context
-    assert mine.queues.keys() == theirs.queues.keys(), context
-    for name, queue in theirs.queues.items():
-        differ = _differing_fields(mine.queues[name], queue)
-        assert not differ, f"{context}:{name}.{differ}"
+    _assert_same_metrics(got.machine_metrics, expected.machine_metrics, context)
     if got.record is not None:
         assert expected.record is not None, context
         assert len(got.record) == len(expected.record), context
         for lane, want in zip(got.record, expected.record):
             differ = _differing_fields(lane, want)
             assert not differ, f"{context}:cell {want.cell} spans {differ}"
+
+
+def _assert_same_metrics(mine, theirs, context: str = "") -> None:
+    """``mine`` equals the :class:`MachineMetrics` ``theirs`` field by
+    field, each queue's time arrays included, in the same queue order."""
+    assert (mine.total_cycles, mine.skew, mine.cells, mine.iu) == (
+        theirs.total_cycles,
+        theirs.skew,
+        theirs.cells,
+        theirs.iu,
+    ), context
+    assert list(mine.queues) == list(theirs.queues), context
+    for name, queue in theirs.queues.items():
+        differ = _differing_fields(mine.queues[name], queue)
+        assert not differ, f"{context}:{name}.{differ}"
+
+
+@pytest.fixture(scope="session")
+def assert_same_metrics():
+    return _assert_same_metrics
 
 
 @pytest.fixture(scope="session")

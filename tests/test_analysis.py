@@ -1,12 +1,22 @@
 """Tests for global flow summaries and communication-cycle analysis."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import programs
 
 from repro.analysis import (
     analyze_communication,
     analyze_global_flow,
     eliminate_dead_writes,
 )
+from repro.analysis.comm_graph import strongly_connected_components
 from repro.ir import build_ir
 from repro.ir.dag import OpKind
 from repro.lang import analyze, parse_module
@@ -133,3 +143,54 @@ end
         report = analyze_communication(ir.tree)
         assert not report.has_right_cycles
         assert not report.has_left_cycles
+
+
+#: Each bundled program's CommReport at its default size, as
+#: (has_right_cycles, has_left_cycles, sends_right, sends_left,
+#: receives_from_left, receives_from_right).
+BUNDLED_REPORTS = {
+    "bidirectional_cycle": (1, 1, 1, 1, 1, 1),
+    "bidirectional_exchange": (0, 0, 1, 1, 1, 1),
+    **{
+        name: (1, 0, 1, 0, 1, 0)
+        for name in (
+            "binop", "colorseg", "conv1d", "conv2d", "deep_nest",
+            "fir_bank", "mandelbrot", "matmul", "passthrough", "polynomial",
+        )
+    },
+}
+
+
+class TestStronglyConnectedComponents:
+    @pytest.mark.parametrize("name", sorted(BUNDLED_REPORTS))
+    def test_bundled_reports(self, name):
+        report = analyze_communication(lower(getattr(programs, name)()).tree)
+        assert dataclasses.astuple(report) == BUNDLED_REPORTS[name]
+
+    @given(
+        st.integers(0, 25).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                max_size=3 * n if n else 0,
+            ).map(lambda edges: (n, edges))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_components_equal_networkx(self, case):
+        nx = pytest.importorskip("networkx")
+        n, edges = case
+        graph = {str(node): set() for node in range(n)}
+        reference = nx.DiGraph()
+        reference.add_nodes_from(graph)
+        for source, target in edges:
+            graph[str(source)].add(str(target))
+            reference.add_edge(str(source), str(target))
+        mine = strongly_connected_components(graph)
+        assert sorted(map(sorted, mine)) == sorted(
+            map(sorted, nx.strongly_connected_components(reference))
+        )
+
+    def test_import_leaves_networkx_out(self):
+        code = "import sys, repro; assert 'networkx' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -1,13 +1,14 @@
-"""A checked run's queues, checked in one pass after the cells run.
+"""Queue checks in one pass, and the static timeline of clean runs.
 
-Without an injector, a checked run's cells move their words on the
-clean transfer binding (list appends and iterators) and one NumPy pass
-(:func:`repro.obs.metrics.queue_metrics`) checks and measures every
-queue afterwards.  A run that fails there runs again on the checked
-binding, which raises at the failing transfer.  These tests pin that
-the pass computes what the per-queue definitions say, that both
-bindings give the same run, and that a failing run raises the checked
-binding's exact error, counted once.
+One NumPy pass (:func:`repro.obs.metrics.queue_metrics`) measures and
+checks every queue a result reports.  A clean run gets its metrics and
+verdicts from that pass over the plan's static transfer timeline
+(:meth:`repro.machine.plan.ExecutionPlan.timeline`), not from running
+any cell on timed queues; the checked path (``conftest.checked_run``,
+fault-injected runs) runs every cell on the queues' checking methods.
+These tests pin that the pass computes what the per-queue definitions
+say, that the timeline and the checked path give the same run, and that
+a program whose timeline fails raises the checked path's exact error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.machine.array as array_module
 from repro import compile_w2, obs
 from repro.faults import FaultInjector, InjectionPlan
 from repro.lang.ast import Channel
@@ -28,7 +28,7 @@ from repro.obs.metrics import QueueTimes, queue_metrics
 from repro.programs import polynomial
 from repro.timing.buffers import occupancy_requirement
 
-from conftest import small_program_suite
+from conftest import checked_run, small_program_suite
 
 SUITE = small_program_suite(np.random.default_rng(20261018))
 
@@ -40,9 +40,10 @@ def queue_times(draw):
     sends, recvs = draw(cycles), draw(cycles)
     if draw(st.booleans()):
         sends = np.array(sends, np.int64)
+    if draw(st.booleans()):
+        recvs = np.array(recvs, np.int64)
     capacity = draw(st.none() | st.integers(0, 12))
-    expected = draw(st.none() | st.integers(0, 12))
-    return QueueTimes("q", capacity, sends, recvs, expected)
+    return QueueTimes("q", capacity, sends, recvs)
 
 
 class TestBatchedPass:
@@ -52,8 +53,7 @@ class TestBatchedPass:
         """On non-decreasing send and receive cycles, each queue's peak
         and wait are ``occupancy_requirement``'s and the per-word sums,
         and it passes exactly when no receive precedes its word's send
-        or takes a word never sent, its peak fits and its count is
-        right."""
+        or takes a word never sent and its peak fits."""
         metrics, passed = queue_metrics(queues)
         assert len(metrics) == len(passed) == len(queues)
         for queue, got, ok in zip(queues, metrics, passed):
@@ -74,8 +74,7 @@ class TestBatchedPass:
                 (recvs[:pairs] >= sends[:pairs]).all()
             )
             fits = queue.capacity is None or got.high_water <= queue.capacity
-            counted = queue.expected is None or sends.size == queue.expected
-            assert bool(ok) == (in_order and fits and counted)
+            assert bool(ok) == (in_order and fits)
 
     def test_flags_each_failing_queue_alone(self):
         metrics, passed = queue_metrics([
@@ -89,52 +88,45 @@ class TestBatchedPass:
         assert [m.high_water for m in metrics[3:]] == [0, 2]
 
 
-def _force_recheck(monkeypatch):
-    """Make every clean run fail its queue pass, so it runs again on
-    the checked binding."""
-    measure = array_module.queue_metrics
-
-    def failing(queues):
-        metrics, passed = measure(queues)
-        return metrics, np.zeros_like(passed)
-
-    monkeypatch.setattr(array_module, "queue_metrics", failing)
-
-
 def _same_observables(got, want, assert_same_run, context):
     assert_same_run(got, want, context)
     assert got.trace == want.trace, context
-    assert len(got.record) == len(want.record), context
-    for mine, theirs in zip(got.record, want.record):
-        for field in dataclasses.fields(theirs):
-            a, b = getattr(mine, field.name), getattr(theirs, field.name)
-            same = np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
-            assert same, f"{context}: spans.{field.name}"
+    assert all(type(event.time) is int for event in got.trace), context
 
 
 @pytest.mark.parametrize("unroll", [1, 2, 4, "auto"])
 @pytest.mark.parametrize("case", SUITE, ids=[case[0] for case in SUITE])
-def test_clean_and_checked_bindings_agree(
-    assert_same_run, monkeypatch, case, unroll
-):
-    """The clean binding plus the batched pass, the checked binding
-    (a forced re-run) and a fault-free injected run give the same
-    outputs bit for bit, metrics, trace and spans."""
+def test_timeline_equals_the_checked_run(assert_same_metrics, case, unroll):
+    """The plan's timeline passes and its metrics equal the checked
+    run's field by field, time arrays included."""
     name, source, inputs, _reference = case
     program = compile_w2(source, unroll=unroll)
-    kwargs = {"record": True, "trace_limit": 5}
-    with obs.collecting() as telemetry:
-        clean = simulate(program, inputs, **kwargs)
-    assert "machine.runs.rechecked" not in telemetry.counters
-    injected = simulate(
-        program, inputs, faults=FaultInjector(InjectionPlan()), **kwargs
-    )
-    _same_observables(injected, clean, assert_same_run, f"{name} injected")
-    _force_recheck(monkeypatch)
-    with obs.collecting() as telemetry:
-        checked = simulate(program, inputs, **kwargs)
-    assert telemetry.counters["machine.runs.rechecked"] == 1
-    _same_observables(checked, clean, assert_same_run, f"{name} checked")
+    facts, passed = program.execution_plan.timeline()
+    assert passed, name
+    assert_same_metrics(facts, checked_run(program, inputs).machine_metrics, name)
+
+
+@pytest.mark.parametrize("unroll", [1, 2, 4, "auto"])
+@pytest.mark.parametrize("case", SUITE, ids=[case[0] for case in SUITE])
+def test_clean_and_checked_bindings_agree(assert_same_run, case, unroll):
+    """A clean traced and recorded run (values from the value path,
+    cycles from the timeline), the checked binding and a fault-free
+    injected run give the same outputs bit for bit, metrics, trace
+    (``int`` cycles) and spans, at every trace length."""
+    name, source, inputs, _reference = case
+    program = compile_w2(source, unroll=unroll)
+    for limit in (1, 5, 10_000):
+        context = f"{name} trace_limit={limit}"
+        checked = checked_run(program, inputs, trace_limit=limit)
+        with obs.collecting() as telemetry:
+            clean = simulate(program, inputs, record=True, trace_limit=limit)
+        assert telemetry.counters == {"machine.runs.value": 1}, context
+        _same_observables(clean, checked, assert_same_run, context)
+        injected = simulate(
+            program, inputs, faults=FaultInjector(InjectionPlan()),
+            record=True, trace_limit=limit,
+        )
+        _same_observables(injected, checked, assert_same_run, context)
 
 
 def _polynomial():
@@ -185,10 +177,12 @@ def _no_watchdog_slack(program):
 def test_failing_run_raises_the_checked_error_once(
     break_program, error, message, record
 ):
-    """A clean run that fails raises the checked binding's exact class
-    and message, counts the fault once and counts the re-run."""
+    """A clean run of a program whose timeline fails raises the checked
+    binding's exact class and message, counts the fault once and keeps
+    no facts."""
     program = _polynomial()
     break_program(program)
+    assert not program.execution_plan.timeline()[1]
     inputs = {"z": np.linspace(-1, 1, 12), "c": np.ones(4)}
     with pytest.raises(Exception) as checked:
         simulate(program, inputs, faults=FaultInjector(InjectionPlan()))
@@ -198,4 +192,4 @@ def test_failing_run_raises_the_checked_error_once(
             simulate(program, inputs, record=record)
     assert str(got.value) == str(checked.value)
     assert telemetry.counters["fault.detected"] == 1
-    assert telemetry.counters["machine.runs.rechecked"] == 1
+    assert program.execution_plan.facts is None

@@ -100,7 +100,9 @@ end
 class TestFuzzedPipelines:
     @given(pipeline_programs(), st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_simulator_matches_interpreter(self, assert_same_run, case, seed):
+    def test_simulator_matches_interpreter(
+        self, assert_same_run, assert_same_metrics, case, seed
+    ):
         source, n_points = case
         rng = np.random.default_rng(seed)
         inputs = {"a": rng.uniform(-2, 2, n_points)}
@@ -115,6 +117,9 @@ class TestFuzzedPipelines:
         # the checked cycle executor bit for bit, block spans included.
         reference = checked_run(program, inputs)
         assert_same_run(result, reference, source)
+        # The plan's static timeline gives the checked run's metrics.
+        facts = program.execution_plan.facts
+        assert_same_metrics(facts, reference.machine_metrics, source)
         recorded = simulate(program, inputs, record=True)
         assert recorded.record is not None, source
         assert_same_run(recorded, reference, source)

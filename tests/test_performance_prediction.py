@@ -2,7 +2,10 @@
 
 The central claim: because schedules are fully static, compile-time
 predictions of cycles and operation counts must match the simulator
-*exactly* — not approximately."""
+*exactly* — not approximately.  Clean runs take their timing from the
+plan's static timeline, which reads the same loop tree as the
+prediction, so the measurements here come from the checked
+cycle-accurate run (``conftest.checked_run``)."""
 
 import itertools
 
@@ -19,6 +22,8 @@ from repro.lang import Channel, analyze, parse_module
 from repro.machine import interpret, simulate
 from repro.programs import conv2d, matmul, polynomial
 
+from conftest import checked_run
+
 
 class TestPredictionExactness:
     def test_every_program(self, program_suite):
@@ -28,7 +33,7 @@ class TestPredictionExactness:
             case = (name, unroll)
             program = compile_w2(source, unroll=unroll)
             prediction = predict_performance(program)
-            result = simulate(program, inputs)
+            result = checked_run(program, inputs)
             assert prediction.total_cycles == result.total_cycles, case
             stats = result.machine_metrics.cells[0]
             assert prediction.alu_ops == stats.alu_ops, case
@@ -58,7 +63,7 @@ class TestPredictionExactness:
         for unroll in (1, 4):
             program = compile_w2(polynomial(48, 4), unroll=unroll)
             prediction = predict_performance(program)
-            result = simulate(program, inputs)
+            result = checked_run(program, inputs)
             assert prediction.total_cycles == result.total_cycles
             # Dynamic FP work is invariant under unrolling.
             assert prediction.fp_ops_per_cell == 96

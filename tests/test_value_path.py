@@ -1,11 +1,12 @@
-"""The value path: a clean untraced run only moves values.
+"""The value path: a clean run only moves values.
 
-Schedules are data-independent, so the plan of a program runs the fully
-checked cycle-accurate path once, on zeroed inputs, and keeps its
-verdicts and static facts; every clean run after it runs untimed block
-functions and reuses them, recorded runs included (their block spans
-come from the plan).  Every test here compares the value path with the
-checked path (``conftest.checked_run``), outputs bit for bit.
+Schedules are data-independent, so the plan of a program checks its
+static transfer timeline once and keeps its verdicts and static facts;
+every clean run runs untimed block functions and reuses them, recorded
+and traced runs included (their block spans come from the plan, their
+trace cycles from the timeline).  Every test here compares the value
+path with the checked path (``conftest.checked_run``), outputs bit for
+bit.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ STALL = InjectionPlan((FaultSpec(FaultKind.STALL_CELL, cell=3, cycles=10),))
 
 class TestRoutes:
     """Which runs reach the cycle-accurate ``_execute``: the reference
-    helper, traced and fault-injected runs, and the plan's one checked
-    run; a clean recorded run does not."""
+    helper and fault-injected runs; clean runs, recorded and traced
+    ones too, do not."""
 
     @pytest.fixture
     def executed(self, monkeypatch):
@@ -146,15 +147,13 @@ class TestRoutes:
         program = compile_w2(polynomial(12, 4))
         inputs = _items(1)[0]
         simulate(program, inputs)
-        assert executed == [(0, False, False)]  # the plan's checked run
-        executed.clear()
         recorded = simulate(program, inputs, record=True)
+        traced = simulate(program, inputs, trace_limit=2, record=True)
         assert executed == [] and recorded.record is not None
+        assert traced.trace and traced.record is not None
         assert checked_run(program, inputs).record is not None
-        assert executed == [(0, True, False)]
-        simulate(program, inputs, trace_limit=2, record=True)
         simulate(program, inputs, record=True, faults=STALL)
-        assert executed[1:] == [(2, True, False), (0, True, True)]
+        assert executed == [(0, True, False), (0, True, True)]
 
     def test_recorded_chrome_events_equal_the_reference(self):
         program = compile_w2(polynomial(12, 4))
@@ -181,7 +180,7 @@ class TestRoutes:
 
 
 class TestFailingCheck:
-    """A program whose checked run fails caches no verdict: every clean
+    """A program whose timeline fails caches no verdict: every clean
     run raises the checked path's error."""
 
     @pytest.fixture
@@ -193,8 +192,8 @@ class TestFailingCheck:
         return program
 
     def test_simulate_raises_the_checked_error_every_time(self, program):
-        """Clean and recorded runs alike, since both take the value
-        path on the plan's verdicts."""
+        """Clean, recorded and traced runs alike, since all take the
+        value path on the plan's verdicts."""
         inputs = _items(1)[0]
         with pytest.raises(Exception) as checked:
             checked_run(program, inputs)
@@ -202,9 +201,9 @@ class TestFailingCheck:
         assert str(checked.value) == (
             "link1.X: peak occupancy 5 exceeds the 1-word queue"
         )
-        for record in (False, True, False, True):
+        for record, limit in ((False, 0), (True, 0), (False, 3), (True, 3)):
             with pytest.raises(type(checked.value)) as clean:
-                simulate(program, inputs, record=record)
+                simulate(program, inputs, trace_limit=limit, record=record)
             assert str(clean.value) == str(checked.value)
         assert program.execution_plan.facts is None
 
@@ -232,11 +231,12 @@ class TestObservability:
             simulate(program, inputs, record=True)
             simulate(program, inputs, trace_limit=1)
             BatchRunner(program).run(_items(3))
-        # A recorded run is a value run (its spans come from the plan);
-        # only the traced one is checked.
-        assert telemetry.counters["machine.runs.value"] == 4
-        assert telemetry.counters["machine.runs.checked"] == 1
-        assert len(telemetry.find("machine.plan")) == 2  # build, check
+        # Recorded and traced runs are value runs too (their spans come
+        # from the plan, their trace cycles from the timeline).
+        assert telemetry.counters["machine.runs.value"] == 5
+        assert "machine.runs.checked" not in telemetry.counters
+        assert len(telemetry.find("machine.plan")) == 1
+        assert len(telemetry.find("machine.timeline")) == 1
         simulate(program, inputs)
         assert NULL_TELEMETRY.counters == {} and NULL_TELEMETRY.spans == []
 
@@ -248,5 +248,6 @@ class TestObservability:
         assert "machine.plan" in out and "machine.runs.value" in out
         document = json.loads(metrics.read_text())
         assert document["compile"]["counters"]["machine.runs.value"] == 1
-        spans = {span["name"] for span in document["compile"]["spans"]}
-        assert "machine.plan" in spans
+        names = [span["name"] for span in document["compile"]["spans"]]
+        assert names.count("machine.plan") == 1
+        assert names.count("machine.timeline") == 1

@@ -323,9 +323,10 @@ class TestBatchRunnerPaths:
         assert "column_driver" not in vars(program.execution_plan)
 
     def test_drivers_built_once_per_plan(self, monkeypatch):
-        """The checked and the float loop drivers are generated once per
-        plan, however many runs use them, and the column driver only on
-        first batched use."""
+        """Clean runs build only the untimed float loop driver, once per
+        plan, however many runs use it; the first fault-injected run
+        builds the timed driver once, and the column driver comes only
+        on first batched use."""
         built = []
         generate = plan_module.loop_driver
 
@@ -337,14 +338,17 @@ class TestBatchRunnerPaths:
         program = compile_w2(polynomial(12, 4))
         for item in _items(3):
             simulate(program, item)
-            simulate(program, item, record=True)
-        assert built == ["timed", "untimed"]
+            simulate(program, item, record=True, trace_limit=2)
+        assert built == ["untimed"]
+        for item in _items(2):
+            simulate(program, item, faults=InjectionPlan())
+        assert built == ["untimed", "timed"]
         runner = BatchRunner(program)
         runner.run(_items(2))
         drive = runner.machine.plan.column_driver
         assert drive is not runner.machine.plan.value_driver
         BatchRunner(program).run(_items(2))
-        assert built == ["timed", "untimed", "untimed"]
+        assert built == ["untimed", "timed", "untimed"]
         assert runner.machine.plan.column_driver is drive
 
     def test_unrecordable_program_runs_on_cycle_path(
