@@ -61,7 +61,7 @@ from .errors import (
 from .exec import BatchRunner, CompileCache, ItemFailure, default_cache
 from .lang import Channel
 from .lang.errors import W2Error
-from .machine import simulate
+from .machine import HostMemory, WarpMachine, simulate
 from .machine.trace import format_two_cell_trace
 from .verify import MUTATION_KINDS, mutate, verify_program
 
@@ -198,15 +198,21 @@ def _simulate_with_exports(program, args, telemetry=None, cache=None, faults=Non
     """Simulate honouring ``--trace-out`` / ``--metrics-out``."""
     inputs = dict(_parse_input(spec) for spec in args.input or [])
     _check_inputs(program, inputs)
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
     result = simulate(
         program,
         inputs,
         trace_limit=getattr(args, "trace", 0),
-        record=bool(trace_out),
+        record=bool(getattr(args, "trace_out", None)),
         faults=faults,
     )
+    _write_exports(program, args, result, telemetry, cache)
+    return result
+
+
+def _write_exports(program, args, result, telemetry=None, cache=None) -> None:
+    """Write ``result`` to ``--trace-out`` / ``--metrics-out``, if given."""
+    trace_out = getattr(args, "trace_out", None)
+    metrics_out = getattr(args, "metrics_out", None)
     if trace_out:
         obs.write_chrome_trace(
             trace_out, obs.simulation_trace_events(result, telemetry)
@@ -221,7 +227,6 @@ def _simulate_with_exports(program, args, telemetry=None, cache=None, faults=Non
         )
         Path(metrics_out).write_text(json.dumps(document, indent=2))
         print(f"metrics written to {metrics_out}")
-    return result
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -340,9 +345,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    """Predicted (compile-time) vs measured (simulated) performance."""
+    """Predicted (compile-time) vs measured (simulated) performance.
+
+    The measurement is the reference run, on the checked path
+    (``WarpMachine._execute``): a clean run's cycles come from the
+    plan's static timeline, the loop tree the prediction reads too."""
     program, cache = _compile_from_args(args)
-    result = _simulate_with_exports(program, args, cache=cache)
+    inputs = dict(_parse_input(spec) for spec in args.input or [])
+    _check_inputs(program, inputs)
+    memory = HostMemory.from_inputs(program.host_program.layout, inputs)
+    result = WarpMachine(program)._execute(memory, record=bool(args.trace_out))
+    _write_exports(program, args, result, cache=cache)
     print(
         f"{program.module_name}: predicted vs measured "
         f"({program.n_cells} cells)"

@@ -7,13 +7,12 @@ from .cell import CellExecutor
 from .config import DEFAULT_CONFIG, CellConfig, IUConfig, WarpConfig
 from .host import HostMemory, collect_outputs, feed_input_queues
 from .iu_machine import IUMachine, run_iu_program
-from .plan import BlockPlan, ExecutionPlan
+from .plan import ExecutionPlan
 from .queue import TimedQueue
 from .reference import interpret
 from .trace import TraceEvent
 
 __all__ = [
-    "BlockPlan",
     "CellConfig",
     "CellExecutor",
     "CellMetrics",

@@ -17,10 +17,10 @@ Schedules are data-independent, so a clean run only moves values
 program from the plan's static transfer timeline
 (:meth:`~repro.machine.plan.ExecutionPlan.timeline`), its trace's cycles
 from the same timeline and its block spans from each cell's start
-cycle.  Fault-injected runs take the checked path
-(:meth:`WarpMachine._execute`), whose cells raise at the first failing
-check; so does a program whose timeline fails, on zeroed inputs, to
-raise that check's exact error.  A result keeps each run fact once, in
+cycle.  Fault-injected runs and ``repro compare`` take the checked
+path (:meth:`WarpMachine._execute`), whose cells raise at the first
+failing check; so does a program whose timeline fails, on zeroed
+inputs, to raise that check's exact error.  A result keeps each run fact once, in
 its :class:`~repro.obs.metrics.MachineMetrics`: one ``CellMetrics`` per
 cell and one ``QueueMetrics`` per queue, peak occupancy included.  A
 checked run's trace and block spans are read off its finished queues
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..errors import SilentCorruptionDetected
+from ..errors import SilentCorruptionDetected, SimulationError
 from ..lang.ast import Channel
 from ..obs import chrome_trace, get_telemetry
 from ..obs.metrics import (
@@ -170,18 +170,20 @@ class WarpMachine:
         fresh registers and memory, on its left neighbour's words.
 
         Metrics come from the plan's static transfer timeline, kept
-        once it passed; a timeline that fails sends the run to the
-        checked path on zeroed inputs (no evaluator raises, so the
-        verdicts hold for every input), which raises the exact error of
-        the check that fails first, every time."""
+        once it passed; if it fails, the checked path on zeroed inputs
+        (no evaluator raises, so the verdicts hold for every input)
+        raises the exact error of the check that fails first, and a
+        checked run that passes there is a simulator fault."""
         plan, config = self.plan, self._config.cell
         if plan.facts is None:
             with get_telemetry().span("machine.timeline"):
                 facts, passed = plan.timeline()
             if not passed:
                 layout = self._program.host_program.layout
-                zeroed = HostMemory.from_inputs(layout, {})
-                facts = self._execute(zeroed).machine_metrics
+                self._execute(HostMemory.from_inputs(layout, {}))
+                raise SimulationError(
+                    "static timeline failed a check the checked run passed"
+                )
             plan.facts = facts
         get_telemetry().counter("machine.runs.value")
         links = [feed_input_queues(plan.feed, memory, dict.fromkeys(Channel))]
@@ -312,10 +314,10 @@ class WarpMachine:
         # queues; the host drains the collector link outside cell time,
         # so its occupancy is not a machine property.  One pass measures
         # them all.
-        metrics, _passed = queue_metrics(
+        metrics = queue_metrics(
             [queue.times() for link in links[:n_cells] for queue in link.values()]
             + addresses
-        )
+        )[0]
         queues = {m.name: m for m in metrics}
         for i in range(1, n_cells):
             for channel, queue in links[i].items():

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
@@ -75,15 +75,6 @@ if TYPE_CHECKING:  # pragma: no cover - circular import at run time
 #: The queues of a cell's transfers: receives on X and Y, sends on X
 #: and Y, IU address receives.
 TRANSFERS = ("rX", "rY", "sX", "sY", "ra")
-
-
-@dataclass(frozen=True)
-class BlockPlan(OpCounts):
-    """One scheduled block's operation totals of one pass, and its
-    length."""
-
-    block_id: int
-    length: int
 
 
 def _transfers(block: ScheduledBlock) -> np.ndarray:
@@ -376,11 +367,9 @@ class ExecutionPlan:
 
     def __init__(self, program: "CompiledProgram"):
         self._program = program
-        self.blocks: dict[int, BlockPlan] = {
-            block.block_id: BlockPlan(
-                block_id=block.block_id, length=block.length,
-                **vars(OpCounts.of(block)),
-            )
+        #: Each scheduled block's operation totals of one pass, by id.
+        self.blocks: dict[int, OpCounts] = {
+            block.block_id: OpCounts.of(block)
             for block in program.cell_code.blocks()
         }
         #: The cycle (a read-only array) and address of every dynamic
@@ -557,9 +546,9 @@ class ExecutionPlan:
         size = max(self.blocks, default=-1) + 1
         length_of = np.zeros(size, np.int64)
         issued_of = np.zeros(size, np.int64)
-        for plan in self.blocks.values():
-            length_of[plan.block_id] = plan.length
-            issued_of[plan.block_id] = plan.issued
+        for block in self._program.cell_code.blocks():
+            length_of[block.block_id] = block.length
+            issued_of[block.block_id] = self.blocks[block.block_id].issued
         lengths = length_of[block_ids]
         return CellSpans(
             cell=0,
@@ -574,7 +563,8 @@ class ExecutionPlan:
     def skipped_slots(self) -> int:
         """Instruction slots the fast path never visits (nop cycles)."""
         return sum(
-            plan.length - plan.issued for plan in self.blocks.values()
+            block.length - self.blocks[block.block_id].issued
+            for block in self._program.cell_code.blocks()
         )
 
 

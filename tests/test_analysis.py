@@ -161,20 +161,86 @@ BUNDLED_REPORTS = {
 }
 
 
+#: Random digraphs as ``(nodes, edges)`` over nodes ``0..nodes-1``.
+DIGRAPHS = st.integers(0, 25).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+        max_size=3 * n if n else 0,
+    ).map(lambda edges: (n, edges))
+)
+
+
 class TestStronglyConnectedComponents:
     @pytest.mark.parametrize("name", sorted(BUNDLED_REPORTS))
     def test_bundled_reports(self, name):
         report = analyze_communication(lower(getattr(programs, name)()).tree)
         assert dataclasses.astuple(report) == BUNDLED_REPORTS[name]
 
-    @given(
-        st.integers(0, 25).flatmap(
-            lambda n: st.lists(
-                st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
-                max_size=3 * n if n else 0,
-            ).map(lambda edges: (n, edges))
-        )
+    @pytest.mark.parametrize(
+        "graph, components",
+        [
+            ({}, []),
+            # A self-loop is its own component, as is a node without one.
+            ({"a": {"a"}, "b": set()}, [{"a"}, {"b"}]),
+            # Nested and overlapping cycles merge; an edge out of one
+            # cycle into another does not merge them.
+            (
+                {
+                    "a": {"b"}, "b": {"c"}, "c": {"a", "d"}, "d": {"c"},
+                    "e": {"f"}, "f": {"e", "a"},
+                },
+                [{"a", "b", "c", "d"}, {"e", "f"}],
+            ),
+            # Cross edges into finished components, from a later root
+            # and from a sibling in the same search tree.
+            (
+                {"x": {"y"}, "y": {"x"}, "r": {"p", "q"}, "p": set(),
+                 "q": {"p", "x"}},
+                [{"x", "y"}, {"r"}, {"p"}, {"q"}],
+            ),
+        ],
     )
+    def test_hand_written_graphs(self, graph, components):
+        got = strongly_connected_components(graph)
+        assert sorted(map(sorted, got)) == sorted(map(sorted, components))
+
+    @pytest.mark.parametrize("back_edge", [False, True])
+    def test_long_chain_does_not_recurse(self, back_edge):
+        """A 10^4-node chain is far deeper than Python's recursion
+        limit; with a back edge from its end it is one component."""
+        n = 10_000
+        graph = {str(k): {str(k + 1)} for k in range(n - 1)}
+        graph[str(n - 1)] = {"0"} if back_edge else set()
+        got = strongly_connected_components(graph)
+        if back_edge:
+            assert got == [set(graph)]
+        else:
+            assert sorted(map(sorted, got)) == [[node] for node in sorted(graph)]
+
+    @given(DIGRAPHS)
+    @settings(max_examples=200, deadline=None)
+    def test_components_are_mutual_reachability(self, case):
+        """Two nodes share a component iff each reaches the other."""
+        n, edges = case
+        graph = {str(node): set() for node in range(n)}
+        for source, target in edges:
+            graph[str(source)].add(str(target))
+        reach = {}
+        for node in graph:
+            seen, todo = {node}, [node]
+            while todo:
+                for successor in graph[todo.pop()] - seen:
+                    seen.add(successor)
+                    todo.append(successor)
+            reach[node] = seen
+        expected = {
+            frozenset(u for u in graph if u in reach[v] and v in reach[u])
+            for v in graph
+        }
+        got = strongly_connected_components(graph)
+        assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
+
+    @given(DIGRAPHS)
     @settings(max_examples=200, deadline=None)
     def test_components_equal_networkx(self, case):
         nx = pytest.importorskip("networkx")

@@ -21,10 +21,11 @@ import pytest
 from repro import compile_w2, obs
 from repro.cli import main
 from repro.config import DEFAULT_CONFIG
+from repro.errors import SimulationError
 from repro.exec import BatchRunner, CompileCache
 from repro.exec.keys import cache_key
 from repro.faults import FaultKind, FaultSpec, InjectionPlan
-from repro.machine import WarpMachine, simulate
+from repro.machine import ExecutionPlan, WarpMachine, simulate
 from repro.obs.core import NULL_TELEMETRY
 from repro.programs import polynomial
 
@@ -155,6 +156,22 @@ class TestRoutes:
         simulate(program, inputs, record=True, faults=STALL)
         assert executed == [(0, True, False), (0, True, True)]
 
+    def test_compare_measures_on_the_checked_path(
+        self, executed, monkeypatch, capsys
+    ):
+        """``repro compare`` measures with the reference run, so its
+        measurement does not read the static timeline the prediction's
+        loop tree also gives: it stays exact with the timeline switched
+        off."""
+
+        def no_timeline(plan):
+            raise AssertionError("compare read the static timeline")
+
+        monkeypatch.setattr(ExecutionPlan, "timeline", no_timeline)
+        assert main(["compare", "polynomial", "--no-cache"]) == 0
+        assert capsys.readouterr().out.endswith("prediction exact\n")
+        assert executed == [(0, False, False)]
+
     def test_recorded_chrome_events_equal_the_reference(self):
         program = compile_w2(polynomial(12, 4))
         inputs = _items(1)[0]
@@ -205,6 +222,21 @@ class TestFailingCheck:
             with pytest.raises(type(checked.value)) as clean:
                 simulate(program, inputs, trace_limit=limit, record=record)
             assert str(clean.value) == str(checked.value)
+        assert program.execution_plan.facts is None
+
+    def test_checked_pass_after_a_failed_timeline_raises(self, monkeypatch):
+        """A timeline verdict that the checked run contradicts is a
+        simulator fault: the run raises and caches no facts."""
+        program = compile_w2(polynomial(12, 4))
+        timeline = ExecutionPlan.timeline
+        monkeypatch.setattr(
+            ExecutionPlan, "timeline", lambda plan: (timeline(plan)[0], False)
+        )
+        with pytest.raises(SimulationError) as raised:
+            simulate(program, _items(1)[0])
+        assert str(raised.value) == (
+            "static timeline failed a check the checked run passed"
+        )
         assert program.execution_plan.facts is None
 
     def test_batch_fails_each_item_like_the_checked_path(self, program):
