@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.compiler import compile_w2
 from repro.errors import (
     CellHangError,
@@ -23,7 +24,9 @@ from repro.errors import (
     SimulationError,
 )
 from repro.exec import BatchRunner, CompileCache
-from repro.faults import FaultInjector, FaultKind, FaultSpec, InjectionPlan
+from repro.faults import (
+    FaultInjector, FaultKind, FaultSpec, FaultyQueue, InjectionPlan,
+)
 from repro.lang import Channel
 from repro.machine import simulate
 from repro.programs import conv1d, passthrough, polynomial
@@ -314,3 +317,89 @@ class TestWorkerFaults:
             _assert_identical(batch.results[index], clean)
         with pytest.raises(ValueError, match="failed item"):
             batch.outputs(next(iter(clean.outputs)))
+
+
+def _faulty_queue(*specs):
+    """A ``link1.X`` queue whose sends ``specs`` corrupt, and its
+    injector."""
+    injector = FaultInjector(InjectionPlan(specs=specs))
+    return FaultyQueue(injector=injector, name="link1.X"), injector
+
+
+def _send(kind, index, **fields):
+    return FaultSpec(kind=kind, cell=0, channel="X", index=index, **fields)
+
+
+class TestFaultyQueue:
+    """One queue's integrity bits, word by word: each corruption is
+    reported with its exact message, at the dequeue that reads it or at
+    the post-run sweep of the words never dequeued."""
+
+    def test_dropped_send_is_caught_at_dequeue(self):
+        queue, injector = _faulty_queue(_send(FaultKind.DROP_SEND, 1))
+        for time, value in enumerate([1.0, 2.0, 3.0]):
+            queue.enqueue(time, value)
+        assert queue.values == [1.0, 3.0]
+        assert queue.dequeue(5) == 1.0
+        with obs.collecting() as telemetry:
+            with pytest.raises(SilentCorruptionDetected) as caught:
+                queue.dequeue(6)
+        assert str(caught.value) == (
+            "link1.X: word 1 carries sequence tag 2 — a send was dropped "
+            "upstream (in flight at cycle 6)"
+        )
+        assert telemetry.counters == {"fault.detected": 1}
+        assert injector.report() == ["drop_send cell=0 channel=X index=1"]
+
+    def test_duplicated_send_is_caught_at_dequeue(self):
+        queue, _ = _faulty_queue(_send(FaultKind.DUP_SEND, 0))
+        queue.enqueue(2, 1.0)
+        queue.enqueue(4, 2.0)
+        assert queue.values == [1.0, 1.0, 2.0]
+        assert queue.send_times == [2, 2, 4]
+        assert queue.dequeue(3) == 1.0
+        with pytest.raises(SilentCorruptionDetected) as caught:
+            queue.dequeue(7)
+        assert str(caught.value) == (
+            "link1.X: word 1 carries sequence tag 0 — a send was duplicated "
+            "upstream (in flight at cycle 7)"
+        )
+
+    def test_flipped_word_is_caught_at_dequeue(self):
+        queue, injector = _faulty_queue(
+            _send(FaultKind.FLIP_BITS, 0, bitmask=1 << 52)
+        )
+        queue.enqueue(0, 1.5)
+        with pytest.raises(SilentCorruptionDetected) as caught:
+            queue.dequeue(3)
+        assert str(caught.value) == (
+            "link1.X: word 0 reads 0.75 but 1.5 was enqueued — queue memory "
+            "corrupted (in flight at cycle 3)"
+        )
+        assert injector.report() == [
+            "flip_bits cell=0 channel=X index=0 (1.5 -> 0.75)"
+        ]
+
+    def test_word_never_dequeued_is_swept_at_rest(self):
+        queue, _ = _faulty_queue(
+            _send(FaultKind.FLIP_BITS, 1, bitmask=1 << 52)
+        )
+        queue.enqueue(0, 1.5)
+        queue.enqueue(1, 3.0)
+        assert queue.dequeue(1) == 1.5
+        with obs.collecting() as telemetry:
+            with pytest.raises(SilentCorruptionDetected) as caught:
+                queue.verify_integrity()
+        assert str(caught.value) == (
+            "link1.X: word 1 reads 6.0 but 3.0 was enqueued — queue memory "
+            "corrupted (at rest)"
+        )
+        assert telemetry.counters == {"fault.detected": 1}
+
+    def test_clean_words_pass_every_check(self):
+        queue, injector = _faulty_queue()
+        for time, value in enumerate([0.5, -0.0, float("inf")]):
+            queue.enqueue(time, value)
+        assert [queue.dequeue(9), queue.dequeue(9)] == [0.5, -0.0]
+        queue.verify_integrity()
+        assert injector.report() == []
