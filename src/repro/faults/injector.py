@@ -14,9 +14,9 @@ detection layer for them: it keeps a shadow copy of every enqueued word
 (modelling the queue memory's parity/ECC bits) and raises
 :class:`~repro.errors.SilentCorruptionDetected` the moment a dequeued
 word's bits disagree with the bits that were enqueued.  It overrides
-the value halves of a checked cell's transfers
-(:meth:`~repro.machine.queue.TimedQueue.put`,
-:meth:`~repro.machine.queue.TimedQueue.take`); an injected run is
+the two transfer methods a checked cell calls
+(:meth:`~repro.machine.queue.TimedQueue.enqueue`,
+:meth:`~repro.machine.queue.TimedQueue.dequeue`); an injected run is
 always a checked run.  Clean runs never construct it — the machine
 builds plain :class:`TimedQueue` objects unless an injector is active,
 so the fault layer costs nothing and cannot perturb results when
@@ -202,16 +202,14 @@ class FaultyQueue(TimedQueue):
         self._shadow: list[tuple[int, bytes]] = []
         self._sent_seq = 0
 
-    def put(self, value: float) -> None:
+    def enqueue(self, time: int, value: float) -> None:
         kind, stored = self.injector.on_enqueue(self.name, value)
         seq = self._sent_seq
         self._sent_seq += 1
         if kind is FaultKind.DROP_SEND:
             return  # sent (seq consumed) but lost on the link
-        super().put(stored)
-        self._shadow.append((seq, _PACK.pack(value)))
-        if kind is FaultKind.DUP_SEND:
-            super().put(stored)
+        for _copy in range(2 if kind is FaultKind.DUP_SEND else 1):
+            super().enqueue(time, stored)
             self._shadow.append((seq, _PACK.pack(value)))
 
     def _check_slot(self, slot: int, value: float, when: str) -> None:
@@ -231,13 +229,11 @@ class FaultyQueue(TimedQueue):
                 f"corrupted ({when})"
             )
 
-    def take(self) -> float:
-        slot = len(self.recv_times) - 1
-        value = super().take()
+    def dequeue(self, time: int) -> float:
+        slot = len(self.recv_times)
+        value = super().dequeue(time)
         if slot < len(self._shadow):
-            self._check_slot(
-                slot, value, f"in flight at cycle {self.recv_times[-1]}"
-            )
+            self._check_slot(slot, value, f"in flight at cycle {time}")
         return value
 
     def verify_integrity(self) -> None:

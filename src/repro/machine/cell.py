@@ -14,14 +14,14 @@ to the value it sees once, at plan time — precisely the semantics the
 scheduler's latency edges assume, so any scheduler bug surfaces as a
 wrong result against the reference interpreter.
 
-Every queue transfer keeps its absolute cycle, split into a time half
-and a value half, bound to the queue's checking methods
-(:class:`~repro.machine.queue.TimedQueue`), so a cell raises at the
-transfer that fails.  Only the machine's checked path
+Every queue transfer is one call at its absolute cycle to the queue's
+checking method (:meth:`~repro.machine.queue.TimedQueue.dequeue`,
+:meth:`~repro.machine.queue.TimedQueue.enqueue`), so a cell raises at
+the transfer that fails.  Only the machine's checked path
 (:meth:`~repro.machine.array.WarpMachine._execute`) runs cells:
-fault-injected runs, the reference run tests compare with, and the run
-that raises the exact error of a program whose static timeline fails a
-check.  A finished run returns the cell's
+fault-injected runs, ``repro compare``'s measurement, the reference run
+tests compare with, and the run that raises the exact error of a
+program whose static timeline fails a check.  A finished run returns the cell's
 :class:`~repro.obs.metrics.CellMetrics`, whose operation counts are the
 static per-run totals (:meth:`~repro.cellcodegen.emit.OpCounts.of_run`).
 Nothing else is recorded on the way: a run's trace and block spans are
@@ -88,13 +88,12 @@ class CellExecutor:
         )
         rx, ry = in_queues[Channel.X], in_queues[Channel.Y]
         sx, sy = out_queues[Channel.X], out_queues[Channel.Y]
-        #: What every generated block function runs against: the value
-        #: halves of the transfers, then their time halves.
+        #: What every generated block function runs against: one
+        #: checking call per transfer.
         self._ctx = (
             self._registers, self._memory,
-            rx.take, ry.take, sx.put, sy.put, address_queue.take,
-            rx.receive_at, ry.receive_at, sx.send_at, sy.send_at,
-            address_queue.receive_at,
+            rx.dequeue, ry.dequeue, sx.enqueue, sy.enqueue,
+            address_queue.dequeue,
         )
 
     def run(self) -> CellMetrics:

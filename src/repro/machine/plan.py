@@ -10,8 +10,8 @@ independent of the cell index, the input data and the run — so one
   nop cycles vanish (30–50% of instruction slots on the Table 7-1
   programs), each register read names the value it sees, and the
   block's length advances the clock.  In the timed form, each queue
-  transfer is a time half (its absolute cycle), bound to the queue's
-  checking method, and a value half.
+  transfer is one call, with its absolute cycle, to the queue's
+  checking method.
 * **Loop drivers.**  One generated driver per cell program walks the
   scheduled loop tree with nested ``for`` loops and calls the block
   functions (:func:`loop_driver`): clean runs only move values, under
@@ -130,19 +130,18 @@ def _block_source(
 
     The source defines ``make(E, L)``, which binds the evaluators ``E``
     and literals ``L`` *by position* and returns
-    ``run((R, M, dx, dy, ex, ey, da, rx, ry, sx, sy, ra), t)``:
-    ``R``/``M`` are the register file and data memory.  Each transfer
-    at absolute cycle ``n`` comes in two halves, its time and then its
-    value: a dequeue is ``rx(n)`` then ``v = dx()``, an enqueue
-    ``sx(n)`` then ``ex(v)`` (``ry``/``dy``, ``sy``/``ey`` for Y), an
-    IU address ``ra(n)`` then ``int(da())``.  A checked cell binds them
-    to its queues' checking methods (:class:`~repro.machine.queue.TimedQueue`).
-    Side effects keep the order of each instruction:
-    dequeues, IU addresses in slot order, loads, stores, ALU, MPY, move,
-    enqueues.
+    ``run((R, M, dx, dy, ex, ey, da), t)``: ``R``/``M`` are the
+    register file and data memory, and each transfer is one call with
+    its absolute cycle first: a dequeue ``v = dx(t + c)``, an enqueue
+    ``ex(t + c, v)`` (``dy``/``ey`` for Y), an IU address
+    ``int(da(t + c))``.  A checked cell binds them to its queues'
+    checking methods (:class:`~repro.machine.queue.TimedQueue`).  Side
+    effects keep the order of each instruction: dequeues, IU addresses
+    in slot order, loads, stores, ALU, MPY, move, enqueues.
 
-    Untimed (``timed=False``) it is ``run((R, M, dx, dy, ex, ey, da))``:
-    only the value halves, and ``da`` returns an ``int``.
+    Untimed (``timed=False``) it is ``run((R, M, dx, dy, ex, ey, da))``
+    over the same context, with calls that carry no cycle: ``v = dx()``,
+    ``ex(v)``, and ``da()``, which returns an ``int``.
     """
     block_id, length = block.block_id, block.length
     evaluators: list[Callable[..., float]] = []
@@ -195,24 +194,19 @@ def _block_source(
     def value() -> str:
         return f"v{next(names)}"
 
-    def at(half: str) -> None:
-        """Emit the time half of the timed transfer whose value half is
-        ``half``: ``dx`` → ``rx``, ``ex`` → ``sx``, ``da`` → ``ra``."""
-        if timed:
-            body.append(f"{'s' if half[0] == 'e' else 'r'}{half[1]}(n)")
+    def transfer(name: str, cycle: int, *args: str) -> str:
+        """A call of transfer ``name`` at block cycle ``cycle``; timed,
+        its absolute cycle is the first argument."""
+        args = (f"t + {cycle}", *args) if timed else args
+        return f"{name}({', '.join(args)})"
 
     for c, ins in enumerate(block.instructions):
         if ins.is_nop():  # nop cycles generate no code
             continue
         land(c)
-        if timed and (ins.deqs or ins.enqs or any(
-            m.address_source is AddressSource.QUEUE for m in ins.mem
-        )):
-            body.append(f"n = t + {c}")
         for deq in ins.deqs:
-            v, receive = value(), queue(deq.queue, True)
-            at(receive)
-            body.append(f"{v} = {receive}()")
+            v = value()
+            body.append(f"{v} = {transfer(queue(deq.queue, True), c)}")
             write(deq.dest, c + config.queue_latency, v)
         # IU addresses arrive in instruction-slot order (``addr_demands``
         # is stably sorted by cycle), though loads apply before stores.
@@ -222,8 +216,9 @@ def _block_source(
                 where.append(str(mem.address))
             else:
                 where.append(value())
-                at("da")
-                address = "int(da())" if timed else "da()"
+                address = transfer("da", c)
+                if timed:
+                    address = f"int({address})"
                 body.append(f"{where[-1]} = {address}")
         for mem, address in zip(ins.mem, where):
             if mem.is_load:
@@ -255,8 +250,7 @@ def _block_source(
             write(ins.move.dest, c + config.move_latency, source)
         for enq in ins.enqs:
             send = queue(enq.queue, False)
-            at(send)
-            body.append(f"{send}({read(enq.source)})")
+            body.append(transfer(send, c, read(enq.source)))
     land(length)
     lines = ["def make(E, L):"]
     if evaluators:
@@ -266,11 +260,7 @@ def _block_source(
         names = "".join(f"l{k}, " for k in range(len(literals)))
         lines.append(f"    {names}= L")
     lines.append(f"    def run({'ctx, t' if timed else 'ctx'}):")
-    lines.append(
-        "        R, M, dx, dy, ex, ey, da, rx, ry, sx, sy, ra = ctx"
-        if timed
-        else "        R, M, dx, dy, ex, ey, da = ctx"
-    )
+    lines.append("        R, M, dx, dy, ex, ey, da = ctx")
     lines.extend(f"        r{reg} = R[{reg}]" for reg in entry)
     lines.extend(f"        {line}" for line in body)
     lines.extend(

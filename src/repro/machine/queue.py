@@ -7,12 +7,12 @@ it happened and every receive the cycle it took its word.  A receive at
 cycle ``t`` must find its word already sent at some cycle ``<= t``;
 otherwise the compiler's skew guarantee failed.
 
-A transfer has a time half and a value half: a checked cell binds
-:meth:`TimedQueue.receive_at` and :meth:`TimedQueue.take`,
-:meth:`TimedQueue.send_at` and :meth:`TimedQueue.put`, and a receive
-that fails raises :class:`QueueUnderflowError` there.  Clean runs use
-no queue timing at all: their verdicts come from the plan's static
-transfer timeline (:meth:`~repro.machine.plan.ExecutionPlan.timeline`).
+A checked cell binds :meth:`TimedQueue.dequeue` and
+:meth:`TimedQueue.enqueue`, one call per transfer at its absolute cycle,
+and a receive that fails raises :class:`QueueUnderflowError` there.
+Clean runs use no queue timing at all: their verdicts come from the
+plan's static transfer timeline
+(:meth:`~repro.machine.plan.ExecutionPlan.timeline`).
 
 Capacity is audited after both endpoints have run, using the same
 occupancy definition as the compile-time analysis
@@ -36,12 +36,10 @@ class TimedQueue:
     send_times: list[int] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
     recv_times: list[int] = field(default_factory=list)
-    #: The cycle of the send whose word :meth:`put` stores next.
-    _send_time: int = 0
 
-    def receive_at(self, time: int) -> None:
-        """The time half of a checked receive: the next word must have
-        been sent at or before ``time``."""
+    def dequeue(self, time: int) -> float:
+        """The next word, received at cycle ``time``: it must have been
+        sent at or before ``time``."""
         received = len(self.recv_times)
         if received >= len(self.values):
             get_telemetry().counter("fault.detected")
@@ -57,30 +55,14 @@ class TimedQueue:
                 f"cycle {sent} — the skew guarantee failed"
             )
         self.recv_times.append(time)
-
-    def take(self) -> float:
-        """The value half of a checked receive: the word it took."""
-        return self.values[len(self.recv_times) - 1]
-
-    def send_at(self, time: int) -> None:
-        """The time half of a checked send."""
-        if self.send_times and time < self.send_times[-1]:
-            raise ValueError(f"{self.name}: enqueue times must not decrease")
-        self._send_time = time
-
-    def put(self, value: float) -> None:
-        """The value half of a checked send: store ``value``, sent at
-        the cycle :meth:`send_at` gave."""
-        self.send_times.append(self._send_time)
-        self.values.append(value)
+        return self.values[received]
 
     def enqueue(self, time: int, value: float) -> None:
-        self.send_at(time)
-        self.put(value)
-
-    def dequeue(self, time: int) -> float:
-        self.receive_at(time)
-        return self.take()
+        """Store ``value``, sent at cycle ``time``."""
+        if self.send_times and time < self.send_times[-1]:
+            raise ValueError(f"{self.name}: enqueue times must not decrease")
+        self.send_times.append(time)
+        self.values.append(value)
 
     @property
     def items_sent(self) -> int:
