@@ -122,7 +122,8 @@ def feed_input_queues(
 ) -> dict[Channel, TimedQueue]:
     """Cell 0's input queues (link 0), built whole: word ``k`` of a
     channel's ``feed`` offsets arrives at cycle ``k`` (one word per
-    cycle per channel).
+    cycle per channel), so its send times are a ``range``, which only
+    the checked path reads.
 
     One gather per channel reads the words: one run hands out Python
     floats (the cells' fast scalar arithmetic), a batch run one row per
@@ -133,7 +134,7 @@ def feed_input_queues(
         link[channel] = TimedQueue(
             name=f"link0.{channel.value}",
             capacity=capacities[channel],
-            send_times=list(range(len(words))),
+            send_times=range(len(words)),
             values=words.tolist() if words.ndim == 1 else list(words),
         )
     return link

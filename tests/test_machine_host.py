@@ -62,7 +62,7 @@ class TestFeeder:
         plan = ExecutionPlan(program)
         queues = feed_input_queues(plan.feed, memory, channels(None))
         # Item k enters at cycle k (host bandwidth budget).
-        assert queues[Channel.X].send_times == list(range(9))
+        assert list(queues[Channel.X].send_times) == list(range(9))
         # First three X items are the coefficients.
         assert queues[Channel.X].values[:3] == [0.0, 1.0, 2.0]
         assert all(type(v) is float for v in queues[Channel.X].values)
