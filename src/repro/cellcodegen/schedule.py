@@ -69,9 +69,6 @@ class BlockSchedule:
     #: item ids in issue order (ties broken by item id).
     order: list[int]
 
-    def items_at(self, cycle: int) -> list[SchedItem]:
-        return [item for item in self.items.values() if item.cycle == cycle]
-
 
 def _item_kind(node: Node) -> str:
     if node.op in ALU_OPS:

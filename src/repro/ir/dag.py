@@ -257,6 +257,3 @@ class Dag:
         # Order edges can reference only effect-reachable nodes by
         # construction, so no extra roots are needed.
         return [self.nodes[node_id] for node_id in sorted(alive)]
-
-    def predecessors(self, node: Node) -> list[Node]:
-        return [self.nodes[op_id] for op_id in node.operands]

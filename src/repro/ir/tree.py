@@ -63,10 +63,6 @@ class ProgramTree:
             for node in block.io_nodes():
                 yield block, node
 
-    def count_ops(self) -> int:
-        """Total number of live DAG operations (for metrics)."""
-        return sum(len(block.dag.live_nodes()) for block in self.blocks())
-
 
 def _walk_blocks(items: list[TreeNode]) -> Iterator[BasicBlock]:
     for item in items:

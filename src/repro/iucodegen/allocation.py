@@ -88,15 +88,6 @@ class AllocationPlan:
         return len(self.updates[last_var])
 
 
-def _register_sub_expression(
-    expr: AffineIndex, keep_vars: tuple[str, ...]
-) -> AffineIndex:
-    coeffs = tuple(
-        (var, coeff) for var, coeff in expr.coefficients if var in keep_vars
-    )
-    return AffineIndex(expr.constant, coeffs)
-
-
 def _build_updates(
     registers: dict[str, AffineIndex], loops: list[LoopInfo]
 ) -> tuple[dict[str, list[tuple[str, int]]], dict[str, list[tuple[str, int]]]]:
