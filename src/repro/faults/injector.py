@@ -208,7 +208,9 @@ class FaultyQueue(TimedQueue):
         self._sent_seq += 1
         if kind is FaultKind.DROP_SEND:
             return  # sent (seq consumed) but lost on the link
-        for _copy in range(2 if kind is FaultKind.DUP_SEND else 1):
+        super().enqueue(time, stored)
+        self._shadow.append((seq, _PACK.pack(value)))
+        if kind is FaultKind.DUP_SEND:
             super().enqueue(time, stored)
             self._shadow.append((seq, _PACK.pack(value)))
 

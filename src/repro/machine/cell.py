@@ -21,9 +21,10 @@ the transfer that fails.  Only the machine's checked path
 (:meth:`~repro.machine.array.WarpMachine._execute`) runs cells:
 fault-injected runs, ``repro compare``'s measurement, the reference run
 tests compare with, and the run that raises the exact error of a
-program whose static timeline fails a check.  A finished run returns the cell's
-:class:`~repro.obs.metrics.CellMetrics`, whose operation counts are the
-static per-run totals (:meth:`~repro.cellcodegen.emit.OpCounts.of_run`).
+program whose static timeline fails a check.  A finished run returns
+the cell's :class:`~repro.obs.metrics.CellMetrics`, whose operation
+counts are the static per-run totals
+(:meth:`~repro.cellcodegen.emit.OpCounts.of_run`).
 Nothing else is recorded on the way: a run's trace and block spans are
 built afterwards from its queues and start cycles
 (:mod:`repro.machine.trace`, :meth:`~repro.machine.plan.ExecutionPlan.spans`).

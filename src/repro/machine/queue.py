@@ -33,7 +33,8 @@ class TimedQueue:
 
     name: str
     capacity: int | None = None  # None = flow-controlled (host boundary)
-    send_times: list[int] = field(default_factory=list)
+    #: A ``range`` on link 0, which the host fills whole.
+    send_times: list[int] | range = field(default_factory=list)
     values: list[float] = field(default_factory=list)
     recv_times: list[int] = field(default_factory=list)
 

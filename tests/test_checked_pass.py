@@ -110,9 +110,9 @@ def test_timeline_equals_the_checked_run(assert_same_metrics, case, unroll):
 @pytest.mark.parametrize("case", SUITE, ids=[case[0] for case in SUITE])
 def test_clean_and_checked_bindings_agree(assert_same_run, case, unroll):
     """A clean traced and recorded run (values from the value path,
-    cycles from the timeline), the checked binding and a fault-free
-    injected run give the same outputs bit for bit, metrics, trace
-    (``int`` cycles) and spans, at every trace length."""
+    cycles from the timeline), the checked path's reference run and a
+    fault-free injected run give the same outputs bit for bit, metrics,
+    trace (``int`` cycles) and spans, at every trace length."""
     name, source, inputs, _reference = case
     program = compile_w2(source, unroll=unroll)
     for limit in (1, 5, 10_000):
@@ -178,8 +178,8 @@ def test_failing_run_raises_the_checked_error_once(
     break_program, error, message, record
 ):
     """A clean run of a program whose timeline fails raises the checked
-    binding's exact class and message, counts the fault once and keeps
-    no facts."""
+    path's exact class and message, counts the fault once and keeps no
+    facts."""
     program = _polynomial()
     break_program(program)
     assert not program.execution_plan.timeline()[1]
