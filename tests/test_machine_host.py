@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.compiler import compile_w2
 from repro.errors import HostDataError
-from repro.hostcodegen import generate_host_program
+from repro.hostcodegen import HostLayout, generate_host_program
 from repro.lang import Channel
 from repro.machine import TimedQueue
 from repro.machine.host import (
@@ -13,6 +16,7 @@ from repro.machine.host import (
     HostMemory,
     collect_outputs,
     feed_input_queues,
+    load_inputs,
 )
 from repro.machine.plan import ExecutionPlan
 from repro.programs import polynomial
@@ -125,3 +129,88 @@ class TestCollector:
         assert bits[0].tolist() == [np.float64(-0.0).view(np.uint64)] * 2
         assert bits[1, 1] == np.float64(np.nan).view(np.uint64)
         assert memory.buffer[1, 0] == 1.5
+
+
+def _per_item_load(layout, input_sets):
+    """The per-item loop :func:`load_inputs` ran before it loaded each
+    name in one NumPy pass: the oracle for the batched load."""
+    buffer = np.zeros((layout.words, len(input_sets)))
+    buffer[layout.literal_base : layout.discard] = np.reshape(
+        layout.literals, (-1, 1)
+    )
+    memory = HostMemory.over(layout, buffer)
+    failed = {}
+    for item, inputs in enumerate(input_sets):
+        try:
+            for name, column in memory.arrays.items():
+                if name not in inputs:
+                    continue
+                data = np.asarray(inputs[name], dtype=np.float64).ravel()
+                if data.size > len(column):
+                    raise HostDataError(
+                        f"input {name!r} has {data.size} elements; the "
+                        f"module declares {len(column)}"
+                    )
+                column[: data.size, item] = data
+        except Exception as error:  # noqa: BLE001 - recorded per item
+            failed[item] = error
+    return memory, failed
+
+
+#: Host arrays of every rank; ``never`` is given by no item.
+_LAYOUT = HostLayout(
+    {"a": (6,), "m": (2, 3), "s": (), "never": (3,), "b": (4,)},
+    literals=(1.5, -0.0),
+)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+#: The shapes one name's items share: exact, short (zero-padded),
+#: oversize, 2-D, 0-d and empty.
+_SHAPES = [(6,), (4,), (3,), (8,), (2, 3), (3, 2), (1, 6), (), (0,), (1,)]
+
+
+def _values(shape):
+    return arrays(np.float64, shape, elements=_FLOATS)
+
+
+#: An item's value that breaks from its name's shared shape: another
+#: shape (including an equal size in a different shape), a Python
+#: scalar or list, or something that does not convert.
+_ODD = st.one_of(
+    st.sampled_from(_SHAPES).flatmap(_values),
+    _FLOATS,
+    st.lists(_FLOATS, max_size=7),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=3),
+    st.sampled_from([None, "abc", "2.5", [[1.0, 2.0], [3.0]], [None]]),
+)
+
+
+@st.composite
+def _batches(draw):
+    """A batch mixing well-formed items with short, oversize, missing,
+    ragged and unconvertible ones."""
+    items = [{} for _ in range(draw(st.integers(0, 6)))]
+    for name in ("a", "m", "s", "b"):
+        shape = draw(st.sampled_from(_SHAPES))
+        for inputs in items:
+            kind = draw(st.sampled_from(["shared"] * 4 + ["missing", "odd"]))
+            if kind == "shared":
+                inputs[name] = draw(_values(shape))
+            elif kind == "odd":
+                inputs[name] = draw(_ODD)
+    return items
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches())
+def test_load_inputs_matches_per_item_loop(input_sets):
+    """Every valid item's column is bit-identical to the per-item loop's,
+    and every bad item fails with that loop's error."""
+    memory, failed = load_inputs(_LAYOUT, input_sets)
+    want, want_failed = _per_item_load(_LAYOUT, input_sets)
+    assert sorted(failed) == sorted(want_failed)
+    for item, error in want_failed.items():
+        assert type(failed[item]) is type(error)
+        assert str(failed[item]) == str(error)
+    valid = [item for item in range(len(input_sets)) if item not in failed]
+    got = memory.buffer[:, valid].view(np.uint64)
+    assert np.array_equal(got, want.buffer[:, valid].view(np.uint64))
