@@ -13,8 +13,11 @@ are data-independent, so it runs the program's value path *once* for
 the whole batch, over one NumPy column per host array
 (:meth:`~repro.machine.array.WarpMachine.run_columns`): every word
 moved and every operation evaluated carries all items' values at once.
-Only items whose inputs fail validation, and every item when that run
-raises, run one by one.
+Its work scales with host arrays and outputs, not items: each input is
+loaded for all items in one NumPy pass (only a malformed input is
+validated item by item), and each output is one ``(items, n)`` array
+whose rows are the items' outputs.  Only items whose inputs fail
+validation, and every item when that run raises, run one by one.
 
 Batched results are **bit-identical** to one-shot ``simulate`` calls,
 item for item: the runner changes where static state lives and how
@@ -257,7 +260,8 @@ class BatchRunner:
         ``input_sets`` is read exactly once, so any iterable will do."""
         started = time.perf_counter()
         input_sets = list(input_sets)
-        if self.processes > 1 and len(input_sets) > 1:
+        n_items = len(input_sets)
+        if self.processes > 1 and n_items > 1:
             answered: dict[int, SimulationResult] = {}
             outcomes = self._run_pool(input_sets)
             used = self.processes
@@ -269,9 +273,12 @@ class BatchRunner:
                 )
                 for index, inputs in enumerate(input_sets)
                 if index not in answered
-            }
+            } if len(answered) < n_items else {}
             used = 1
-        results = [answered.get(index) for index in range(len(input_sets))]
+        if len(answered) == n_items:
+            results = list(answered.values())  # in item order
+        else:
+            results = [answered.get(index) for index in range(n_items)]
         failures: list[ItemFailure] = []
         retries = 0
         for index, (outcome, n_retries) in outcomes.items():
@@ -283,10 +290,11 @@ class BatchRunner:
         wall = time.perf_counter() - started
         obs = get_telemetry()
         obs.counter("exec.batch.items", len(results))
-        obs.counter(
-            "exec.batch.cycles",
-            sum(r.total_cycles for r in results if r is not None),
-        )
+        if obs.enabled:
+            obs.counter(
+                "exec.batch.cycles",
+                sum(r.total_cycles for r in results if r is not None),
+            )
         if answered:
             obs.counter("exec.batch.value_items", len(answered))
         if len(results) > len(answered):

@@ -136,26 +136,25 @@ class WarpMachine:
     ) -> dict[int, SimulationResult]:
         """Every valid item of ``input_sets`` from one value-path run over
         NumPy columns (one ``(elements, items)`` column per host array),
-        by item index; the items left out failed input validation.
-        Results share one copy of the static facts.  A
+        by item index in item order; the items left out failed input
+        validation.  Results share one copy of the static facts.  A
         :class:`~repro.errors.SimulationError` here does not depend on
         the data, so every item would meet it on its own run too."""
         memory, failed = load_inputs(
             self._program.host_program.layout, input_sets
         )
-        valid = [item for item in range(len(input_sets)) if item not in failed]
-        if not valid:
+        if len(failed) == len(input_sets):
             return {}
         with np.errstate(all="ignore"):
             columns, metrics, _ = self._values(memory, self.plan.column_driver)
         # One contiguous (items, elements) array per output: row j is
-        # item j's output.
-        outputs = {name: out.T.copy() for name, out in columns.items()}
+        # item j's output, and one zip walks every output's rows at once.
+        names = list(columns)
+        rows = zip(*(out.T.copy() for out in columns.values()))
         return {
-            item: SimulationResult(
-                {name: out[item] for name, out in outputs.items()}, metrics
-            )
-            for item in valid
+            item: SimulationResult(dict(zip(names, row)), metrics)
+            for item, row in enumerate(rows)
+            if item not in failed
         }
 
     def _values(

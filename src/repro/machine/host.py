@@ -12,9 +12,12 @@ limit faithfully.
 Host memory is one flat float64 buffer in the word numbering of
 :class:`~repro.hostcodegen.HostLayout`: ``(words,)`` for one run, or
 ``(words, items)`` for a whole batch, filled by :func:`load_inputs`, the
-one routine that validates host inputs for both.  A channel's feed is
-one gather at static word offsets and its collection a scatter to them;
-a word is a Python float or a row holding every item's value of that word."""
+one routine that validates host inputs for both.  It loads each host
+array for all items in one NumPy pass; only an array that some items
+lack or give malformed goes item by item, to name each bad item with
+its own error.  A channel's feed is one gather at static word offsets
+and its collection a scatter to them; a word is a Python float or a row
+holding every item's value of that word."""
 
 from __future__ import annotations
 
@@ -67,21 +70,42 @@ def load_inputs(
     layout: HostLayout,
     input_sets: Sequence[dict[str, "np.ndarray"]],
 ) -> tuple[HostMemory, dict[int, Exception]]:
-    """Validate every input set, writing item ``j`` straight into column
-    ``j`` of one zeroed ``(words, items)`` buffer (short inputs are
-    zero-padded; names the module does not declare are ignored); the
-    literal words hold their literals.  Returns that memory and, by item
-    index, the error of each item that failed validation; a batch run
-    discards such an item's column."""
+    """Validate every input set into one zeroed ``(words, items)``
+    buffer, item ``j`` in column ``j`` (short inputs are zero-padded;
+    names the module does not declare are ignored); the literal words
+    hold their literals.  Returns that memory and, by item index, the
+    error of each item that failed validation; a batch run discards
+    such an item's column.
+
+    Each host array is first loaded for all items in one NumPy pass,
+    which holds when every item gives it and its items share one shape
+    that fits.  Any other array (a name some items lack, ragged, oversize
+    or unconvertible items) takes the per-item loop, which names each
+    bad item with the error of its first failing array."""
     buffer = np.zeros((layout.words, len(input_sets)))
     buffer[layout.literal_base : layout.discard] = np.reshape(
         layout.literals, (-1, 1)
     )
     memory = HostMemory.over(layout, buffer)
-    failed: dict[int, Exception] = {}
-    for item, inputs in enumerate(input_sets):
+    given = set().union(*input_sets)
+    pending: dict[str, np.ndarray] = {}
+    for name, column in memory.arrays.items():
+        if name not in given:
+            continue
         try:
-            for name, column in memory.arrays.items():
+            data = np.array(
+                [inputs[name] for inputs in input_sets], dtype=np.float64
+            ).reshape(len(input_sets), -1)
+        except Exception:  # noqa: BLE001 - the per-item loop names it
+            data = None
+        if data is None or data.shape[1] > len(column):
+            pending[name] = column
+        else:
+            column[: data.shape[1]] = data.T
+    failed: dict[int, Exception] = {}
+    for item, inputs in enumerate(input_sets if pending else ()):
+        try:
+            for name, column in pending.items():
                 if name not in inputs:
                     continue
                 data = np.asarray(inputs[name], dtype=np.float64).ravel()
