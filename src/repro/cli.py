@@ -431,6 +431,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
         f"    wall {result.wall_seconds:.3f}s, "
         f"{result.items_per_second:.1f} items/s"
     )
+    print(
+        f"    {result.value_items} items on the column run, "
+        f"{result.n_items - result.value_items} one by one"
+    )
     print(f"    {_cache_status(cache)}")
     first_ok = next((r for r in result.results if r is not None), None)
     if args.metrics_out and first_ok is not None:

@@ -284,6 +284,28 @@ class TestBatchCommand:
         for i in range(3):
             assert np.allclose(stored["dout"][i][:4], items[i])
 
+    def test_summary_splits_items_by_path(self, tmp_path, monkeypatch, capsys):
+        """One oversize item among an npz's items runs on its own (and
+        fails); the column run answers the rest.  An npz slices every
+        item from one stacked array, so the oversize item is swapped in
+        after loading."""
+        import repro.cli as cli
+
+        np.savez(tmp_path / "items.npz", din=np.arange(20.0).reshape(5, 4))
+        load = cli._batch_input_sets
+
+        def one_oversize(args, program):
+            items = load(args, program)
+            items[2] = {"din": np.zeros(17)}  # passthrough declares din[16]
+            return items
+
+        monkeypatch.setattr(cli, "_batch_input_sets", one_oversize)
+        path = str(tmp_path / "items.npz")
+        assert main(["batch", "passthrough", "--inputs", path]) == 1
+        captured = capsys.readouterr()
+        assert "4 items on the column run, 1 one by one" in captured.out
+        assert "item 2 failed after 1 attempt: HostDataError" in captured.err
+
     def test_batch_matches_run_outputs(self, tmp_path, capsys):
         """One batch item produces exactly what `run` produces."""
         run_out = tmp_path / "run.npz"
