@@ -379,13 +379,13 @@ def _batch_input_sets(args: argparse.Namespace, program) -> list[dict[str, np.nd
             arrays = {name: np.asarray(data[name]) for name in data.files}
         if not arrays:
             raise SystemExit(f"error: {args.inputs!r} contains no arrays")
-        lengths = {array.shape[0] for array in arrays.values() if array.ndim}
-        if len(lengths) != 1:
+        lengths = {array.shape[:1] for array in arrays.values()}
+        if len(lengths) != 1 or () in lengths:
             raise SystemExit(
                 "error: --inputs arrays must share one leading item axis "
-                f"(got lengths {sorted(lengths)})"
+                f"(got shapes {sorted(a.shape for a in arrays.values())})"
             )
-        n_items = lengths.pop()
+        (n_items,) = lengths.pop()
         items = [
             {name: array[i] for name, array in arrays.items()}
             for i in range(n_items)
@@ -433,7 +433,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     )
     print(
         f"    {result.value_items} items on the column run, "
-        f"{result.n_items - result.value_items} one by one"
+        f"{result.fallback_items} one by one"
     )
     print(f"    {_cache_status(cache)}")
     first_ok = next((r for r in result.results if r is not None), None)
@@ -620,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=at_least(0),
             default=0,
             metavar="N",
-            help="retry a failed item up to N times with backoff "
-            "(default: 0)",
+            help="retry a failed fault-injected or pool item up to N "
+            "times (default: 0)",
         )
 
     def add_simulation_options(p: argparse.ArgumentParser) -> None:

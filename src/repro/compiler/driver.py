@@ -169,13 +169,14 @@ def compile_w2(
         analyzed = analyze(module)
     if unroll == "auto":
         with obs.span("driver.choose-unroll"):
-            unroll = _choose_unroll_factor(analyzed, config)
+            unroll, ir, cell_code = _choose_unroll_factor(
+                analyzed, config, local_opt
+            )
         obs.counter("driver.unroll_factor", unroll)
-    del_local = not local_opt
-
-    ir, cell_code = _generate_with_demotion(
-        analyzed, config, unroll, local_opt=not del_local
-    )
+    else:
+        ir, cell_code = _generate_with_demotion(
+            analyzed, config, unroll, local_opt
+        )
 
     with obs.span("analysis.comm"):
         comm = analyze_communication(ir.tree)
@@ -190,7 +191,7 @@ def compile_w2(
         with obs.span("driver.mirror"):
             analyzed = analyze(mirror_module(module))
             ir, cell_code = _generate_with_demotion(
-                analyzed, config, unroll, local_opt=not del_local
+                analyzed, config, unroll, local_opt
             )
             comm = analyze_communication(ir.tree)
         mirrored = True
@@ -293,19 +294,24 @@ def _verify_compiled(program: CompiledProgram, obs) -> None:
         raise VerificationError(report)
 
 
-def _choose_unroll_factor(analyzed: AnalyzedModule, config: WarpConfig) -> int:
-    """Pick the unroll factor with the fastest predicted cell program
-    (schedules are static, so prediction is exact)."""
-    best_factor, best_cycles = 1, None
+def _choose_unroll_factor(
+    analyzed: AnalyzedModule, config: WarpConfig, local_opt: bool = True
+) -> tuple[int, CellProgramIR, CellCode]:
+    """The unroll factor with the fastest predicted cell program
+    (schedules are static, so prediction is exact), with the IR and
+    cell code it was measured on."""
+    kept = []
     for factor in (1, 2, 4, 8):
         try:
-            _ir, code = _generate_with_demotion(analyzed, config, factor)
+            ir, code = _generate_with_demotion(
+                analyzed, config, factor, local_opt
+            )
         except CompilationError:
             continue
-        cycles = code.total_cycles
-        if best_cycles is None or cycles < best_cycles:
-            best_factor, best_cycles = factor, cycles
-    return best_factor
+        kept.append((factor, ir, code))
+    if not kept:  # no factor compiles: raise factor 1's error
+        _generate_with_demotion(analyzed, config, 1, local_opt)
+    return min(kept, key=lambda k: k[2].total_cycles)  # the first fastest
 
 
 def _generate_with_demotion(

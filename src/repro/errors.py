@@ -96,7 +96,7 @@ class HostDataError(SimulationError):
 # The runtime detection/recovery layer (:mod:`repro.faults`,
 # :mod:`repro.exec.batch`) classifies every failure it sees into one of
 # three families.  The classification drives the batch engine's retry
-# policy: transient faults are retried with backoff, fatal faults fail
+# policy: transient faults are retried at once, fatal faults fail
 # the item immediately, and detected corruption is retried (the fault
 # that caused it may have been transient) but never silently returned.
 
@@ -108,7 +108,7 @@ class FaultError(SimulationError):
 class TransientFault(FaultError):
     """A failure that a retry may clear (a crashed or hung worker, an
     injected transient fault).  The batch engine retries these up to
-    ``max_retries`` times with backoff."""
+    ``max_retries`` times."""
 
 
 class FatalFault(FaultError):

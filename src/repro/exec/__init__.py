@@ -14,9 +14,9 @@ gives the reproduction the same shape:
   input sets through one :class:`~repro.compiler.driver.CompiledProgram`
   on a reused :class:`~repro.machine.array.WarpMachine` (preallocated
   execution plan, shared address schedule), optionally fanning items
-  out over a ``multiprocessing`` pool — with retry-with-backoff,
-  per-item timeouts and structured :class:`ItemFailure` records so a
-  failing item degrades the batch instead of crashing it.
+  out over a ``multiprocessing`` pool — with retries of fault-injected
+  and pool items, per-item timeouts and structured :class:`ItemFailure`
+  records so a failing item degrades the batch instead of crashing it.
 """
 
 from .batch import BatchResult, BatchRunner, ItemFailure

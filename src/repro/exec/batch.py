@@ -16,26 +16,29 @@ moved and every operation evaluated carries all items' values at once.
 Its work scales with host arrays and outputs, not items: each input is
 loaded for all items in one NumPy pass (only a malformed input is
 validated item by item), and each output is one ``(items, n)`` array
-whose rows are the items' outputs.  Only items whose inputs fail
-validation, and every item when that run raises, run one by one.
+whose rows are the items' outputs.  That one run decides every item:
+an item whose inputs fail validation fails with its
+:class:`~repro.errors.HostDataError`, and if the run raises, every
+other item fails with that error, which no run of its own could change.
 
 Batched results are **bit-identical** to one-shot ``simulate`` calls,
 item for item: the runner changes where static state lives and how
 values are computed, never what the machine computes.  The differential
 tests lock this down.
 
-Batches also *degrade gracefully*: an item that raises a
-:class:`~repro.errors.SimulationError` (or whose worker crashes or
-hangs) is retried up to ``max_retries`` times with exponential backoff,
-and an item that still fails yields a structured :class:`ItemFailure`
-record in ``BatchResult.failures`` — never a crashed batch, and never a
-silently wrong answer.  :meth:`BatchRunner.run_item` is the one
-attempt loop behind that policy, for serial items, pool items and
-``repro run`` alike.  ``item_timeout`` bounds each pool item's wall
-time (a hung worker surfaces as
-:class:`~repro.errors.ItemTimeoutError`).  ``faults`` threads a
-deterministic :class:`~repro.faults.InjectionPlan` through every item
-and worker — see ``docs/robustness.md``.
+Batches also *degrade gracefully*: a failing item yields a structured
+:class:`ItemFailure` record in ``BatchResult.failures`` — never a
+crashed batch, and never a silently wrong answer.  Only a run whose
+outcome can change is retried, at once, up to ``max_retries`` times: a
+fault-injected item (its faults are keyed on the attempt) or a pool
+item (a dead or hung worker is replaced).  Those batches validate every
+item first, so an item with invalid inputs fails once and is never run.
+:meth:`BatchRunner.run_item` is the one attempt loop behind that
+policy, for fault-injected serial items, pool items and ``repro run
+--inject`` alike.  ``item_timeout`` bounds each pool item's wall time
+(a hung worker surfaces as :class:`~repro.errors.ItemTimeoutError`).
+``faults`` threads a deterministic :class:`~repro.faults.InjectionPlan`
+through every item and worker — see ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..machine.array import SimulationResult, WarpMachine
+from ..machine.host import load_inputs
 from ..obs import get_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
@@ -65,9 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from ..faults.plan import InjectionPlan
 
 InputSet = dict[str, np.ndarray]
-
-#: Backoff ceiling between retries, seconds.
-_MAX_BACKOFF = 1.0
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,12 @@ class ItemFailure:
     message: str
     attempts: int
     fault_report: tuple[str, ...] = ()
+
+    @classmethod
+    def of(cls, index: int, error: Exception, attempts: int = 1, report=()):
+        """The record of item ``index`` ending in ``error``."""
+        name, message = type(error).__name__, str(error)
+        return cls(index, name, message, attempts, tuple(report))
 
     def describe(self) -> str:
         plural = "s" if self.attempts != 1 else ""
@@ -111,9 +118,11 @@ class BatchResult:
     failures: list[ItemFailure] = field(default_factory=list)
     #: Total retries performed across the batch.
     retries: int = 0
-    #: Items answered by the batch's one run over NumPy columns; every
-    #: other item had a cycle-accurate run of its own.
+    #: Items decided by the batch's one run over NumPy columns.
     value_items: int = 0
+    #: Items run one by one (fault-injected and pool batches); an item
+    #: whose inputs fail validation is never run.
+    fallback_items: int = 0
 
     @property
     def n_items(self) -> int:
@@ -201,13 +210,6 @@ def _run_worker_item(task: tuple[int, int, InputSet]) -> SimulationResult:
     return _worker_machine.run(inputs, faults=injector)
 
 
-def _is_retryable(error: SimulationError) -> bool:
-    """Fatal faults are structural, so a retry cannot clear them; every
-    other simulation error (a transient fault, detected corruption, a
-    dead or hung worker) may be scoped to one attempt."""
-    return not isinstance(error, FatalFault)
-
-
 class BatchRunner:
     """Stream many input sets through one compiled program.
 
@@ -215,12 +217,13 @@ class BatchRunner:
     machine.  ``processes=N`` with N > 1 fans items out over a pool of
     N workers; results still come back in item order.
 
-    ``max_retries`` retries a failed item (transient faults, crashed or
-    hung workers) with exponential backoff starting at
-    ``retry_backoff`` seconds; ``item_timeout`` bounds each item's wall
-    time in pool mode (in-process runs cannot be preempted, so the
-    timeout applies to simulated hangs only).  Items that exhaust their
-    retries become :class:`ItemFailure` records, never exceptions.
+    ``max_retries`` retries a failed fault-injected or pool item
+    (transient faults, crashed or hung workers) at once; a fault-free
+    serial batch has nothing to retry.  ``item_timeout`` bounds each
+    item's wall time in pool mode (in-process runs cannot be preempted,
+    so the timeout applies to simulated hangs only).  Items that
+    exhaust their retries become :class:`ItemFailure` records, never
+    exceptions.
     """
 
     def __init__(
@@ -230,7 +233,6 @@ class BatchRunner:
         faults: "InjectionPlan | None" = None,
         max_retries: int = 0,
         item_timeout: float | None = None,
-        retry_backoff: float = 0.05,
     ):
         if processes < 0:
             raise ValueError("processes must be >= 0")
@@ -244,7 +246,6 @@ class BatchRunner:
         self.faults = faults
         self.max_retries = max_retries
         self.item_timeout = item_timeout
-        self.retry_backoff = retry_backoff
 
     @property
     def program(self) -> "CompiledProgram":
@@ -260,57 +261,29 @@ class BatchRunner:
         ``input_sets`` is read exactly once, so any iterable will do."""
         started = time.perf_counter()
         input_sets = list(input_sets)
-        n_items = len(input_sets)
-        if self.processes > 1 and n_items > 1:
-            answered: dict[int, SimulationResult] = {}
-            outcomes = self._run_pool(input_sets)
-            used = self.processes
+        pooled = self.processes > 1 and len(input_sets) > 1
+        if self.faults is None and not pooled:
+            results, errors = self._machine.run_columns(input_sets)
+            batch = BatchResult(
+                results,
+                0.0,
+                failures=[ItemFailure.of(i, e) for i, e in errors.items()],
+                value_items=len(results),
+            )
         else:
-            answered = self._run_columns(input_sets)
-            outcomes = {
-                index: self.run_item(
-                    index, functools.partial(self._attempt, inputs)
-                )
-                for index, inputs in enumerate(input_sets)
-                if index not in answered
-            } if len(answered) < n_items else {}
-            used = 1
-        if len(answered) == n_items:
-            results = list(answered.values())  # in item order
-        else:
-            results = [answered.get(index) for index in range(n_items)]
-        failures: list[ItemFailure] = []
-        retries = 0
-        for index, (outcome, n_retries) in outcomes.items():
-            retries += n_retries
-            if isinstance(outcome, ItemFailure):
-                failures.append(outcome)
-            else:
-                results[index] = outcome
-        wall = time.perf_counter() - started
+            batch = self._run_each(input_sets, pooled)
+        batch.wall_seconds = time.perf_counter() - started
         obs = get_telemetry()
-        obs.counter("exec.batch.items", len(results))
+        obs.counter("exec.batch.items", batch.n_items)
         if obs.enabled:
-            obs.counter(
-                "exec.batch.cycles",
-                sum(r.total_cycles for r in results if r is not None),
-            )
-        if answered:
-            obs.counter("exec.batch.value_items", len(answered))
-        if len(results) > len(answered):
-            obs.counter(
-                "exec.batch.fallback_items", len(results) - len(answered)
-            )
-        if failures:
-            obs.counter("exec.batch.failures", len(failures))
-        return BatchResult(
-            results=results,
-            wall_seconds=wall,
-            processes=used,
-            failures=failures,
-            retries=retries,
-            value_items=len(answered),
-        )
+            obs.counter("exec.batch.cycles", batch.total_cycles)
+        if batch.value_items:
+            obs.counter("exec.batch.value_items", batch.value_items)
+        if batch.fallback_items:
+            obs.counter("exec.batch.fallback_items", batch.fallback_items)
+        if batch.failures:
+            obs.counter("exec.batch.failures", batch.n_failures)
+        return batch
 
     def run_item(
         self,
@@ -325,9 +298,9 @@ class BatchRunner:
         ``attempt(retried, injector)`` makes one attempt, given the
         errors of the attempts before it (``len(retried)`` is the attempt
         number) and that attempt's injector (``None`` without faults).
-        A :class:`~repro.errors.SimulationError` is retried after an
-        exponential backoff until ``max_retries`` is spent, unless it is
-        a :class:`~repro.errors.FatalFault`; then the item becomes an
+        A :class:`~repro.errors.SimulationError` is retried at once until
+        ``max_retries`` is spent, unless it is a
+        :class:`~repro.errors.FatalFault`; then the item becomes an
         :class:`ItemFailure`.  Any other exception is a programming
         error and keeps its traceback."""
         retried: list[SimulationError] = []
@@ -342,58 +315,61 @@ class BatchRunner:
             try:
                 return attempt(retried, injector), len(retried)
             except SimulationError as error:
+                # A fatal fault is structural: no retry can clear it.
                 spent = len(retried) == self.max_retries
-                if spent or not _is_retryable(error):
-                    failure = ItemFailure(
-                        index=index,
-                        error_type=type(error).__name__,
-                        message=str(error),
-                        attempts=len(retried) + 1,
-                        fault_report=tuple(
-                            injector.report() if injector else ()
-                        ),
+                if spent or isinstance(error, FatalFault):
+                    report = injector.report() if injector else ()
+                    failure = ItemFailure.of(
+                        index, error, len(retried) + 1, report
                     )
                     return failure, len(retried)
                 retried.append(error)
                 get_telemetry().counter("retry.count")
-                if self.retry_backoff > 0:
-                    backoff = self.retry_backoff * 2 ** len(retried)
-                    time.sleep(min(backoff, _MAX_BACKOFF))
+
+    def _run_each(
+        self, input_sets: Sequence[InputSet], pooled: bool
+    ) -> BatchResult:
+        """A fault-injected or pool batch: every item validated once,
+        then each valid item on its own run under the retry policy.  An
+        item whose inputs fail validation is an :class:`ItemFailure`
+        after that one attempt, never run."""
+        layout = self._program.host_program.layout
+        _, invalid = load_inputs(layout, input_sets)
+        valid = [i for i in range(len(input_sets)) if i not in invalid]
+        if pooled:
+            ran = self._run_pool(input_sets, valid)
+        else:
+            ran = {
+                i: self.run_item(i, functools.partial(self._attempt, inputs))
+                for i, inputs in enumerate(input_sets)
+                if i not in invalid
+            }
+        ran.update((i, (ItemFailure.of(i, e), 0)) for i, e in invalid.items())
+        batch = BatchResult(
+            [None] * len(input_sets), 0.0, self.processes if pooled else 1,
+            fallback_items=len(valid),
+        )
+        for index, (outcome, retries) in sorted(ran.items()):
+            batch.retries += retries
+            if isinstance(outcome, ItemFailure):
+                batch.failures.append(outcome)
+            else:
+                batch.results[index] = outcome
+        return batch
 
     # Serial path ---------------------------------------------------------
 
     def _attempt(
         self, inputs: InputSet, _retried: list, injector
     ) -> SimulationResult:
-        """One attempt on the reused machine (checked when faulted)."""
-        if injector is not None:
-            self._simulate_worker_fault(injector)
-        return self._machine.run(inputs, faults=injector)
-
-    def _run_columns(
-        self, input_sets: Sequence[InputSet]
-    ) -> dict[int, SimulationResult]:
-        """Answer the valid items of a fault-free batch from one run over
-        NumPy columns, by item index.
-
-        Items left out (invalid inputs), every item of a fault-injected
-        batch and every item of a batch whose column run raises take one
-        run each, which reproduces their errors and retries exactly."""
-        if self.faults is not None or not input_sets:
-            return {}
-        try:
-            return self._machine.run_columns(input_sets)
-        except SimulationError:
-            return {}  # data-independent: each item's own run raises it
-
-    def _simulate_worker_fault(self, injector) -> None:
-        """In-process stand-ins for worker kill/hang faults, so serial
+        """One fault-injected (so checked) attempt on the reused machine,
+        with in-process stand-ins for worker kill/hang faults, so serial
         runs exercise the same plans deterministically."""
         from ..faults.plan import FaultKind
 
         spec = injector.worker_action()
         if spec is None:
-            return
+            return self._machine.run(inputs, faults=injector)
         if spec.kind is FaultKind.WORKER_KILL:
             raise WorkerCrashError(
                 "worker process died running this item (simulated "
@@ -407,7 +383,7 @@ class BatchRunner:
     # Pool path -----------------------------------------------------------
 
     def _run_pool(
-        self, input_sets: Sequence[InputSet]
+        self, input_sets: Sequence[InputSet], items: list[int]
     ) -> dict[int, tuple[SimulationResult | ItemFailure, int]]:
         blob = pickle.dumps(self._program, protocol=pickle.HIGHEST_PROTOCOL)
         plan_doc = self.faults.to_json() if self.faults is not None else None
@@ -420,10 +396,12 @@ class BatchRunner:
             initializer=_init_worker,
             initargs=(blob, plan_doc),
         ) as pool:
-            pending = [
-                pool.apply_async(_run_worker_item, ((index, 0, inputs),))
-                for index, inputs in enumerate(input_sets)
-            ]
+            pending = {
+                index: pool.apply_async(
+                    _run_worker_item, ((index, 0, input_sets[index]),)
+                )
+                for index in items
+            }
 
             def attempt(index: int, retried: list, _injector):
                 """Collect item ``index`` from its worker, resubmitted on
@@ -445,5 +423,5 @@ class BatchRunner:
 
             return {
                 index: self.run_item(index, functools.partial(attempt, index))
-                for index in range(len(input_sets))
+                for index in items
             }

@@ -18,8 +18,8 @@ bounds are tight and that the engine fails loudly, never silently:
   :class:`~repro.errors.SilentCorruptionDetected`.
 
 Detection pairs with recovery: the batch engine
-(:class:`repro.exec.BatchRunner`) retries transient faults with backoff
-and reports unrecoverable items as structured failure records; see
+(:class:`repro.exec.BatchRunner`) retries transient faults at once and
+reports unrecoverable items as structured failure records; see
 ``docs/robustness.md`` for the full taxonomy and how to reproduce any
 injection from its seed.
 """

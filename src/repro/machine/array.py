@@ -133,29 +133,35 @@ class WarpMachine:
 
     def run_columns(
         self, input_sets: Sequence[dict[str, np.ndarray]]
-    ) -> dict[int, SimulationResult]:
-        """Every valid item of ``input_sets`` from one value-path run over
-        NumPy columns (one ``(elements, items)`` column per host array),
-        by item index in item order; the items left out failed input
-        validation.  Results share one copy of the static facts.  A
-        :class:`~repro.errors.SimulationError` here does not depend on
-        the data, so every item would meet it on its own run too."""
-        memory, failed = load_inputs(
-            self._program.host_program.layout, input_sets
-        )
-        if len(failed) == len(input_sets):
-            return {}
-        with np.errstate(all="ignore"):
-            columns, metrics, _ = self._values(memory, self.plan.column_driver)
+    ) -> tuple[list[SimulationResult | None], dict[int, SimulationError]]:
+        """Every item of ``input_sets`` from one value-path run over NumPy
+        columns (one ``(elements, items)`` column per host array): the
+        results in item order, ``None`` for an item without one, and by
+        item index the error of each such item.  An item that fails
+        input validation keeps its :func:`load_inputs` error; if the run
+        raises a :class:`~repro.errors.SimulationError`, every other
+        item gets that error, which does not depend on the data.
+        Results share one copy of the static facts."""
+        layout = self._program.host_program.layout
+        memory, errors = load_inputs(layout, input_sets)
+        items = range(len(input_sets))
+        if len(errors) == len(items):
+            return [None] * len(items), errors
+        try:
+            with np.errstate(all="ignore"):
+                columns, metrics, _ = self._values(memory, self.plan.column_driver)
+        except SimulationError as error:
+            errors = {item: errors.get(item, error) for item in items}
+            return [None] * len(items), errors
         # One contiguous (items, elements) array per output: row j is
         # item j's output, and one zip walks every output's rows at once.
         names = list(columns)
         rows = zip(*(out.T.copy() for out in columns.values()))
-        return {
-            item: SimulationResult(dict(zip(names, row)), metrics)
+        return [
+            None if item in errors
+            else SimulationResult(dict(zip(names, row)), metrics)
             for item, row in enumerate(rows)
-            if item not in failed
-        }
+        ], errors
 
     def _values(
         self,

@@ -69,13 +69,14 @@ class HostMemory:
 def load_inputs(
     layout: HostLayout,
     input_sets: Sequence[dict[str, "np.ndarray"]],
-) -> tuple[HostMemory, dict[int, Exception]]:
+) -> tuple[HostMemory, dict[int, HostDataError]]:
     """Validate every input set into one zeroed ``(words, items)``
     buffer, item ``j`` in column ``j`` (short inputs are zero-padded;
     names the module does not declare are ignored); the literal words
     hold their literals.  Returns that memory and, by item index, the
-    error of each item that failed validation; a batch run discards
-    such an item's column.
+    :class:`~repro.errors.HostDataError` of each item that failed
+    validation (an oversize input, or one that does not convert to
+    float); a batch run discards such an item's column.
 
     Each host array is first loaded for all items in one NumPy pass,
     which holds when every item gives it and its items share one shape
@@ -102,20 +103,25 @@ def load_inputs(
             pending[name] = column
         else:
             column[: data.shape[1]] = data.T
-    failed: dict[int, Exception] = {}
+    failed: dict[int, HostDataError] = {}
     for item, inputs in enumerate(input_sets if pending else ()):
         try:
             for name, column in pending.items():
                 if name not in inputs:
                     continue
-                data = np.asarray(inputs[name], dtype=np.float64).ravel()
+                try:
+                    data = np.asarray(inputs[name], dtype=np.float64).ravel()
+                except (TypeError, ValueError, OverflowError) as error:
+                    raise HostDataError(
+                        f"input {name!r} does not convert to float: {error}"
+                    ) from None
                 if data.size > len(column):
                     raise HostDataError(
                         f"input {name!r} has {data.size} elements; the "
                         f"module declares {len(column)}"
                     )
                 column[: data.size, item] = data
-        except Exception as error:  # noqa: BLE001 - each item's run re-raises
+        except HostDataError as error:
             failed[item] = error
     return memory, failed
 

@@ -248,6 +248,6 @@ def metrics_to_json(
             "wall_seconds": batch.wall_seconds,
             "items_per_second": batch.items_per_second,
             "value_items": batch.value_items,
-            "fallback_items": batch.n_items - batch.value_items,
+            "fallback_items": batch.fallback_items,
         }
     return document

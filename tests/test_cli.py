@@ -285,10 +285,10 @@ class TestBatchCommand:
             assert np.allclose(stored["dout"][i][:4], items[i])
 
     def test_summary_splits_items_by_path(self, tmp_path, monkeypatch, capsys):
-        """One oversize item among an npz's items runs on its own (and
-        fails); the column run answers the rest.  An npz slices every
-        item from one stacked array, so the oversize item is swapped in
-        after loading."""
+        """The column run decides every item of a fault-free batch, an
+        oversize one too (it fails validation once).  An npz slices
+        every item from one stacked array, so the oversize item is
+        swapped in after loading."""
         import repro.cli as cli
 
         np.savez(tmp_path / "items.npz", din=np.arange(20.0).reshape(5, 4))
@@ -303,8 +303,18 @@ class TestBatchCommand:
         path = str(tmp_path / "items.npz")
         assert main(["batch", "passthrough", "--inputs", path]) == 1
         captured = capsys.readouterr()
-        assert "4 items on the column run, 1 one by one" in captured.out
+        assert "5 items on the column run, 0 one by one" in captured.out
         assert "item 2 failed after 1 attempt: HostDataError" in captured.err
+
+    def test_unconvertible_item_is_an_item_failure(self, tmp_path, capsys):
+        din = np.array([["1", "2"], ["abc", "3"], ["4", "5"]])
+        np.savez(tmp_path / "s.npz", din=din)
+        path = str(tmp_path / "s.npz")
+        assert main(["batch", "passthrough", "--inputs", path]) == 1
+        assert (
+            "item 1 failed after 1 attempt: HostDataError: input 'din' "
+            "does not convert to float"
+        ) in capsys.readouterr().err
 
     def test_batch_matches_run_outputs(self, tmp_path, capsys):
         """One batch item produces exactly what `run` produces."""
@@ -348,6 +358,12 @@ class TestBatchCommand:
         )
         with pytest.raises(SystemExit) as info:
             main(["batch", "polynomial", "--inputs", str(tmp_path / "bad.npz")])
+        assert "leading item axis" in str(info.value)
+
+    def test_zero_d_array_beside_item_axes_is_a_clear_error(self, tmp_path):
+        np.savez(tmp_path / "z.npz", din=np.array(1.0), c=np.zeros((2, 3)))
+        with pytest.raises(SystemExit) as info:
+            main(["batch", "passthrough", "--inputs", str(tmp_path / "z.npz")])
         assert "leading item axis" in str(info.value)
 
     def test_missing_inputs_file(self, tmp_path):

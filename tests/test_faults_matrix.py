@@ -259,7 +259,6 @@ class TestWorkerFaults:
             faults=plan,
             max_retries=2,
             item_timeout=10.0,
-            retry_backoff=0.0,
         )
         batch = runner.run(items)
         assert batch.ok, [f.describe() for f in batch.failures]
@@ -277,9 +276,9 @@ class TestWorkerFaults:
         plan = InjectionPlan(
             specs=(FaultSpec(kind=kind, item=0, attempts=1),)
         )
-        batch = BatchRunner(
-            program, faults=plan, max_retries=1, retry_backoff=0.0
-        ).run([dict(inputs), dict(inputs)])
+        batch = BatchRunner(program, faults=plan, max_retries=1).run(
+            [dict(inputs), dict(inputs)]
+        )
         assert batch.ok
         assert batch.retries == 1
         for result in batch.results:
@@ -301,9 +300,9 @@ class TestWorkerFaults:
                 ),
             )
         )
-        batch = BatchRunner(
-            program, faults=plan, max_retries=1, retry_backoff=0.0
-        ).run([dict(inputs) for _ in range(3)])
+        batch = BatchRunner(program, faults=plan, max_retries=1).run(
+            [dict(inputs) for _ in range(3)]
+        )
         assert not batch.ok
         assert [f.index for f in batch.failures] == [1]
         failure = batch.failures[0]

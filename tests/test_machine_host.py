@@ -145,14 +145,19 @@ def _per_item_load(layout, input_sets):
             for name, column in memory.arrays.items():
                 if name not in inputs:
                     continue
-                data = np.asarray(inputs[name], dtype=np.float64).ravel()
+                try:
+                    data = np.asarray(inputs[name], dtype=np.float64).ravel()
+                except (TypeError, ValueError, OverflowError) as error:
+                    raise HostDataError(
+                        f"input {name!r} does not convert to float: {error}"
+                    ) from None
                 if data.size > len(column):
                     raise HostDataError(
                         f"input {name!r} has {data.size} elements; the "
                         f"module declares {len(column)}"
                     )
                 column[: data.size, item] = data
-        except Exception as error:  # noqa: BLE001 - recorded per item
+        except HostDataError as error:
             failed[item] = error
     return memory, failed
 

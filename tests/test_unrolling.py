@@ -116,6 +116,31 @@ class TestUnrollPerformance:
             program = compile_w2(polynomial(24, 4), unroll=unroll)
             simulate(program, {"z": z, "c": c})  # raises on violation
 
+    @pytest.mark.parametrize("local_opt", [True, False])
+    def test_auto_keeps_the_code_it_measured(self, monkeypatch, local_opt):
+        """``unroll="auto"`` generates each tried factor's cell code once
+        and keeps the winner's, built with the caller's ``local_opt``:
+        it equals a compile at the chosen fixed factor."""
+        from repro import obs
+        from repro.compiler import driver
+
+        calls = []
+        generate = driver.generate_cell_code
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "generate_cell_code", counting)
+        source = polynomial(16, 8)
+        with obs.collecting() as telemetry:
+            auto = compile_w2(source, unroll="auto", local_opt=local_opt)
+        assert len(calls) == 4  # factors 1, 2, 4 and 8
+        factor = telemetry.counters["driver.unroll_factor"]
+        fixed = compile_w2(source, unroll=factor, local_opt=local_opt)
+        assert auto.cell_code.n_instructions == fixed.cell_code.n_instructions
+        assert auto.cell_code.total_cycles == fixed.cell_code.total_cycles
+
 
 @st.composite
 def unroll_cases(draw):

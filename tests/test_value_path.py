@@ -240,17 +240,18 @@ class TestFailingCheck:
         assert program.execution_plan.facts is None
 
     def test_batch_fails_each_item_like_the_checked_path(self, program):
+        """The one column run decides every item: each fails with the
+        checked run's error after one attempt, with no retry."""
         items = _items(3)
-        runner = BatchRunner(program, max_retries=1, retry_backoff=0)
-        batched = runner.run(items)
+        batched = BatchRunner(program, max_retries=1).run(items)
         with pytest.raises(Exception) as checked:
             checked_run(program, items[0])
-        assert batched.value_items == 0
+        assert batched.value_items == 3 and batched.retries == 0
         assert [f.index for f in batched.failures] == [0, 1, 2]
         for failure in batched.failures:
             assert failure.error_type == type(checked.value).__name__
             assert failure.message == str(checked.value)
-            assert failure.attempts == 2
+            assert failure.attempts == 1
 
 
 class TestObservability:

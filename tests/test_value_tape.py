@@ -2,15 +2,16 @@
 program once, over one NumPy column per host array, instead of once per
 item.
 
-The contract: every item the column run answers is bit-identical to its
-own cycle-accurate run, static facts included, and every item it cannot
-answer (invalid inputs, or all items when the column run raises) behaves
-exactly as it does on the cycle path — same exception, same
-``ItemFailure``, same retry count.
+The contract: that one run decides every item.  Each item it answers is
+bit-identical to its own checked cycle-accurate run, static facts
+included, and each item it fails (invalid inputs, or every item when
+the column run raises) ends with that checked run's exception class and
+message, as an ``ItemFailure`` after one attempt and no retry.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -21,12 +22,12 @@ from hypothesis import strategies as st
 
 from repro import compile_w2, obs
 from repro.analysis.local_opt import column_evaluator, pure_evaluator
-from repro.errors import QueueUnderflowError
-from repro.exec import BatchRunner
+from repro.errors import SimulationError
+from repro.exec import BatchResult, BatchRunner, ItemFailure
 from repro.faults import FaultKind, FaultSpec, InjectionPlan
 from repro.ir.dag import OpKind
 from repro.lang import analyze, parse_module
-from repro.machine import WarpMachine, interpret, simulate
+from repro.machine import ExecutionPlan, WarpMachine, interpret, simulate
 from repro.machine import plan as plan_module
 from repro.programs import colorseg, mandelbrot, polynomial
 
@@ -92,39 +93,29 @@ def _program(name: str):
     return _compiled[name]
 
 
-def _cycle_runner(program, **kwargs) -> BatchRunner:
-    """A runner whose column run answers no item, so every item takes
-    its own checked cycle-accurate run: the reference for the value
-    path (a fault-injected run is checked on its own)."""
-    runner = BatchRunner(program, **kwargs)
-    runner._run_columns = lambda input_sets: {}
-
-    def attempt(inputs, _retried, injector):
-        if injector is None:
-            return checked_run(program, inputs)
-        return runner.machine.run(inputs, record=True, faults=injector)
-
-    runner._attempt = attempt
-    return runner
-
-
-def _outcome(runner: BatchRunner, items):
-    try:
-        return runner.run(items)
-    except Exception as error:  # noqa: BLE001 - compared, not hidden
-        return error
+def _cycle_runner(program, items) -> BatchResult:
+    """The per-item checked reference of a fault-free batch: each item's
+    own cycle-accurate checked run, and for each item that raises, an
+    ``ItemFailure`` after that one attempt (schedules are
+    data-independent, so a retry would raise the same error)."""
+    batch = BatchResult([], 0.0)
+    for index, inputs in enumerate(items):
+        try:
+            batch.results.append(checked_run(program, inputs))
+        except SimulationError as error:
+            batch.results.append(None)
+            batch.failures.append(
+                ItemFailure(index, type(error).__name__, str(error), 1)
+            )
+    return batch
 
 
 def _assert_same_outcome(program, items, assert_same_run, **kwargs):
-    value = _outcome(BatchRunner(program, **kwargs), items)
-    cycle = _outcome(_cycle_runner(program, **kwargs), items)
-    if isinstance(cycle, Exception):
-        assert type(value) is type(cycle)
-        assert str(value) == str(cycle)
-        return
-    assert not isinstance(value, Exception), value
+    value = BatchRunner(program, **kwargs).run(items)
+    cycle = _cycle_runner(program, items)
     assert value.failures == cycle.failures
-    assert value.retries == cycle.retries
+    assert value.retries == 0
+    assert value.value_items == len(items)
     for item, got, expected in zip(items, value.results, cycle.results):
         assert (got is None) == (expected is None)
         if expected is not None:
@@ -198,11 +189,7 @@ class TestSpecialValues:
         items = data.draw(batches(PROGRAMS[name][1]))
         retries = data.draw(st.integers(0, 2))
         _assert_same_outcome(
-            program,
-            items,
-            assert_same_run,
-            max_retries=retries,
-            retry_backoff=0,
+            program, items, assert_same_run, max_retries=retries
         )
 
     def test_zero_divisor_bitwise_equal_on_every_path(self):
@@ -235,16 +222,16 @@ class TestSpecialValues:
         ok = {"a": np.arange(1.0, 5.0), "b": np.arange(2.0, 6.0)}
         oversize = {"a": np.arange(5.0), "b": np.ones(4)}
         items = [ok, oversize, ok]
-        value = BatchRunner(program, max_retries=2, retry_backoff=0).run(items)
-        cycle = _cycle_runner(program, max_retries=2, retry_backoff=0).run(items)
+        value = BatchRunner(program, max_retries=2).run(items)
+        cycle = _cycle_runner(program, items)
         assert value.failures == cycle.failures
         (failure,) = value.failures
         assert (failure.index, failure.error_type, failure.attempts) == (
             1,
             "HostDataError",
-            3,
+            1,
         )
-        assert value.retries == cycle.retries == 2
+        assert value.retries == 0
         assert value.results[1] is None
 
 
@@ -282,13 +269,16 @@ class TestBatchRunnerPaths:
             assert_same_run(got, expected)
 
     def test_counters_show_each_items_path(self, poly):
+        """The column run decides every item, the invalid one too; no
+        item runs one by one."""
         items = _items(5)
-        items[2] = {"z": np.zeros(13)}  # oversize: the cycle path fails it
+        items[2] = {"z": np.zeros(13)}  # oversize: fails validation
         with obs.collecting() as telemetry:
             batched = BatchRunner(poly).run(items)
-        assert batched.value_items == 4
-        assert telemetry.counters["exec.batch.value_items"] == 4
-        assert telemetry.counters["exec.batch.fallback_items"] == 1
+        assert batched.value_items == 5 and batched.fallback_items == 0
+        assert [f.index for f in batched.failures] == [2]
+        assert telemetry.counters["exec.batch.value_items"] == 5
+        assert "exec.batch.fallback_items" not in telemetry.counters
 
     def test_fault_injected_batch_stays_cycle_accurate(self, poly):
         plan = InjectionPlan(
@@ -302,6 +292,84 @@ class TestBatchRunnerPaths:
         assert batched.value_items == 0
         assert telemetry.counters["exec.batch.fallback_items"] == 3
         assert "exec.batch.value_items" not in telemetry.counters
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("mode", ["serial", "faulted", "pool"])
+    def test_invalid_items_fail_once_unrun(
+        self, poly, monkeypatch, assert_same_run, mode
+    ):
+        """Oversize and unconvertible items fail validation once, with a
+        ``HostDataError`` after one attempt, and never reach
+        ``WarpMachine.run``, on every batch path (a pool worker forks
+        with the spy in place); valid items equal one-shot runs."""
+        items = _items(4)
+        items[1] = {"z": np.zeros(13), "bad": True}  # oversize
+        items[3] = {"c": ["abc", 1.0, 2.0, 3.0], "bad": True}
+        run = WarpMachine.run
+
+        def valid_only(machine, inputs, *args, **kwargs):
+            assert "bad" not in inputs, "an invalid item was run"
+            return run(machine, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(WarpMachine, "run", valid_only)
+        kwargs = {
+            "serial": {},
+            "faulted": {"faults": InjectionPlan()},
+            "pool": {"processes": 2},
+        }[mode]
+        batched = BatchRunner(poly, max_retries=2, **kwargs).run(items)
+        failures = [
+            (f.index, f.error_type, f.attempts) for f in batched.failures
+        ]
+        assert failures == [(1, "HostDataError", 1), (3, "HostDataError", 1)]
+        assert "does not convert to float" in batched.failures[1].message
+        assert batched.retries == 0
+        assert batched.fallback_items == (0 if mode == "serial" else 2)
+        for index in (0, 2):
+            one_shot = simulate(poly, items[index])
+            assert_same_run(batched.results[index], one_shot)
+
+    def test_failing_program_is_decided_by_one_column_run(self, monkeypatch):
+        """A fault-free batch of a program whose skew is one too low
+        checks its timeline once and makes one checked run (on zeroed
+        inputs) for the whole batch, not one per item per attempt: every
+        item fails with the checked run's error after one attempt."""
+        program = compile_w2(polynomial(16, 8), unroll="auto")
+        program.skew = dataclasses.replace(
+            program.skew, skew=program.skew.skew - 1
+        )
+        calls = []
+        timeline, execute = ExecutionPlan.timeline, WarpMachine._execute
+
+        def counted(name, method):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(
+            ExecutionPlan, "timeline", counted("timeline", timeline)
+        )
+        monkeypatch.setattr(
+            WarpMachine, "_execute", counted("execute", execute)
+        )
+        rng = np.random.default_rng(11)
+        items = [
+            {"z": rng.standard_normal(16), "c": rng.standard_normal(8)}
+            for _ in range(1000)
+        ]
+        batched = BatchRunner(program, max_retries=2).run(items)
+        assert calls == ["timeline", "execute"]
+        with pytest.raises(SimulationError) as checked:
+            checked_run(program, items[0])
+        want = (type(checked.value).__name__, str(checked.value), 1)
+        assert batched.results == [None] * len(items)
+        assert batched.retries == 0
+        assert [f.index for f in batched.failures] == list(range(len(items)))
+        for failure in batched.failures:
+            got = (failure.error_type, failure.message, failure.attempts)
+            assert got == want
 
     @pytest.mark.timeout(120)
     def test_pool_batch_stays_cycle_accurate(self, poly, assert_same_run):
@@ -351,29 +419,24 @@ class TestBatchRunnerPaths:
         assert built == ["untimed", "timed", "untimed"]
         assert runner.machine.plan.column_driver is drive
 
-    def test_unrecordable_program_runs_on_cycle_path(
-        self, poly, monkeypatch, assert_same_run
-    ):
-        """A column run that raises (a data-independent failure) sends
-        every item to its own run, with that path's failures, retries
-        and results."""
-        def fail(machine, input_sets):
-            raise QueueUnderflowError("link1.X: dequeue at cycle 0")
-
-        monkeypatch.setattr(WarpMachine, "run_columns", fail)
+    def test_unrecordable_program_runs_on_cycle_path(self):
+        """A program whose column run raises (a data-independent
+        failure: its skew lowered by one) fails every valid item with
+        that error, as each item's own checked run does, after one
+        attempt; the invalid item keeps its validation error."""
+        program = compile_w2(polynomial(12, 4))
+        program.skew = dataclasses.replace(
+            program.skew, skew=program.skew.skew - 1
+        )
         items = _items(3)
         items[1] = {"z": np.zeros(13)}  # oversize: an ItemFailure
-        kwargs = {"max_retries": 1, "retry_backoff": 0}
         with obs.collecting() as telemetry:
-            batched = BatchRunner(poly, **kwargs).run(items)
-        assert telemetry.counters["exec.batch.fallback_items"] == 3
-        assert batched.value_items == 0
-        cycle = _cycle_runner(poly, **kwargs).run(items)
+            batched = BatchRunner(program, max_retries=1).run(items)
+        assert "exec.batch.fallback_items" not in telemetry.counters
+        assert batched.value_items == 3 and batched.retries == 0
+        cycle = _cycle_runner(program, items)
         assert batched.failures == cycle.failures
-        assert [f.index for f in batched.failures] == [1]
-        assert batched.retries == cycle.retries == 1
-        assert batched.results[1] is None
-        for index in (0, 2):
-            assert_same_run(batched.results[index], cycle.results[index])
-            one_shot = simulate(poly, items[index])
-            assert_same_run(batched.results[index], one_shot)
+        assert [f.error_type for f in batched.failures] == [
+            "QueueUnderflowError", "HostDataError", "QueueUnderflowError",
+        ]
+        assert batched.results == cycle.results == [None] * 3
