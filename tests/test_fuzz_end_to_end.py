@@ -110,8 +110,11 @@ class TestFuzzedPipelines:
         expected = interpret(analyzed, inputs)
         program = compile_w2(source)
         result = simulate(program, inputs)
+        # A chain of products can overflow to inf and then NaN (inf - inf)
+        # on both sides; a NaN matches a NaN at the same position.
         assert np.allclose(
-            result.outputs["b"], expected["b"], rtol=1e-9, atol=1e-9
+            result.outputs["b"], expected["b"], rtol=1e-9, atol=1e-9,
+            equal_nan=True,
         ), source
         # The value path, one-shot, recorded and batched, agrees with
         # the checked cycle executor bit for bit, block spans included.
