@@ -264,7 +264,7 @@ def cmd_timing(args: argparse.Namespace) -> int:
     print(
         f"one cell runs {program.cell_code.total_cycles} cycles; the "
         f"{program.n_cells}-cell array finishes at cycle "
-        f"{program.cell_code.total_cycles + program.skew.skew * (program.n_cells - 1)}"
+        f"{predict_performance(program).total_cycles}"
     )
     return 0
 

@@ -41,7 +41,7 @@ from ..obs.metrics import (
     CellMetrics,
     CellSpans,
     MachineMetrics,
-    QueueTimes,
+    QueueMetrics,
     queue_metrics,
 )
 
@@ -272,7 +272,7 @@ class WarpMachine:
         # plan's address list.
         hop = self._config.address_hop_latency
         cells: list[CellMetrics] = []
-        addresses: list[QueueTimes] = []
+        addresses: list[QueueMetrics] = []
         # A healthy cell ends exactly its run's cycles after its nominal
         # start; the watchdog allows the configured slack past that.
         budget = program.cell_code.total_cycles + self._config.watchdog_slack
@@ -302,11 +302,10 @@ class WarpMachine:
                 driver=plan.driver,
             )
             cells.append(executor.run())
-            addresses.append(address_queue.times())
-            # Only a queue that carries more words than it holds can
-            # overflow; it is audited before the next cell.
-            if len(plan.addresses) > address_queue.capacity:
-                audit(queue_metrics(addresses[-1:])[0][0])
+            # Audited before the next cell; the run's metrics keep this
+            # measurement.
+            [measured], _passed = queue_metrics([address_queue.times()])
+            addresses.append(audit(measured))
 
         # Stream accounting: schedules are data-independent, so every
         # inter-cell link must carry *exactly* the static per-run send
@@ -317,13 +316,11 @@ class WarpMachine:
         # flow-controlled host boundary (link 0) is fed whole.  Metrics
         # cover link 0, the audited inter-cell links and the address
         # queues; the host drains the collector link outside cell time,
-        # so its occupancy is not a machine property.  One pass measures
-        # them all.
+        # so its occupancy is not a machine property.
         metrics = queue_metrics(
             [queue.times() for link in links[:n_cells] for queue in link.values()]
-            + addresses
         )[0]
-        queues = {m.name: m for m in metrics}
+        queues = {m.name: m for m in metrics + addresses}
         for i in range(1, n_cells):
             for channel, queue in links[i].items():
                 audit(queues[queue.name])

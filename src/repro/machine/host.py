@@ -111,9 +111,10 @@ def load_inputs(
                     continue
                 try:
                     data = np.asarray(inputs[name], dtype=np.float64).ravel()
-                except (TypeError, ValueError, OverflowError) as error:
+                except (TypeError, ValueError, OverflowError):
                     raise HostDataError(
-                        f"input {name!r} does not convert to float: {error}"
+                        f"input {name!r} does not convert to float: "
+                        f"{unconvertible(inputs[name])!r}"
                     ) from None
                 if data.size > len(column):
                     raise HostDataError(
@@ -124,6 +125,22 @@ def load_inputs(
         except HostDataError as error:
             failed[item] = error
     return memory, failed
+
+
+def unconvertible(value: object) -> object:
+    """The first scalar of ``value`` that does not convert to float, as
+    the user wrote it (``value`` itself when no one scalar fails, as in
+    a ragged nesting)."""
+    try:
+        scalars = np.asarray(value, dtype=object).ravel().tolist()
+    except ValueError:  # arrays of shapes that do not broadcast
+        return value
+    for scalar in scalars:
+        try:
+            np.float64(scalar)
+        except (TypeError, ValueError, OverflowError):
+            return scalar
+    return value
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,7 @@ def _block_source(
     register file and data memory, and each transfer is one call with
     its absolute cycle first: a dequeue ``v = dx(t + c)``, an enqueue
     ``ex(t + c, v)`` (``dy``/``ey`` for Y), an IU address
-    ``int(da(t + c))``.  A checked cell binds them to its queues'
+    ``da(t + c)``.  A checked cell binds them to its queues'
     checking methods (:class:`~repro.machine.queue.TimedQueue`).  Side
     effects keep the order of each instruction: dequeues, IU addresses
     in slot order, loads, stores, ALU, MPY, move, enqueues.
@@ -216,10 +216,7 @@ def _block_source(
                 where.append(str(mem.address))
             else:
                 where.append(value())
-                address = transfer("da", c)
-                if timed:
-                    address = f"int({address})"
-                body.append(f"{where[-1]} = {address}")
+                body.append(f"{where[-1]} = {transfer('da', c)}")
         for mem, address in zip(ins.mem, where):
             if mem.is_load:
                 assert mem.reg is not None

@@ -14,9 +14,10 @@ Clean runs use no queue timing at all: their verdicts come from the
 plan's static transfer timeline
 (:meth:`~repro.machine.plan.ExecutionPlan.timeline`).
 
-Capacity is audited after both endpoints have run, using the same
-occupancy definition as the compile-time analysis
-(:func:`repro.timing.buffers.occupancy_requirement`)."""
+Capacity is audited after both endpoints have run, on the peak
+:func:`repro.obs.metrics.queue_metrics` takes from
+:func:`repro.timing.buffers.occupancy_requirement`: the simulator, the
+compiler's buffer analysis and the verifier share that one rule."""
 
 from __future__ import annotations
 

@@ -5,21 +5,21 @@ cycles, block start cycles) so the simulator can build a
 :class:`MachineMetrics` without this module ever importing the machine
 package.  Times are NumPy arrays, made read-only once built so results
 can share them: a queue's send and receive cycles, and a cell lane's
-block spans (:class:`CellSpans`).  The occupancy definition matches the
-compile-time queue analysis
-(:func:`repro.timing.buffers.occupancy_requirement`): an item occupies
+block spans (:class:`CellSpans`).  The simulator, the compiler's
+buffer analysis and the verifier share one occupancy rule,
+:func:`repro.timing.buffers.occupancy_requirement`: an item occupies
 the buffer from its send cycle up to *and including* the cycle of its
 receive.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from ..timing.buffers import occupancy_requirement
 
 
 @dataclass(frozen=True)
@@ -195,11 +195,6 @@ class MachineMetrics:
         return sum(c.utilization for c in self.cells) / len(self.cells)
 
 
-#: Cycles stay below this, so ``queue * _SPAN + cycle`` orders the
-#: transfers of many queues by queue, then by cycle.
-_SPAN = 1 << 40
-
-
 class QueueTimes(NamedTuple):
     """One queue's transfer cycles, as :func:`queue_metrics` reads them:
     the send and the receive cycles (each a list or an ``int64``
@@ -215,99 +210,39 @@ def queue_metrics(
     queues: Sequence[QueueTimes],
 ) -> tuple[list[QueueMetrics], np.ndarray]:
     """Every queue's :class:`QueueMetrics`, and whether it passed its
-    checks, in one NumPy pass over all of them.
+    checks, each queue measured on its own.
 
     A queue passes when its sends never go back in time, receive ``k``
     takes word ``k``, which was sent at or before the receive's cycle
     (no receive finds the queue empty), and its peak occupancy fits its
-    capacity.  The peak is
-    :func:`~repro.timing.buffers.occupancy_requirement`'s (times here
-    are absolute): the most words present at any receive, or the words
-    never received.  The time arrays the metrics keep are read-only
-    views of two flat arrays, one of all sends and one of all receives.
-    Cycles are non-negative and below ``2**40``.  The figures of a
-    queue that failed its order checks are not meaningful."""
-    n = len(queues)
-    n_sent = [len(q.send_times) for q in queues]
-    n_recv = [len(q.recv_times) for q in queues]
-    empty = np.empty(0, np.int64)
-    sends = np.concatenate(
-        [empty, *(np.asarray(q.send_times, np.int64) for q in queues)]
-    )
-    recvs = np.concatenate(
-        [empty, *(np.asarray(q.recv_times, np.int64) for q in queues)]
-    )
-    sends.flags.writeable = recvs.flags.writeable = False  # results share them
-    s_end = list(itertools.accumulate(n_sent))
-    r_end = list(itertools.accumulate(n_recv))
-    s_start = [end - count for end, count in zip(s_end, n_sent)]
-    r_start = [end - count for end, count in zip(r_end, n_recv)]
-    # Receive k of a queue takes its word k: the first min(sent,
-    # received) receives of each queue are paired with a send.
-    paired = [min(sent, got) for sent, got in zip(n_sent, n_recv)]
-    received = recvs
-    if paired != n_recv:
-        received = np.concatenate(
-            [recvs[r0 : r0 + count] for r0, count in zip(r_start, paired)]
-        )
-    p_start = [
-        end - count
-        for end, count in zip(itertools.accumulate(paired), paired)
-    ]
-    ranks = np.arange(received.size)
-    shift = np.array(
-        [s0 - p0 for s0, p0 in zip(s_start, p_start)], np.int64
-    )
-    # The flat index of the send of each paired receive's word.
-    matched = ranks + np.repeat(shift, paired)
-    waits = received - sends[matched]
-    starts = [p0 for p0, count in zip(p_start, paired) if count]
-    totals = earliest = peaks = []
-    if starts:
-        totals = np.add.reduceat(waits, starts).tolist()
-        earliest = np.minimum.reduceat(waits, starts).tolist()
-        # Words present at a receive: its queue's sends up to its cycle,
-        # less the words taken before it.  Keyed by (queue, cycle), both
-        # arrays are sorted, so one stable merge counts the sends; a
-        # send and a receive in one cycle merge send first (the word
-        # counts, as in occupancy_requirement).
-        keyed = np.arange(n) * _SPAN
-        keys = np.concatenate([
-            np.repeat(keyed, n_sent) + sends,
-            np.repeat(keyed, paired) + received,
-        ])
-        rank = np.empty_like(keys)
-        rank[np.argsort(keys, kind="stable")] = np.arange(keys.size)
-        present = rank[sends.size:] - ranks - matched
-        peaks = np.maximum.reduceat(present, starts).tolist()
-    # Queues with a send earlier than the send before it.
-    back = sends[1:] < sends[:-1]
-    back[[end - 1 for end in s_end[:-1] if 0 < end < sends.size]] = False
-    backward = {
-        bisect.bisect_right(s_end, j) for j in np.flatnonzero(back).tolist()
-    }
+    capacity.  The peak is :func:`occupancy_requirement`'s (times here
+    are absolute), the rule the compiler's buffer analysis and the
+    verifier apply.  Each queue keeps read-only ``int64`` copies of its
+    times.  The figures of a queue that failed its order checks are not
+    meaningful."""
     metrics: list[QueueMetrics] = []
-    passed = np.zeros(n, bool)
-    pair = 0
+    passed = np.zeros(len(queues), bool)
     for k, q in enumerate(queues):
-        high_water = max(n_sent[k] - n_recv[k], 0)  # words never received
-        wait, in_order = 0, paired[k] == n_recv[k] and k not in backward
-        if paired[k]:
-            high_water = max(high_water, peaks[pair])
-            wait = totals[pair]
-            in_order = in_order and earliest[pair] >= 0
-            pair += 1
-        passed[k] = in_order and (
-            q.capacity is None or high_water <= q.capacity
+        sends = np.array(q.send_times, np.int64)
+        recvs = np.array(q.recv_times, np.int64)
+        sends.flags.writeable = recvs.flags.writeable = False
+        paired = min(sends.size, recvs.size)
+        waits = recvs[:paired] - sends[:paired]
+        high_water = occupancy_requirement(sends, recvs, 0)
+        passed[k] = (
+            paired == recvs.size
+            and not (sends[1:] < sends[:-1]).any()
+            and not (waits < 0).any()
+            and (q.capacity is None or high_water <= q.capacity)
         )
         metrics.append(QueueMetrics(
             name=q.name,
             capacity=q.capacity,
-            items_sent=n_sent[k],
-            items_received=n_recv[k],
+            items_sent=sends.size,
+            items_received=recvs.size,
             high_water=high_water,
-            total_wait_cycles=wait,
-            send_times=sends[s_start[k] : s_end[k]],
-            recv_times=recvs[r_start[k] : r_end[k]],
+            total_wait_cycles=int(waits.sum()),
+            send_times=sends,
+            recv_times=recvs,
         ))
     return metrics, passed

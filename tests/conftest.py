@@ -276,6 +276,19 @@ def program_suite(rng):
     return small_program_suite(rng)
 
 
+def replay_peak(sends, recvs, skew=0) -> int:
+    """The most words a queue holds, by an explicit replay of its
+    events: +1 at each send, -1 at each receive ``skew`` cycles late,
+    and a send first when both fall in one cycle."""
+    events = [(int(t), 1) for t in sends] + [(int(t) + skew, -1) for t in recvs]
+    events.sort(key=lambda e: (e[0], -e[1]))
+    occupancy = peak = 0
+    for _t, delta in events:
+        occupancy += delta
+        peak = max(peak, occupancy)
+    return peak
+
+
 def checked_run(program, inputs, trace_limit=0):
     """The reference run of ``program`` on ``inputs``: the cycle-accurate
     executor with every run-time check, block spans and each cell's

@@ -331,7 +331,7 @@ def heap_oracle(block, trips, config, inputs, addresses):
                 value = queues[deq.queue.channel].popleft()
                 later(now + config.queue_latency, deq.dest, value)
             queued = {
-                id(m): int(addresses.popleft())
+                id(m): addresses.popleft()
                 for m in ins.mem
                 if m.address_source is AddressSource.QUEUE
             }
@@ -425,7 +425,7 @@ def straight_line_blocks(draw):
         for ins in instructions
         for m in ins.mem
     )
-    addresses = draw(st.lists(ADDRESS.map(float), min_size=n, max_size=n))
+    addresses = draw(st.lists(ADDRESS, min_size=n, max_size=n))
     return block, trips, inputs, addresses
 
 
@@ -446,7 +446,7 @@ def _tie_block():
     block = ScheduledBlock(
         block_id=0, instructions=instructions, length=len(instructions)
     )
-    return block, 2, {Channel.X: [], Channel.Y: []}, [2.0, 2.0, 3.0, 2.0]
+    return block, 2, {Channel.X: [], Channel.Y: []}, [2, 2, 3, 2]
 
 
 def _bits(values):

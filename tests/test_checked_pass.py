@@ -1,14 +1,17 @@
-"""Queue checks in one pass, and the static timeline of clean runs.
+"""Queue checks, and the static timeline of clean runs.
 
-One NumPy pass (:func:`repro.obs.metrics.queue_metrics`) measures and
-checks every queue a result reports.  A clean run gets its metrics and
-verdicts from that pass over the plan's static transfer timeline
-(:meth:`repro.machine.plan.ExecutionPlan.timeline`), not from running
-any cell on timed queues; the checked path (``conftest.checked_run``,
-fault-injected runs) runs every cell on the queues' checking methods.
-These tests pin that the pass computes what the per-queue definitions
-say, that the timeline and the checked path give the same run, and that
-a program whose timeline fails raises the checked path's exact error.
+:func:`repro.obs.metrics.queue_metrics` measures and checks every queue
+a result reports, each on its own, by the occupancy rule the compiler
+and the verifier share
+(:func:`repro.timing.buffers.occupancy_requirement`).  A clean run gets
+its metrics and verdicts from it over the plan's static transfer
+timeline (:meth:`repro.machine.plan.ExecutionPlan.timeline`), not from
+running any cell on timed queues; the checked path
+(``conftest.checked_run``, fault-injected runs) runs every cell on the
+queues' checking methods.  These tests pin that its peaks agree with
+an explicit event replay, that the timeline and the checked path give
+the same run, and that a program whose timeline fails raises the
+checked path's exact error.
 """
 
 from __future__ import annotations
@@ -25,14 +28,18 @@ from repro.faults import FaultInjector, InjectionPlan
 from repro.lang.ast import Channel
 from repro.machine import simulate
 from repro.obs.metrics import QueueTimes, queue_metrics
-from repro.programs import polynomial
-from repro.timing.buffers import occupancy_requirement
+from repro.programs import matmul, polynomial
 
-from conftest import checked_run, small_program_suite
+from conftest import checked_run, replay_peak, small_program_suite
 
 SUITE = small_program_suite(np.random.default_rng(20261018))
 
-cycles = st.lists(st.integers(0, 60), max_size=12).map(sorted)
+#: Sorted cycles, sometimes past ``2**41``.
+cycles = st.builds(
+    lambda times, base: [base + t for t in sorted(times)],
+    st.lists(st.integers(0, 60), max_size=12),
+    st.sampled_from([0, 2**41]),
+)
 
 
 @st.composite
@@ -51,16 +58,16 @@ class TestBatchedPass:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_queue_definitions(self, queues):
         """On non-decreasing send and receive cycles, each queue's peak
-        and wait are ``occupancy_requirement``'s and the per-word sums,
-        and it passes exactly when no receive precedes its word's send
-        or takes a word never sent and its peak fits."""
+        is an explicit event replay's and its wait the per-word sum, and
+        it passes exactly when no receive precedes its word's send or
+        takes a word never sent and its peak fits."""
         metrics, passed = queue_metrics(queues)
         assert len(metrics) == len(passed) == len(queues)
         for queue, got, ok in zip(queues, metrics, passed):
             sends = np.asarray(queue.send_times, np.int64)
             recvs = np.asarray(queue.recv_times, np.int64)
             pairs = min(sends.size, recvs.size)
-            assert got.high_water == occupancy_requirement(sends, recvs, 0)
+            assert got.high_water == replay_peak(sends, recvs)
             assert got.total_wait_cycles == int(
                 (recvs[:pairs] - sends[:pairs]).sum()
             )
@@ -193,3 +200,29 @@ def test_failing_run_raises_the_checked_error_once(
     assert str(got.value) == str(checked.value)
     assert telemetry.counters["fault.detected"] == 1
     assert program.execution_plan.facts is None
+
+
+def test_each_address_queue_is_measured_once(monkeypatch):
+    """The checked path's metrics keep each address queue's audit
+    measurement instead of measuring the queue again, also when the
+    queue carries more words than it holds."""
+    from repro.machine import array
+
+    measured = []
+
+    def spy(queues):
+        measured.extend(queue.name for queue in queues)
+        return queue_metrics(queues)
+
+    monkeypatch.setattr(array, "queue_metrics", spy)
+    program = compile_w2(matmul(4, 2))
+    program.config = dataclasses.replace(program.config, address_queue_depth=4)
+    assert len(program.execution_plan.addresses) > 4
+    inputs = {"a": np.ones((4, 4)), "b": np.ones((4, 4))}
+    for _run in range(2):
+        measured.clear()
+        queues = checked_run(program, inputs).machine_metrics.queues
+        assert sorted(measured) == sorted(queues)
+        assert [name for name in queues if name.startswith("adr")] == [
+            "adr0", "adr1"
+        ]

@@ -313,7 +313,7 @@ class TestBatchCommand:
         assert main(["batch", "passthrough", "--inputs", path]) == 1
         assert (
             "item 1 failed after 1 attempt: HostDataError: input 'din' "
-            "does not convert to float"
+            "does not convert to float: 'abc'"
         ) in capsys.readouterr().err
 
     def test_batch_matches_run_outputs(self, tmp_path, capsys):

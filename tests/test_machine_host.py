@@ -17,6 +17,7 @@ from repro.machine.host import (
     collect_outputs,
     feed_input_queues,
     load_inputs,
+    unconvertible,
 )
 from repro.machine.plan import ExecutionPlan
 from repro.programs import polynomial
@@ -147,9 +148,10 @@ def _per_item_load(layout, input_sets):
                     continue
                 try:
                     data = np.asarray(inputs[name], dtype=np.float64).ravel()
-                except (TypeError, ValueError, OverflowError) as error:
+                except (TypeError, ValueError, OverflowError):
                     raise HostDataError(
-                        f"input {name!r} does not convert to float: {error}"
+                        f"input {name!r} does not convert to float: "
+                        f"{unconvertible(inputs[name])!r}"
                     ) from None
                 if data.size > len(column):
                     raise HostDataError(
@@ -219,3 +221,13 @@ def test_load_inputs_matches_per_item_loop(input_sets):
     valid = [item for item in range(len(input_sets)) if item not in failed]
     got = memory.buffer[:, valid].view(np.uint64)
     assert np.array_equal(got, want.buffer[:, valid].view(np.uint64))
+
+
+def test_unconvertible_names_the_value_as_written():
+    """The error names the first scalar that fails as a Python value,
+    not as NumPy's repr of its scalar type."""
+    assert type(unconvertible(np.array(["1", "abc"]))) is str
+    assert unconvertible(np.array([["1", "2"], ["abc", "3"]])) == "abc"
+    assert unconvertible([1.0, None, 1j]) == 1j
+    for nested in ([[1.0, 2.0], [3.0]], [np.zeros(2), np.zeros((2, 2))]):
+        assert unconvertible(nested) is nested

@@ -216,8 +216,8 @@ class TestSameCycleMachineOrdering:
             items=[block], layout=MemoryLayout(), pinned={}, config=config
         )
         addresses = TimedQueue("adr")
-        addresses.enqueue(0, 3.0)
-        addresses.enqueue(0, 4.0)
+        addresses.enqueue(0, 3)
+        addresses.enqueue(0, 4)
         out_x = TimedQueue("out.x")
         executor = CellExecutor(
             code=code,

@@ -25,6 +25,8 @@ from repro.timing import (
 )
 from repro.timing.synthetic import SynthBlock, SynthLoop, build_program
 
+from conftest import replay_peak
+
 
 @st.composite
 def synth_blocks(draw):
@@ -166,15 +168,7 @@ class TestSkewProperties:
         skew = feasible + extra
         required = occupancy_requirement(sends, recvs, skew)
         assert required >= sends.size - recvs.size  # the residual floor
-        events = [(int(t), 1) for t in sends] + [
-            (int(t) + skew, -1) for t in recvs
-        ]
-        events.sort(key=lambda e: (e[0], -e[1]))
-        occupancy = peak = 0
-        for _t, delta in events:
-            occupancy += delta
-            peak = max(peak, occupancy)
-        assert peak == required
+        assert replay_peak(sends, recvs, skew) == required
 
     @given(synth_programs(), st.integers(min_value=0, max_value=10))
     @settings(max_examples=100, deadline=None)
@@ -187,13 +181,4 @@ class TestSkewProperties:
             return
         skew = minimum_skew_exact(code, Channel.X).skew + extra_skew
         required = occupancy_requirement(sends, recvs, skew)
-        # Replay: walk a merged timeline counting queue occupancy.
-        events = [(t, 1) for t in sends] + [(t + skew, -1) for t in recvs]
-        # At equal times, the send lands before the receive consumes.
-        events.sort(key=lambda e: (e[0], -e[1]))
-        occupancy = 0
-        peak = 0
-        for _t, delta in events:
-            occupancy += delta
-            peak = max(peak, occupancy)
-        assert peak == required
+        assert replay_peak(sends, recvs, skew) == required
