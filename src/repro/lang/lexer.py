@@ -25,6 +25,12 @@ _SINGLE_CHAR_TOKENS = {
 }
 
 
+def _is_digit(char: str) -> bool:
+    """Whether ``char`` is an ASCII digit: ``str.isdigit`` also accepts
+    ``²`` or ``٣``, which ``int()`` refuses."""
+    return char.isascii() and char.isdigit()
+
+
 class Lexer:
     """Tokenise a W2 source string.
 
@@ -99,10 +105,10 @@ class Lexer:
         char = self._peek()
         if char.isalpha() or char == "_":
             return self._scan_word(location)
-        if char.isdigit():
+        if _is_digit(char):
             return self._scan_number(location)
         if char == ".":
-            if self._peek(1).isdigit():
+            if _is_digit(self._peek(1)):
                 return self._scan_number(location)
             raise LexError("unexpected '.'", location)
         if char == ":":
@@ -142,22 +148,24 @@ class Lexer:
     def _scan_number(self, location: SourceLocation) -> Token:
         chars: list[str] = []
         is_float = False
-        while self._peek().isdigit():
+        while _is_digit(self._peek()):
             chars.append(self._advance())
         if self._peek() == ".":
             is_float = True
             chars.append(self._advance())
-            while self._peek().isdigit():
+            while _is_digit(self._peek()):
                 chars.append(self._advance())
         if self._peek() in "eE":
             next_char = self._peek(1)
             after_sign = self._peek(2)
-            if next_char.isdigit() or (next_char in "+-" and after_sign.isdigit()):
+            if _is_digit(next_char) or (
+                next_char in "+-" and _is_digit(after_sign)
+            ):
                 is_float = True
                 chars.append(self._advance())  # e/E
                 if self._peek() in "+-":
                     chars.append(self._advance())
-                while self._peek().isdigit():
+                while _is_digit(self._peek()):
                     chars.append(self._advance())
         text = "".join(chars)
         if is_float:

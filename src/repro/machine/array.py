@@ -171,15 +171,16 @@ class WarpMachine:
     ) -> tuple[dict[str, np.ndarray], MachineMetrics, list[TraceEvent]]:
         """The outputs, static metrics and trace (each cell's first
         ``trace_limit`` transfers) of a clean run that only moves
-        values: each cell runs the untimed loop driver ``drive`` over
-        fresh registers and memory, on its left neighbour's words.
+        values: each cell runs the inline driver ``drive`` over fresh
+        memory (its registers are the driver's locals), on its left
+        neighbour's words.
 
         Metrics come from the plan's static transfer timeline, kept
         once it passed; if it fails, the checked path on zeroed inputs
         (no evaluator raises, so the verdicts hold for every input)
         raises the exact error of the check that fails first, and a
         checked run that passes there is a simulator fault."""
-        plan, config = self.plan, self._config.cell
+        plan = self.plan
         if plan.facts is None:
             with get_telemetry().span("machine.timeline"):
                 facts, passed = plan.timeline()
@@ -198,8 +199,8 @@ class WarpMachine:
             receive = [iter(queue.values).__next__ for queue in left.values()]
             links.append({channel: TimedQueue("") for channel in Channel})
             send = [queue.values.append for queue in links[-1].values()]
-            memories = [0.0] * config.n_registers, [0.0] * plan.memory_words
-            drive((*memories, *receive, *send, iter(plan.addresses).__next__))
+            data = [0.0] * plan.memory_words
+            drive((data, *receive, *send, iter(plan.addresses).__next__))
         collect_outputs(plan.collection, memory, links[-1])
         outputs = {
             name: memory.arrays[name].copy()

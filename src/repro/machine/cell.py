@@ -79,7 +79,6 @@ class CellExecutor:
                 block.block_id: block_function(block, config)
                 for block in code.blocks()
             },
-            timed=True,
         )
         self._registers = [0.0] * config.n_registers
         #: Data memory: the plan's ``memory_words`` (one past the

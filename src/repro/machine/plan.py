@@ -5,20 +5,24 @@ independent of the cell index, the input data and the run — so one
 :class:`ExecutionPlan`, held on the program, serves every cell and run:
 
 * **Compiled blocks.**  The schedule fixes the cycle of every issue
-  and every register writeback, so each scheduled block becomes one
-  generated straight-line Python function (:func:`block_function`):
-  nop cycles vanish (30–50% of instruction slots on the Table 7-1
-  programs), each register read names the value it sees, and the
-  block's length advances the clock.  In the timed form, each queue
+  and every register writeback, so each scheduled block becomes
+  straight-line Python statements (:func:`_block_source`): nop cycles
+  vanish (30–50% of instruction slots on the Table 7-1 programs), each
+  register read names the value it sees, and each written register
+  ends the block holding one named value.  In the timed form
+  (:func:`block_function`), one function per block, each queue
   transfer is one call, with its absolute cycle, to the queue's
-  checking method.
-* **Loop drivers.**  One generated driver per cell program walks the
-  scheduled loop tree with nested ``for`` loops and calls the block
-  functions (:func:`loop_driver`): clean runs only move values, under
-  ``value_driver`` (``column_driver`` over NumPy columns for batches)
-  without cycles or checks; ``driver``, built on first use, carries
-  the cycle and the watchdog check of a checked run.  Every driver's
-  size is the static code's, whatever the trip counts.
+  checking method, and the block's length advances the clock.
+* **Loop drivers.**  One generated driver per cell program keeps the
+  scheduled loop tree as nested ``for`` loops, so its size is the
+  static code's, whatever the trip counts.  Clean runs only move
+  values, under ``value_driver`` (``column_driver`` over NumPy columns
+  for batches): the untimed statements of every block sit inline in
+  the loops, registers are Python locals, and each block ends by
+  assigning only its registers that are live after it
+  (:func:`inline_driver`).  ``driver``, built on first use, calls the
+  timed block functions and carries the cycle and the watchdog check
+  of a checked run (:func:`loop_driver`).
 * **The transfer timeline.**  Each block's transfer cycles, read off
   its instructions (:func:`_transfers`) and tiled over the loop
   tree once (``transfers``), give every queue's send and receive
@@ -48,7 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import replace
-from typing import Callable, TYPE_CHECKING
+from typing import Callable, NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -97,19 +101,35 @@ def _transfers(block: ScheduledBlock) -> np.ndarray:
     return np.array(transfers, np.int64).reshape(-1, 2).T
 
 
-def block_function(
-    block: ScheduledBlock,
-    config: CellConfig,
-    evaluate: Callable[[OpKind], Callable[..., float]] = pure_evaluator,
-    timed: bool = True,
-) -> Callable:
-    """``block`` compiled to one straight-line function, timed
-    ``run(ctx, start)`` or untimed ``run(ctx)`` (see
-    :func:`_block_source`); ``evaluate`` maps each ALU/MPY op to the
-    function the generated code calls (a batch run over columns passes
-    :func:`~repro.analysis.local_opt.column_evaluator`)."""
-    source, evaluators, literals = _block_source(block, config, evaluate, timed)
-    return _factory(source)(evaluators, literals)
+def block_function(block: ScheduledBlock, config: CellConfig) -> Callable:
+    """``block`` compiled to one timed straight-line function
+    ``run(ctx, t)`` (see :func:`_block_source`)."""
+    code = _block_source(block, config, pure_evaluator, timed=True)
+    lines = ["def make(C):"]
+    if code.constants:
+        lines.append(f"    {', '.join(code.constants)}, = C")
+    lines.append("    def run(ctx, t):")
+    lines.append("        R, M, dx, dy, ex, ey, da = ctx")
+    lines.extend(f"        r{reg} = R[{reg}]" for reg in code.entry)
+    lines.extend(f"        {line}" for line in code.body)
+    lines.extend(
+        f"        R[{reg}] = {name}" for reg, name in sorted(code.out.items())
+    )
+    lines.append("    return run")
+    return _factory("\n".join(lines) + "\n")(list(code.constants.values()))
+
+
+class BlockSource(NamedTuple):
+    """One block's straight-line code (see :func:`_block_source`)."""
+
+    #: The statements, unindented.
+    body: list[str]
+    #: Registers the block reads before any write of its own lands.
+    entry: list[int]
+    #: Each written register's value at the block's end, by register.
+    out: dict[int, str]
+    #: The evaluators and literals the statements name, by name.
+    constants: dict[str, object]
 
 
 def _block_source(
@@ -117,35 +137,33 @@ def _block_source(
     config: CellConfig,
     evaluate: Callable[[OpKind], Callable[..., float]],
     timed: bool,
-) -> tuple[str, list[Callable[..., float]], list[float]]:
-    """Python source of one block as a straight-line function.
+    tag: str = "",
+) -> BlockSource:
+    """The statements of one block as straight-line Python.
 
     The schedule fixes the cycle of every issue and writeback, so the
     delayed register writeback is resolved here, once: a read of
     register ``r`` at block cycle ``c`` names the value of the write with
     the greatest ``(landing cycle, issue order)`` among the writes issued
     before ``c`` that land at or before ``c``, else the register's value
-    on entry.  Every block drains (each write lands within its length),
-    so the function ends by storing each written register's last value.
+    on entry, ``r<r>``.  Every block drains (each write lands within its
+    length), so each written register ends the block holding one named
+    value (``out``); the statements themselves assign no register.
 
-    The source defines ``make(E, L)``, which binds the evaluators ``E``
-    and literals ``L`` *by position* and returns
-    ``run((R, M, dx, dy, ex, ey, da), t)``: ``R``/``M`` are the
-    register file and data memory, and each transfer is one call with
-    its absolute cycle first: a dequeue ``v = dx(t + c)``, an enqueue
-    ``ex(t + c, v)`` (``dy``/``ey`` for Y), an IU address
-    ``da(t + c)``.  A checked cell binds them to its queues'
-    checking methods (:class:`~repro.machine.queue.TimedQueue`).  Side
-    effects keep the order of each instruction: dequeues, IU addresses
-    in slot order, loads, stores, ALU, MPY, move, enqueues.
-
-    Untimed (``timed=False``) it is ``run((R, M, dx, dy, ex, ey, da))``
-    over the same context, with calls that carry no cycle: ``v = dx()``,
-    ``ex(v)``, and ``da()``, which returns an ``int``.
+    The statements run against ``M`` (data memory) and the transfers
+    ``dx``/``dy`` (dequeue from X/Y), ``ex``/``ey`` (enqueue) and ``da``
+    (an IU address).  Timed, each transfer is one call with its absolute
+    cycle first: ``v = dx(t + c)``, ``ex(t + c, v)``, ``da(t + c)``; a
+    checked cell binds them to its queues' checking methods
+    (:class:`~repro.machine.queue.TimedQueue`).  Untimed, the calls
+    carry no cycle: ``v = dx()``, ``ex(v)``, and ``da()``, which returns
+    an ``int``.  ALU/MPY ops call ``evaluate(op)`` and literals are
+    names, both bound under ``e<tag><k>``/``l<tag><k>`` (``constants``).
+    Side effects keep the order of each instruction: dequeues, IU
+    addresses in slot order, loads, stores, ALU, MPY, move, enqueues.
     """
     block_id, length = block.block_id, block.length
-    evaluators: list[Callable[..., float]] = []
-    literals: list[float] = []
+    constants: dict[str, object] = {}
     body: list[str] = []
     entry: list[int] = []  # registers read before any in-block write
     visible: dict[int, str] = {}
@@ -153,11 +171,13 @@ def _block_source(
     #: ``(landing, issue order, register, value name)`` not yet landed.
     in_flight: list[tuple[int, int, int, str]] = []
     issue_order, names = itertools.count(), itertools.count()
+    evaluators, literals = itertools.count(), itertools.count()
 
     def read(operand: Operand) -> str:
         if isinstance(operand, Lit):
-            literals.append(operand.value)
-            return f"l{len(literals) - 1}"
+            name = f"l{tag}{next(literals)}"
+            constants[name] = operand.value
+            return name
         name = visible.get(operand.index)
         if name is None:
             name = visible[operand.index] = f"r{operand.index}"
@@ -237,10 +257,11 @@ def _block_source(
         for unit, latency in units:
             fn = evaluate(unit.op)
             assert fn is not None, unit.op
-            evaluators.append(fn)
+            name = f"e{tag}{next(evaluators)}"
+            constants[name] = fn
             args = ", ".join(read(s) for s in unit.sources)
             v = value()
-            body.append(f"{v} = e{len(evaluators) - 1}({args})")
+            body.append(f"{v} = {name}({args})")
             write(unit.dest, c + latency, v)
         if ins.move is not None:
             source = read(ins.move.source)
@@ -249,22 +270,8 @@ def _block_source(
             send = queue(enq.queue, False)
             body.append(transfer(send, c, read(enq.source)))
     land(length)
-    lines = ["def make(E, L):"]
-    if evaluators:
-        names = "".join(f"e{k}, " for k in range(len(evaluators)))
-        lines.append(f"    {names}= E")
-    if literals:
-        names = "".join(f"l{k}, " for k in range(len(literals)))
-        lines.append(f"    {names}= L")
-    lines.append(f"    def run({'ctx, t' if timed else 'ctx'}):")
-    lines.append("        R, M, dx, dy, ex, ey, da = ctx")
-    lines.extend(f"        r{reg} = R[{reg}]" for reg in entry)
-    lines.extend(f"        {line}" for line in body)
-    lines.extend(
-        f"        R[{reg}] = {visible[reg]}" for reg in sorted(written)
-    )
-    lines.append("    return run")
-    return "\n".join(lines) + "\n", evaluators, literals
+    out = {reg: visible[reg] for reg in sorted(written)}
+    return BlockSource(body, entry, out, constants)
 
 
 #: Loops one generated driver function nests at most.  Python refuses
@@ -273,8 +280,8 @@ def _block_source(
 MAX_NEST = 10
 
 
-def _driver_source(items: list[ScheduledItem], timed: bool) -> str:
-    """Python source of the loop driver of one cell program.
+def _driver_source(items: list[ScheduledItem]) -> str:
+    """Python source of the timed loop driver of one cell program.
 
     The paper keeps loop structure in the generated loop control
     (Section 6.3.1); so does the driver, so its size does not grow with
@@ -282,16 +289,14 @@ def _driver_source(items: list[ScheduledItem], timed: bool) -> str:
     :class:`~repro.cellcodegen.emit.ScheduledLoop` tree that call each
     block's function in one cell run's order.  The source defines
     ``make(B)``, which binds each block's function ``B[id]`` as
-    ``b<id>`` and returns the driver.
-
-    Timed, it is ``drive(ctx, t, deadline, expired) -> end``: each block
-    runs at cycle ``t``, ``t`` advances by the block's length, and once
-    ``t`` passes ``deadline`` the driver calls ``expired(t)`` (the
-    watchdog, which raises).  Untimed, it is ``drive(ctx)``.  A loop
+    ``b<id>`` and returns ``drive(ctx, t, deadline, expired) -> end``:
+    each block runs at cycle ``t``, ``t`` advances by the block's
+    length, and once ``t`` passes ``deadline`` the driver calls
+    ``expired(t)`` (the watchdog, which raises).  A loop
     :data:`MAX_NEST` deep in one function continues in a function of
     its own (``l<k>``).
     """
-    args = "ctx, t, deadline, expired" if timed else "ctx"
+    args = "ctx, t, deadline, expired"
     functions: list[list[str]] = []
     block_ids: set[int] = set()
 
@@ -299,7 +304,7 @@ def _driver_source(items: list[ScheduledItem], timed: bool) -> str:
         lines = [f"    def {name}({args}):"]
         functions.append(lines)
         emit(body, lines, "        ", 0)
-        lines.append("        return t" if timed else "        return")
+        lines.append("        return t")
 
     def emit(
         body: list[ScheduledItem], lines: list[str], pad: str, depth: int
@@ -307,16 +312,13 @@ def _driver_source(items: list[ScheduledItem], timed: bool) -> str:
         for item in body:
             if isinstance(item, ScheduledBlock):
                 block_ids.add(item.block_id)
-                if timed:
-                    lines.append(f"{pad}b{item.block_id}(ctx, t)")
-                    lines.append(f"{pad}t += {item.length}")
-                    lines.append(f"{pad}if t > deadline: expired(t)")
-                else:
-                    lines.append(f"{pad}b{item.block_id}(ctx)")
+                lines.append(f"{pad}b{item.block_id}(ctx, t)")
+                lines.append(f"{pad}t += {item.length}")
+                lines.append(f"{pad}if t > deadline: expired(t)")
             elif depth == MAX_NEST:
                 name = f"l{len(functions)}"
                 function(name, [item])
-                lines.append(f"{pad}{'t = ' if timed else ''}{name}({args})")
+                lines.append(f"{pad}t = {name}({args})")
             else:
                 lines.append(f"{pad}for _ in range({item.trip}):")
                 emit(item.body, lines, pad + "    ", depth + 1)
@@ -333,11 +335,157 @@ def _driver_source(items: list[ScheduledItem], timed: bool) -> str:
 
 
 def loop_driver(
-    items: list[ScheduledItem], functions: dict[int, Callable], timed: bool
+    items: list[ScheduledItem], functions: dict[int, Callable]
 ) -> Callable:
-    """The loop driver of ``items`` over the block ``functions`` (by
-    block id); see :func:`_driver_source`."""
-    return _factory(_driver_source(items, timed))(functions)
+    """The timed loop driver of ``items`` over the block ``functions``
+    (by block id); see :func:`_driver_source`."""
+    return _factory(_driver_source(items))(functions)
+
+
+def inline_driver(
+    code: CellCode,
+    config: CellConfig,
+    evaluate: Callable[[OpKind], Callable[..., float]],
+) -> Callable[[tuple], None]:
+    """The untimed driver of ``code``, ``drive((M, dx, dy, ex, ey,
+    da))``, over ``evaluate``'s functions; see :func:`_inline_source`."""
+    source, constants = _inline_source(code, config, evaluate)
+    return _factory(source)(constants)
+
+
+def _inline_source(
+    code: CellCode,
+    config: CellConfig,
+    evaluate: Callable[[OpKind], Callable[..., float]],
+) -> tuple[str, list]:
+    """Python source of the untimed driver of one cell program, and the
+    constants it binds.
+
+    The loop tree becomes nested ``for _ in range(trip):`` loops, as in
+    :func:`_driver_source`, but each block's untimed statements
+    (:func:`_block_source`, evaluators and literals tagged ``<id>_``) sit
+    where the block runs: no call per block, and each register ``r<k>``
+    is one Python local, ``0.0`` on entry like a fresh register file.
+    A block ends with one parallel assignment of its registers that are
+    live after it (:func:`_live_registers`); a dead write assigns
+    nothing, and a loop that runs no block (a zero-trip loop, say)
+    generates no code.  The source defines ``make(C)``, which binds the
+    constants ``C`` by position and returns ``drive(ctx)``; ``drive``
+    unpacks ``ctx = (M, dx, dy, ex, ey, da)`` once.  A loop
+    :data:`MAX_NEST` deep in one function continues in a function of
+    its own (``loop<k>``), which takes the registers live into the loop
+    and returns those live after it.
+    """
+    blocks = {
+        block.block_id: _block_source(
+            block, config, evaluate, timed=False, tag=f"{block.block_id}_"
+        )
+        for block in code.blocks()
+    }
+    live, entry = _live_registers(code.items, blocks)
+    functions: list[list[str]] = []
+
+    def function(name: str, body: list[ScheduledItem], live_in, live_out):
+        """Emit ``body`` as function ``name``, which takes the registers
+        ``live_in`` and returns those ``live_out``; ``drive`` sets its
+        ``live_in`` to ``0.0`` instead."""
+        lines = []
+        functions.append(lines)
+        emit(body, lines, "        ", 0)
+        params, results = sorted(live_in), sorted(live_out)
+        if name == "drive":
+            args = "ctx"
+            if params:
+                lines.insert(0, f"        {_regs(params, ' = ')} = 0.0")
+        else:
+            args = ", ".join(["ctx", *(f"r{reg}" for reg in params)])
+        lines[:0] = [
+            f"    def {name}({args}):", "        M, dx, dy, ex, ey, da = ctx"
+        ]
+        if results:
+            lines.append(f"        return {_regs(results)},")
+        return args, results
+
+    def emit(body, lines, pad, depth) -> None:
+        for item in body:
+            if isinstance(item, ScheduledBlock):
+                block = blocks[item.block_id]
+                lines.extend(pad + line for line in block.body)
+                copy = {
+                    reg: value for reg, value in block.out.items()
+                    if reg in live[id(item)][1] and value != f"r{reg}"
+                }
+                if copy:
+                    values = ", ".join(copy.values())
+                    lines.append(f"{pad}{_regs(list(copy))} = {values}")
+            elif not item.trip:
+                continue
+            elif depth == MAX_NEST:
+                name = f"loop{len(functions)}"
+                args, results = function(name, [item], *live[id(item)])
+                call = f"{name}({args})"
+                lines.append(
+                    f"{pad}{_regs(results)}, = {call}" if results
+                    else f"{pad}{call}"
+                )
+            else:
+                inner: list[str] = []
+                emit(item.body, inner, pad + "    ", depth + 1)
+                if inner:
+                    lines.append(f"{pad}for _ in range({item.trip}):")
+                    lines.extend(inner)
+
+    function("drive", code.items, entry, frozenset())
+    constants = {
+        name: value for block in blocks.values()
+        for name, value in block.constants.items()
+    }
+    lines = ["def make(C):"]
+    if constants:
+        lines.append(f"    {', '.join(constants)}, = C")
+    for body in functions:
+        lines.extend(body)
+    lines.append("    return drive")
+    return "\n".join(lines) + "\n", list(constants.values())
+
+
+def _regs(registers: list[int], sep: str = ", ") -> str:
+    """The locals of ``registers`` (``r<k>``), joined by ``sep``."""
+    return sep.join(f"r{reg}" for reg in registers)
+
+
+def _live_registers(
+    items: list[ScheduledItem], blocks: dict[int, BlockSource]
+) -> tuple[dict[int, tuple[frozenset[int], frozenset[int]]], frozenset[int]]:
+    """By ``id`` of each block and loop of ``items``, the registers live
+    into and after it, and those live on entry to ``items``.
+
+    One backward pass: a block's live-in is its ``entry`` plus what is
+    live after it and not written in it.  A loop whose body reads
+    registers ``U`` before writing them (its upward-exposed uses,
+    computed once per loop) has ``U`` live after its body too, since
+    the next trip reads them; a zero-trip loop passes its live set
+    through unchanged.
+    """
+    live: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
+    exposed: dict[int, frozenset[int]] = {}
+
+    def walk(body: list[ScheduledItem], out: frozenset[int], record: bool):
+        for item in reversed(body):
+            after = out
+            if isinstance(item, ScheduledBlock):
+                code = blocks[item.block_id]
+                out = out.difference(code.out).union(code.entry)
+            elif item.trip:
+                key = id(item)
+                if key not in exposed:
+                    exposed[key] = walk(item.body, frozenset(), False)
+                out = walk(item.body, out | exposed[key], record)
+            if record:
+                live[id(item)] = out, after
+        return out
+
+    return live, walk(items, frozenset(), True)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -405,26 +553,27 @@ class ExecutionPlan:
     def driver(self) -> Callable:
         """One checked cell run: ``driver(ctx, start, deadline, expired)``
         walks the loop tree over the timed block functions."""
-        return self._driver(pure_evaluator, timed=True)
+        code, config = self._program.cell_code, self._program.config.cell
+        functions = {
+            block.block_id: block_function(block, config)
+            for block in code.blocks()
+        }
+        return loop_driver(code.items, functions)
 
     @functools.cached_property
     def value_driver(self) -> Callable[[tuple], None]:
-        """One untimed cell run: ``value_driver(ctx)`` walks the loop
-        tree over the untimed block functions."""
-        return self._driver(pure_evaluator, timed=False)
+        """One untimed cell run: ``value_driver(ctx)`` runs every block's
+        statements inline (:func:`inline_driver`)."""
+        return self._inline(pure_evaluator)
 
     @functools.cached_property
     def column_driver(self) -> Callable[[tuple], None]:
         """:attr:`value_driver` over NumPy columns (built on first use)."""
-        return self._driver(column_evaluator, timed=False)
+        return self._inline(column_evaluator)
 
-    def _driver(self, evaluate, timed: bool) -> Callable:
-        code, config = self._program.cell_code, self._program.config.cell
-        functions = {
-            block.block_id: block_function(block, config, evaluate, timed)
-            for block in code.blocks()
-        }
-        return loop_driver(code.items, functions, timed)
+    def _inline(self, evaluate) -> Callable[[tuple], None]:
+        program = self._program
+        return inline_driver(program.cell_code, program.config.cell, evaluate)
 
     @functools.cached_property
     def transfers(self) -> dict[str, np.ndarray]:

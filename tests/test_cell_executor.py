@@ -37,7 +37,7 @@ from repro.cellcodegen.isa import (
 from repro.cellcodegen.layout import MemoryLayout
 from repro.config import CellConfig
 from repro import DEFAULT_CONFIG, compile_w2
-from repro.analysis.local_opt import evaluate_pure
+from repro.analysis.local_opt import evaluate_pure, pure_evaluator
 from repro.errors import QueueUnderflowError, SimulationError
 from repro.exec import BatchRunner
 from repro.ir.dag import OpKind, QueueRef
@@ -203,12 +203,17 @@ class TestLoopsAndStats:
 
     def test_loop_driver_past_the_nesting_limit(self):
         """A nest deeper than ``MAX_NEST`` continues in functions of its
-        own and keeps every trip count; a loop over no blocks runs
-        nothing; the timed driver advances the cycle by each block's
-        length and calls the watchdog once it passes the deadline."""
-        from repro.machine.plan import MAX_NEST, loop_driver
+        own and keeps every trip count, in the timed driver and in the
+        inline one; a loop over no blocks runs nothing; the timed driver
+        advances the cycle by each block's length and calls the watchdog
+        once it passes the deadline."""
+        from repro.machine.plan import MAX_NEST, inline_driver, loop_driver
 
-        block = ScheduledBlock(block_id=0, instructions=[instr()], length=3)
+        block = ScheduledBlock(
+            block_id=0,
+            instructions=[instr(enqs=[EnqOp(OUT_X, Lit(1.0))])],
+            length=3,
+        )
         items = [block]
         for depth in range(2 * MAX_NEST + 5):
             items = [
@@ -220,13 +225,16 @@ class TestLoopsAndStats:
         items.append(
             ScheduledLoop(loop_id=99, var="j", start=0, step=1, trip=5)
         )
-        passes = []
-        loop_driver(items, {0: passes.append}, timed=False)("ctx")
-        assert passes == ["ctx"] * 16  # four loops of two trips
-        starts = []
-        timed = loop_driver(
-            items, {0: lambda ctx, t: starts.append(t)}, timed=True
+        code = CellCode(
+            items=items, layout=MemoryLayout(), pinned={}, config=CFG
         )
+        sent = []
+        inline_driver(code, CFG, pure_evaluator)(
+            ([], None, None, sent.append, None, None)
+        )
+        assert sent == [1.0] * 16  # four loops of two trips
+        starts = []
+        timed = loop_driver(items, {0: lambda ctx, t: starts.append(t)})
         assert timed("ctx", 100, math.inf, None) == 100 + 16 * 3
         assert starts == [100 + 3 * k for k in range(16)]
 
@@ -494,3 +502,130 @@ class TestAgainstHeapOracle:
             )
         assert stats.end_cycle == trips * block.length
         assert stats.sends == sum(map(len, sent.values()))
+        # The inline value driver moves the same values.
+        from repro.machine.plan import inline_driver
+
+        memory, words = [0.0] * SMALL.memory_words, {c: [] for c in Channel}
+        inline_driver(code, SMALL, pure_evaluator)((
+            memory,
+            *(iter(inputs[c]).__next__ for c in Channel),
+            *(words[c].append for c in Channel),
+            iter(addresses).__next__,
+        ))
+        assert _bits(memory) == _bits(mem)
+        for channel in Channel:
+            assert _bits(words[channel]) == _bits(
+                [v for _, v in sent[channel]]
+            )
+
+
+# The inline value driver's register liveness ---------------------------
+
+
+def _block(block_id, length, **at):
+    """A block of ``length`` cycles; ``at`` maps ``"<field>_<cycle>"`` to
+    that instruction's field, e.g. ``alu_0=AluOp(...)``."""
+    instructions = [MicroInstr() for _ in range(length)]
+    for key, value in at.items():
+        field, cycle = key.rsplit("_", 1)
+        setattr(instructions[int(cycle)], field, value)
+    return ScheduledBlock(
+        block_id=block_id, instructions=instructions, length=length
+    )
+
+
+def _loop(trip, *body, loop_id=0):
+    return ScheduledLoop(
+        loop_id=loop_id, var="i", start=0, step=1, trip=trip, body=list(body)
+    )
+
+
+def _send(block_id, reg):
+    return _block(block_id, 1, enqs_0=[EnqOp(OUT_X, Reg(reg))])
+
+
+def _receive(block_id, reg):
+    return _block(block_id, CFG.queue_latency, deqs_0=[DeqOp(IN_X, Reg(reg))])
+
+
+def _set(block_id, reg, value):
+    return _block(
+        block_id, CFG.move_latency, move_0=MoveOp(Reg(reg), Lit(value))
+    )
+
+
+def _accumulate(block_id, reg, source):
+    """``reg := reg + source``."""
+    return _block(
+        block_id, CFG.alu_latency,
+        alu_0=AluOp(OpKind.FADD, Reg(reg), (Reg(reg), Reg(source))),
+    )
+
+
+class TestInlineLiveness:
+    """The inline driver against the timed driver over the same blocks:
+    each register a later block reads keeps its value across blocks,
+    loops and ``MAX_NEST`` splits, bit for bit."""
+
+    WORDS = [1.5, -2.25, 1e300, -0.0, 7.0, math.nan, 3.0, 0.1]
+
+    def run_both(self, items):
+        from repro.machine.plan import _inline_source, inline_driver
+
+        code = CellCode(
+            items=items, layout=MemoryLayout(), pinned={}, config=CFG
+        )
+        timed, _, _ = run_cell(code, self.WORDS)
+        sent = []
+        inline_driver(code, CFG, pure_evaluator)(
+            ([], iter(self.WORDS).__next__, None, sent.append, None, None)
+        )
+        assert _bits(sent) == _bits(timed.values)
+        assert sent, "the case sends nothing"
+        return sent, _inline_source(code, CFG, pure_evaluator)[0]
+
+    def test_written_in_a_loop_read_after_it(self):
+        sent, _ = self.run_both([_loop(3, _receive(0, 1)), _send(1, 1)])
+        assert sent == [1e300]
+
+    def test_loop_carried_register(self):
+        """Each trip sends the sum of the trips before it: only the next
+        trip reads the sum, nothing after the loop does."""
+        sent, _ = self.run_both([
+            _set(0, 2, 0.5),
+            _loop(4, _receive(1, 0), _send(2, 2), _accumulate(3, 2, 0)),
+        ])
+        assert sent == [0.5, 2.0, -0.25, 1e300]
+
+    def test_zero_trip_loop_leaves_registers(self):
+        sent, source = self.run_both([
+            _set(0, 3, 5.0),
+            _loop(0, _set(1, 3, 7.0), _receive(2, 3)),
+            _send(3, 3),
+        ])
+        assert sent == [5.0]
+        assert "7.0" not in source and "dx()" not in source
+
+    def test_dead_write_assigns_nothing(self):
+        sent, source = self.run_both([
+            _receive(0, 4),  # dead: overwritten before any read
+            _set(1, 4, 2.0),
+            _send(2, 4),
+            _receive(3, 5),  # dead: never read
+        ])
+        assert sent == [2.0]
+        assert "r5" not in source
+        assert source.count("r4 = ") == 1
+
+    def test_register_carried_across_the_nesting_split(self):
+        from repro.machine.plan import MAX_NEST
+
+        nest = [_receive(1, 6), _accumulate(2, 7, 6), _send(3, 7)]
+        for depth in range(MAX_NEST + 3):
+            nest = [_loop(2 if depth == 0 else 1, *nest, loop_id=depth + 1)]
+        sent, source = self.run_both(
+            [_set(0, 7, 1.0), *nest, _accumulate(4, 7, 6), _send(5, 7)]
+        )
+        assert len(sent) == 3
+        # r7 goes in and out of the split loop; r6 comes out of it.
+        assert "r6, r7, = loop1(ctx, r7)" in source

@@ -43,6 +43,26 @@ class TestCompileCommand:
         with pytest.raises(SystemExit):
             main(["compile", "no_such_program"])
 
+    def test_non_ascii_digit_is_a_lex_error(self, tmp_path, capsys):
+        """A loop bound ``1²`` once passed the lexer as a number and
+        ended in a raw ``ValueError`` from ``int()``."""
+        from repro.programs import polynomial
+
+        source = polynomial(16, 8)
+        assert "for i := 0 to 15" in source
+        path = tmp_path / "square.w2"
+        path.write_text(
+            source.replace("for i := 0 to 15", "for i := 0 to 1\u00b2")
+        )
+        assert main(["compile", str(path)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert errors == [
+            "error[LexError]: unexpected character '\u00b2' "
+            "(at line 31, column 24)"
+        ]
+        assert "Traceback" not in err
+
 
 class TestRunCommand:
     def test_inline_inputs(self, capsys):

@@ -1,6 +1,8 @@
 """Unit tests for the W2 lexer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lang import LexError, TokenKind, tokenize
 
@@ -134,3 +136,43 @@ class TestErrors:
     def test_lone_dot(self):
         with pytest.raises(LexError):
             tokenize("a . b")
+
+    @pytest.mark.parametrize("source", ["1\u00b2", "\u0663", "x := 1.\u0663"])
+    def test_non_ascii_digit(self, source):
+        """``str.isdigit`` accepts ``²`` and ``٣``; numbers take ASCII
+        digits only, so any other digit is an unexpected character."""
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize(source)
+
+    def test_non_ascii_digit_after_a_number_is_its_own_error(self):
+        with pytest.raises(LexError) as caught:
+            tokenize("for i := 0 to 1\u00b2")
+        assert caught.value.location.column == 16
+
+
+#: Text that is mostly W2 punctuation, digits and letters, with any
+#: other character (Unicode digits among them) mixed in.
+_W2_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(list("0123456789.eE+-*/:=<>()[],; \nab_")),
+        st.characters(),
+    ),
+    max_size=40,
+)
+
+
+class TestArbitraryText:
+    @settings(max_examples=400, deadline=None)
+    @given(_W2_TEXT)
+    def test_only_lex_errors_and_convertible_literals(self, source):
+        """Any text either lexes or raises :class:`LexError`, and every
+        numeric literal converts with ``int()``/``float()``."""
+        try:
+            tokens = tokenize(source)
+        except LexError:
+            return
+        for token in tokens:
+            if token.kind is TokenKind.INT_LITERAL:
+                int(token.text)
+            elif token.kind is TokenKind.FLOAT_LITERAL:
+                float(token.text)

@@ -11,9 +11,11 @@ message, as an ``ItemFailure`` after one attempt and no retry.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from repro.ir.dag import OpKind
 from repro.lang import analyze, parse_module
 from repro.machine import ExecutionPlan, WarpMachine, interpret, simulate
 from repro.machine import plan as plan_module
-from repro.programs import colorseg, mandelbrot, polynomial
+from repro.programs import colorseg, mandelbrot, matmul, polynomial
 
 from conftest import checked_run
 
@@ -391,18 +393,23 @@ class TestBatchRunnerPaths:
         assert "column_driver" not in vars(program.execution_plan)
 
     def test_drivers_built_once_per_plan(self, monkeypatch):
-        """Clean runs build only the untimed float loop driver, once per
-        plan, however many runs use it; the first fault-injected run
+        """Clean runs build only the inline float driver, once per plan,
+        however many runs use it; the first fault-injected run
         builds the timed driver once, and the column driver comes only
         on first batched use."""
         built = []
-        generate = plan_module.loop_driver
+        timed, inline = plan_module.loop_driver, plan_module.inline_driver
 
-        def counting(items, functions, timed):
-            built.append("timed" if timed else "untimed")
-            return generate(items, functions, timed)
+        def counting_timed(items, functions):
+            built.append("timed")
+            return timed(items, functions)
 
-        monkeypatch.setattr(plan_module, "loop_driver", counting)
+        def counting_inline(code, config, evaluate):
+            built.append("untimed")
+            return inline(code, config, evaluate)
+
+        monkeypatch.setattr(plan_module, "loop_driver", counting_timed)
+        monkeypatch.setattr(plan_module, "inline_driver", counting_inline)
         program = compile_w2(polynomial(12, 4))
         for item in _items(3):
             simulate(program, item)
@@ -418,6 +425,28 @@ class TestBatchRunnerPaths:
         BatchRunner(program).run(_items(2))
         assert built == ["untimed", "timed", "untimed"]
         assert runner.machine.plan.column_driver is drive
+
+    def test_inline_driver_calls_no_block_in_a_loop(self):
+        """The untimed driver pastes every block's statements into its
+        loops: no block call and no register-file access in any loop,
+        only the transfer and evaluator calls of the statements."""
+        program = compile_w2(matmul(8, 4))
+        source, _ = plan_module._inline_source(
+            program.cell_code, program.config.cell, pure_evaluator
+        )
+        loops = [
+            node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.For)
+        ]
+        assert loops
+        for loop in loops:
+            for node in ast.walk(loop):
+                assert not (isinstance(node, ast.Name) and node.id == "R")
+                if isinstance(node, ast.Call):
+                    name = node.func.id
+                    called = r"range|d[xya]|e[xy]|e\d+_\d+"
+                    assert re.fullmatch(called, name), name
+        assert "R[" not in source
 
     def test_unrecordable_program_runs_on_cycle_path(self):
         """A program whose column run raises (a data-independent
