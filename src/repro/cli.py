@@ -553,9 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def unroll_factor(value: str) -> int | str:
-        return value if value == "auto" else int(value)
-
     def at_least(low: float, kind: type = int, strict: bool = False):
         """An argparse type: a ``kind`` value >= ``low`` (> when ``strict``)."""
         def parse(text: str):
@@ -566,6 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
             return value
         parse.__name__ = kind.__name__  # "invalid int value: 'x'"
         return parse
+
+    def unroll_factor(value: str) -> int | str:
+        return value if value == "auto" else at_least(1)(value)
 
     def add_unroll_option(p: argparse.ArgumentParser) -> None:
         p.add_argument(

@@ -131,7 +131,8 @@ def compile_w2(
     ``unroll`` unrolls innermost loops up to that factor before
     scheduling, amortising block-drain cycles over several iterations
     (throughput optimisation; 1 = off).  ``unroll="auto"`` tries
-    1/2/4/8 and keeps the fastest predicted schedule.
+    1/2/4/8 and keeps the fastest predicted schedule.  Any other value
+    (below 1, not an ``int``) raises :class:`ValueError`.
 
     ``cache`` consults a :class:`~repro.exec.CompileCache` before doing
     any work, keyed on the exact (source, config, flags) content hash;
@@ -143,6 +144,12 @@ def compile_w2(
     compilation at all — it only partitions the cache key, so artefacts
     touched by fault-injection runs can never be served to clean ones.
     """
+    if unroll != "auto" and (
+        type(unroll) is not int or unroll < 1  # bool is not a factor
+    ):
+        raise ValueError(
+            f"unroll must be an int >= 1 or 'auto', got {unroll!r}"
+        )
     started = time.perf_counter()
     obs = get_telemetry()
     key: str | None = None

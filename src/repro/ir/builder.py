@@ -165,7 +165,7 @@ class IRBuilder:
         over several iterations."""
         self._analyzed = analyzed
         self._memory_scalars = memory_scalars
-        self._unroll_factor = max(1, unroll_factor)
+        self._unroll_factor = unroll_factor
         self._enable_local_opt = enable_local_opt
         self._module = analyzed.module
         #: Scalars assigned inside if-arms; these must stay in registers

@@ -1,18 +1,19 @@
 """Cycle-accurate execution of one Warp cell's microcode.
 
-The executor runs the program's generated loop driver
-(:func:`~repro.machine.plan.loop_driver`): nested loops over the
-scheduled program tree that carry an absolute cycle counter (the cell's
-start is offset by its skew), run each scheduled block as one generated
-straight-line function (:func:`~repro.machine.plan.block_function`) and
-check the watchdog deadline after every block.  Pipelining is modelled
-exactly: an operation issued at cycle ``t`` with latency ``L`` writes
-its destination register at ``t + L``; reads at or after that cycle see
-the new value, earlier reads see the old one.  Because the schedule
-fixes every issue and writeback cycle, the generator resolves each read
-to the value it sees once, at plan time — precisely the semantics the
-scheduler's latency edges assume, so any scheduler bug surfaces as a
-wrong result against the reference interpreter.
+The executor runs the program's timed driver
+(:func:`~repro.machine.plan.inline_driver` with ``timed=True``): nested
+loops over the scheduled program tree that carry an absolute cycle
+counter (the cell's start is offset by its skew), run each scheduled
+block's straight-line statements inline, each block loading the
+registers it reads from the register file and storing those it writes,
+and check the watchdog deadline after every block.  Pipelining is
+modelled exactly: an operation issued at cycle ``t`` with latency ``L``
+writes its destination register at ``t + L``; reads at or after that
+cycle see the new value, earlier reads see the old one.  Because the
+schedule fixes every issue and writeback cycle, the generator resolves
+each read to the value it sees once, at plan time — precisely the
+semantics the scheduler's latency edges assume, so any scheduler bug
+surfaces as a wrong result against the reference interpreter.
 
 Every queue transfer is one call at its absolute cycle to the queue's
 checking method (:meth:`~repro.machine.queue.TimedQueue.dequeue`,
@@ -35,13 +36,14 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from ..analysis.local_opt import pure_evaluator
 from ..cellcodegen.emit import CellCode, OpCounts
 from ..errors import CellHangError
 from ..lang.ast import Channel
 from ..config import CellConfig
 from ..obs import get_telemetry
 from ..obs.metrics import CellMetrics
-from .plan import block_function, cell_metrics, loop_driver
+from .plan import cell_metrics, inline_driver
 from .queue import TimedQueue
 
 
@@ -73,12 +75,8 @@ class CellExecutor:
         #: caller supplies them, otherwise counted here.
         self._counts = counts if counts is not None else OpCounts.of_run(code)
         #: The timed loop driver of ``code`` (the plan's when supplied).
-        self._driver = driver if driver is not None else loop_driver(
-            code.items,
-            {
-                block.block_id: block_function(block, config)
-                for block in code.blocks()
-            },
+        self._driver = driver if driver is not None else inline_driver(
+            code, config, pure_evaluator, timed=True
         )
         self._registers = [0.0] * config.n_registers
         #: Data memory: the plan's ``memory_words`` (one past the
@@ -88,8 +86,8 @@ class CellExecutor:
         )
         rx, ry = in_queues[Channel.X], in_queues[Channel.Y]
         sx, sy = out_queues[Channel.X], out_queues[Channel.Y]
-        #: What every generated block function runs against: one
-        #: checking call per transfer.
+        #: What the timed driver runs against: one checking call per
+        #: transfer.
         self._ctx = (
             self._registers, self._memory,
             rx.dequeue, ry.dequeue, sx.enqueue, sy.enqueue,

@@ -21,10 +21,12 @@ holding every item's value of that word."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 from ..errors import HostDataError
 from ..hostcodegen import HostLayout
@@ -70,13 +72,26 @@ def load_inputs(
     layout: HostLayout,
     input_sets: Sequence[dict[str, "np.ndarray"]],
 ) -> tuple[HostMemory, dict[int, HostDataError]]:
+    """:func:`_load_inputs`, where a complex value does not convert to
+    float (Python's ``float`` refuses it too) instead of losing its
+    imaginary part."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        return _load_inputs(layout, input_sets)
+
+
+def _load_inputs(
+    layout: HostLayout,
+    input_sets: Sequence[dict[str, "np.ndarray"]],
+) -> tuple[HostMemory, dict[int, HostDataError]]:
     """Validate every input set into one zeroed ``(words, items)``
     buffer, item ``j`` in column ``j`` (short inputs are zero-padded;
     names the module does not declare are ignored); the literal words
     hold their literals.  Returns that memory and, by item index, the
     :class:`~repro.errors.HostDataError` of each item that failed
     validation (an oversize input, or one that does not convert to
-    float); a batch run discards such an item's column.
+    float, such as a complex one); a batch run discards such an item's
+    column.
 
     Each host array is first loaded for all items in one NumPy pass,
     which holds when every item gives it and its items share one shape
@@ -111,7 +126,7 @@ def load_inputs(
                     continue
                 try:
                     data = np.asarray(inputs[name], dtype=np.float64).ravel()
-                except (TypeError, ValueError, OverflowError):
+                except (TypeError, ValueError, OverflowError, ComplexWarning):
                     raise HostDataError(
                         f"input {name!r} does not convert to float: "
                         f"{unconvertible(inputs[name])!r}"

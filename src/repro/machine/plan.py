@@ -9,20 +9,19 @@ independent of the cell index, the input data and the run — so one
   straight-line Python statements (:func:`_block_source`): nop cycles
   vanish (30–50% of instruction slots on the Table 7-1 programs), each
   register read names the value it sees, and each written register
-  ends the block holding one named value.  In the timed form
-  (:func:`block_function`), one function per block, each queue
-  transfer is one call, with its absolute cycle, to the queue's
-  checking method, and the block's length advances the clock.
-* **Loop drivers.**  One generated driver per cell program keeps the
-  scheduled loop tree as nested ``for`` loops, so its size is the
-  static code's, whatever the trip counts.  Clean runs only move
-  values, under ``value_driver`` (``column_driver`` over NumPy columns
-  for batches): the untimed statements of every block sit inline in
-  the loops, registers are Python locals, and each block ends by
-  assigning only its registers that are live after it
-  (:func:`inline_driver`).  ``driver``, built on first use, calls the
-  timed block functions and carries the cycle and the watchdog check
-  of a checked run (:func:`loop_driver`).
+  ends the block holding one named value.  In the timed form each
+  queue transfer is one call, with its absolute cycle, to the queue's
+  checking method.
+* **Loop drivers.**  One generator (:func:`inline_driver`) builds every
+  driver: per cell program, the scheduled loop tree as nested ``for``
+  loops with each block's statements inline, so its size is the static
+  code's, whatever the trip counts.  Clean runs only move values, under
+  ``value_driver`` (``column_driver`` over NumPy columns for batches):
+  registers are Python locals, and each block ends by assigning only
+  its registers that are live after it.  ``driver``, built on first
+  use, is the timed form of a checked run: each block loads and stores
+  the register file, and the driver carries the cycle and the watchdog
+  check.
 * **The transfer timeline.**  Each block's transfer cycles, read off
   its instructions (:func:`_transfers`) and tiled over the loop
   tree once (``transfers``), give every queue's send and receive
@@ -101,24 +100,6 @@ def _transfers(block: ScheduledBlock) -> np.ndarray:
     return np.array(transfers, np.int64).reshape(-1, 2).T
 
 
-def block_function(block: ScheduledBlock, config: CellConfig) -> Callable:
-    """``block`` compiled to one timed straight-line function
-    ``run(ctx, t)`` (see :func:`_block_source`)."""
-    code = _block_source(block, config, pure_evaluator, timed=True)
-    lines = ["def make(C):"]
-    if code.constants:
-        lines.append(f"    {', '.join(code.constants)}, = C")
-    lines.append("    def run(ctx, t):")
-    lines.append("        R, M, dx, dy, ex, ey, da = ctx")
-    lines.extend(f"        r{reg} = R[{reg}]" for reg in code.entry)
-    lines.extend(f"        {line}" for line in code.body)
-    lines.extend(
-        f"        R[{reg}] = {name}" for reg, name in sorted(code.out.items())
-    )
-    lines.append("    return run")
-    return _factory("\n".join(lines) + "\n")(list(code.constants.values()))
-
-
 class BlockSource(NamedTuple):
     """One block's straight-line code (see :func:`_block_source`)."""
 
@@ -137,7 +118,7 @@ def _block_source(
     config: CellConfig,
     evaluate: Callable[[OpKind], Callable[..., float]],
     timed: bool,
-    tag: str = "",
+    tag: str,
 ) -> BlockSource:
     """The statements of one block as straight-line Python.
 
@@ -280,76 +261,17 @@ def _block_source(
 MAX_NEST = 10
 
 
-def _driver_source(items: list[ScheduledItem]) -> str:
-    """Python source of the timed loop driver of one cell program.
-
-    The paper keeps loop structure in the generated loop control
-    (Section 6.3.1); so does the driver, so its size does not grow with
-    trip counts: nested ``for _ in range(trip):`` loops over the
-    :class:`~repro.cellcodegen.emit.ScheduledLoop` tree that call each
-    block's function in one cell run's order.  The source defines
-    ``make(B)``, which binds each block's function ``B[id]`` as
-    ``b<id>`` and returns ``drive(ctx, t, deadline, expired) -> end``:
-    each block runs at cycle ``t``, ``t`` advances by the block's
-    length, and once ``t`` passes ``deadline`` the driver calls
-    ``expired(t)`` (the watchdog, which raises).  A loop
-    :data:`MAX_NEST` deep in one function continues in a function of
-    its own (``l<k>``).
-    """
-    args = "ctx, t, deadline, expired"
-    functions: list[list[str]] = []
-    block_ids: set[int] = set()
-
-    def function(name: str, body: list[ScheduledItem]) -> None:
-        lines = [f"    def {name}({args}):"]
-        functions.append(lines)
-        emit(body, lines, "        ", 0)
-        lines.append("        return t")
-
-    def emit(
-        body: list[ScheduledItem], lines: list[str], pad: str, depth: int
-    ) -> None:
-        for item in body:
-            if isinstance(item, ScheduledBlock):
-                block_ids.add(item.block_id)
-                lines.append(f"{pad}b{item.block_id}(ctx, t)")
-                lines.append(f"{pad}t += {item.length}")
-                lines.append(f"{pad}if t > deadline: expired(t)")
-            elif depth == MAX_NEST:
-                name = f"l{len(functions)}"
-                function(name, [item])
-                lines.append(f"{pad}t = {name}({args})")
-            else:
-                lines.append(f"{pad}for _ in range({item.trip}):")
-                emit(item.body, lines, pad + "    ", depth + 1)
-                if lines[-1].endswith(":"):  # a loop over no blocks
-                    lines.append(f"{pad}    pass")
-
-    function("drive", items)
-    lines = ["def make(B):"]
-    lines.extend(f"    b{b} = B[{b}]" for b in sorted(block_ids))
-    for body in functions:
-        lines.extend(body)
-    lines.append("    return drive")
-    return "\n".join(lines) + "\n"
-
-
-def loop_driver(
-    items: list[ScheduledItem], functions: dict[int, Callable]
-) -> Callable:
-    """The timed loop driver of ``items`` over the block ``functions``
-    (by block id); see :func:`_driver_source`."""
-    return _factory(_driver_source(items))(functions)
-
-
 def inline_driver(
     code: CellCode,
     config: CellConfig,
     evaluate: Callable[[OpKind], Callable[..., float]],
-) -> Callable[[tuple], None]:
-    """The untimed driver of ``code``, ``drive((M, dx, dy, ex, ey,
-    da))``, over ``evaluate``'s functions; see :func:`_inline_source`."""
-    source, constants = _inline_source(code, config, evaluate)
+    timed: bool = False,
+) -> Callable:
+    """The driver of ``code`` over ``evaluate``'s functions: untimed,
+    ``drive((M, dx, dy, ex, ey, da))``; timed, ``drive((R, M, dx, dy,
+    ex, ey, da), t, deadline, expired) -> end``.  See
+    :func:`_inline_source`."""
+    source, constants = _inline_source(code, config, evaluate, timed)
     return _factory(source)(constants)
 
 
@@ -357,76 +279,108 @@ def _inline_source(
     code: CellCode,
     config: CellConfig,
     evaluate: Callable[[OpKind], Callable[..., float]],
+    timed: bool = False,
 ) -> tuple[str, list]:
-    """Python source of the untimed driver of one cell program, and the
+    """Python source of the driver of one cell program, and the
     constants it binds.
 
-    The loop tree becomes nested ``for _ in range(trip):`` loops, as in
-    :func:`_driver_source`, but each block's untimed statements
-    (:func:`_block_source`, evaluators and literals tagged ``<id>_``) sit
-    where the block runs: no call per block, and each register ``r<k>``
-    is one Python local, ``0.0`` on entry like a fresh register file.
-    A block ends with one parallel assignment of its registers that are
-    live after it (:func:`_live_registers`); a dead write assigns
-    nothing, and a loop that runs no block (a zero-trip loop, say)
-    generates no code.  The source defines ``make(C)``, which binds the
-    constants ``C`` by position and returns ``drive(ctx)``; ``drive``
-    unpacks ``ctx = (M, dx, dy, ex, ey, da)`` once.  A loop
-    :data:`MAX_NEST` deep in one function continues in a function of
-    its own (``loop<k>``), which takes the registers live into the loop
-    and returns those live after it.
+    The paper keeps loop structure in the generated loop control
+    (Section 6.3.1); so does the driver, so its size does not grow with
+    trip counts: the :class:`~repro.cellcodegen.emit.ScheduledLoop` tree
+    becomes nested ``for _ in range(trip):`` loops, and each block's
+    statements (:func:`_block_source`, evaluators and literals tagged
+    ``<id>_``) sit where the block runs, with no call per block.  A loop
+    that runs no block (a zero-trip loop, say) generates no code.  The
+    source defines ``make(C)``, which binds the constants ``C`` by
+    position and returns ``drive``.  A loop :data:`MAX_NEST` deep in one
+    function continues in a function of its own (``loop<k>``).
+
+    Untimed, ``drive(ctx)`` unpacks ``ctx = (M, dx, dy, ex, ey, da)``
+    once and each register ``r<k>`` is one Python local, ``0.0`` on
+    entry like a fresh register file.  A block ends with one parallel
+    assignment of its registers that are live after it
+    (:func:`_live_registers`); a dead write assigns nothing.  A split
+    loop's function takes the registers live into the loop and returns
+    those live after it.
+
+    Timed, ``drive(ctx, t, deadline, expired) -> end`` runs against
+    ``ctx = (R, M, dx, dy, ex, ey, da)``, ``R`` being the register file:
+    each block loads its ``entry`` registers from ``R``, runs at cycle
+    ``t`` and stores every register it writes back to ``R``, with no
+    liveness, so the checked path stays a reference for it.  ``t`` then
+    advances by the block's length, and once ``t`` passes ``deadline``
+    the driver calls ``expired(t)`` (the watchdog, which raises).  A
+    split loop's function takes and returns ``t``.
     """
     blocks = {
         block.block_id: _block_source(
-            block, config, evaluate, timed=False, tag=f"{block.block_id}_"
+            block, config, evaluate, timed, tag=f"{block.block_id}_"
         )
         for block in code.blocks()
     }
-    live, entry = _live_registers(code.items, blocks)
+    live, entry = ({}, ()) if timed else _live_registers(code.items, blocks)
+    unpack = "R, M, dx, dy, ex, ey, da" if timed else "M, dx, dy, ex, ey, da"
     functions: list[list[str]] = []
 
-    def function(name: str, body: list[ScheduledItem], live_in, live_out):
+    def function(
+        name: str, body: list[ScheduledItem], live_in=(), live_out=()
+    ) -> tuple[str, str]:
         """Emit ``body`` as function ``name``, which takes the registers
-        ``live_in`` and returns those ``live_out``; ``drive`` sets its
-        ``live_in`` to ``0.0`` instead."""
+        ``live_in`` and returns those ``live_out`` (untimed; ``drive``
+        sets its ``live_in`` to ``0.0`` instead) or takes and returns
+        the cycle (timed).  Returns its arguments and what it returns."""
         lines = []
         functions.append(lines)
         emit(body, lines, "        ", 0)
         params, results = sorted(live_in), sorted(live_out)
-        if name == "drive":
+        returned = f"{_regs(results)}," if results else ""
+        if timed:
+            args, returned = "ctx, t, deadline, expired", "t"
+        elif name == "drive":
             args = "ctx"
             if params:
                 lines.insert(0, f"        {_regs(params, ' = ')} = 0.0")
         else:
             args = ", ".join(["ctx", *(f"r{reg}" for reg in params)])
-        lines[:0] = [
-            f"    def {name}({args}):", "        M, dx, dy, ex, ey, da = ctx"
-        ]
-        if results:
-            lines.append(f"        return {_regs(results)},")
-        return args, results
+        lines[:0] = [f"    def {name}({args}):", f"        {unpack} = ctx"]
+        if returned:
+            lines.append(f"        return {returned}")
+        return args, returned
+
+    def statements(item: ScheduledBlock) -> list[str]:
+        """``item``'s statements where it runs, with its register
+        traffic and, timed, the clock's advance and the watchdog."""
+        block = blocks[item.block_id]
+        if timed:
+            return [
+                *(f"r{reg} = R[{reg}]" for reg in block.entry),
+                *block.body,
+                *(f"R[{reg}] = {value}" for reg, value in block.out.items()),
+                f"t += {item.length}",
+                "if t > deadline: expired(t)",
+            ]
+        copy = {
+            reg: value for reg, value in block.out.items()
+            if reg in live[id(item)][1] and value != f"r{reg}"
+        }
+        if not copy:
+            return block.body
+        values = ", ".join(copy.values())
+        return [*block.body, f"{_regs(list(copy))} = {values}"]
 
     def emit(body, lines, pad, depth) -> None:
         for item in body:
             if isinstance(item, ScheduledBlock):
-                block = blocks[item.block_id]
-                lines.extend(pad + line for line in block.body)
-                copy = {
-                    reg: value for reg, value in block.out.items()
-                    if reg in live[id(item)][1] and value != f"r{reg}"
-                }
-                if copy:
-                    values = ", ".join(copy.values())
-                    lines.append(f"{pad}{_regs(list(copy))} = {values}")
+                lines.extend(pad + line for line in statements(item))
             elif not item.trip:
                 continue
             elif depth == MAX_NEST:
                 name = f"loop{len(functions)}"
-                args, results = function(name, [item], *live[id(item)])
+                split = live.get(id(item), ())
+                args, returned = function(name, [item], *split)
                 call = f"{name}({args})"
                 lines.append(
-                    f"{pad}{_regs(results)}, = {call}" if results
-                    else f"{pad}{call}"
+                    f"{pad}{returned} = {call}" if returned else f"{pad}{call}"
                 )
             else:
                 inner: list[str] = []
@@ -435,7 +389,7 @@ def _inline_source(
                     lines.append(f"{pad}for _ in range({item.trip}):")
                     lines.extend(inner)
 
-    function("drive", code.items, entry, frozenset())
+    function("drive", code.items, entry)
     constants = {
         name: value for block in blocks.values()
         for name, value in block.constants.items()
@@ -490,8 +444,8 @@ def _live_registers(
 
 @functools.lru_cache(maxsize=1024)
 def _factory(source: str) -> Callable:
-    """The ``make`` function of one generated block or driver source,
-    compiled once per distinct text (a recompiled program reuses them)."""
+    """The ``make`` function of one generated driver source, compiled
+    once per distinct text (a recompiled program reuses them)."""
     namespace: dict = {}
     exec(compile(source, "<warp block>", "exec"), namespace)
     return namespace["make"]
@@ -552,13 +506,9 @@ class ExecutionPlan:
     @functools.cached_property
     def driver(self) -> Callable:
         """One checked cell run: ``driver(ctx, start, deadline, expired)``
-        walks the loop tree over the timed block functions."""
-        code, config = self._program.cell_code, self._program.config.cell
-        functions = {
-            block.block_id: block_function(block, config)
-            for block in code.blocks()
-        }
-        return loop_driver(code.items, functions)
+        runs every block's timed statements inline, from cycle ``start``
+        (:func:`inline_driver`)."""
+        return self._inline(pure_evaluator, timed=True)
 
     @functools.cached_property
     def value_driver(self) -> Callable[[tuple], None]:
@@ -571,9 +521,11 @@ class ExecutionPlan:
         """:attr:`value_driver` over NumPy columns (built on first use)."""
         return self._inline(column_evaluator)
 
-    def _inline(self, evaluate) -> Callable[[tuple], None]:
+    def _inline(self, evaluate, timed: bool = False) -> Callable:
         program = self._program
-        return inline_driver(program.cell_code, program.config.cell, evaluate)
+        return inline_driver(
+            program.cell_code, program.config.cell, evaluate, timed
+        )
 
     @functools.cached_property
     def transfers(self) -> dict[str, np.ndarray]:

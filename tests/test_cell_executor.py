@@ -204,10 +204,10 @@ class TestLoopsAndStats:
     def test_loop_driver_past_the_nesting_limit(self):
         """A nest deeper than ``MAX_NEST`` continues in functions of its
         own and keeps every trip count, in the timed driver and in the
-        inline one; a loop over no blocks runs nothing; the timed driver
+        untimed one; a loop over no blocks runs nothing; the timed driver
         advances the cycle by each block's length and calls the watchdog
         once it passes the deadline."""
-        from repro.machine.plan import MAX_NEST, inline_driver, loop_driver
+        from repro.machine.plan import MAX_NEST, inline_driver
 
         block = ScheduledBlock(
             block_id=0,
@@ -233,16 +233,18 @@ class TestLoopsAndStats:
             ([], None, None, sent.append, None, None)
         )
         assert sent == [1.0] * 16  # four loops of two trips
+        # The block sends at its first cycle, so each send names its start.
         starts = []
-        timed = loop_driver(items, {0: lambda ctx, t: starts.append(t)})
-        assert timed("ctx", 100, math.inf, None) == 100 + 16 * 3
+        timed = inline_driver(code, CFG, pure_evaluator, timed=True)
+        ctx = ([], [], None, None, lambda t, v: starts.append(t), None, None)
+        assert timed(ctx, 100, math.inf, None) == 100 + 16 * 3
         assert starts == [100 + 3 * k for k in range(16)]
 
         def expired(t):
             raise SimulationError(f"expired at {t}")
 
         with pytest.raises(SimulationError, match="expired at 9"):
-            timed("ctx", 0, 7, expired)
+            timed(ctx, 0, 7, expired)
 
 
 class TestDrainGuard:
@@ -616,6 +618,25 @@ class TestInlineLiveness:
         assert sent == [2.0]
         assert "r5" not in source
         assert source.count("r4 = ") == 1
+
+    def test_timed_driver_stores_dead_writes(self):
+        """The timed driver uses no liveness: every block stores each
+        register it writes to ``R``, dead writes included, so the
+        checked path stays an independent reference for the untimed
+        driver's liveness."""
+        from repro.machine.plan import _inline_source
+
+        code = CellCode(
+            items=[
+                _receive(0, 4), _set(1, 4, 2.0), _send(2, 4), _receive(3, 5)
+            ],
+            layout=MemoryLayout(), pinned={}, config=CFG,
+        )
+        source, _ = _inline_source(code, CFG, pure_evaluator, timed=True)
+        assert source.count("R[4] = ") == 2
+        assert source.count("R[5] = ") == 1
+        _, _, executor = run_cell(code, self.WORDS)
+        assert executor._registers[5] == self.WORDS[1]
 
     def test_register_carried_across_the_nesting_split(self):
         from repro.machine.plan import MAX_NEST

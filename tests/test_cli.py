@@ -336,6 +336,21 @@ class TestBatchCommand:
             "does not convert to float: 'abc'"
         ) in capsys.readouterr().err
 
+    def test_complex_items_are_item_failures(self, tmp_path, capsys):
+        """One complex element makes the npz array complex, so every
+        item fails, each naming its own first value."""
+        din = np.array([[1.0, 2.0], [3.0, 4.0 + 1j]])
+        np.savez(tmp_path / "c.npz", din=din)
+        path = str(tmp_path / "c.npz")
+        assert main(["batch", "passthrough", "--inputs", path]) == 1
+        err = capsys.readouterr().err
+        for item, value in enumerate(["(1+0j)", "(3+0j)"]):
+            assert (
+                f"item {item} failed after 1 attempt: HostDataError: input "
+                f"'din' does not convert to float: {value}"
+            ) in err
+        assert "Traceback" not in err
+
     def test_batch_matches_run_outputs(self, tmp_path, capsys):
         """One batch item produces exactly what `run` produces."""
         run_out = tmp_path / "run.npz"
@@ -419,6 +434,15 @@ class TestBadCounts:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {argv[-2]}: must be" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("factor", ["0", "-3"])
+    def test_unroll_below_one_is_a_usage_error(self, factor, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "polynomial", "--unroll", factor])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --unroll: must be >= 1, got {factor}" in err
         assert "Traceback" not in err
 
     def test_bounds_are_inclusive(self, capsys):

@@ -129,3 +129,20 @@ class TestQueueOverflowPolicy:
         config = WarpConfig(queue_depth=4096)
         program = compile_w2(polynomial(30, 10), config=config)
         assert program.buffers
+
+
+class TestUnrollFactor:
+    @pytest.mark.parametrize("unroll", [0, -3, 1.5, "x", "2", True, None])
+    def test_invalid_factor_is_a_value_error(self, unroll):
+        """Only an int >= 1 or ``"auto"`` is a factor; anything else is
+        named in a ``ValueError``, before the cache is consulted, so no
+        value below 1 stands for 1 under a key of its own."""
+        from repro.exec import CompileCache
+
+        cache = CompileCache()
+        with pytest.raises(ValueError) as caught:
+            compile_w2(polynomial(12, 4), unroll=unroll, cache=cache)
+        assert str(caught.value) == (
+            f"unroll must be an int >= 1 or 'auto', got {unroll!r}"
+        )
+        assert len(cache) == 0

@@ -1,16 +1,19 @@
 """Unit tests for the host feeder/collector and HostMemory."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.exceptions import ComplexWarning
 
 from repro.compiler import compile_w2
 from repro.errors import HostDataError
 from repro.hostcodegen import HostLayout, generate_host_program
 from repro.lang import Channel
-from repro.machine import TimedQueue
+from repro.machine import TimedQueue, simulate
 from repro.machine.host import (
     Collection,
     HostMemory,
@@ -147,8 +150,11 @@ def _per_item_load(layout, input_sets):
                 if name not in inputs:
                     continue
                 try:
-                    data = np.asarray(inputs[name], dtype=np.float64).ravel()
-                except (TypeError, ValueError, OverflowError):
+                    with warnings.catch_warnings():
+                        # A complex value does not convert, as in float().
+                        warnings.simplefilter("error", ComplexWarning)
+                        data = np.asarray(inputs[name], np.float64).ravel()
+                except (TypeError, ValueError, OverflowError, ComplexWarning):
                     raise HostDataError(
                         f"input {name!r} does not convert to float: "
                         f"{unconvertible(inputs[name])!r}"
@@ -231,3 +237,34 @@ def test_unconvertible_names_the_value_as_written():
     assert unconvertible([1.0, None, 1j]) == 1j
     for nested in ([[1.0, 2.0], [3.0]], [np.zeros(2), np.zeros((2, 2))]):
         assert unconvertible(nested) is nested
+
+
+def test_complex_input_does_not_convert():
+    """A complex value is an input that does not convert to float, as
+    Python's ``float`` refuses it, on every batch item and on a one-shot
+    run, instead of losing its imaginary part; the per-item loop agrees
+    on each error."""
+    input_sets = [
+        {"a": np.arange(6) + 2j},
+        {"a": np.zeros(6, np.complex64)},
+        {"m": [[1.0, 2.0, 3.0], [4.0, 5.0 + 1e-9j, 6.0]]},
+        {"s": 1j},
+        {"a": np.ones(6)},
+    ]
+    memory, failed = load_inputs(_LAYOUT, input_sets)
+    _, want = _per_item_load(_LAYOUT, input_sets)
+    assert sorted(failed) == sorted(want) == [0, 1, 2, 3]
+    assert [str(failed[item]) for item in range(4)] == [
+        "input 'a' does not convert to float: 2j",
+        "input 'a' does not convert to float: 0j",
+        "input 'm' does not convert to float: (5+1e-09j)",
+        "input 's' does not convert to float: 1j",
+    ]
+    assert [str(error) for error in want.values()] == [
+        str(failed[item]) for item in range(4)
+    ]
+    assert np.array_equal(memory.arrays["a"][:, 4], np.ones(6))
+    program = compile_w2(polynomial(16, 8))
+    with pytest.raises(HostDataError) as caught:
+        simulate(program, {"z": np.arange(16) + 2j, "c": np.ones(8)})
+    assert str(caught.value) == "input 'z' does not convert to float: 2j"

@@ -331,6 +331,31 @@ class TestBatchRunnerPaths:
             one_shot = simulate(poly, items[index])
             assert_same_run(batched.results[index], one_shot)
 
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("mode", ["serial", "faulted", "pool"])
+    def test_complex_item_fails_validation(self, poly, assert_same_run, mode):
+        """A complex item fails validation with a ``HostDataError`` that
+        names its first value, on every batch path, instead of running
+        on its real parts; the other items equal one-shot runs."""
+        items = _items(3)
+        items[1] = {"z": np.arange(12) + 2j, "c": np.ones(4)}
+        kwargs = {
+            "serial": {},
+            "faulted": {"faults": InjectionPlan()},
+            "pool": {"processes": 2},
+        }[mode]
+        batched = BatchRunner(poly, max_retries=2, **kwargs).run(items)
+        failures = [
+            (f.index, f.error_type, f.attempts) for f in batched.failures
+        ]
+        assert failures == [(1, "HostDataError", 1)]
+        assert batched.failures[0].message == (
+            "input 'z' does not convert to float: 2j"
+        )
+        for index in (0, 2):
+            one_shot = simulate(poly, items[index])
+            assert_same_run(batched.results[index], one_shot)
+
     def test_failing_program_is_decided_by_one_column_run(self, monkeypatch):
         """A fault-free batch of a program whose skew is one too low
         checks its timeline once and makes one checked run (on zeroed
@@ -398,17 +423,12 @@ class TestBatchRunnerPaths:
         builds the timed driver once, and the column driver comes only
         on first batched use."""
         built = []
-        timed, inline = plan_module.loop_driver, plan_module.inline_driver
+        inline = plan_module.inline_driver
 
-        def counting_timed(items, functions):
-            built.append("timed")
-            return timed(items, functions)
+        def counting_inline(code, config, evaluate, timed=False):
+            built.append("timed" if timed else "untimed")
+            return inline(code, config, evaluate, timed)
 
-        def counting_inline(code, config, evaluate):
-            built.append("untimed")
-            return inline(code, config, evaluate)
-
-        monkeypatch.setattr(plan_module, "loop_driver", counting_timed)
         monkeypatch.setattr(plan_module, "inline_driver", counting_inline)
         program = compile_w2(polynomial(12, 4))
         for item in _items(3):
@@ -447,6 +467,29 @@ class TestBatchRunnerPaths:
                     called = r"range|d[xya]|e[xy]|e\d+_\d+"
                     assert re.fullmatch(called, name), name
         assert "R[" not in source
+
+    def test_timed_driver_calls_no_block_function(self):
+        """The timed driver pastes every block's timed statements into
+        its loops too: it calls no block function, only the transfers,
+        the evaluators and the watchdog, and each block moves its
+        registers through the register file ``R``."""
+        program = compile_w2(matmul(8, 4))
+        source, _ = plan_module._inline_source(
+            program.cell_code, program.config.cell, pure_evaluator,
+            timed=True,
+        )
+        tree = ast.parse(source)
+        called = {
+            node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert called, source
+        allowed = r"range|d[xya]|e[xy]|e\d+_\d+|expired"
+        for name in called:
+            assert re.fullmatch(allowed, name), name
+        assert "R[" in source
+        blocks = len(list(program.cell_code.blocks()))
+        assert source.count("if t > deadline: expired(t)") == blocks
 
     def test_unrecordable_program_runs_on_cycle_path(self):
         """A program whose column run raises (a data-independent
