@@ -436,12 +436,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
         f"{result.fallback_items} one by one"
     )
     print(f"    {_cache_status(cache)}")
-    first_ok = next((r for r in result.results if r is not None), None)
-    if args.metrics_out and first_ok is not None:
-        # Cell schedules are data-independent, so one item's machine
-        # metrics represent every item; batch aggregates ride along.
+    if args.metrics_out and result.metrics is not None:
+        # Cell schedules are data-independent, so the batch's one
+        # metrics record represents every item; its aggregates ride along.
         document = obs.metrics_to_json(
-            first_ok.machine_metrics, cache=cache, batch=result
+            result.metrics, cache=cache, batch=result
         )
         Path(args.metrics_out).write_text(json.dumps(document, indent=2))
         print(f"metrics written to {args.metrics_out}")

@@ -15,11 +15,12 @@ the whole batch, over one NumPy column per host array
 moved and every operation evaluated carries all items' values at once.
 Its work scales with host arrays and outputs, not items: each input is
 loaded for all items in one NumPy pass (only a malformed input is
-validated item by item), and each output is one ``(items, n)`` array
-whose rows are the items' outputs.  That one run decides every item:
-an item whose inputs fail validation fails with its
-:class:`~repro.errors.HostDataError`, and if the run raises, every
-other item fails with that error, which no run of its own could change.
+validated item by item), and each output is one ``(items, n)`` array,
+kept as the result: an item's own result is built only when read.
+That one run decides every item: an item whose inputs fail validation
+fails with its :class:`~repro.errors.HostDataError`, and if the run
+raises, every other item fails with that error, which no run of its
+own could change.
 
 Batched results are **bit-identical** to one-shot ``simulate`` calls,
 item for item: the runner changes where static state lives and how
@@ -49,7 +50,8 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -62,6 +64,7 @@ from ..errors import (
 from ..machine.array import SimulationResult, WarpMachine
 from ..machine.host import load_inputs
 from ..obs import get_telemetry
+from ..obs.metrics import MachineMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from ..compiler.driver import CompiledProgram
@@ -101,6 +104,32 @@ class ItemFailure:
         )
 
 
+class ColumnResults(Sequence):
+    """A column run's items as a read-only sequence: item ``i``'s
+    :class:`SimulationResult` (row ``i`` of each output array, a view,
+    and the shared metrics) is built when read; a failed item is
+    ``None``."""
+
+    def __init__(self, outputs: dict[str, np.ndarray], metrics, failed, n):
+        self._outputs, self._metrics, self._failed = outputs, metrics, failed
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        item = range(self._n)[index]
+        if isinstance(item, range):
+            return [self[i] for i in item]
+        if item in self._failed:
+            return None
+        rows = {name: out[item] for name, out in self._outputs.items()}
+        return SimulationResult(rows, self._metrics)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+
 @dataclass
 class BatchResult:
     """All per-item results of one batched run, plus aggregate stats.
@@ -108,10 +137,12 @@ class BatchResult:
     ``results`` is aligned with the input items; an unrecoverable item
     leaves ``None`` at its position and a matching :class:`ItemFailure`
     in ``failures`` (partial results are first-class: the other items
-    are complete and bit-identical to one-shot runs).
+    are complete and bit-identical to one-shot runs).  A fault-free
+    serial batch's ``results`` are :class:`ColumnResults` over its
+    ``arrays``; other batches keep a list of their items' own results.
     """
 
-    results: list[SimulationResult | None]
+    results: Sequence[SimulationResult | None]
     wall_seconds: float
     processes: int = 1
     #: Structured records for items that failed every attempt.
@@ -123,6 +154,12 @@ class BatchResult:
     #: Items run one by one (fault-injected and pool batches); an item
     #: whose inputs fail validation is never run.
     fallback_items: int = 0
+    #: The machine metrics every completed item shares (schedules are
+    #: data-independent); ``None`` when no item completed.
+    metrics: MachineMetrics | None = None
+    #: Each output as one ``(items, n)`` array, row ``i`` item ``i``'s
+    #: (:meth:`outputs` returns it when no item failed).
+    arrays: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_items(self) -> int:
@@ -138,19 +175,28 @@ class BatchResult:
 
     @property
     def total_cycles(self) -> int:
-        """Machine cycles summed over items (items run back to back)."""
-        return sum(r.total_cycles for r in self.results if r is not None)
+        """Machine cycles over the completed items, run back to back
+        on the shared static schedule."""
+        if self.metrics is None:
+            return 0
+        return self.metrics.total_cycles * (self.n_items - self.n_failures)
 
     @property
     def cycles_per_item(self) -> float:
-        completed = sum(1 for r in self.results if r is not None)
-        return self.total_cycles / max(completed, 1)
+        return self.total_cycles / max(self.n_items - self.n_failures, 1)
 
     @property
     def items_per_second(self) -> float:
         return self.n_items / max(self.wall_seconds, 1e-12)
 
-    def _complete_results(self) -> list[SimulationResult]:
+    def outputs(self, name: str) -> np.ndarray:
+        """One output array across the batch, on a leading item axis.
+        Raises if any item failed."""
+        return self.stacked_outputs()[name]
+
+    def stacked_outputs(self) -> dict[str, np.ndarray]:
+        """Every output across the batch (the kept arrays, not copies).
+        Raises if any item failed."""
         if self.failures:
             raise ValueError(
                 f"batch has {self.n_failures} failed item(s) "
@@ -158,20 +204,7 @@ class BatchResult:
                 "read BatchResult.failures / per-item results instead of "
                 "the stacked outputs"
             )
-        return [r for r in self.results if r is not None]
-
-    def outputs(self, name: str) -> np.ndarray:
-        """One output array across the batch, stacked on a leading
-        item axis.  Raises if any item failed."""
-        return np.stack(
-            [result.outputs[name] for result in self._complete_results()]
-        )
-
-    def stacked_outputs(self) -> dict[str, np.ndarray]:
-        results = self._complete_results()
-        if not results:
-            return {}
-        return {name: self.outputs(name) for name in results[0].outputs}
+        return dict(self.arrays)
 
 
 # Worker-process state: each pool worker holds its own machine, built
@@ -263,20 +296,22 @@ class BatchRunner:
         input_sets = list(input_sets)
         pooled = self.processes > 1 and len(input_sets) > 1
         if self.faults is None and not pooled:
-            results, errors = self._machine.run_columns(input_sets)
+            arrays, metrics, errors = self._machine.run_columns(input_sets)
+            n = len(input_sets)
             batch = BatchResult(
-                results,
+                ColumnResults(arrays, metrics, errors, n),
                 0.0,
                 failures=[ItemFailure.of(i, e) for i, e in errors.items()],
-                value_items=len(results),
+                value_items=n,
+                metrics=metrics,
+                arrays=arrays,
             )
         else:
             batch = self._run_each(input_sets, pooled)
         batch.wall_seconds = time.perf_counter() - started
         obs = get_telemetry()
         obs.counter("exec.batch.items", batch.n_items)
-        if obs.enabled:
-            obs.counter("exec.batch.cycles", batch.total_cycles)
+        obs.counter("exec.batch.cycles", batch.total_cycles)
         if batch.value_items:
             obs.counter("exec.batch.value_items", batch.value_items)
         if batch.fallback_items:
@@ -355,6 +390,13 @@ class BatchRunner:
                 batch.failures.append(outcome)
             else:
                 batch.results[index] = outcome
+        done = [result for result in batch.results if result is not None]
+        batch.metrics = done[0].machine_metrics if done else None
+        if done and batch.ok:
+            batch.arrays = {
+                name: np.stack([result.outputs[name] for result in done])
+                for name in done[0].outputs
+            }
         return batch
 
     # Serial path ---------------------------------------------------------

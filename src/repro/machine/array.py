@@ -133,35 +133,29 @@ class WarpMachine:
 
     def run_columns(
         self, input_sets: Sequence[dict[str, np.ndarray]]
-    ) -> tuple[list[SimulationResult | None], dict[int, SimulationError]]:
+    ) -> tuple[
+        dict[str, np.ndarray], MachineMetrics | None, dict[int, SimulationError]
+    ]:
         """Every item of ``input_sets`` from one value-path run over NumPy
-        columns (one ``(elements, items)`` column per host array): the
-        results in item order, ``None`` for an item without one, and by
-        item index the error of each such item.  An item that fails
-        input validation keeps its :func:`load_inputs` error; if the run
+        columns (one ``(elements, items)`` column per host array): each
+        host array as one C-contiguous ``(items, elements)`` array, the
+        ``MachineMetrics`` every item shares, and by item index the
+        error of each item without a result.  An item that fails input
+        validation keeps its :func:`load_inputs` error; if the run
         raises a :class:`~repro.errors.SimulationError`, every other
-        item gets that error, which does not depend on the data.
-        Results share one copy of the static facts."""
+        item gets that error, which does not depend on the data."""
         layout = self._program.host_program.layout
         memory, errors = load_inputs(layout, input_sets)
         items = range(len(input_sets))
         if len(errors) == len(items):
-            return [None] * len(items), errors
+            return {}, None, errors
         try:
             with np.errstate(all="ignore"):
                 columns, metrics, _ = self._values(memory, self.plan.column_driver)
         except SimulationError as error:
-            errors = {item: errors.get(item, error) for item in items}
-            return [None] * len(items), errors
-        # One contiguous (items, elements) array per output: row j is
-        # item j's output, and one zip walks every output's rows at once.
-        names = list(columns)
-        rows = zip(*(out.T.copy() for out in columns.values()))
-        return [
-            None if item in errors
-            else SimulationResult(dict(zip(names, row)), metrics)
-            for item, row in enumerate(rows)
-        ], errors
+            return {}, None, {item: errors.get(item, error) for item in items}
+        outputs = {name: out.T.copy() for name, out in columns.items()}
+        return outputs, metrics, errors
 
     def _values(
         self,
@@ -309,15 +303,13 @@ class WarpMachine:
             addresses.append(audit(measured))
 
         # Stream accounting: schedules are data-independent, so every
-        # inter-cell link must carry *exactly* the static per-run send
-        # count — a dropped or duplicated send diverges here even when
-        # it would never underflow (unconsumed pads are otherwise
-        # legal).  The collector link is checked by collect_outputs
-        # against the host program's collection length, and the
-        # flow-controlled host boundary (link 0) is fed whole.  Metrics
-        # cover link 0, the audited inter-cell links and the address
-        # queues; the host drains the collector link outside cell time,
-        # so its occupancy is not a machine property.
+        # link a cell sends on must carry *exactly* the static per-run
+        # send count — a dropped or duplicated send diverges here even
+        # when it would never underflow (unconsumed pads are otherwise
+        # legal).  The flow-controlled host boundary (link 0) is fed
+        # whole.  Metrics cover link 0, the audited inter-cell links and
+        # the address queues; the host drains the collector link outside
+        # cell time, so its occupancy is not a machine property.
         metrics = queue_metrics(
             [queue.times() for link in links[:n_cells] for queue in link.values()]
         )[0]
@@ -325,14 +317,7 @@ class WarpMachine:
         for i in range(1, n_cells):
             for channel, queue in links[i].items():
                 audit(queues[queue.name])
-                expected = plan.counts.sends[channel]
-                if queue.items_sent != expected:
-                    get_telemetry().counter("fault.detected")
-                    raise SilentCorruptionDetected(
-                        f"{queue.name}: stream accounting failed — cell "
-                        f"{i - 1} sent {queue.items_sent} words but the "
-                        f"static schedule sends exactly {expected} per run"
-                    )
+                _account(queue, i - 1, plan.counts.sends[channel])
         if injector is not None:
             # Words the program never dequeued still get their parity
             # swept (the collector reads link n_cells values directly).
@@ -342,6 +327,10 @@ class WarpMachine:
                 for queue in link.values():
                     if isinstance(queue, FaultyQueue):
                         queue.verify_integrity()
+        # The collector link is counted after the sweep, which names the
+        # word a fault hit when its tags show it.
+        for channel, queue in links[n_cells].items():
+            _account(queue, n_cells - 1, plan.counts.sends[channel])
         collect_outputs(plan.collection, memory, links[n_cells])
         outputs = {
             name: memory.arrays[name].copy()
@@ -360,6 +349,17 @@ class WarpMachine:
         capped at its share of the Chrome trace's spans."""
         limit = chrome_trace.MAX_BLOCK_SPANS // self._program.n_cells
         return self.plan.spans(cells, limit)
+
+
+def _account(queue: TimedQueue, cell: int, expected: int) -> None:
+    """Raise unless ``cell`` sent ``queue`` its static per-run count."""
+    if queue.items_sent != expected:
+        get_telemetry().counter("fault.detected")
+        raise SilentCorruptionDetected(
+            f"{queue.name}: stream accounting failed — cell {cell} sent "
+            f"{queue.items_sent} words but the static schedule sends "
+            f"exactly {expected} per run"
+        )
 
 
 def _injector_of(faults) -> "FaultInjector | None":

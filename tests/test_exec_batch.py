@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro import compile_w2, simulate
+from repro.cli import main
 from repro.exec import BatchRunner
 from repro.machine import ExecutionPlan
-from repro.programs import passthrough, polynomial
+from repro.programs import conv1d, passthrough, polynomial
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,126 @@ class TestBatchResult:
             batched = BatchRunner(program).run(_items(rng, 3))
         assert telemetry.counters["exec.batch.items"] == 3
         assert telemetry.counters["exec.batch.cycles"] == batched.total_cycles
+
+
+# The benchmark's batch mix: each program with a maker of one item.
+BATCH_MIX = {
+    "polynomial(16,8)": (
+        polynomial(16, 8),
+        lambda rng: {"z": rng.uniform(-1, 1, 16), "c": rng.standard_normal(8)},
+    ),
+    "conv1d(32,9)": (
+        conv1d(32, 9),
+        lambda rng: {
+            "x": rng.standard_normal(32), "w": rng.standard_normal(9)
+        },
+    ),
+}
+
+
+def _bits(array) -> np.ndarray:
+    return np.asarray(array, dtype=np.float64).view(np.uint64)
+
+
+def _assert_bitwise_equal(got, expected) -> None:
+    assert got.outputs.keys() == expected.outputs.keys()
+    for name, data in expected.outputs.items():
+        assert np.array_equal(_bits(got.outputs[name]), _bits(data)), name
+    assert got.total_cycles == expected.total_cycles
+
+
+class TestColumnResults:
+    """A fault-free serial batch keeps one ``(items, n)`` array per
+    output; ``results`` builds each item's result from its rows when
+    read."""
+
+    @pytest.fixture(scope="class", params=sorted(BATCH_MIX))
+    def mix(self, request):
+        source, make = BATCH_MIX[request.param]
+        return compile_w2(source, unroll="auto"), make
+
+    @staticmethod
+    def _with_invalid(make, rng, n=7, invalid=3):
+        items = [make(rng) for _ in range(n)]
+        name, data = next(iter(items[invalid].items()))
+        items[invalid] = {**items[invalid], name: np.zeros(data.size + 1)}
+        return items
+
+    def test_every_item_bitwise_equal_to_one_shot(self, mix, rng):
+        program, make = mix
+        items = self._with_invalid(make, rng)
+        batch = BatchRunner(program).run(items)
+        assert [f.index for f in batch.failures] == [3]
+        assert batch.value_items == len(items)
+        for index, item in enumerate(items):
+            if index == 3:
+                assert batch.results[index] is None
+                continue
+            expected = simulate(program, item)
+            _assert_bitwise_equal(batch.results[index], expected)
+        one = simulate(program, items[0]).total_cycles
+        assert batch.total_cycles == one * (len(items) - 1)
+        assert batch.cycles_per_item == one
+
+    def test_behaves_as_a_list(self, mix, rng):
+        program, make = mix
+        items = self._with_invalid(make, rng)
+        results = BatchRunner(program).run(items).results
+        assert len(results) == len(items)
+        listed = list(results)
+        assert [r is None for r in listed] == [i == 3 for i in range(7)]
+        for index in range(-len(items), len(items)):
+            got, expected = results[index], listed[index]
+            if expected is None:
+                assert got is None
+            else:
+                _assert_bitwise_equal(got, expected)
+        for index in (len(items), -len(items) - 1):
+            with pytest.raises(IndexError):
+                results[index]
+        assert [r is None for r in results[2:5]] == [False, True, False]
+
+    def test_outputs_are_the_kept_arrays(self, mix, rng):
+        program, make = mix
+        items = [make(rng) for _ in range(5)]
+        batch = BatchRunner(program).run(items)
+        stacked = batch.stacked_outputs()
+        assert stacked.keys() == batch.results[0].outputs.keys()
+        for name, array in stacked.items():
+            kept = batch.outputs(name)
+            assert np.shares_memory(array, kept)
+            assert np.shares_memory(kept, batch.results[4].outputs[name])
+            assert kept.shape[0] == 5 and kept.flags.c_contiguous
+        failed = BatchRunner(program).run(self._with_invalid(make, rng))
+        with pytest.raises(ValueError, match="failed item"):
+            failed.outputs(next(iter(stacked)))
+        with pytest.raises(ValueError, match="failed item"):
+            failed.stacked_outputs()
+
+    def test_batch_output_npz_matches_one_shot_runs(self, tmp_path, rng):
+        """``repro batch --output`` writes each array as the stack of the
+        items' one-shot outputs, byte for byte."""
+        source = polynomial(12, 4)
+        (tmp_path / "poly.w2").write_text(source)
+        items = _items(rng, 4)
+        stacked = {
+            name: np.stack([item[name] for item in items]) for name in items[0]
+        }
+        np.savez(tmp_path / "items.npz", **stacked)
+        out = tmp_path / "out.npz"
+        assert main([
+            "batch", str(tmp_path / "poly.w2"), "--no-cache",
+            "--inputs", str(tmp_path / "items.npz"), "--output", str(out),
+        ]) == 0
+        program = compile_w2(source)
+        one_shot = [simulate(program, item).outputs for item in items]
+        stored = np.load(out)
+        assert sorted(stored.files) == sorted(one_shot[0])
+        for name in stored.files:
+            expected = np.stack([outputs[name] for outputs in one_shot])
+            assert stored[name].dtype == expected.dtype
+            assert stored[name].shape == expected.shape
+            assert stored[name].tobytes() == expected.tobytes(), name
 
 
 class TestExecutionPlan:

@@ -203,6 +203,68 @@ class TestMachineFaultMatrix:
         _assert_identical(result, clean)
 
 
+# A pipeline-fuzzer program on three cells: the last cell sends three
+# words on X to the host.
+PIPELINE_3 = """
+module fuzz (a in, b out)
+float a[3];
+float b[3];
+cellprogram (cid : 0 : 2)
+begin
+    float v0, v1;
+    int i;
+    v1 := 0.0;
+    for i := 0 to 2 do begin
+        receive (L, X, v0, a[i]);
+        v1 := v1 + v0;
+        send (R, X, v0 + v1, b[i]);
+    end;
+end
+"""
+
+
+class TestOutputLink:
+    """The last cell's output link carries the static send count like
+    every inner link.  A drop of its final word leaves every sequence
+    tag in place, so only stream accounting sees it: a detected fault,
+    not a host data error."""
+
+    @pytest.mark.parametrize("program_name", PROGRAM_NAMES)
+    def test_dropped_last_word_detected(self, fleet, program_name):
+        program, inputs, _clean = fleet[program_name]
+        last = program.n_cells - 1
+        words = program.execution_plan.counts.sends[Channel.X]
+        spec = FaultSpec(
+            kind=FaultKind.DROP_SEND, cell=last, channel="X", index=words - 1
+        )
+        with obs.collecting() as telemetry:
+            injector, _result, error = _run_injected(program, inputs, [spec])
+        assert isinstance(error, SilentCorruptionDetected), error
+        assert str(error) == (
+            f"link{program.n_cells}.X: stream accounting failed — cell "
+            f"{last} sent {words - 1} words but the static schedule sends "
+            f"exactly {words} per run"
+        )
+        assert injector.fired
+        assert telemetry.counters["fault.injected"] == 1
+        assert telemetry.counters["fault.detected"] == 1
+
+    def test_random_plan_on_a_fuzzed_pipeline(self):
+        """Seed 3401 drops the last cell's third and final X send
+        (``drop_send cell=2 channel=X index=2``); its Y flip never
+        fires on an X-only program."""
+        program = compile_w2(PIPELINE_3)
+        plan = InjectionPlan.random(3401, n_cells=3)
+        with obs.collecting() as telemetry:
+            injector, _result, error = _run_injected(
+                program, {"a": np.arange(3.0)}, plan.specs
+            )
+        assert isinstance(error, SilentCorruptionDetected), error
+        assert "link3.X" in str(error) and "sent 2 words" in str(error)
+        assert injector.report() == ["drop_send cell=2 channel=X index=2"]
+        assert telemetry.counters["fault.detected"] == 1
+
+
 class TestCacheCorruption:
     @pytest.mark.parametrize("program_name", PROGRAM_NAMES)
     def test_corrupt_entry_recompiles_identically(
