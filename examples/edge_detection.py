@@ -50,7 +50,7 @@ def main() -> None:
     print(f"compiled conv2d: 3 cells, "
           f"{program.metrics.cell_ucode} cell instructions, "
           f"skew {program.skew.skew}")
-    dynamic = sum(1 for _ in program.iu_program.emission_times())
+    dynamic = len(program.iu_program.emission_times())
     print(f"IU address path: {report.iu_supplied_addresses} addressed "
           f"memory references in the microcode, {dynamic} addresses "
           f"streamed per run ({program.iu_program.n_registers_used} "

@@ -38,7 +38,7 @@ def main() -> None:
     print(f"compiled firbank: {n_filters} cells (one filter each), "
           f"{program.metrics.cell_ucode} cell instructions, "
           f"skew {program.skew.skew}")
-    dynamic = sum(1 for _ in program.iu_program.emission_times())
+    dynamic = len(program.iu_program.emission_times())
     print(f"IU streams {dynamic} addresses "
           f"({program.iu_program.n_registers_used} induction registers)")
 

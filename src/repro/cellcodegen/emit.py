@@ -124,10 +124,12 @@ def _walk_blocks(items: list[ScheduledItem]):
             yield from _walk_blocks(item.body)
 
 
-def _item_cycles(item: ScheduledItem) -> int:
-    if isinstance(item, ScheduledBlock):
+def _item_cycles(item) -> int:
+    """One pass's cycles: a block's ``length``, or a cell or IU loop's."""
+    body = getattr(item, "body", None)
+    if body is None:
         return item.length
-    return item.trip * sum(_item_cycles(child) for child in item.body)
+    return item.trip * sum(_item_cycles(child) for child in body)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import operator
 import os
 import pickle
 import time
@@ -118,9 +119,19 @@ class ColumnResults(Sequence):
         return self._n
 
     def __getitem__(self, index):
-        item = range(self._n)[index]
-        if isinstance(item, range):
-            return [self[i] for i in item]
+        if isinstance(index, slice):
+            return [self._item(i) for i in range(self._n)[index]]
+        item = operator.index(index)
+        if item < 0:
+            item += self._n
+        if not 0 <= item < self._n:
+            raise IndexError("ColumnResults index out of range")
+        return self._item(item)
+
+    def __iter__(self):
+        return map(self._item, range(self._n))
+
+    def _item(self, item: int) -> SimulationResult | None:
         if item in self._failed:
             return None
         rows = {name: out[item] for name, out in self._outputs.items()}
@@ -175,8 +186,11 @@ class BatchResult:
 
     @property
     def total_cycles(self) -> int:
-        """Machine cycles over the completed items, run back to back
-        on the shared static schedule."""
+        """Machine cycles over the completed items, run back to back:
+        the column run's items share one static schedule, and items run
+        one by one count their own (an injected stall lengthens one)."""
+        if not isinstance(self.results, ColumnResults):
+            return sum(r.total_cycles for r in self.results if r is not None)
         if self.metrics is None:
             return 0
         return self.metrics.total_cycles * (self.n_items - self.n_failures)

@@ -9,9 +9,9 @@ value the last cell sends.
 Every external index is affine in the loop indices (the description the
 five-vector model of Section 6.2 uses), so each channel's feed and
 collection is one ``int64`` array of word offsets into the host memory
-(:class:`HostLayout`), evaluated over each loop nest at once with NumPy
-broadcasting: the simulator feeds with one gather and collects with one
-scatter.
+(:class:`HostLayout`), one :func:`~repro.timing.events.walk_events` of
+the loop tree: the simulator feeds with one gather and collects with
+one scatter.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from ..errors import HostDataError
 from ..ir.builder import CellProgramIR, IOStatement
 from ..ir.dag import OpKind
 from ..lang.ast import Channel, Direction
+from ..timing.events import walk_events
 
 
 #: The (kind, direction) of the host's feed and of its collection.
@@ -169,32 +170,13 @@ class HostProgram:
         self, stream: tuple, word: Callable[[IOStatement, dict], object]
     ) -> np.ndarray:
         """``word(statement, env)`` of every event on ``stream``, in
-        order.  Inside ``d`` nested loops ``env`` maps each loop index to
-        its values as an array that broadcasts over the ``d`` trip axes
-        (outermost first), so each statement is evaluated once per loop
-        nest, never word by word."""
+        order, each statement evaluated once over its loop nest's index
+        grids (:func:`~repro.timing.events.walk_events`)."""
 
-        def visit(items, env: dict, trips: tuple[int, ...]) -> np.ndarray:
-            """The words of ``items``, shaped ``trips + (words per
-            innermost iteration,)``."""
-            parts = [np.zeros(trips + (0,), dtype=np.int64)]
-            for item in items:
-                if isinstance(item, ScheduledBlock):
-                    for stmt in self._statements(item, stream):
-                        words = np.broadcast_to(word(stmt, env), trips)
-                        parts.append(words[..., None])
-                else:
-                    inner = {name: grid[..., None] for name, grid in env.items()}
-                    inner[item.var] = item.start + item.step * np.arange(
-                        item.trip, dtype=np.int64
-                    )
-                    body = visit(item.body, inner, trips + (item.trip,))
-                    parts.append(
-                        body.reshape(trips + (item.trip * body.shape[-1],))
-                    )
-            return np.concatenate(parts, axis=-1, dtype=np.int64)
+        def rows(block: ScheduledBlock, env: dict) -> list[list]:
+            return [[word(s, env) for s in self._statements(block, stream)]]
 
-        return visit(self._code.items, {}, ())
+        return walk_events(self._code.items, rows, (False,))[0]
 
 
 def generate_host_program(code: CellCode, ir: CellProgramIR) -> HostProgram:

@@ -20,18 +20,24 @@ from the address path.  Output: an :class:`IUProgram` that
   (Section 6.3.1).
 
 The IU runs one hop ahead of cell 0, so an address emitted in IU-cycle
-``t`` is in cell 0's address queue by cell-cycle ``t``.
+``t`` is in cell 0's address queue by cell-cycle ``t``.  Every dynamic
+emission (:meth:`IUProgram.emission_times`) comes from one
+:func:`~repro.timing.events.walk_events` of the loop tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
-from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledItem, ScheduledLoop
+import numpy as np
+
+from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledItem
+from ..cellcodegen.emit import _item_cycles
 from ..errors import IUDeadlineError, TableOverflowError
 from ..lang.semantic import AffineIndex
 from ..config import IUConfig
+from ..timing.events import walk_events
 from .allocation import AllocationPlan, LoopInfo, Strategy, plan_allocation
 
 #: How far (cycles) an emission may slip before its block's window; the
@@ -99,48 +105,23 @@ class IUProgram:
         static += _count_static(self.items)
         return static
 
-    def emission_times(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(emit_time, deadline_time, address)`` for every dynamic
-        emission, in FIFO order, with absolute times on the cell-0
-        timeline.
+    def emission_times(self) -> np.ndarray:
+        """Every dynamic emission's (emit cycle, deadline cycle, address)
+        in FIFO order, as the rows of an ``(n, 3)`` int64 array, times
+        absolute on the cell-0 timeline.  Each address is an affine
+        evaluation once per static emission over its loop index grids; a
+        property test checks the induction-register machine against it."""
+        expressions = self.plan.expressions
 
-        Addresses are computed by direct affine evaluation; a property
-        test verifies the induction-register machine produces the same
-        values.
-        """
-        env: dict[str, int] = {}
+        def rows(block: IUBlock, env: dict) -> list:
+            emitted = block.emissions
+            return [
+                np.array([e.cycle for e in emitted], np.int64),
+                np.array([e.deadline for e in emitted], np.int64),
+                [expressions[e.expr_index].evaluate(env) for e in emitted],
+            ]
 
-        def walk(items: list[IUItem], offset: int) -> Iterator[tuple[int, int, int]]:
-            for item in items:
-                if isinstance(item, IUBlock):
-                    for emission in item.emissions:
-                        expr = self.plan.expressions[emission.expr_index]
-                        yield (
-                            offset + emission.cycle,
-                            offset + emission.deadline,
-                            expr.evaluate(env),
-                        )
-                    offset += item.length
-                else:
-                    body_len = _item_length(item.body)
-                    for i in range(item.trip):
-                        env[item.var] = item.start + i * item.step
-                        yield from walk(item.body, offset)
-                        offset += body_len
-                    env.pop(item.var, None)
-            return
-
-        yield from walk(self.items, 0)
-
-
-def _item_length(items: list[IUItem]) -> int:
-    total = 0
-    for item in items:
-        if isinstance(item, IUBlock):
-            total += item.length
-        else:
-            total += item.trip * _item_length(item.body)
-    return total
+        return walk_events(self.items, rows, (True, True, False)).T
 
 
 def _count_static(items: list[IUItem]) -> int:
@@ -261,7 +242,7 @@ class IUCodeGenerator:
                 result.append(self._build_block(item, plan, table))
             else:
                 body = self._build_items(item.body, plan, table)
-                body_len = _item_length(body)
+                body_len = sum(_item_cycles(child) for child in body)
                 unrolled = 0
                 if body_len < self._config.loop_test_cycles:
                     unrolled = self._config.loop_test_cycles // max(body_len, 1) + 1

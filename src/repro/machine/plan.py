@@ -23,11 +23,11 @@ independent of the cell index, the input data and the run — so one
   the register file, and the driver carries the cycle and the watchdog
   check.
 * **The transfer timeline.**  Each block's transfer cycles, read off
-  its instructions (:func:`_transfers`) and tiled over the loop
-  tree once (``transfers``), give every queue's send and receive
-  cycles in a clean run; one pass over them (:meth:`ExecutionPlan.timeline`)
-  yields the metrics and the verdicts of every clean run (``facts``)
-  without running a cell.
+  its instructions (:func:`_transfers`) in one walk of the loop tree
+  (``transfers``, :func:`~repro.timing.events.walk_events`), give every
+  queue's send and receive cycles in a clean run; one pass over them
+  (:meth:`ExecutionPlan.timeline`) yields the metrics and the verdicts
+  of every clean run (``facts``) without running a cell.
 * **Block spans** of one cell run's first blocks, as read-only arrays
   built once from the loop tree; each cell's start cycles are its
   measured start plus their offsets (:meth:`ExecutionPlan.spans`).
@@ -36,8 +36,9 @@ independent of the cell index, the input data and the run — so one
   :meth:`~repro.cellcodegen.emit.OpCounts.of_run`, which the
   compile-time performance prediction also calls), hence each link's
   per-run sends.
-* **The IU address schedule** (``emission_times``, ``addresses``) and
-  its :class:`~repro.obs.metrics.IUMetrics`, identical for every cell
+* **The IU address schedule** (``emission_times``, ``addresses``,
+  sliced from :meth:`~repro.iucodegen.codegen.IUProgram.emission_times`)
+  and its :class:`~repro.obs.metrics.IUMetrics`, identical for every cell
   up to the per-hop delay, rather than re-walked per run; with the
   literal addresses, it sizes each cell run's data memory
   (``memory_words``).
@@ -68,7 +69,7 @@ from ..obs.metrics import (
     CellMetrics, CellSpans, IUMetrics, MachineMetrics, QueueMetrics,
     QueueTimes, queue_metrics,
 )
-from ..timing.events import tile_events
+from ..timing.events import walk_events
 from .host import Collection
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
@@ -80,7 +81,7 @@ if TYPE_CHECKING:  # pragma: no cover - circular import at run time
 TRANSFERS = ("rX", "rY", "sX", "sY", "ra")
 
 
-def _transfers(block: ScheduledBlock) -> np.ndarray:
+def _transfers(block: ScheduledBlock, _env: dict) -> np.ndarray:
     """Two rows over ``block``'s transfers: each one's cycle from the
     block's start and its queue (an index into :data:`TRANSFERS`), read
     off the instructions: the compile-time timing analyses read the
@@ -464,11 +465,9 @@ class ExecutionPlan:
         #: The cycle (a read-only array) and address of every dynamic
         #: IU emission: cell ``c`` receives ``addresses`` sent at
         #: ``emission_times + c × hop``, so no run enqueues them.
-        emissions = list(program.iu_program.emission_times())
-        self.emission_times = _read_only(
-            np.array([t for t, _d, _a in emissions], np.int64)
-        )
-        self.addresses: list[int] = [a for _t, _d, a in emissions]
+        emissions = program.iu_program.emission_times()
+        self.emission_times = _read_only(emissions[:, 0])
+        self.addresses: list[int] = emissions[:, 2].tolist()
         times = self.emission_times
         self.iu = IUMetrics(
             addresses_emitted=times.size,
@@ -479,7 +478,7 @@ class ExecutionPlan:
         #: largest static address (literal or IU-emitted); every
         #: address is checked against the configured memory here.
         self.memory_words = _memory_words(
-            program.cell_code, self.addresses,
+            program.cell_code, emissions[:, 2],
             program.config.cell.memory_words,
         )
         #: The metrics of every clean run, once its :meth:`timeline`
@@ -530,9 +529,11 @@ class ExecutionPlan:
     @functools.cached_property
     def transfers(self) -> dict[str, np.ndarray]:
         """The cycles of one cell run's transfers from its start, by
-        queue (:data:`TRANSFERS`): each block's, tiled over the loop
+        queue (:data:`TRANSFERS`): each block's, walked over the loop
         tree."""
-        times, queues = tile_events(self._program.cell_code.items, _transfers)
+        times, queues = walk_events(
+            self._program.cell_code.items, _transfers, (True, False)
+        )
         return {
             queue: _read_only(times[queues == k])
             for k, queue in enumerate(TRANSFERS)
@@ -676,7 +677,7 @@ def cell_metrics(
     )
 
 
-def _memory_words(code: CellCode, addresses: list[int], size: int) -> int:
+def _memory_words(code: CellCode, addresses: np.ndarray, size: int) -> int:
     """One past the largest data address a run of ``code`` touches: the
     literal addresses in its instructions and the IU's ``addresses``.
     An address outside the ``size``-word memory raises here, before any
@@ -688,10 +689,10 @@ def _memory_words(code: CellCode, addresses: list[int], size: int) -> int:
         for mem in instr.mem
         if mem.address_source is AddressSource.LITERAL
     ]
-    used = literal + addresses
-    if not used:
+    used = np.concatenate([np.array(literal, np.int64), addresses])
+    if not used.size:
         return 0
-    low, high = min(used), max(used)
+    low, high = int(used.min()), int(used.max())
     for address in (low, high):
         if not 0 <= address < size:
             raise SimulationError(

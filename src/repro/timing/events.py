@@ -1,22 +1,22 @@
-"""Exact enumeration of stream event times.
+"""Exact enumeration of static event streams: one walk of a loop tree.
 
-The ground truth against which the five-vector timing functions are
-validated, and the input to the exact skew/buffer computations.  Loops
-are expanded with numpy tiling, so enumeration is cheap up to millions
-of events; callers bound the cost with ``max_events`` and fall back to
-the analytic method beyond it.  The simulator's plan tiles each
-block's transfer cycles with the same :func:`tile_events`.
+Warp schedules are static and every host I/O offset and IU address is
+affine in the loop indices (Sections 6.2.1 and 6.3), so a cell's
+transfers, the host's words and the IU's emissions are each one
+:func:`walk_events`: every block visited once, its events evaluated
+over the enclosing loops' index grids with NumPy broadcasting.  Stream
+events are the ground truth the five-vector timing functions are
+validated against, and the input to the exact skew/buffer computations;
+callers bound their cost with ``max_events``.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledItem
-from ..cellcodegen.emit import _item_cycles
+from ..cellcodegen.emit import CellCode, ScheduledBlock, _item_cycles
 from ..errors import CompilationError
 from .vectors import Stream, count_stream_events
 
@@ -33,16 +33,14 @@ def stream_events(
     """``(times, statements)`` of every dynamic event of ``stream``, in
     order: its absolute cycle and the ``io_index`` of its static
     statement, as int64 arrays."""
-    _check_budget(code, stream, max_events)
-    return tile_events(code.items, partial(_stream_offsets, stream, True))
+    return tuple(_walk_stream(code, stream, max_events, labelled=True))
 
 
 def stream_event_times(
     code: CellCode, stream: Stream, max_events: int | None = 2_000_000
 ) -> np.ndarray:
     """Absolute cycle of every dynamic event of ``stream``, in order."""
-    _check_budget(code, stream, max_events)
-    return tile_events(code.items, partial(_stream_offsets, stream, False))[0]
+    return _walk_stream(code, stream, max_events, labelled=False)[0]
 
 
 def stream_times_by_statement(
@@ -66,9 +64,12 @@ def group_by_statement(
     return {int(key): part for key, part in zip(keys, parts)}
 
 
-def _check_budget(
-    code: CellCode, stream: Stream, max_events: int | None
-) -> None:
+def _walk_stream(
+    code: CellCode, stream: Stream, max_events: int | None, labelled: bool
+) -> np.ndarray:
+    """The cycles of ``stream``'s events and, when ``labelled``, their
+    statements (the compile-time skew and buffer analyses need only the
+    times), once their count is within ``max_events``."""
     total = count_stream_events(code.items, stream)
     if max_events is not None and total > max_events:
         raise TooManyEventsError(
@@ -76,49 +77,93 @@ def _check_budget(
             "its timing is too long to enumerate exactly"
         )
 
+    def rows(block: ScheduledBlock, _env: dict) -> list[np.ndarray] | None:
+        matched = [e for e in block.io_events if stream.matches(e)]
+        if not matched:
+            return None
+        cycles = np.array([e.cycle for e in matched], np.int64)
+        if not labelled:
+            return [cycles]
+        return [cycles, np.array([e.io_index for e in matched], np.int64)]
 
-def _stream_offsets(
-    stream: Stream, labelled: bool, block: ScheduledBlock
-) -> tuple[np.ndarray, np.ndarray]:
-    """The cycles of ``stream``'s events in ``block`` and, when
-    ``labelled``, their statements (the compile-time skew and buffer
-    analyses need only the times, and the labels cost a second tiling)."""
-    matched = [e for e in block.io_events if stream.matches(e)]
-    return (
-        np.array([e.cycle for e in matched], np.int64),
-        np.array([e.io_index for e in matched] if labelled else [], np.int64),
-    )
+    return walk_events(code.items, rows, (True, False)[: 1 + labelled])
 
 
-def tile_events(
-    items: list[ScheduledItem],
-    offsets: Callable[[ScheduledBlock], tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The absolute cycles and labels of the events of one pass over
-    ``items``, in order.  ``offsets(block)`` gives the cycle of each of a
-    block's events from the block's start, and their labels (an empty
-    array when the caller wants none); loops tile their body's events
-    with NumPy, once per trip."""
-    times: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    offset = 0
-    for item in items:
-        if isinstance(item, ScheduledBlock):
-            cycles, marks = offsets(item)
-            if cycles.size:
-                times.append(cycles + offset)
-                labels.append(marks)
-            offset += item.length
+def walk_events(
+    items: list, rows: Callable[..., list | None], times: tuple[bool, ...]
+) -> np.ndarray:
+    """The events of one pass over the loop tree ``items``, in order, as
+    a ``(len(times), events)`` int64 array.
+
+    A loop is an item with a ``body`` (``ScheduledLoop``, ``IULoop``); a
+    block lasts ``length`` cycles.  ``rows(block, env)`` gives a block's
+    events as ``len(times)`` rows (or None without any): an array of one
+    static value per event, or a list of one value per event over
+    ``env``, which maps each enclosing loop index to its values as an
+    array broadcasting over the loops' trip axes, outermost first (as
+    ``AffineIndex.evaluate(env)`` takes it).  The rows flagged in
+    ``times`` are arrays of cycles from the block's start, to which the
+    walk adds it.  Each block is visited once, whatever the trips."""
+    k = len(times)
+    timed = [r for r, is_time in enumerate(times) if is_time]
+
+    def visit(items, nest: tuple, shape: tuple[int, ...]):
+        """The events of ``items`` in the loops ``nest``, shaped ``(k,
+        *shape, per trip)`` over their trips with times from the start
+        of each trip, or None."""
+        env, parts, offset = _IndexGrids(nest), [], 0
+        for item in items:
+            if not hasattr(item, "body"):
+                block = rows(item, env)
+                if block is not None and len(block[0]):
+                    parts.append(_fill(block, offset, shape, times))
+                offset += item.length
+                continue
+            length = sum(_item_cycles(child) for child in item.body)
+            events = visit(item.body, (*nest, item), (*shape, item.trip))
+            if events is not None:
+                starts = offset + length * np.arange(item.trip, dtype=np.int64)
+                for r in timed:
+                    events[r] += starts[:, None]
+                width = item.trip * events.shape[-1]
+                parts.append(events.reshape(k, *shape, width))
+            offset += item.trip * length
+        if len(parts) > 1:
+            return np.concatenate(parts, axis=-1)
+        return parts[0] if parts else None
+
+    events = visit(items, (), ())
+    return np.empty((k, 0), np.int64) if events is None else events
+
+
+class _IndexGrids(dict):
+    """The index values of ``loops`` (outermost first) by name, built
+    on first read; an inner loop's index shadows an outer one's."""
+
+    def __init__(self, loops: tuple):
+        super().__init__()
+        self.loops = loops
+
+    def __missing__(self, name: str) -> np.ndarray:
+        axes = [a for a, loop in enumerate(self.loops) if loop.var == name]
+        if not axes:
+            raise KeyError(name)
+        loop, inner = self.loops[axes[-1]], len(self.loops) - 1 - axes[-1]
+        values = loop.start + loop.step * np.arange(loop.trip, dtype=np.int64)
+        self[name] = grid = values.reshape(loop.trip, *(1,) * inner)
+        return grid
+
+
+def _fill(rows: list, start: int, shape: tuple, times: tuple) -> np.ndarray:
+    """One block's ``rows`` over the trip grid, shaped ``(len(rows),
+    *shape, events)``, with ``start`` added to the time rows."""
+    out = np.empty((len(rows), *shape, len(rows[0])), np.int64)
+    for r, row in enumerate(rows):
+        if not isinstance(row, np.ndarray):
+            for j, value in enumerate(row):
+                out[r, ..., j] = value
+        elif times[r]:
+            np.add(row, start, out=out[r])
         else:
-            body_times, body_labels = tile_events(item.body, offsets)
-            iter_len = sum(_item_cycles(child) for child in item.body)
-            if body_times.size:
-                starts = offset + iter_len * np.arange(item.trip, dtype=np.int64)
-                times.append((body_times[None, :] + starts[:, None]).ravel())
-                labels.append(np.tile(body_labels, item.trip))
-            offset += item.trip * iter_len
-    return _concatenate(times), _concatenate(labels)
-
-
-def _concatenate(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+            out[r] = row
+    return out

@@ -14,8 +14,6 @@ every address inside the cell's data memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledLoop
@@ -35,25 +33,17 @@ IU_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class Emissions:
-    """The IU program's dynamic emission walk (taken once per
-    verification): absolute emit cycle, deadline cycle and address of
-    every emission, in FIFO order, as int64 arrays."""
-
-    emit: np.ndarray
-    deadline: np.ndarray
-    address: np.ndarray
-
-
-def walk_emissions(iu: IUProgram, max_events: int | None) -> Emissions | None:
-    """Walk every dynamic emission; None when the static tree promises
+def walk_emissions(
+    iu: IUProgram, max_events: int | None
+) -> np.ndarray | None:
+    """Every dynamic emission's (emit cycle, deadline cycle, address),
+    as :meth:`~repro.iucodegen.codegen.IUProgram.emission_times` rows
+    (taken once per verification); None when the static tree promises
     more than ``max_events`` of them."""
     total = _dynamic_emissions(iu.items)
     if max_events is not None and total > max_events:
         return None
-    walked = np.array(list(iu.emission_times()), dtype=np.int64).reshape(-1, 3)
-    return Emissions(*walked.T)
+    return iu.emission_times()
 
 
 def check_iu_path(
@@ -73,7 +63,7 @@ def check_iu_path(
 def check_emissions(
     iu: IUProgram,
     config: WarpConfig,
-    emissions: Emissions | None,
+    emissions: np.ndarray | None,
     report: VerificationReport,
     max_events: int | None,
 ) -> None:
@@ -86,7 +76,7 @@ def check_emissions(
             "budget; dynamic address checks skipped"
         )
         return
-    emit, deadline, address = emissions.emit, emissions.deadline, emissions.address
+    emit, deadline, address = emissions.T
     reordered = np.zeros(emit.shape, dtype=bool)
     reordered[1:] = emit[1:] < emit[:-1]
     late = emit > deadline

@@ -40,7 +40,6 @@ from ..timing.events import TooManyEventsError, group_by_statement, stream_event
 from ..timing.skew import SkewResult, channel_skew_bound
 from ..timing.tau import TimingFunction
 from ..timing.vectors import Stream, characterize_stream, input_stream, output_stream
-from .iupath import Emissions
 from .report import VerificationReport
 
 STREAM_CHECKS = (
@@ -84,7 +83,7 @@ def _stream_facts(
 
 def check_streams(
     code: CellCode,
-    emissions: Emissions | None,
+    emissions: np.ndarray | None,
     host: HostProgram,
     skew_result: SkewResult,
     buffers: list[BufferRequirement],
@@ -262,7 +261,7 @@ def _check_channel(
 
 
 def _check_address_queue(
-    emissions: Emissions | None,
+    emissions: np.ndarray | None,
     skew_result: SkewResult,
     config: WarpConfig,
     n_cells: int,
@@ -278,13 +277,13 @@ def _check_address_queue(
             "address-queue occupancy check skipped"
         )
         return
-    if not emissions.emit.size:
+    if not emissions.size:
         return
     relative = (n_cells - 1) * (
         skew_result.skew - config.address_hop_latency
     )
     occupancy = occupancy_requirement(
-        emissions.emit, emissions.deadline, max(relative, 0)
+        emissions[:, 0], emissions[:, 1], max(relative, 0)
     )
     if occupancy > config.address_queue_depth:
         report.add(

@@ -101,15 +101,32 @@ class TestMultiprocessBatch:
             BatchRunner(program, processes=-1)
 
 
+def _assert_aggregates(batched, n):
+    per_item = [r.total_cycles for r in batched.results]
+    assert batched.total_cycles == sum(per_item)
+    assert batched.cycles_per_item == sum(per_item) / n
+    assert batched.wall_seconds > 0
+    assert batched.items_per_second > 0
+
+
 class TestBatchResult:
     def test_aggregates(self, program, rng):
-        items = _items(rng, 5)
-        batched = BatchRunner(program).run(items)
-        per_item = [r.total_cycles for r in batched.results]
-        assert batched.total_cycles == sum(per_item)
-        assert batched.cycles_per_item == sum(per_item) / 5
-        assert batched.wall_seconds > 0
-        assert batched.items_per_second > 0
+        _assert_aggregates(BatchRunner(program).run(_items(rng, 5)), 5)
+
+    def test_aggregates_sum_one_by_one_items(self, rng):
+        """Items run one by one count their own cycles: a stall injected
+        into one item lengthens that item only."""
+        from repro.faults.plan import parse_inject_specs
+
+        program = compile_w2(polynomial(16, 8))
+        items = [
+            {"z": rng.standard_normal(16), "c": rng.standard_normal(8)}
+            for _ in range(3)
+        ]
+        stall = parse_inject_specs(["stall_cell:cell=7,cycles=5,item=1"])
+        batched = BatchRunner(program, faults=stall).run(items)
+        assert [r.total_cycles for r in batched.results] == [285, 290, 285]
+        _assert_aggregates(batched, 3)
 
     def test_stacked_outputs(self, program, rng):
         items = _items(rng, 3)
