@@ -5,7 +5,7 @@ from ..obs.metrics import CellMetrics, IUMetrics, MachineMetrics, QueueMetrics
 from .array import SimulationResult, WarpMachine, simulate
 from .cell import CellExecutor
 from .config import DEFAULT_CONFIG, CellConfig, IUConfig, WarpConfig
-from .host import HostMemory, collect_outputs, feed_input_queues
+from .host import QUIET_NAN, HostMemory, collect_outputs, feed_input_queues
 from .iu_machine import IUMachine, run_iu_program
 from .plan import ExecutionPlan
 from .queue import TimedQueue
@@ -23,6 +23,7 @@ __all__ = [
     "IUMachine",
     "IUMetrics",
     "MachineMetrics",
+    "QUIET_NAN",
     "QueueMetrics",
     "SimulationResult",
     "TimedQueue",

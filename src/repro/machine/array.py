@@ -50,7 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - avoid circular import at run time
     from ..faults.injector import FaultInjector
     from ..faults.plan import InjectionPlan
 from .cell import CellExecutor
-from .host import HostMemory, collect_outputs, feed_input_queues, load_inputs
+from .host import (
+    HostMemory, collect_outputs, feed_input_queues, feed_words, load_inputs,
+)
 from .plan import ExecutionPlan
 from .queue import TimedQueue, audit
 from .trace import TraceEvent, trace_events
@@ -186,35 +188,50 @@ class WarpMachine:
                 )
             plan.facts = facts
         get_telemetry().counter("machine.runs.value")
-        links = [feed_input_queues(plan.feed, memory, dict.fromkeys(Channel))]
+        # Each link is one word list per channel: a cell's input words
+        # are all sent before it runs, and its output words are read
+        # only after it ends.
+        links = [feed_words(plan.feed, memory)]
         for _cell in range(self._program.n_cells):
             # Only a trace reads the earlier links.
             left = links[-1] if trace_limit else links.pop()
-            receive = [iter(queue.values).__next__ for queue in left.values()]
-            links.append({channel: TimedQueue("") for channel in Channel})
-            send = [queue.values.append for queue in links[-1].values()]
-            data = [0.0] * plan.memory_words
-            drive((data, *receive, *send, iter(plan.addresses).__next__))
+            links.append({channel: [] for channel in Channel})
+            drive((
+                [0.0] * plan.memory_words,
+                *(iter(words) for words in left.values()),
+                *links[-1].values(),
+                iter(plan.address_list),
+            ))
         collect_outputs(plan.collection, memory, links[-1])
-        outputs = {
-            name: memory.arrays[name].copy()
-            for name in self._program.ir.host_arrays
-        }
-        # Cell c makes its transfers at its start plus one cell run's.
-        for cell in plan.facts.cells if trace_limit else ():
-            for channel in Channel:
-                start, at = cell.start_cycle, plan.transfers
-                links[cell.cell][channel].recv_times = (
-                    at[f"r{channel}"][:trace_limit] + start
-                ).tolist()
-                links[cell.cell + 1][channel].send_times = (
-                    at[f"s{channel}"][:trace_limit] + start
-                ).tolist()
+        outputs = memory.outputs(self._program.ir.host_arrays)
         # Fresh containers over immutable leaves: no result aliases another.
         return outputs, replace(
             plan.facts, cells=list(plan.facts.cells),
             queues=dict(plan.facts.queues),
-        ), trace_events(links, trace_limit)
+        ), self._trace(links, trace_limit)
+
+    def _trace(
+        self, links: list[dict[Channel, list]], limit: int
+    ) -> list[TraceEvent]:
+        """The trace of a clean run over its links' words: cell ``c``
+        makes its transfers at its start plus one cell run's."""
+        if not limit:
+            return []
+        at = self.plan.transfers
+        queues = [
+            {channel: TimedQueue("", values=words[channel]) for channel in Channel}
+            for words in links
+        ]
+        for cell in self.plan.facts.cells:
+            for channel in Channel:
+                start = cell.start_cycle
+                queues[cell.cell][channel].recv_times = (
+                    at[f"r{channel}"][:limit] + start
+                ).tolist()
+                queues[cell.cell + 1][channel].send_times = (
+                    at[f"s{channel}"][:limit] + start
+                ).tolist()
+        return trace_events(queues, limit)
 
     def _execute(
         self,
@@ -281,7 +298,7 @@ class WarpMachine:
                 name=f"adr{cell_index}",
                 capacity=self._config.address_queue_depth,
                 send_times=address_sends.tolist(),
-                values=plan.addresses,
+                values=plan.address_list,
             )
             executor = CellExecutor(
                 code=program.cell_code,
@@ -331,11 +348,11 @@ class WarpMachine:
         # word a fault hit when its tags show it.
         for channel, queue in links[n_cells].items():
             _account(queue, n_cells - 1, plan.counts.sends[channel])
-        collect_outputs(plan.collection, memory, links[n_cells])
-        outputs = {
-            name: memory.arrays[name].copy()
-            for name in program.ir.host_arrays
-        }
+        collect_outputs(
+            plan.collection, memory,
+            {channel: queue.values for channel, queue in links[n_cells].items()},
+        )
+        outputs = memory.outputs(program.ir.host_arrays)
         return SimulationResult(
             outputs=outputs,
             machine_metrics=plan.machine_metrics(cells, queues),

@@ -17,13 +17,20 @@ array for all items in one NumPy pass; only an array that some items
 lack or give malformed goes item by item, to name each bad item with
 its own error.  A channel's feed is one gather at static word offsets
 and its collection a scatter to them; a word is a Python float or a row
-holding every item's value of that word."""
+holding every item's value of that word.
+
+A run's outputs are copies of its host arrays (:meth:`HostMemory.outputs`)
+in which every NaN is the one quiet NaN :data:`QUIET_NAN`: no W2
+operation lets a NaN's sign or payload reach a non-NaN value, but which
+NaN an operation on two NaNs returns differs between Python's float
+paths and NumPy's loops, so the paths agree bit for bit only on outputs
+that carry one NaN."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.exceptions import ComplexWarning
@@ -32,6 +39,10 @@ from ..errors import HostDataError
 from ..hostcodegen import HostLayout
 from ..lang.ast import Channel
 from .queue import TimedQueue
+
+
+#: The NaN every output carries: quiet, positive, payload zero.
+QUIET_NAN = float(np.uint64(0x7FF8_0000_0000_0000).view(np.float64))
 
 
 @dataclass
@@ -66,6 +77,15 @@ class HostMemory:
         if failed:
             raise failed[0]
         return cls.over(layout, memory.buffer[:, 0].copy())
+
+    def outputs(self, names: Iterable[str]) -> dict[str, np.ndarray]:
+        """Copies of the host arrays ``names`` once the run is over, with
+        every NaN in memory rewritten to :data:`QUIET_NAN` (inputs the
+        run passed through included): one pass over the host words."""
+        nan = np.isnan(self.buffer)
+        if nan.any():
+            self.buffer[nan] = QUIET_NAN
+        return {name: self.arrays[name].copy() for name in names}
 
 
 def load_inputs(
@@ -177,46 +197,56 @@ class Collection:
         return cls(len(offsets), sources, offsets[sources])
 
 
+def feed_words(
+    feed: dict[Channel, np.ndarray], memory: HostMemory
+) -> dict[Channel, list]:
+    """Cell 0's input words (link 0), by channel: one gather per
+    channel at its ``feed`` offsets.  One run hands out Python floats
+    (the cells' fast scalar arithmetic), a batch run one row per word,
+    holding every item's value at once."""
+    link = {}
+    for channel, offsets in feed.items():
+        words = memory.buffer[offsets]
+        link[channel] = words.tolist() if words.ndim == 1 else list(words)
+    return link
+
+
 def feed_input_queues(
     feed: dict[Channel, np.ndarray],
     memory: HostMemory,
     capacities: dict[Channel, int | None],
 ) -> dict[Channel, TimedQueue]:
-    """Cell 0's input queues (link 0), built whole: word ``k`` of a
-    channel's ``feed`` offsets arrives at cycle ``k`` (one word per
-    cycle per channel), so its send times are a ``range``, which only
-    the checked path reads.
-
-    One gather per channel reads the words: one run hands out Python
-    floats (the cells' fast scalar arithmetic), a batch run one row per
-    word, holding every item's value at once."""
-    link: dict[Channel, TimedQueue] = {}
-    for channel, offsets in feed.items():
-        words = memory.buffer[offsets]
-        link[channel] = TimedQueue(
+    """Cell 0's input queues of a checked run, built whole from
+    :func:`feed_words`: word ``k`` of a channel arrives at cycle ``k``
+    (one word per cycle per channel), so its send times are a
+    ``range``."""
+    return {
+        channel: TimedQueue(
             name=f"link0.{channel.value}",
             capacity=capacities[channel],
             send_times=range(len(words)),
-            values=words.tolist() if words.ndim == 1 else list(words),
+            values=words,
         )
-    return link
+        for channel, words in feed_words(feed, memory).items()
+    }
 
 
 def collect_outputs(
     collection: dict[Channel, Collection],
     memory: HostMemory,
-    queues: dict[Channel, TimedQueue],
+    words: dict[Channel, list],
 ) -> None:
-    """Scatter the last cell's output streams into host memory."""
-    for channel, queue in queues.items():
+    """Scatter the last cell's output words, by channel, into host
+    memory."""
+    for channel, sent in words.items():
         scatter = collection[channel]
-        if scatter.words != queue.items_sent:
+        if scatter.words != len(sent):
             raise HostDataError(
-                f"channel {channel}: the last cell sent {queue.items_sent} "
+                f"channel {channel}: the last cell sent {len(sent)} "
                 f"items but the host program expects {scatter.words}"
             )
         if memory.buffer.ndim == 1:
-            values = np.array(queue.values, dtype=np.float64)
+            values = np.array(sent, dtype=np.float64)
             memory.buffer[scatter.targets] = values[scatter.sources]
             continue
         # A batch run stores its rows one by one: a word the cells never
@@ -224,4 +254,4 @@ def collect_outputs(
         # assignment broadcasts it), and each kept row is copied once.
         targets, sources = scatter.targets.tolist(), scatter.sources.tolist()
         for target, source in zip(targets, sources):
-            memory.buffer[target] = queue.values[source]
+            memory.buffer[target] = sent[source]

@@ -11,7 +11,9 @@ independent of the cell index, the input data and the run — so one
   register read names the value it sees, and each written register
   ends the block holding one named value.  In the timed form each
   queue transfer is one call, with its absolute cycle, to the queue's
-  checking method.
+  checking method; untimed, a block reads each input stream in one
+  statement at its start, writes each output list once at its end, and
+  writes its scalar arithmetic as Python operators.
 * **Loop drivers.**  One generator (:func:`inline_driver`) builds every
   driver: per cell program, the scheduled loop tree as nested ``for``
   loops with each block's statements inline, so its size is the static
@@ -37,7 +39,8 @@ independent of the cell index, the input data and the run — so one
   compile-time performance prediction also calls), hence each link's
   per-run sends.
 * **The IU address schedule** (``emission_times``, ``addresses``,
-  sliced from :meth:`~repro.iucodegen.codegen.IUProgram.emission_times`)
+  sliced from :meth:`~repro.iucodegen.codegen.IUProgram.emission_times`;
+  ``address_list`` as Python ints on first run)
   and its :class:`~repro.obs.metrics.IUMetrics`, identical for every cell
   up to the per-hop delay, rather than re-walked per run; with the
   literal addresses, it sizes each cell run's data memory
@@ -114,6 +117,29 @@ class BlockSource(NamedTuple):
     constants: dict[str, object]
 
 
+#: The scalar evaluators of :func:`~repro.analysis.local_opt.pure_evaluator`
+#: as the Python expressions of their lambdas, over their operands'
+#: names, which the untimed scalar driver writes inline.  FDIV keeps its
+#: call (:func:`~repro.analysis.local_opt._fdiv`: a zero divisor raises
+#: in Python).
+_EXPRESSIONS = {
+    OpKind.FADD: "{0} + {1}",
+    OpKind.FSUB: "{0} - {1}",
+    OpKind.FMUL: "{0} * {1}",
+    OpKind.FNEG: "-{0}",
+    OpKind.CMP_EQ: "1.0 if {0} == {1} else 0.0",
+    OpKind.CMP_NE: "1.0 if {0} != {1} else 0.0",
+    OpKind.CMP_LT: "1.0 if {0} < {1} else 0.0",
+    OpKind.CMP_LE: "1.0 if {0} <= {1} else 0.0",
+    OpKind.CMP_GT: "1.0 if {0} > {1} else 0.0",
+    OpKind.CMP_GE: "1.0 if {0} >= {1} else 0.0",
+    OpKind.BAND: "1.0 if ({0} != 0.0 and {1} != 0.0) else 0.0",
+    OpKind.BOR: "1.0 if ({0} != 0.0 or {1} != 0.0) else 0.0",
+    OpKind.BNOT: "1.0 if {0} == 0.0 else 0.0",
+    OpKind.SELECT: "{1} if {0} != 0.0 else {2}",
+}
+
+
 def _block_source(
     block: ScheduledBlock,
     config: CellConfig,
@@ -133,18 +159,33 @@ def _block_source(
     value (``out``); the statements themselves assign no register.
 
     The statements run against ``M`` (data memory) and the transfers
-    ``dx``/``dy`` (dequeue from X/Y), ``ex``/``ey`` (enqueue) and ``da``
-    (an IU address).  Timed, each transfer is one call with its absolute
-    cycle first: ``v = dx(t + c)``, ``ex(t + c, v)``, ``da(t + c)``; a
-    checked cell binds them to its queues' checking methods
-    (:class:`~repro.machine.queue.TimedQueue`).  Untimed, the calls
-    carry no cycle: ``v = dx()``, ``ex(v)``, and ``da()``, which returns
-    an ``int``.  ALU/MPY ops call ``evaluate(op)`` and literals are
-    names, both bound under ``e<tag><k>``/``l<tag><k>`` (``constants``).
-    Side effects keep the order of each instruction: dequeues, IU
-    addresses in slot order, loads, stores, ALU, MPY, move, enqueues.
+    ``dx``/``dy`` (receive from X/Y), ``ex``/``ey`` (send) and ``da``
+    (IU addresses).  Timed, each transfer is one call with its absolute
+    cycle first, where the instruction makes it: ``v = dx(t + c)``,
+    ``ex(t + c, v)``, ``da(t + c)``; a checked cell binds them to its
+    queues' checking methods (:class:`~repro.machine.queue.TimedQueue`),
+    and ALU/MPY ops call ``evaluate(op)``.
+
+    Untimed, a clean run only moves values, and every word a cell
+    receives was sent before it runs while nothing reads what it sends
+    until it ends.  So ``dx``, ``dy`` and ``da`` are iterators, read in
+    one statement per block at its start for all of the block's words
+    from each (``v0, v3 = next(dx), next(dx)``), and ``ex``/``ey`` are
+    the output lists, each written once at the block's end with all of
+    its sends (``ex.append(v1)``, or ``ex.extend((v1, v2))``).  Over
+    ``pure_evaluator`` (the scalar form), every op but FDIV is written
+    inline as its lambda's expression (:data:`_EXPRESSIONS`), so NaN
+    operands may give a NaN of another sign or payload than the lambda
+    would: a run's outputs carry one quiet NaN
+    (:meth:`~repro.machine.host.HostMemory.outputs`).
+
+    Called evaluators and literals are names, bound under
+    ``e<tag><k>``/``l<tag><k>`` (``constants``).  Side effects keep the
+    order of each instruction: dequeues, IU addresses in slot order,
+    loads, stores, ALU, MPY, move, enqueues.
     """
     block_id, length = block.block_id, block.length
+    inline = not timed and evaluate is pure_evaluator
     constants: dict[str, object] = {}
     body: list[str] = []
     entry: list[int] = []  # registers read before any in-block write
@@ -152,6 +193,10 @@ def _block_source(
     written: set[int] = set()
     #: ``(landing, issue order, register, value name)`` not yet landed.
     in_flight: list[tuple[int, int, int, str]] = []
+    #: Untimed: by transfer, the names its words land in (receives) or
+    #: come from (sends), in order.
+    reads: dict[str, list[str]] = {}
+    sends: dict[str, list[str]] = {}
     issue_order, names = itertools.count(), itertools.count()
     evaluators, literals = itertools.count(), itertools.count()
 
@@ -193,22 +238,21 @@ def _block_source(
         )
         return "ex" if ref.channel is Channel.X else "ey"
 
-    def value() -> str:
-        return f"v{next(names)}"
-
-    def transfer(name: str, cycle: int, *args: str) -> str:
-        """A call of transfer ``name`` at block cycle ``cycle``; timed,
-        its absolute cycle is the first argument."""
-        args = (f"t + {cycle}", *args) if timed else args
-        return f"{name}({', '.join(args)})"
+    def receive(name: str, cycle: int) -> str:
+        """The name of the next word of receive ``name``."""
+        v = f"v{next(names)}"
+        if timed:
+            body.append(f"{v} = {name}(t + {cycle})")
+        else:
+            reads.setdefault(name, []).append(v)
+        return v
 
     for c, ins in enumerate(block.instructions):
         if ins.is_nop():  # nop cycles generate no code
             continue
         land(c)
         for deq in ins.deqs:
-            v = value()
-            body.append(f"{v} = {transfer(queue(deq.queue, True), c)}")
+            v = receive(queue(deq.queue, True), c)
             write(deq.dest, c + config.queue_latency, v)
         # IU addresses arrive in instruction-slot order (``addr_demands``
         # is stably sorted by cycle), though loads apply before stores.
@@ -217,12 +261,11 @@ def _block_source(
             if mem.address_source is AddressSource.LITERAL:
                 where.append(str(mem.address))
             else:
-                where.append(value())
-                body.append(f"{where[-1]} = {transfer('da', c)}")
+                where.append(receive("da", c))
         for mem, address in zip(ins.mem, where):
             if mem.is_load:
                 assert mem.reg is not None
-                v = value()
+                v = f"v{next(names)}"
                 body.append(f"{v} = M[{address}]")
                 write(mem.reg, c + config.mem_read_latency, v)
         for mem, address in zip(ins.mem, where):
@@ -237,21 +280,38 @@ def _block_source(
             latency = config.div_latency if div else config.mpy_latency
             units.append((ins.mpy, latency))
         for unit, latency in units:
-            fn = evaluate(unit.op)
-            assert fn is not None, unit.op
-            name = f"e{tag}{next(evaluators)}"
-            constants[name] = fn
-            args = ", ".join(read(s) for s in unit.sources)
-            v = value()
-            body.append(f"{v} = {name}({args})")
+            expression = _EXPRESSIONS.get(unit.op) if inline else None
+            if expression is None:
+                fn = evaluate(unit.op)
+                assert fn is not None, unit.op
+                name = f"e{tag}{next(evaluators)}"
+                constants[name] = fn
+                args = ", ".join(read(s) for s in unit.sources)
+                expression = f"{name}({args})"
+            else:
+                expression = expression.format(*map(read, unit.sources))
+            v = f"v{next(names)}"
+            body.append(f"{v} = {expression}")
             write(unit.dest, c + latency, v)
         if ins.move is not None:
             source = read(ins.move.source)
             write(ins.move.dest, c + config.move_latency, source)
         for enq in ins.enqs:
-            send = queue(enq.queue, False)
-            body.append(transfer(send, c, read(enq.source)))
+            send, value = queue(enq.queue, False), read(enq.source)
+            if timed:
+                body.append(f"{send}(t + {c}, {value})")
+            else:
+                sends.setdefault(send, []).append(value)
     land(length)
+    body[:0] = [
+        f"{', '.join(words)} = {', '.join(f'next({name})' for _ in words)}"
+        for name, words in reads.items()
+    ]
+    body += [
+        f"{name}.append({words[0]})" if len(words) == 1
+        else f"{name}.extend(({', '.join(words)}))"
+        for name, words in sends.items()
+    ]
     out = {reg: visible[reg] for reg in sorted(written)}
     return BlockSource(body, entry, out, constants)
 
@@ -269,9 +329,9 @@ def inline_driver(
     timed: bool = False,
 ) -> Callable:
     """The driver of ``code`` over ``evaluate``'s functions: untimed,
-    ``drive((M, dx, dy, ex, ey, da))``; timed, ``drive((R, M, dx, dy,
-    ex, ey, da), t, deadline, expired) -> end``.  See
-    :func:`_inline_source`."""
+    ``drive((M, dx, dy, ex, ey, da))`` over input iterators and output
+    lists; timed, ``drive((R, M, dx, dy, ex, ey, da), t,
+    deadline, expired) -> end``.  See :func:`_inline_source`."""
     source, constants = _inline_source(code, config, evaluate, timed)
     return _factory(source)(constants)
 
@@ -297,9 +357,15 @@ def _inline_source(
     function continues in a function of its own (``loop<k>``).
 
     Untimed, ``drive(ctx)`` unpacks ``ctx = (M, dx, dy, ex, ey, da)``
-    once and each register ``r<k>`` is one Python local, ``0.0`` on
-    entry like a fresh register file.  A block ends with one parallel
-    assignment of its registers that are live after it
+    once: ``dx``, ``dy`` and ``da`` iterate over the cell's input words
+    and IU addresses, ``ex`` and ``ey`` are its output lists.  Each
+    block reads its words from each iterator in one statement at its
+    start, writes each list once at its end, and (over
+    ``pure_evaluator``) computes with inline Python operators, so no
+    op but FDIV is a call.
+    Each register ``r<k>`` is one Python local, ``0.0`` on entry like a
+    fresh register file.  A block ends, after its sends, with one
+    parallel assignment of its registers that are live after it
     (:func:`_live_registers`); a dead write assigns nothing.  A split
     loop's function takes the registers live into the loop and returns
     those live after it.
@@ -462,12 +528,12 @@ class ExecutionPlan:
             block.block_id: OpCounts.of(block)
             for block in program.cell_code.blocks()
         }
-        #: The cycle (a read-only array) and address of every dynamic
-        #: IU emission: cell ``c`` receives ``addresses`` sent at
+        #: The cycle and address (read-only arrays) of every dynamic IU
+        #: emission: cell ``c`` receives ``addresses`` sent at
         #: ``emission_times + c × hop``, so no run enqueues them.
         emissions = program.iu_program.emission_times()
         self.emission_times = _read_only(emissions[:, 0])
-        self.addresses: list[int] = emissions[:, 2].tolist()
+        self.addresses = _read_only(emissions[:, 2])
         times = self.emission_times
         self.iu = IUMetrics(
             addresses_emitted=times.size,
@@ -501,6 +567,12 @@ class ExecutionPlan:
         self.counts = OpCounts.of_run(program.cell_code, self.blocks)
         #: By lane cap, the spans of a cell started at cycle 0.
         self._heads: dict[int, CellSpans] = {}
+
+    @functools.cached_property
+    def address_list(self) -> list[int]:
+        """:attr:`addresses` as Python ints, what every cell run reads
+        (built on the first run, not with the plan)."""
+        return self.addresses.tolist()
 
     @functools.cached_property
     def driver(self) -> Callable:

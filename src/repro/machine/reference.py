@@ -286,7 +286,9 @@ def interpret(
     analyzed: AnalyzedModule, inputs: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     """Run a W2 module under the programmer's model; returns host arrays
-    (inputs included) after execution.
+    (inputs included) after execution, every NaN among them the quiet
+    NaN every simulated run returns
+    (:meth:`~repro.machine.host.HostMemory.outputs`).
 
     Right-to-left modules (receives from R, sends to L) are mirrored
     first, exactly as the compiler does — the array is symmetric.
@@ -310,4 +312,4 @@ def interpret(
         interp = _CellInterpreter(analyzed, cell, memory, streams)
         interp.run()
         streams = interp.out_streams
-    return {name: data.copy() for name, data in memory.arrays.items()}
+    return memory.outputs(memory.arrays)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..lang.ast import Channel
+from .host import QUIET_NAN
 from .queue import TimedQueue
 
 
@@ -34,7 +35,8 @@ def trace_events(
     before sends and X before Y: the order in which an instruction
     issues its transfers.  Each queue's cycles never decrease, so its
     first ``limit`` words are all a cell's first ``limit`` events can
-    use."""
+    use.  A NaN word is recorded as :data:`~repro.machine.host.QUIET_NAN`,
+    as in a run's outputs."""
     events: list[TraceEvent] = []
     for cell in range(len(links) - 1 if limit else 0):
         sides = (
@@ -52,7 +54,8 @@ def trace_events(
         )
         events += (
             TraceEvent(cell, time, "send" if side == "R" else "receive",
-                       f"{side}.{channel}", value)
+                       f"{side}.{channel}",
+                       QUIET_NAN if value != value else value)
             for time, side, channel, value in transfers[:limit]
         )
     return events

@@ -230,7 +230,7 @@ class TestLoopsAndStats:
         )
         sent = []
         inline_driver(code, CFG, pure_evaluator)(
-            ([], None, None, sent.append, None, None)
+            ([], None, None, sent, None, None)
         )
         assert sent == [1.0] * 16  # four loops of two trips
         # The block sends at its first cycle, so each send names its start.
@@ -510,9 +510,9 @@ class TestAgainstHeapOracle:
         memory, words = [0.0] * SMALL.memory_words, {c: [] for c in Channel}
         inline_driver(code, SMALL, pure_evaluator)((
             memory,
-            *(iter(inputs[c]).__next__ for c in Channel),
-            *(words[c].append for c in Channel),
-            iter(addresses).__next__,
+            *(iter(inputs[c]) for c in Channel),
+            *(words[c] for c in Channel),
+            iter(addresses),
         ))
         assert _bits(memory) == _bits(mem)
         for channel in Channel:
@@ -580,7 +580,7 @@ class TestInlineLiveness:
         timed, _, _ = run_cell(code, self.WORDS)
         sent = []
         inline_driver(code, CFG, pure_evaluator)(
-            ([], iter(self.WORDS).__next__, None, sent.append, None, None)
+            ([], iter(self.WORDS), None, sent, None, None)
         )
         assert _bits(sent) == _bits(timed.values)
         assert sent, "the case sends nothing"
@@ -606,7 +606,7 @@ class TestInlineLiveness:
             _send(3, 3),
         ])
         assert sent == [5.0]
-        assert "7.0" not in source and "dx()" not in source
+        assert "7.0" not in source and "next(dx)" not in source
 
     def test_dead_write_assigns_nothing(self):
         sent, source = self.run_both([

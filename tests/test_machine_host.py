@@ -82,6 +82,11 @@ class TestFeeder:
         assert all(v == 0.0 for v in queues[Channel.Y].values)
 
 
+def _words(queues):
+    """The word lists :func:`collect_outputs` scatters, by channel."""
+    return {channel: queue.values for channel, queue in queues.items()}
+
+
 class TestCollector:
     def test_count_mismatch_detected(self):
         program = compile_w2(polynomial(6, 3))
@@ -90,7 +95,7 @@ class TestCollector:
         queues = {Channel.X: TimedQueue("x"), Channel.Y: TimedQueue("y")}
         queues[Channel.Y].enqueue(0, 1.0)  # only one item; expects 6
         with pytest.raises(HostDataError, match="expects"):
-            collect_outputs(plan.collection, memory, queues)
+            collect_outputs(plan.collection, memory, _words(queues))
 
     def test_discards_skipped(self):
         program = compile_w2(polynomial(6, 3))
@@ -102,7 +107,7 @@ class TestCollector:
             queues[Channel.X].enqueue(k, 99.0)
         for k in range(host.output_count(Channel.Y)):
             queues[Channel.Y].enqueue(k, float(k))
-        collect_outputs(plan.collection, memory, queues)
+        collect_outputs(plan.collection, memory, _words(queues))
         # X outputs are all discards; results took the Y values.
         assert list(memory.arrays["results"]) == [float(k) for k in range(6)]
         assert not np.any(memory.buffer == 99.0)
@@ -116,7 +121,7 @@ class TestCollector:
         queue = TimedQueue("y")
         for k, value in enumerate([10.0, 11.0, 12.0, 13.0, 14.0]):
             queue.enqueue(k, value)
-        collect_outputs({Channel.Y: collection}, memory, {Channel.Y: queue})
+        collect_outputs({Channel.Y: collection}, memory, {Channel.Y: queue.values})
         assert memory.buffer[3] == 12.0 and memory.buffer[1] == 14.0
         assert memory.buffer[9] == 0.0  # the discard was dropped
 
@@ -128,7 +133,7 @@ class TestCollector:
         queue = TimedQueue("y")
         queue.enqueue(0, -0.0)
         queue.enqueue(1, np.array([1.5, np.nan]))
-        collect_outputs({Channel.Y: collection}, memory, {Channel.Y: queue})
+        collect_outputs({Channel.Y: collection}, memory, {Channel.Y: queue.values})
         bits = memory.buffer.view(np.uint64)
         assert bits[0].tolist() == [np.float64(-0.0).view(np.uint64)] * 2
         assert bits[1, 1] == np.float64(np.nan).view(np.uint64)

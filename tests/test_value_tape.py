@@ -449,9 +449,11 @@ class TestBatchRunnerPaths:
     def test_inline_driver_calls_no_block_in_a_loop(self):
         """The untimed driver pastes every block's statements into its
         loops: no block call and no register-file access in any loop,
-        only the transfer and evaluator calls of the statements."""
+        only the transfer and evaluator calls of the statements; the
+        scalar form calls no evaluator for ``+``, ``-`` or ``*``, which
+        it writes as Python operators."""
         program = compile_w2(matmul(8, 4))
-        source, _ = plan_module._inline_source(
+        source, constants = plan_module._inline_source(
             program.cell_code, program.config.cell, pure_evaluator
         )
         loops = [
@@ -463,10 +465,17 @@ class TestBatchRunnerPaths:
             for node in ast.walk(loop):
                 assert not (isinstance(node, ast.Name) and node.id == "R")
                 if isinstance(node, ast.Call):
-                    name = node.func.id
-                    called = r"range|d[xya]|e[xy]|e\d+_\d+"
+                    name = ast.unparse(node.func)
+                    called = r"range|next|e[xy]\.(append|extend)|e\d+_\d+"
                     assert re.fullmatch(called, name), name
         assert "R[" not in source
+        arithmetic = {
+            pure_evaluator(op) for op in (OpKind.FADD, OpKind.FSUB, OpKind.FMUL)
+        }
+        assert not any(
+            callable(value) and value in arithmetic for value in constants
+        )
+        assert " * " in source and " + " in source
 
     def test_timed_driver_calls_no_block_function(self):
         """The timed driver pastes every block's timed statements into
