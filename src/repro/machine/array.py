@@ -188,21 +188,19 @@ class WarpMachine:
                 )
             plan.facts = facts
         get_telemetry().counter("machine.runs.value")
-        # Each link is one word list per channel: a cell's input words
-        # are all sent before it runs, and its output words are read
-        # only after it ends.
-        links = [feed_words(plan.feed, memory)]
+        # Each link is an (X words, Y words) pair of lists: a cell's
+        # input words are all sent before it runs, and its output words
+        # are read only after it ends.  Only a trace keeps every link.
+        size, addresses = plan.memory_words, plan.address_list
+        x, y = feed_words(plan.feed, memory).values()
+        links = [(x, y)]
         for _cell in range(self._program.n_cells):
-            # Only a trace reads the earlier links.
-            left = links[-1] if trace_limit else links.pop()
-            links.append({channel: [] for channel in Channel})
-            drive((
-                [0.0] * plan.memory_words,
-                *(iter(words) for words in left.values()),
-                *links[-1].values(),
-                iter(plan.address_list),
-            ))
-        collect_outputs(plan.collection, memory, links[-1])
+            ex, ey = [], []
+            drive(([0.0] * size, iter(x), iter(y), ex, ey, iter(addresses)))
+            x, y = ex, ey
+            if trace_limit:
+                links.append((x, y))
+        collect_outputs(plan.collection, memory, {Channel.X: x, Channel.Y: y})
         outputs = memory.outputs(self._program.ir.host_arrays)
         # Fresh containers over immutable leaves: no result aliases another.
         return outputs, replace(
@@ -211,16 +209,19 @@ class WarpMachine:
         ), self._trace(links, trace_limit)
 
     def _trace(
-        self, links: list[dict[Channel, list]], limit: int
+        self, links: list[tuple[list, list]], limit: int
     ) -> list[TraceEvent]:
-        """The trace of a clean run over its links' words: cell ``c``
-        makes its transfers at its start plus one cell run's."""
+        """The trace of a clean run over its links' (X, Y) words: cell
+        ``c`` makes its transfers at its start plus one cell run's."""
         if not limit:
             return []
         at = self.plan.transfers
         queues = [
-            {channel: TimedQueue("", values=words[channel]) for channel in Channel}
-            for words in links
+            {
+                channel: TimedQueue("", values=words)
+                for channel, words in zip(Channel, link)
+            }
+            for link in links
         ]
         for cell in self.plan.facts.cells:
             for channel in Channel:

@@ -245,6 +245,8 @@ def collect_outputs(
                 f"channel {channel}: the last cell sent {len(sent)} "
                 f"items but the host program expects {scatter.words}"
             )
+        if not scatter.sources.size:  # every word discarded
+            continue
         if memory.buffer.ndim == 1:
             values = np.array(sent, dtype=np.float64)
             memory.buffer[scatter.targets] = values[scatter.sources]

@@ -12,7 +12,8 @@ independent of the cell index, the input data and the run — so one
   ends the block holding one named value.  In the timed form each
   queue transfer is one call, with its absolute cycle, to the queue's
   checking method; untimed, a block reads each input stream in one
-  statement at its start, writes each output list once at its end, and
+  statement at its start (a long loop over one block reads each trip's
+  words in its header), writes each output list once at its end, and
   writes its scalar arithmetic as Python operators.
 * **Loop drivers.**  One generator (:func:`inline_driver`) builds every
   driver: per cell program, the scheduled loop tree as nested ``for``
@@ -61,7 +62,7 @@ import numpy as np
 
 from ..analysis.local_opt import column_evaluator, pure_evaluator
 from ..cellcodegen.emit import (
-    CellCode, OpCounts, ScheduledBlock, ScheduledItem,
+    CellCode, OpCounts, ScheduledBlock, ScheduledItem, ScheduledLoop,
 )
 from ..cellcodegen.isa import AddressSource, Lit, Operand, Reg
 from ..config import CellConfig
@@ -115,6 +116,12 @@ class BlockSource(NamedTuple):
     out: dict[int, str]
     #: The evaluators and literals the statements name, by name.
     constants: dict[str, object]
+    #: Untimed: by input (``dx``, ``dy``, ``da``), the names its words
+    #: land in, in order; read before ``body`` (:func:`_reads`).
+    reads: dict[str, list[str]]
+    #: Untimed: by output list (``ex``, ``ey``), the names of its words,
+    #: in order; written after ``body`` (:func:`_sends`).
+    sends: dict[str, list[str]]
 
 
 #: The scalar evaluators of :func:`~repro.analysis.local_opt.pure_evaluator`
@@ -168,11 +175,13 @@ def _block_source(
 
     Untimed, a clean run only moves values, and every word a cell
     receives was sent before it runs while nothing reads what it sends
-    until it ends.  So ``dx``, ``dy`` and ``da`` are iterators, read in
-    one statement per block at its start for all of the block's words
-    from each (``v0, v3 = next(dx), next(dx)``), and ``ex``/``ey`` are
-    the output lists, each written once at the block's end with all of
-    its sends (``ex.append(v1)``, or ``ex.extend((v1, v2))``).  Over
+    until it ends.  So ``dx``, ``dy`` and ``da`` are iterators and
+    ``ex``/``ey`` the output lists, and the statements hold no transfer:
+    the block's words by input (``reads``) are taken before them, in one
+    statement per input (:func:`_reads`, ``v0, v3 = next(dx),
+    next(dx)``) or in the header of the loop around the block, and its
+    sends by list (``sends``) are written after them, once per list
+    (:func:`_sends`, ``ex.append(v1)`` or ``ex.extend((v1, v2))``).  Over
     ``pure_evaluator`` (the scalar form), every op but FDIV is written
     inline as its lambda's expression (:data:`_EXPRESSIONS`), so NaN
     operands may give a NaN of another sign or payload than the lambda
@@ -303,23 +312,43 @@ def _block_source(
             else:
                 sends.setdefault(send, []).append(value)
     land(length)
-    body[:0] = [
+    out = {reg: visible[reg] for reg in sorted(written)}
+    return BlockSource(body, entry, out, constants, reads, sends)
+
+
+def _reads(reads: dict[str, list[str]]) -> list[str]:
+    """One statement per input reading its words in order:
+    ``v0, v3 = next(dx), next(dx)``."""
+    return [
         f"{', '.join(words)} = {', '.join(f'next({name})' for _ in words)}"
         for name, words in reads.items()
     ]
-    body += [
-        f"{name}.append({words[0]})" if len(words) == 1
+
+
+def _sends(sends: dict[str, list[str]], tuples: dict[str, str]) -> list[str]:
+    """One statement per output list appending its words in order; a
+    list whose words are a tuple named in ``tuples`` (by list) extends
+    by that tuple."""
+    return [
+        f"{name}.extend({tuples[name]})" if name in tuples
+        else f"{name}.append({words[0]})" if len(words) == 1
         else f"{name}.extend(({', '.join(words)}))"
         for name, words in sends.items()
     ]
-    out = {reg: visible[reg] for reg in sorted(written)}
-    return BlockSource(body, entry, out, constants)
 
 
 #: Loops one generated driver function nests at most.  Python refuses
 #: more than 20 statically nested blocks in one function, so a deeper
 #: loop continues in a function of its own.
 MAX_NEST = 10
+
+#: Words a loop over one block must read from one input per entry
+#: (trips × the block's words from it) before the untimed driver takes
+#: them in the loop's header rather than by ``next`` in its body: a
+#: ``zip`` in the header costs a few tenths of a microsecond to set up
+#: per entry and saves about 10 ns per word (docs/machine-model.md,
+#: "Compiled blocks").
+GROUPED_READS = 48
 
 
 def inline_driver(
@@ -362,7 +391,10 @@ def _inline_source(
     block reads its words from each iterator in one statement at its
     start, writes each list once at its end, and (over
     ``pure_evaluator``) computes with inline Python operators, so no
-    op but FDIV is a call.
+    op but FDIV is a call.  A loop of one block takes each trip's
+    words from an input it reads at least :data:`GROUPED_READS` words
+    from per entry in its header instead (see ``grouped`` below), and a
+    one-trip loop is its body, pasted in place (timed too).
     Each register ``r<k>`` is one Python local, ``0.0`` on entry like a
     fresh register file.  A block ends, after its sends, with one
     parallel assignment of its registers that are live after it
@@ -414,9 +446,15 @@ def _inline_source(
             lines.append(f"        return {returned}")
         return args, returned
 
-    def statements(item: ScheduledBlock) -> list[str]:
+    def statements(
+        item: ScheduledBlock,
+        head: list[str] | None = None,
+        tuples: dict[str, str] | None = None,
+    ) -> list[str]:
         """``item``'s statements where it runs, with its register
-        traffic and, timed, the clock's advance and the watchdog."""
+        traffic and, timed, the clock's advance and the watchdog.
+        Untimed, ``head`` replaces its reads (:func:`_reads`) and each
+        output list named in ``tuples`` extends by that tuple."""
         block = blocks[item.block_id]
         if timed:
             return [
@@ -426,14 +464,64 @@ def _inline_source(
                 f"t += {item.length}",
                 "if t > deadline: expired(t)",
             ]
+        lines = [
+            *(_reads(block.reads) if head is None else head),
+            *block.body,
+            *_sends(block.sends, tuples or {}),
+        ]
         copy = {
             reg: value for reg, value in block.out.items()
             if reg in live[id(item)][1] and value != f"r{reg}"
         }
-        if not copy:
-            return block.body
-        values = ", ".join(copy.values())
-        return [*block.body, f"{_regs(list(copy))} = {values}"]
+        if copy:
+            lines.append(f"{_regs(list(copy))} = {', '.join(copy.values())}")
+        return lines
+
+    def grouped(loop: ScheduledLoop) -> list[str]:
+        """The untimed ``loop`` over one block, each trip's words from
+        every input it reads at least :data:`GROUPED_READS` words from
+        per entry taken in its header (``for _, (v0, v2), v1 in
+        zip(range(30), zip(*(dx,) * 2), dy):``; the ``range`` comes
+        first, so the loop stops before reading past its trips) and
+        any other input's by ``next`` in its body; an empty list when
+        no input qualifies.  A trip that sends the words it read from
+        one header input, in order, takes them as one tuple (``wdx``)
+        and extends by it."""
+        item = loop.body[0] if len(loop.body) == 1 else None
+        if timed or not isinstance(item, ScheduledBlock):
+            return []
+        block = blocks[item.block_id]
+        long = {
+            name: names for name, names in block.reads.items()
+            if loop.trip * len(names) >= GROUPED_READS
+        }
+        if not long:
+            return []
+        targets, sources = ["_"], [f"range({loop.trip})"]
+        head = _reads({
+            name: names for name, names in block.reads.items()
+            if name not in long
+        })
+        tuples: dict[str, str] = {}
+        for name, names in long.items():
+            if len(names) == 1:
+                targets.append(names[0])
+                sources.append(name)
+                continue
+            sources.append(f"zip(*({name},) * {len(names)})")
+            forwarded = [
+                out for out, sent in block.sends.items() if sent == names
+            ]
+            if forwarded:
+                targets.append(f"w{name}")
+                tuples.update(dict.fromkeys(forwarded, f"w{name}"))
+                head.append(f"{', '.join(names)} = w{name}")
+            else:
+                targets.append(f"({', '.join(names)})")
+        return [
+            f"for {', '.join(targets)} in zip({', '.join(sources)}):",
+            *("    " + line for line in statements(item, head, tuples)),
+        ]
 
     def emit(body, lines, pad, depth) -> None:
         for item in body:
@@ -441,6 +529,8 @@ def _inline_source(
                 lines.extend(pad + line for line in statements(item))
             elif not item.trip:
                 continue
+            elif item.trip == 1:  # runs its body once, in place
+                emit(item.body, lines, pad, depth)
             elif depth == MAX_NEST:
                 name = f"loop{len(functions)}"
                 split = live.get(id(item), ())
@@ -449,6 +539,8 @@ def _inline_source(
                 lines.append(
                     f"{pad}{returned} = {call}" if returned else f"{pad}{call}"
                 )
+            elif loop := grouped(item):
+                lines.extend(pad + line for line in loop)
             else:
                 inner: list[str] = []
                 emit(item.body, inner, pad + "    ", depth + 1)
@@ -482,11 +574,11 @@ def _live_registers(
     into and after it, and those live on entry to ``items``.
 
     One backward pass: a block's live-in is its ``entry`` plus what is
-    live after it and not written in it.  A loop whose body reads
-    registers ``U`` before writing them (its upward-exposed uses,
-    computed once per loop) has ``U`` live after its body too, since
-    the next trip reads them; a zero-trip loop passes its live set
-    through unchanged.
+    live after it and not written in it.  A loop of two or more trips
+    whose body reads registers ``U`` before writing them (its
+    upward-exposed uses, computed once per loop) has ``U`` live after
+    its body too, since the next trip reads them; a one-trip loop is its
+    body, and a zero-trip loop passes its live set through unchanged.
     """
     live: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
     exposed: dict[int, frozenset[int]] = {}
@@ -497,6 +589,8 @@ def _live_registers(
             if isinstance(item, ScheduledBlock):
                 code = blocks[item.block_id]
                 out = out.difference(code.out).union(code.entry)
+            elif item.trip == 1:
+                out = walk(item.body, out, record)
             elif item.trip:
                 key = id(item)
                 if key not in exposed:

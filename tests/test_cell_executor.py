@@ -571,16 +571,16 @@ class TestInlineLiveness:
 
     WORDS = [1.5, -2.25, 1e300, -0.0, 7.0, math.nan, 3.0, 0.1]
 
-    def run_both(self, items):
+    def run_both(self, items, words=WORDS):
         from repro.machine.plan import _inline_source, inline_driver
 
         code = CellCode(
             items=items, layout=MemoryLayout(), pinned={}, config=CFG
         )
-        timed, _, _ = run_cell(code, self.WORDS)
+        timed, _, _ = run_cell(code, words)
         sent = []
         inline_driver(code, CFG, pure_evaluator)(
-            ([], iter(self.WORDS), None, sent, None, None)
+            ([], iter(words), None, sent, None, None)
         )
         assert _bits(sent) == _bits(timed.values)
         assert sent, "the case sends nothing"
@@ -641,12 +641,16 @@ class TestInlineLiveness:
     def test_register_carried_across_the_nesting_split(self):
         from repro.machine.plan import MAX_NEST
 
+        # Two-trip loops: a one-trip loop is pasted in place, no nesting.
         nest = [_receive(1, 6), _accumulate(2, 7, 6), _send(3, 7)]
-        for depth in range(MAX_NEST + 3):
-            nest = [_loop(2 if depth == 0 else 1, *nest, loop_id=depth + 1)]
+        for depth in range(MAX_NEST + 1):
+            nest = [_loop(2, *nest, loop_id=depth + 1)]
+        trips = 2 ** (MAX_NEST + 1)
+        words = (self.WORDS * trips)[:trips]
         sent, source = self.run_both(
-            [_set(0, 7, 1.0), *nest, _accumulate(4, 7, 6), _send(5, 7)]
+            [_set(0, 7, 1.0), *nest, _accumulate(4, 7, 6), _send(5, 7)],
+            words,
         )
-        assert len(sent) == 3
+        assert len(sent) == trips + 1
         # r7 goes in and out of the split loop; r6 comes out of it.
         assert "r6, r7, = loop1(ctx, r7)" in source

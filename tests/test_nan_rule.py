@@ -85,20 +85,21 @@ def _assert_one_nan(outputs: dict[str, np.ndarray]) -> None:
         assert (bits == QUIET).all(), (name, [hex(b) for b in bits])
 
 
-def check_two_nans(items: list[dict[str, np.ndarray]]) -> None:
-    """Every path returns the interpreter's bits on ``items``: ten
-    ``simulate`` calls per item (the run crosses CPython's switch to
-    specialised float operators), one serial batch over NumPy columns
-    and each item's checked cycle-accurate run."""
-    batch = BatchRunner(_program).run(items)
+def check_two_nans(items: list[dict[str, np.ndarray]], program=_program) -> None:
+    """Every path of ``program`` (:data:`TWO_NANS` compiled) returns the
+    interpreter's bits on ``items``: ten ``simulate`` calls per item (the
+    run crosses CPython's switch to specialised float operators), one
+    serial batch over NumPy columns and each item's checked
+    cycle-accurate run."""
+    batch = BatchRunner(program).run(items)
     assert batch.ok and batch.value_items == len(items)
     for item, batched in zip(items, batch.results):
         want = _bits(interpret(_analyzed, item))
         _assert_one_nan(batched.outputs)
         assert _bits(batched.outputs) == want
-        assert _bits(checked_run(_program, item).outputs) == want
+        assert _bits(checked_run(program, item).outputs) == want
         for _call in range(10):
-            assert _bits(simulate(_program, item).outputs) == want
+            assert _bits(simulate(program, item).outputs) == want
 
 
 #: One to nine items of two NaN operands per trip.

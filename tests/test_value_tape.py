@@ -466,7 +466,7 @@ class TestBatchRunnerPaths:
                 assert not (isinstance(node, ast.Name) and node.id == "R")
                 if isinstance(node, ast.Call):
                     name = ast.unparse(node.func)
-                    called = r"range|next|e[xy]\.(append|extend)|e\d+_\d+"
+                    called = r"range|zip|next|e[xy]\.(append|extend)|e\d+_\d+"
                     assert re.fullmatch(called, name), name
         assert "R[" not in source
         arithmetic = {
