@@ -16,8 +16,9 @@ Schedules are data-independent, so a clean run only moves values
 (:meth:`WarpMachine._values`): its metrics and verdicts come once per
 program from the plan's static transfer timeline
 (:meth:`~repro.machine.plan.ExecutionPlan.timeline`), its trace's cycles
-from the same timeline and its block spans from each cell's start
-cycle.  Fault-injected runs and ``repro compare`` take the checked
+from the same timeline; its block spans are the plan's clean lanes
+(:meth:`~repro.machine.plan.ExecutionPlan.lanes`, built once per lane
+cap).  Fault-injected runs and ``repro compare`` take the checked
 path (:meth:`WarpMachine._execute`), whose cells raise at the first
 failing check; so does a program whose timeline fails, on zeroed
 inputs, to raise that check's exact error.  A result keeps each run fact once, in
@@ -70,8 +71,8 @@ class SimulationResult:
     trace: list[TraceEvent] = field(default_factory=list)
     #: Per-cell block execution spans (only when
     #: ``simulate(..., record=True)``; feeds the Chrome-trace exporter).
-    #: Built from the plan and each cell's start cycle, on the value
-    #: path and the checked path alike.
+    #: The plan's clean lanes on the value path; the checked path moves
+    #: them to its cells' measured start cycles.
     record: list[CellSpans] | None = None
     #: Descriptions of every fault injected into this run (empty for
     #: clean runs; filled from the active
@@ -119,7 +120,7 @@ class WarpMachine:
         takes the checked path (:meth:`_execute`); every other run,
         traced or recorded too, only moves values on the plan's
         verdicts, and takes its trace's cycles from the plan's static
-        timeline and its block spans from each cell's start cycle."""
+        timeline and its block spans from the plan's clean lanes."""
         injector = _injector_of(faults)
         memory = HostMemory.from_inputs(
             self._program.host_program.layout, inputs
@@ -130,7 +131,7 @@ class WarpMachine:
         outputs, metrics, trace = self._values(
             memory, self.plan.value_driver, trace_limit
         )
-        spans = self._spans(metrics.cells) if record else None
+        spans = self.plan.lanes(self._lane_cap) if record else None
         return SimulationResult(outputs, metrics, trace, spans)
 
     def run_columns(
@@ -358,15 +359,15 @@ class WarpMachine:
             outputs=outputs,
             machine_metrics=plan.machine_metrics(cells, queues),
             trace=trace_events(links, trace_limit),
-            record=self._spans(cells) if record else None,
+            record=plan.spans(cells, self._lane_cap) if record else None,
             fault_report=injector.report() if injector is not None else [],
         )
 
-    def _spans(self, cells: list[CellMetrics]) -> list[CellSpans]:
-        """Each cell's block spans from its start cycle, every lane
-        capped at its share of the Chrome trace's spans."""
-        limit = chrome_trace.MAX_BLOCK_SPANS // self._program.n_cells
-        return self.plan.spans(cells, limit)
+    @property
+    def _lane_cap(self) -> int:
+        """Block spans kept per cell lane: its share of the Chrome
+        trace's spans."""
+        return chrome_trace.MAX_BLOCK_SPANS // self._program.n_cells
 
 
 def _account(queue: TimedQueue, cell: int, expected: int) -> None:

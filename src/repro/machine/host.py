@@ -10,12 +10,14 @@ word per cycle per channel still underflows, which models the bandwidth
 limit faithfully.
 
 Host memory is one flat float64 buffer in the word numbering of
-:class:`~repro.hostcodegen.HostLayout`: ``(words,)`` for one run, or
-``(words, items)`` for a whole batch, filled by :func:`load_inputs`, the
-one routine that validates host inputs for both.  It loads each host
-array for all items in one NumPy pass; only an array that some items
-lack or give malformed goes item by item, to name each bad item with
-its own error.  A channel's feed is one gather at static word offsets
+:class:`~repro.hostcodegen.HostLayout`: ``(words,)`` for one run, filled
+by :meth:`HostMemory.from_inputs`, or ``(words, items)`` for a whole
+batch, filled by :func:`load_inputs`.  Both store an item's array
+through one check, :func:`_validated`, so they accept and refuse the
+same inputs with the same errors.  A batch loads each host array for
+all items in one NumPy pass; only an array that some items lack or
+give malformed goes item by item, to name each bad item with its own
+error.  A channel's feed is one gather at static word offsets
 and its collection a scatter to them; a word is a Python float or a row
 holding every item's value of that word.
 
@@ -67,16 +69,23 @@ class HostMemory:
         host_shapes: "HostLayout | dict[str, tuple[int, ...]]",
         inputs: dict[str, "np.ndarray"],
     ) -> "HostMemory":
-        """One item's memory; raises what :func:`load_inputs` reports.
-        ``host_shapes`` is a program's layout or just its host array
-        shapes (the reference interpreter has no host program)."""
+        """One item's ``(words,)`` memory: zeros and the literal words,
+        then each given array stored through :func:`_validated`, the
+        check :func:`load_inputs` applies to an item, so it raises what
+        that reports.  ``host_shapes`` is a program's layout or just its
+        host array shapes (the reference interpreter has no host
+        program)."""
         layout = host_shapes
         if not isinstance(layout, HostLayout):
             layout = HostLayout(layout)
-        memory, failed = load_inputs(layout, [inputs])
-        if failed:
-            raise failed[0]
-        return cls.over(layout, memory.buffer[:, 0].copy())
+        buffer = np.zeros(layout.words)
+        buffer[layout.literal_base : layout.discard] = layout.literals
+        memory = cls.over(layout, buffer)
+        for name, column in memory.arrays.items():
+            if name in inputs:
+                data = _validated(name, inputs[name], len(column))
+                column[: data.size] = data
+        return memory
 
     def outputs(self, names: Iterable[str]) -> dict[str, np.ndarray]:
         """Copies of the host arrays ``names`` once the run is over, with
@@ -116,8 +125,9 @@ def _load_inputs(
     Each host array is first loaded for all items in one NumPy pass,
     which holds when every item gives it and its items share one shape
     that fits.  Any other array (a name some items lack, ragged, oversize
-    or unconvertible items) takes the per-item loop, which names each
-    bad item with the error of its first failing array."""
+    or unconvertible items) takes the per-item loop (:func:`_validated`),
+    which names each bad item with the error of its first failing
+    array."""
     buffer = np.zeros((layout.words, len(input_sets)))
     buffer[layout.literal_base : layout.discard] = np.reshape(
         layout.literals, (-1, 1)
@@ -142,39 +152,58 @@ def _load_inputs(
     for item, inputs in enumerate(input_sets if pending else ()):
         try:
             for name, column in pending.items():
-                if name not in inputs:
-                    continue
-                try:
-                    data = np.asarray(inputs[name], dtype=np.float64).ravel()
-                except (TypeError, ValueError, OverflowError, ComplexWarning):
-                    raise HostDataError(
-                        f"input {name!r} does not convert to float: "
-                        f"{unconvertible(inputs[name])!r}"
-                    ) from None
-                if data.size > len(column):
-                    raise HostDataError(
-                        f"input {name!r} has {data.size} elements; the "
-                        f"module declares {len(column)}"
-                    )
-                column[: data.size, item] = data
+                if name in inputs:
+                    data = _validated(name, inputs[name], len(column))
+                    column[: data.size, item] = data
         except HostDataError as error:
             failed[item] = error
     return memory, failed
 
 
+def _validated(name: str, value: object, size: int) -> np.ndarray:
+    """``value`` as the flat float64 words of the host array ``name`` of
+    ``size`` elements (short is fine: the rest stays zero).  Raises
+    :class:`~repro.errors.HostDataError` if it does not convert to float
+    (a complex value included, as Python's ``float`` refuses it) or
+    holds more than ``size`` elements.  An array of booleans, integers
+    or floats needs no guard against a complex cast."""
+    try:
+        if isinstance(value, np.ndarray) and value.dtype.kind in "biuf":
+            data = np.asarray(value, dtype=np.float64)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ComplexWarning)
+                data = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError, ComplexWarning):
+        raise HostDataError(
+            f"input {name!r} does not convert to float: "
+            f"{unconvertible(value)!r}"
+        ) from None
+    data = data.ravel()
+    if data.size > size:
+        raise HostDataError(
+            f"input {name!r} has {data.size} elements; the module "
+            f"declares {size}"
+        )
+    return data
+
+
 def unconvertible(value: object) -> object:
     """The first scalar of ``value`` that does not convert to float, as
     the user wrote it (``value`` itself when no one scalar fails, as in
-    a ragged nesting)."""
+    a ragged nesting).  A NumPy complex scalar fails too, as a Python
+    complex does, whatever the caller's warning filters."""
     try:
         scalars = np.asarray(value, dtype=object).ravel().tolist()
     except ValueError:  # arrays of shapes that do not broadcast
         return value
-    for scalar in scalars:
-        try:
-            np.float64(scalar)
-        except (TypeError, ValueError, OverflowError):
-            return scalar
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        for scalar in scalars:
+            try:
+                np.float64(scalar)
+            except (TypeError, ValueError, OverflowError, ComplexWarning):
+                return scalar
     return value
 
 

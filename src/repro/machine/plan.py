@@ -31,9 +31,11 @@ independent of the cell index, the input data and the run — so one
   queue's send and receive cycles in a clean run; one pass over them
   (:meth:`ExecutionPlan.timeline`) yields the metrics and the verdicts
   of every clean run (``facts``) without running a cell.
-* **Block spans** of one cell run's first blocks, as read-only arrays
-  built once from the loop tree; each cell's start cycles are its
-  measured start plus their offsets (:meth:`ExecutionPlan.spans`).
+* **Block spans** of one cell run's first blocks, as read-only offsets
+  built once from the loop tree; a lane adds its cell's start cycle.
+  A clean run's lanes (cell ``c`` from ``c × skew``) are built once per
+  lane cap (:meth:`ExecutionPlan.lanes`); a checked run moves them to
+  its cells' measured starts (:meth:`ExecutionPlan.spans`).
 * **Static counts.**  Per-block operation totals and one cell run's
   totals (``counts``, from
   :meth:`~repro.cellcodegen.emit.OpCounts.of_run`, which the
@@ -659,8 +661,8 @@ class ExecutionPlan:
         #: guard checks that every inter-cell link carries exactly
         #: ``counts.sends[channel]`` words.
         self.counts = OpCounts.of_run(program.cell_code, self.blocks)
-        #: By lane cap, the spans of a cell started at cycle 0.
-        self._heads: dict[int, CellSpans] = {}
+        #: By lane cap, a clean run's block spans (:meth:`lanes`).
+        self._lanes: dict[int, list[CellSpans]] = {}
 
     @functools.cached_property
     def address_list(self) -> list[int]:
@@ -778,20 +780,26 @@ class ExecutionPlan:
             iu=self.iu,
         )
 
+    def lanes(self, limit: int) -> list[CellSpans]:
+        """A clean run's block spans: each cell's first ``limit`` block
+        executions from its start ``c × skew``, and how many more its
+        run executes.  Built once per lane cap; each call returns a
+        fresh list of the shared, immutable lanes."""
+        lanes = self._lanes.get(limit)
+        if lanes is None:
+            head, skew = self._span_head(limit), self._program.skew.skew
+            lanes = self._lanes[limit] = [
+                replace(head, cell=cell, start_cycle=cell * skew)
+                for cell in range(self._program.n_cells)
+            ]
+        return list(lanes)
+
     def spans(self, cells: list[CellMetrics], limit: int) -> list[CellSpans]:
-        """Each cell's first ``limit`` block executions, from its
-        measured start cycle (a stalled cell's spans move with it), and
-        how many more its run executes.  Only the start cycles are per
-        cell; the other arrays are the plan's, read-only."""
-        head = self._heads.get(limit)
-        if head is None:
-            head = self._heads[limit] = self._span_head(limit)
+        """Each cell's :meth:`lanes` lane from its measured start cycle
+        (a stalled cell's spans move with it)."""
+        lanes = self.lanes(limit)
         return [
-            CellSpans(
-                cell.cell, head.block_ids,
-                _read_only(cell.start_cycle + head.starts),
-                head.lengths, head.issued_ops, head.omitted,
-            )
+            replace(lanes[cell.cell], start_cycle=cell.start_cycle)
             for cell in cells
         ]
 
@@ -807,8 +815,9 @@ class ExecutionPlan:
         lengths = length_of[block_ids]
         return CellSpans(
             cell=0,
+            start_cycle=0,
             block_ids=_read_only(block_ids),
-            starts=_read_only(np.cumsum(lengths) - lengths),
+            offsets=_read_only(np.cumsum(lengths) - lengths),
             lengths=_read_only(lengths),
             issued_ops=_read_only(issued_of[block_ids]),
             omitted=total - block_ids.size,

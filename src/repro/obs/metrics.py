@@ -5,8 +5,9 @@ cycles, block start cycles) so the simulator can build a
 :class:`MachineMetrics` without this module ever importing the machine
 package.  Times are NumPy arrays, made read-only once built so results
 can share them: a queue's send and receive cycles, and a cell lane's
-block spans (:class:`CellSpans`).  The simulator, the compiler's
-buffer analysis and the verifier share one occupancy rule,
+block span offsets (:class:`CellSpans`, which adds its cell's start).
+The simulator, the compiler's buffer analysis and the verifier share
+one occupancy rule,
 :func:`repro.timing.buffers.occupancy_requirement`: an item occupies
 the buffer from its send cycle up to *and including* the cycle of its
 receive.
@@ -157,19 +158,29 @@ class IUMetrics:
 
 @dataclass(frozen=True)
 class CellSpans:
-    """The first block executions of one cell's run (a Chrome cell lane),
-    as parallel read-only arrays: span ``k`` runs block ``block_ids[k]``
-    for ``lengths[k]`` cycles from cycle ``starts[k]``, issuing
-    ``issued_ops[k]`` operations.  Only ``starts`` is the cell's own;
-    the other arrays are shared by every lane and run of a program."""
+    """The first block executions of one cell's run (a Chrome cell lane):
+    span ``k`` runs block ``block_ids[k]`` for ``lengths[k]`` cycles
+    from cycle ``start_cycle + offsets[k]``, issuing ``issued_ops[k]``
+    operations.  The arrays are read-only and shared by every lane and
+    run of a program; only ``start_cycle`` is the cell's own."""
 
     cell: int
+    #: The cycle the cell's run starts.
+    start_cycle: int
     block_ids: np.ndarray = field(repr=False)
-    starts: np.ndarray = field(repr=False)
+    #: Each span's start relative to the cell's.
+    offsets: np.ndarray = field(repr=False)
     lengths: np.ndarray = field(repr=False)
     issued_ops: np.ndarray = field(repr=False)
     #: Block executions of the run after these spans, cut by the lane cap.
     omitted: int
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Each span's start cycle, as a fresh read-only array."""
+        starts = self.offsets + self.start_cycle
+        starts.flags.writeable = False
+        return starts
 
 
 @dataclass(frozen=True)

@@ -234,12 +234,91 @@ def test_load_inputs_matches_per_item_loop(input_sets):
     assert np.array_equal(got, want.buffer[:, valid].view(np.uint64))
 
 
+def _assert_one_item_load_agrees(inputs):
+    """``HostMemory.from_inputs`` gives column 0 of a one-item
+    :func:`load_inputs` bit for bit, or raises that item's error."""
+    memory, failed = load_inputs(_LAYOUT, [inputs])
+    if failed:
+        with pytest.raises(HostDataError) as caught:
+            HostMemory.from_inputs(_LAYOUT, inputs)
+        assert str(caught.value) == str(failed[0])
+        return
+    got = HostMemory.from_inputs(_LAYOUT, inputs)
+    assert got.buffer.shape == (_LAYOUT.words,)
+    assert np.array_equal(
+        got.buffer.view(np.uint64), memory.buffer[:, 0].view(np.uint64)
+    )
+    for name, array in got.arrays.items():
+        assert np.shares_memory(array, got.buffer), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches())
+def test_one_item_load_matches_the_batch_load(input_sets):
+    """The one-item load stores through the batch load's per-item check:
+    the same words, or the same error, for every drawn item."""
+    for inputs in input_sets:
+        _assert_one_item_load_agrees(inputs)
+
+
+_NOT_FLOAT = "input {!r} does not convert to float: {}"
+
+
+@pytest.mark.parametrize(
+    "inputs, error",
+    [
+        pytest.param({"a": np.ones(6)}, None, id="missing-name"),
+        pytest.param({"a": np.ones(6), "extra": [1j]}, None, id="extra-name"),
+        pytest.param(
+            {"b": np.ones(5)},
+            "input 'b' has 5 elements; the module declares 4",
+            id="oversize",
+        ),
+        pytest.param(
+            {"m": [[1.0, 2.0], [3.0]]},
+            _NOT_FLOAT.format("m", "[[1.0, 2.0], [3.0]]"),
+            id="ragged",
+        ),
+        pytest.param(
+            {"s": np.float64(2.5), "a": np.array(3.0)}, None, id="0-d"
+        ),
+        pytest.param(
+            {"a": "abc"}, _NOT_FLOAT.format("a", "'abc'"), id="string"
+        ),
+        pytest.param(
+            {"a": np.arange(6) + 2j},
+            _NOT_FLOAT.format("a", "2j"),
+            id="complex-ndarray",
+        ),
+        pytest.param(
+            {"s": np.complex128(1j)},
+            _NOT_FLOAT.format("s", "np.complex128(1j)"),
+            id="complex128-scalar",
+        ),
+        pytest.param(
+            {"a": [np.complex128(1 + 2j)]},
+            _NOT_FLOAT.format("a", "np.complex128(1+2j)"),
+            id="complex-in-list",
+        ),
+        pytest.param({"a": None}, None, id="none"),  # loads as NaN
+    ],
+)
+def test_one_item_load_agrees_on_each_malformed_class(inputs, error):
+    """Each class loads, or fails with its one message, alike alone and
+    in a batch."""
+    _, failed = load_inputs(_LAYOUT, [inputs])
+    assert (str(failed[0]) if failed else None) == error
+    _assert_one_item_load_agrees(inputs)
+
+
 def test_unconvertible_names_the_value_as_written():
     """The error names the first scalar that fails as a Python value,
     not as NumPy's repr of its scalar type."""
     assert type(unconvertible(np.array(["1", "abc"]))) is str
     assert unconvertible(np.array([["1", "2"], ["abc", "3"]])) == "abc"
     assert unconvertible([1.0, None, 1j]) == 1j
+    scalar = np.complex128(1j)  # refused by value, not by a warning filter
+    assert unconvertible([1.0, scalar]) is scalar
     for nested in ([[1.0, 2.0], [3.0]], [np.zeros(2), np.zeros((2, 2))]):
         assert unconvertible(nested) is nested
 

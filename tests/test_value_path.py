@@ -196,6 +196,46 @@ class TestRoutes:
             assert np.array_equal(lane.block_ids, base.block_ids)
 
 
+class TestCleanLanes:
+    """A clean recorded run's block spans are the plan's lanes, built
+    once per lane cap: the checked run's lanes, field by field."""
+
+    @pytest.mark.parametrize("cap", [None, 10])
+    @pytest.mark.parametrize("case", SUITE, ids=[case[0] for case in SUITE])
+    def test_lanes_equal_the_checked_runs(self, case, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(obs.chrome_trace, "MAX_BLOCK_SPANS", cap)
+        name, source, inputs, _reference = case
+        program = compile_w2(source)
+        got = simulate(program, inputs, record=True).record
+        want = checked_run(program, inputs).record
+        assert [lane.cell for lane in got] == [lane.cell for lane in want]
+        for lane, base in zip(got, want):
+            for field in ("block_ids", "starts", "lengths", "issued_ops"):
+                assert np.array_equal(
+                    getattr(lane, field), getattr(base, field)
+                ), f"{name}: cell {lane.cell} {field}"
+            assert lane.omitted == base.omitted, name
+
+    def test_two_recorded_calls_build_the_span_head_once(self, monkeypatch):
+        built = []
+        span_head = ExecutionPlan._span_head
+
+        def counting(plan, limit):
+            built.append(limit)
+            return span_head(plan, limit)
+
+        monkeypatch.setattr(ExecutionPlan, "_span_head", counting)
+        program = compile_w2(polynomial(12, 4))
+        inputs = _items(1)[0]
+        first, second = (
+            simulate(program, inputs, record=True).record for _ in range(2)
+        )
+        assert len(built) == 1
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+
+
 class TestFailingCheck:
     """A program whose timeline fails caches no verdict: every clean
     run raises the checked path's error."""
