@@ -29,8 +29,8 @@ from ..hostcodegen import HostProgram, generate_host_program
 from ..ir import CellProgramIR, build_ir
 from ..ir.dag import OpKind
 from ..iucodegen import IUProgram, generate_iu_code
-from ..lang import AnalyzedModule, analyze, count_w2_lines
-from ..lang.lexer import tokenize
+from ..lang import AnalyzedModule, analyze
+from ..lang.lexer import count_token_lines, tokenize
 from ..lang.parser import Parser
 from ..machine.plan import ExecutionPlan
 from ..config import DEFAULT_CONFIG, WarpConfig
@@ -246,7 +246,7 @@ def compile_w2(
     elapsed = time.perf_counter() - started
     metrics = CompileMetrics(
         module_name=ir.module_name,
-        w2_lines=count_w2_lines(source),
+        w2_lines=count_token_lines(tokens),
         cell_ucode=cell_code.n_instructions,
         iu_ucode=iu_program.n_instructions,
         compile_seconds=elapsed,

@@ -49,9 +49,9 @@ from .errors import (
     UnsupportedProgramError,
     W2Error,
 )
-from .lexer import tokenize
+from .lexer import count_w2_lines, tokenize
 from .parser import parse_expression, parse_module
-from .pretty import count_w2_lines, format_expr, format_module
+from .pretty import format_expr, format_module
 from .semantic import (
     AffineIndex,
     AnalyzedModule,

@@ -1,9 +1,7 @@
 """Pretty printer (unparser) for W2 ASTs.
 
 ``format_module(parse_module(src))`` produces source that parses back to an
-equivalent AST; the round trip is exercised by property-based tests.  The
-printer is also what the Table 7-1 benchmark uses to count canonical W2
-lines.
+equivalent AST; the round trip is exercised by property-based tests.
 """
 
 from __future__ import annotations
@@ -155,36 +153,3 @@ def format_module(module: ast.Module) -> str:
     lines.extend(printer.lines)
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def count_w2_lines(source: str) -> int:
-    """Count non-blank, non-comment-only lines of W2 source.
-
-    This is the "W2 Lines" metric of Table 7-1.
-    """
-    count = 0
-    in_comment = False
-    for raw_line in source.splitlines():
-        line = raw_line
-        kept: list[str] = []
-        i = 0
-        while i < len(line):
-            if in_comment:
-                end = line.find("*/", i)
-                if end < 0:
-                    i = len(line)
-                else:
-                    in_comment = False
-                    i = end + 2
-            else:
-                start = line.find("/*", i)
-                if start < 0:
-                    kept.append(line[i:])
-                    i = len(line)
-                else:
-                    kept.append(line[i:start])
-                    in_comment = True
-                    i = start + 2
-        if "".join(kept).strip():
-            count += 1
-    return count

@@ -69,31 +69,27 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
+#: Kinds whose value names a category of token instead of spelling one.
+_CATEGORIES = frozenset({
+    TokenKind.IDENT,
+    TokenKind.INT_LITERAL,
+    TokenKind.FLOAT_LITERAL,
+    TokenKind.EOF,
+})
+
 #: Map from keyword spelling to its token kind.  W2 keywords are reserved
-#: words; the lexer consults this table after scanning an identifier.
+#: words; the lexer consults this table after scanning a word.
 KEYWORDS: dict[str, TokenKind] = {
-    "module": TokenKind.MODULE,
-    "cellprogram": TokenKind.CELLPROGRAM,
-    "function": TokenKind.FUNCTION,
-    "call": TokenKind.CALL,
-    "begin": TokenKind.BEGIN,
-    "end": TokenKind.END,
-    "if": TokenKind.IF,
-    "then": TokenKind.THEN,
-    "else": TokenKind.ELSE,
-    "for": TokenKind.FOR,
-    "to": TokenKind.TO,
-    "downto": TokenKind.DOWNTO,
-    "do": TokenKind.DO,
-    "send": TokenKind.SEND,
-    "receive": TokenKind.RECEIVE,
-    "float": TokenKind.FLOAT,
-    "int": TokenKind.INT,
-    "in": TokenKind.IN,
-    "out": TokenKind.OUT,
-    "and": TokenKind.AND,
-    "or": TokenKind.OR,
-    "not": TokenKind.NOT,
+    kind.value: kind
+    for kind in TokenKind
+    if kind not in _CATEGORIES and kind.value.isalpha()
+}
+
+#: Map from operator and punctuation spelling to its token kind.
+PUNCTUATION: dict[str, TokenKind] = {
+    kind.value: kind
+    for kind in TokenKind
+    if kind not in _CATEGORIES and not kind.value.isalpha()
 }
 
 

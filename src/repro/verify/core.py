@@ -34,7 +34,7 @@ from ..timing.skew import SkewResult
 from .iupath import check_emissions, check_iu_path, walk_emissions
 from .replay import replay_cell_code
 from .report import VerificationReport
-from .streams import check_streams
+from .streams import MAX_EVENTS, check_streams
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..compiler.driver import CompiledProgram
@@ -68,7 +68,7 @@ def verify_artifacts(
     config: WarpConfig,
     n_cells: int,
     level: str = "full",
-    max_events: int | None = 200_000,
+    max_events: int | None = MAX_EVENTS,
 ) -> VerificationReport:
     """Run the verifier over one compiled module's artifacts."""
     level = resolve_level(level)

@@ -42,6 +42,11 @@ from ..timing.tau import TimingFunction
 from ..timing.vectors import Stream, characterize_stream, input_stream, output_stream
 from .report import VerificationReport
 
+#: How many dynamic events (IU emissions, stream events) the ``full``
+#: level enumerates before it skips a dynamic check and notes the skip.
+#: Default conv2d, the largest bundled program, needs 524,288.
+MAX_EVENTS = 1_000_000
+
 STREAM_CHECKS = (
     "stream.conservation",
     "stream.host_counts",
@@ -90,7 +95,7 @@ def check_streams(
     config: WarpConfig,
     n_cells: int,
     report: VerificationReport,
-    max_events: int | None = 200_000,
+    max_events: int | None = MAX_EVENTS,
     tau_budget: int = 20_000,
 ) -> None:
     for check in STREAM_CHECKS:

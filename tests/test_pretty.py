@@ -100,6 +100,15 @@ class TestLineCounting:
     def test_code_and_comment_same_line_counts(self):
         assert count_w2_lines("a := 1; /* note */\n") == 1
 
+    def test_code_after_a_multiline_comment_closes_counts(self):
+        source = "/* one\ntwo */ a := 1;\n/* three\n*/\nb := 2;\n"
+        assert count_w2_lines(source) == 2  # the a line and the b line
+
+    def test_lone_carriage_return_is_not_a_line_break(self):
+        """A line is what the lexer counts as one: ``\\n`` ends it and a
+        lone ``\\r`` is whitespace, as in token locations."""
+        assert count_w2_lines("a := 1;\rb := 2;\r\nc := 3;\n") == 2
+
     def test_paper_program_counts_are_stable(self):
         counts = {
             name: count_w2_lines(factory())

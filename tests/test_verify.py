@@ -18,7 +18,7 @@ from repro.compiler import compile_w2
 from repro.config import DEFAULT_CONFIG
 from repro.errors import VerificationError
 from repro.exec import CompileCache
-from repro.programs import polynomial
+from repro.programs import conv2d, polynomial
 from repro.timing.skew import SkewResult
 from repro.verify import (
     LEVELS,
@@ -121,6 +121,18 @@ class TestLevels:
         for family in ("skew.", "occupancy.", "tau."):
             assert not any(c.startswith(family) for c in quick.checks_run)
             assert any(c.startswith(family) for c in full.checks_run)
+
+
+    def test_default_conv2d_fits_the_event_budget(self):
+        """Default conv2d, the largest bundled program (524,288 IU
+        emissions), runs every dynamic check at ``full``: only the tau
+        closed form, with its own smaller budget, is skipped."""
+        report = verify_program(_compile_unverified(conv2d()), level="full")
+        assert report.ok
+        assert report.notes
+        assert all("tau budget" in note for note in report.notes), (
+            report.notes
+        )
 
 
 class TestDriverIntegration:
