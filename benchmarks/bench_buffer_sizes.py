@@ -12,7 +12,7 @@ from repro.errors import QueueOverflowError
 from repro.config import WarpConfig
 from repro.lang import Channel
 from repro.programs import TABLE_7_1_PROGRAMS, matmul
-from repro.timing import minimum_buffer_sizes, plan_variable_skew
+from repro.timing import compute_skew, minimum_buffer_sizes, plan_variable_skew
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,9 @@ def compiled():
 def test_minimum_buffer_sizes(benchmark, compiled, report):
     sample = compiled["Polynomial"]
     benchmark(
-        minimum_buffer_sizes, sample.cell_code, sample.skew.skew
+        lambda: minimum_buffer_sizes(
+            compute_skew(sample.cell_code)[1], sample.skew.skew
+        )
     )
 
     lines = [

@@ -22,25 +22,41 @@ datapath materialises comparison results.
 from __future__ import annotations
 
 import math
+import re
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..ir.dag import Dag, Node, OpKind
 
-_ARITH_EVAL: dict[OpKind, Callable[[float, float], float]] = {
-    OpKind.FADD: lambda a, b: a + b,
-    OpKind.FSUB: lambda a, b: a - b,
-    OpKind.FMUL: lambda a, b: a * b,
-    OpKind.CMP_EQ: lambda a, b: 1.0 if a == b else 0.0,
-    OpKind.CMP_NE: lambda a, b: 1.0 if a != b else 0.0,
-    OpKind.CMP_LT: lambda a, b: 1.0 if a < b else 0.0,
-    OpKind.CMP_LE: lambda a, b: 1.0 if a <= b else 0.0,
-    OpKind.CMP_GT: lambda a, b: 1.0 if a > b else 0.0,
-    OpKind.CMP_GE: lambda a, b: 1.0 if a >= b else 0.0,
-    OpKind.BAND: lambda a, b: 1.0 if (a != 0.0 and b != 0.0) else 0.0,
-    OpKind.BOR: lambda a, b: 1.0 if (a != 0.0 or b != 0.0) else 0.0,
+#: Every pure op but FDIV as one Python expression over its operands
+#: ``{0}``, ``{1}``, ``{2}``.  The untimed scalar driver writes these
+#: inline (:mod:`repro.machine.plan`) and :func:`pure_evaluator`'s
+#: functions are compiled from them, so each op is spelled once.
+SCALAR_EXPRESSIONS: dict[OpKind, str] = {
+    OpKind.FADD: "{0} + {1}",
+    OpKind.FSUB: "{0} - {1}",
+    OpKind.FMUL: "{0} * {1}",
+    OpKind.FNEG: "-{0}",
+    OpKind.CMP_EQ: "1.0 if {0} == {1} else 0.0",
+    OpKind.CMP_NE: "1.0 if {0} != {1} else 0.0",
+    OpKind.CMP_LT: "1.0 if {0} < {1} else 0.0",
+    OpKind.CMP_LE: "1.0 if {0} <= {1} else 0.0",
+    OpKind.CMP_GT: "1.0 if {0} > {1} else 0.0",
+    OpKind.CMP_GE: "1.0 if {0} >= {1} else 0.0",
+    OpKind.BAND: "1.0 if ({0} != 0.0 and {1} != 0.0) else 0.0",
+    OpKind.BOR: "1.0 if ({0} != 0.0 or {1} != 0.0) else 0.0",
+    OpKind.BNOT: "1.0 if {0} == 0.0 else 0.0",
+    OpKind.SELECT: "{1} if {0} != 0.0 else {2}",
 }
+
+
+def _scalar_function(expression: str) -> Callable[..., float]:
+    """``expression`` as a function of its operands, in order."""
+    arity = len(set(re.findall(r"\{\d\}", expression)))
+    names = [f"x{k}" for k in range(arity)]
+    return eval(f"lambda {', '.join(names)}: {expression.format(*names)}")
+
 
 _NEGATED_COMPARE = {
     OpKind.CMP_EQ: OpKind.CMP_NE,
@@ -70,12 +86,11 @@ def _fdiv(a: float, b: float) -> float:
         return a * math.copysign(math.inf, b)
 
 
-_EXTRA_EVAL: dict[OpKind, Callable[..., float]] = {
-    OpKind.FDIV: _fdiv,
-    OpKind.FNEG: lambda a: -a,
-    OpKind.BNOT: lambda a: 1.0 if a == 0.0 else 0.0,
-    OpKind.SELECT: lambda c, a, b: a if c != 0.0 else b,
+_SCALAR_EVAL: dict[OpKind, Callable[..., float]] = {
+    op: _scalar_function(expression)
+    for op, expression in SCALAR_EXPRESSIONS.items()
 }
+_SCALAR_EVAL[OpKind.FDIV] = _fdiv
 
 
 def pure_evaluator(op: OpKind) -> Optional[Callable[..., float]]:
@@ -83,7 +98,7 @@ def pure_evaluator(op: OpKind) -> Optional[Callable[..., float]]:
 
     Resolving the dispatch once (e.g. when the simulator pre-decodes a
     schedule) avoids a per-execution dictionary lookup."""
-    return _ARITH_EVAL.get(op) or _EXTRA_EVAL.get(op)
+    return _SCALAR_EVAL.get(op)
 
 
 def _flag(mask) -> np.ndarray:
@@ -124,7 +139,7 @@ def evaluate_pure(op: OpKind, values: Sequence[float]) -> float:
     Shared by constant folding, the AST interpreter and the simulator so
     that all three agree on the boolean-as-float convention.
     """
-    fn = _ARITH_EVAL.get(op) or _EXTRA_EVAL.get(op)
+    fn = _SCALAR_EVAL.get(op)
     if fn is None:
         raise ValueError(f"not a pure operation: {op}")
     return fn(*values)

@@ -103,7 +103,7 @@ class CellCode:
     max_live_registers: int = 0
 
     def blocks(self):
-        yield from _walk_blocks(self.items)
+        return (block for block, _runs in block_runs(self.items))
 
     @property
     def n_instructions(self) -> int:
@@ -113,23 +113,25 @@ class CellCode:
     @property
     def total_cycles(self) -> int:
         """Execution time of the whole program on one cell."""
-        return sum(_item_cycles(item) for item in self.items)
+        return pass_cycles(self.items)
 
 
-def _walk_blocks(items: list[ScheduledItem]):
+def block_runs(items: list, runs: int = 1):
+    """``(block, runs)`` of every block of the loop tree ``items``, in
+    program order: how many times a block runs when ``items`` run
+    ``runs`` times.  A loop is an item with a ``body`` (``ScheduledLoop``,
+    ``IULoop``), run ``trip`` times per pass."""
     for item in items:
-        if isinstance(item, ScheduledBlock):
-            yield item
+        body = getattr(item, "body", None)
+        if body is None:
+            yield item, runs
         else:
-            yield from _walk_blocks(item.body)
+            yield from block_runs(body, runs * item.trip)
 
 
-def _item_cycles(item) -> int:
-    """One pass's cycles: a block's ``length``, or a cell or IU loop's."""
-    body = getattr(item, "body", None)
-    if body is None:
-        return item.length
-    return item.trip * sum(_item_cycles(child) for child in body)
+def pass_cycles(items: list) -> int:
+    """The cycles of one pass over the loop tree ``items``."""
+    return sum(runs * block.length for block, runs in block_runs(items))
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ class OpCounts:
         block ids to totals already computed (the plan's blocks)."""
         if blocks is None:
             blocks = {block.block_id: cls.of(block) for block in code.blocks()}
-        runs = [(blocks[b], n) for b, n in _block_runs(code.items)]
+        runs = [(blocks[b.block_id], n) for b, n in block_runs(code.items)]
         sends: Counter[Channel] = Counter()
         receives: Counter[Channel] = Counter()
         for counts, n in runs:
@@ -187,19 +189,6 @@ class OpCounts:
             sends=sends,
             receives=receives,
         )
-
-
-def _block_runs(
-    items: list[ScheduledItem], trips: int = 1
-) -> list[tuple[int, int]]:
-    """``(block id, executions)`` of every block in one cell run."""
-    runs: list[tuple[int, int]] = []
-    for item in items:
-        if isinstance(item, ScheduledBlock):
-            runs.append((item.block_id, trips))
-        else:
-            runs.extend(_block_runs(item.body, trips * item.trip))
-    return runs
 
 
 class CellCodeGenerator:

@@ -115,7 +115,6 @@ def _scalar_use_counts(ir: CellProgramIR) -> dict[str, int]:
 def compile_w2(
     source: str,
     config: WarpConfig = DEFAULT_CONFIG,
-    skew_method: str = "auto",
     unroll: int | str = 1,
     local_opt: bool = True,
     cache: "CompileCache | None" = None,
@@ -126,7 +125,10 @@ def compile_w2(
     Raises :class:`~repro.lang.errors.W2Error` for front-end problems and
     :class:`~repro.errors.CompilationError` subclasses for back-end ones
     (unmappable communication, register pressure, memory/table overflow,
-    queue overflow).
+    queue overflow).  The skew and the queue sizes are exact, from one
+    walk of each channel's send and receive streams; a stream longer
+    than :data:`~repro.timing.events.MAX_STREAM_EVENTS` refuses the
+    program with :class:`~repro.timing.events.TooManyEventsError`.
 
     ``unroll`` unrolls innermost loops up to that factor before
     scheduling, amortising block-drain cycles over several iterations
@@ -158,7 +160,7 @@ def compile_w2(
 
         with obs.span("cache.lookup"):
             key = cache_key(
-                source, config, skew_method, unroll, local_opt, faults=faults
+                source, config, "auto", unroll, local_opt, faults=faults
             )
             cached = cache.get(key)
         if cached is not None:
@@ -222,15 +224,10 @@ def compile_w2(
         )
 
     with obs.span("timing.skew"):
-        skew = compute_skew(
-            cell_code, method=skew_method, n_cells=ir.n_cells
-        )
+        skew, times = compute_skew(cell_code, n_cells=ir.n_cells)
     obs.counter("timing.skew_cycles", skew.skew)
     with obs.span("timing.buffers"):
-        if ir.n_cells > 1:
-            buffers = check_buffers(cell_code, skew.skew, config.queue_depth)
-        else:
-            buffers = []
+        buffers = check_buffers(times, skew.skew, config.queue_depth)
     for requirement in buffers:
         obs.counter(
             f"timing.min_buffer.{requirement.channel.value}",

@@ -237,7 +237,6 @@ def default_cache() -> CompileCache:
 def compile_cached(
     source: str,
     config: WarpConfig = DEFAULT_CONFIG,
-    skew_method: str = "auto",
     unroll: int | str = 1,
     local_opt: bool = True,
     cache: CompileCache | None = None,
@@ -249,7 +248,6 @@ def compile_cached(
     return compile_w2(
         source,
         config=config,
-        skew_method=skew_method,
         unroll=unroll,
         local_opt=local_opt,
         cache=cache if cache is not None else default_cache(),

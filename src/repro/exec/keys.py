@@ -54,7 +54,9 @@ def cache_key(
     with a ``fingerprint()``) partitions the key space: artefacts
     produced under fault injection can never be served to — or poison —
     clean runs.  ``None`` (the clean case) leaves the payload, and
-    therefore every pre-existing key, byte-identical.
+    therefore every pre-existing key, byte-identical.  So does
+    ``skew_method``: the compiler has one skew method and always passes
+    ``"auto"``, kept in the payload so existing keys do not move.
     """
     document: dict[str, Any] = {
         "version": CACHE_KEY_VERSION,

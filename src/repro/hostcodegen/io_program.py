@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..cellcodegen.emit import CellCode, ScheduledBlock
+from ..cellcodegen.emit import CellCode, ScheduledBlock, block_runs
 from ..errors import HostDataError
 from ..ir.builder import CellProgramIR, IOStatement
 from ..ir.dag import OpKind
@@ -124,18 +124,12 @@ class HostProgram:
         ]
 
     def _count(self, stream: tuple) -> int:
-        """Matching events per block times the enclosing loop trips,
-        never the offsets themselves."""
-
-        def count(items) -> int:
-            return sum(
-                len(self._statements(item, stream))
-                if isinstance(item, ScheduledBlock)
-                else item.trip * count(item.body)
-                for item in items
-            )
-
-        return count(self._code.items)
+        """Matching events per block times the block's runs, never the
+        offsets themselves."""
+        return sum(
+            runs * len(self._statements(block, stream))
+            for block, runs in block_runs(self._code.items)
+        )
 
     def _offsets(self, stream: tuple, what: str) -> np.ndarray:
         layout = self.layout

@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledItem
-from ..cellcodegen.emit import _item_cycles
+from ..cellcodegen.emit import ScheduledLoop, block_runs, pass_cycles
 from ..errors import IUDeadlineError, TableOverflowError
 from ..lang.semantic import AffineIndex
 from ..config import IUConfig
@@ -145,12 +145,12 @@ class IUCodeGenerator:
         self._config = config
         self._expressions: list[AffineIndex] = []
         self._expr_ids: dict[AffineIndex, int] = {}
-        self._loops: list[LoopInfo] = []
+        self._loops = list(_loop_infos(code.items))
         self._dynamic_counts: dict[int, int] = {}
         self._warnings: list[str] = []
 
     def generate(self) -> IUProgram:
-        self._collect(self._code.items, multiplier=1)
+        self._collect()
         plan, table_set = self._choose_plan()
         items = self._build_items(self._code.items, plan, table_set)
         table_entries = sum(self._dynamic_counts[i] for i in table_set)
@@ -170,22 +170,18 @@ class IUCodeGenerator:
 
     # Demand collection -----------------------------------------------------
 
-    def _collect(self, items: list[ScheduledItem], multiplier: int) -> None:
-        for item in items:
-            if isinstance(item, ScheduledBlock):
-                for demand in item.addr_demands:
-                    index = self._expr_ids.get(demand.expression)
-                    if index is None:
-                        index = len(self._expressions)
-                        self._expr_ids[demand.expression] = index
-                        self._expressions.append(demand.expression)
-                        self._dynamic_counts[index] = 0
-                    self._dynamic_counts[index] += multiplier
-            else:
-                self._loops.append(
-                    LoopInfo(item.var, item.start, item.step, item.trip)
-                )
-                self._collect(item.body, multiplier * item.trip)
+    def _collect(self) -> None:
+        """Number the address expressions in program order and count
+        each one's dynamic emissions."""
+        for block, runs in block_runs(self._code.items):
+            for demand in block.addr_demands:
+                index = self._expr_ids.get(demand.expression)
+                if index is None:
+                    index = len(self._expressions)
+                    self._expr_ids[demand.expression] = index
+                    self._expressions.append(demand.expression)
+                    self._dynamic_counts[index] = 0
+                self._dynamic_counts[index] += runs
 
     # Strategy escalation -----------------------------------------------------
 
@@ -242,7 +238,7 @@ class IUCodeGenerator:
                 result.append(self._build_block(item, plan, table))
             else:
                 body = self._build_items(item.body, plan, table)
-                body_len = sum(_item_cycles(child) for child in body)
+                body_len = pass_cycles(body)
                 unrolled = 0
                 if body_len < self._config.loop_test_cycles:
                     unrolled = self._config.loop_test_cycles // max(body_len, 1) + 1
@@ -316,6 +312,15 @@ class IUCodeGenerator:
                 f"block {block.block_id}: {total_adds} composition adds "
                 "may exceed the IU adder's slack"
             )
+
+
+def _loop_infos(items: list[ScheduledItem]):
+    """The :class:`LoopInfo` of every loop in ``items``, each before the
+    loops of its body."""
+    for item in items:
+        if isinstance(item, ScheduledLoop):
+            yield LoopInfo(item.var, item.start, item.step, item.trip)
+            yield from _loop_infos(item.body)
 
 
 def generate_iu_code(code: CellCode, config: IUConfig) -> IUProgram:

@@ -62,7 +62,11 @@ from typing import Callable, NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
-from ..analysis.local_opt import column_evaluator, pure_evaluator
+from ..analysis.local_opt import (
+    SCALAR_EXPRESSIONS,
+    column_evaluator,
+    pure_evaluator,
+)
 from ..cellcodegen.emit import (
     CellCode, OpCounts, ScheduledBlock, ScheduledItem, ScheduledLoop,
 )
@@ -126,29 +130,6 @@ class BlockSource(NamedTuple):
     sends: dict[str, list[str]]
 
 
-#: The scalar evaluators of :func:`~repro.analysis.local_opt.pure_evaluator`
-#: as the Python expressions of their lambdas, over their operands'
-#: names, which the untimed scalar driver writes inline.  FDIV keeps its
-#: call (:func:`~repro.analysis.local_opt._fdiv`: a zero divisor raises
-#: in Python).
-_EXPRESSIONS = {
-    OpKind.FADD: "{0} + {1}",
-    OpKind.FSUB: "{0} - {1}",
-    OpKind.FMUL: "{0} * {1}",
-    OpKind.FNEG: "-{0}",
-    OpKind.CMP_EQ: "1.0 if {0} == {1} else 0.0",
-    OpKind.CMP_NE: "1.0 if {0} != {1} else 0.0",
-    OpKind.CMP_LT: "1.0 if {0} < {1} else 0.0",
-    OpKind.CMP_LE: "1.0 if {0} <= {1} else 0.0",
-    OpKind.CMP_GT: "1.0 if {0} > {1} else 0.0",
-    OpKind.CMP_GE: "1.0 if {0} >= {1} else 0.0",
-    OpKind.BAND: "1.0 if ({0} != 0.0 and {1} != 0.0) else 0.0",
-    OpKind.BOR: "1.0 if ({0} != 0.0 or {1} != 0.0) else 0.0",
-    OpKind.BNOT: "1.0 if {0} == 0.0 else 0.0",
-    OpKind.SELECT: "{1} if {0} != 0.0 else {2}",
-}
-
-
 def _block_source(
     block: ScheduledBlock,
     config: CellConfig,
@@ -185,9 +166,11 @@ def _block_source(
     sends by list (``sends``) are written after them, once per list
     (:func:`_sends`, ``ex.append(v1)`` or ``ex.extend((v1, v2))``).  Over
     ``pure_evaluator`` (the scalar form), every op but FDIV is written
-    inline as its lambda's expression (:data:`_EXPRESSIONS`), so NaN
-    operands may give a NaN of another sign or payload than the lambda
-    would: a run's outputs carry one quiet NaN
+    inline as the expression its function is compiled from
+    (:data:`~repro.analysis.local_opt.SCALAR_EXPRESSIONS`; FDIV keeps its
+    call, as a zero divisor raises in Python), so NaN operands may give
+    a NaN of another sign or payload than the function would: a run's
+    outputs carry one quiet NaN
     (:meth:`~repro.machine.host.HostMemory.outputs`).
 
     Called evaluators and literals are names, bound under
@@ -291,7 +274,7 @@ def _block_source(
             latency = config.div_latency if div else config.mpy_latency
             units.append((ins.mpy, latency))
         for unit, latency in units:
-            expression = _EXPRESSIONS.get(unit.op) if inline else None
+            expression = SCALAR_EXPRESSIONS.get(unit.op) if inline else None
             if expression is None:
                 fn = evaluate(unit.op)
                 assert fn is not None, unit.op

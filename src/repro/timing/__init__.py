@@ -1,8 +1,9 @@
 """Compile-time synchronisation: the timing theory of Section 6.2.
 
 Five-vector characterisation of I/O statements, closed-form timing
-functions, minimum-skew computation (exact and the paper's bound), and
-queue-overflow (minimum buffer size) analysis.
+functions, minimum-skew computation (exact, and the paper's bound that
+the verifier checks), and queue-overflow (minimum buffer size) analysis,
+both from one walk of each channel's streams.
 """
 
 from .buffers import (

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cellcodegen.emit import CellCode
 from ..errors import QueueOverflowError
 from ..lang.ast import Channel
-from .events import stream_event_times
-from .vectors import input_stream, output_stream
+from .skew import ChannelTimes
 
 
 @dataclass(frozen=True)
@@ -60,35 +58,24 @@ def occupancy_requirement(
 
 
 def minimum_buffer_sizes(
-    code: CellCode, skew: int, max_events: int | None = 2_000_000
+    times: ChannelTimes, skew: int
 ) -> list[BufferRequirement]:
-    """Per-channel minimum queue sizes for the given skew."""
-    requirements = []
-    for channel in (Channel.X, Channel.Y):
-        sends = stream_event_times(code, output_stream(channel), max_events)
-        recvs = stream_event_times(code, input_stream(channel), max_events)
-        requirements.append(
-            BufferRequirement(
-                channel=channel,
-                skew=skew,
-                required=occupancy_requirement(sends, recvs, skew),
-            )
-        )
-    return requirements
+    """Per-channel minimum queue sizes for the given skew, from the
+    channels' event times (:func:`~repro.timing.skew.compute_skew`)."""
+    return [
+        BufferRequirement(channel, skew, occupancy_requirement(*pair, skew))
+        for channel, pair in times.items()
+    ]
 
 
 def check_buffers(
-    code: CellCode,
-    skew: int,
-    queue_depth: int,
-    max_events: int | None = 2_000_000,
+    times: ChannelTimes, skew: int, queue_depth: int
 ) -> list[BufferRequirement]:
     """Verify every channel fits its queue; raise QueueOverflowError if
     not (reporting the required size, as the paper's compiler does).
-    There is no analytic fallback: a stream longer than ``max_events``
-    refuses the program with
-    :class:`~repro.timing.events.TooManyEventsError`."""
-    requirements = minimum_buffer_sizes(code, skew, max_events)
+    ``times`` are the streams :func:`~repro.timing.skew.compute_skew`
+    walked, none for a one-cell program."""
+    requirements = minimum_buffer_sizes(times, skew)
     for requirement in requirements:
         if requirement.required > queue_depth:
             raise QueueOverflowError(

@@ -6,8 +6,8 @@ transfers, the host's words and the IU's emissions are each one
 :func:`walk_events`: every block visited once, its events evaluated
 over the enclosing loops' index grids with NumPy broadcasting.  Stream
 events are the ground truth the five-vector timing functions are
-validated against, and the input to the exact skew/buffer computations;
-callers bound their cost with ``max_events``.
+validated against, and the input to the compiler's skew and buffer
+sizes; callers bound their cost with ``max_events``.
 """
 
 from __future__ import annotations
@@ -16,19 +16,33 @@ from typing import Callable
 
 import numpy as np
 
-from ..cellcodegen.emit import CellCode, ScheduledBlock, _item_cycles
+from ..cellcodegen.emit import CellCode, ScheduledBlock, pass_cycles
 from ..errors import CompilationError
 from .vectors import Stream, count_stream_events
 
+#: The most events the compiler enumerates in one stream; a longer
+#: stream refuses the program with :class:`TooManyEventsError`.
+MAX_STREAM_EVENTS = 2_000_000
+
 
 class TooManyEventsError(CompilationError):
-    """Enumeration would exceed the caller's budget.  Callers with an
-    analytic method (the skew) fall back to it; the others (the queue
-    sizes) refuse the program with this error."""
+    """A stream has more events than the caller's enumeration budget.
+    The compiler has no analytic fallback: it refuses the program with
+    this error (the verifier notes the skip and goes on)."""
+
+
+def check_budget(stream: Stream, total: int, max_events: int) -> None:
+    """Raise :class:`TooManyEventsError` when ``stream``'s ``total``
+    events exceed ``max_events``."""
+    if total > max_events:
+        raise TooManyEventsError(
+            f"stream {stream} has {total} events (budget {max_events}); "
+            "its timing is too long to enumerate exactly"
+        )
 
 
 def stream_events(
-    code: CellCode, stream: Stream, max_events: int | None = 2_000_000
+    code: CellCode, stream: Stream, max_events: int | None = MAX_STREAM_EVENTS
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(times, statements)`` of every dynamic event of ``stream``, in
     order: its absolute cycle and the ``io_index`` of its static
@@ -37,14 +51,14 @@ def stream_events(
 
 
 def stream_event_times(
-    code: CellCode, stream: Stream, max_events: int | None = 2_000_000
+    code: CellCode, stream: Stream, max_events: int | None = MAX_STREAM_EVENTS
 ) -> np.ndarray:
     """Absolute cycle of every dynamic event of ``stream``, in order."""
     return _walk_stream(code, stream, max_events, labelled=False)[0]
 
 
 def stream_times_by_statement(
-    code: CellCode, stream: Stream, max_events: int | None = 2_000_000
+    code: CellCode, stream: Stream, max_events: int | None = MAX_STREAM_EVENTS
 ) -> dict[int, np.ndarray]:
     """Per-static-statement event times, keyed by io_index.
 
@@ -70,12 +84,9 @@ def _walk_stream(
     """The cycles of ``stream``'s events and, when ``labelled``, their
     statements (the compile-time skew and buffer analyses need only the
     times), once their count is within ``max_events``."""
-    total = count_stream_events(code.items, stream)
-    if max_events is not None and total > max_events:
-        raise TooManyEventsError(
-            f"stream {stream} has {total} events (budget {max_events}); "
-            "its timing is too long to enumerate exactly"
-        )
+    if max_events is not None:
+        total = count_stream_events(code.items, stream)
+        check_budget(stream, total, max_events)
 
     def rows(block: ScheduledBlock, _env: dict) -> list[np.ndarray] | None:
         matched = [e for e in block.io_events if stream.matches(e)]
@@ -119,7 +130,7 @@ def walk_events(
                     parts.append(_fill(block, offset, shape, times))
                 offset += item.length
                 continue
-            length = sum(_item_cycles(child) for child in item.body)
+            length = pass_cycles(item.body)
             events = visit(item.body, (*nest, item), (*shape, item.trip))
             if events is not None:
                 starts = offset + length * np.arange(item.trip, dtype=np.int64)

@@ -11,11 +11,13 @@ matching pairs of inputs and outputs":
 Two implementations, cross-validated by property tests:
 
 * the *exact* method enumerates both event streams (cheap with numpy up
-  to millions of events);
+  to millions of events).  The compiler uses it, from the same stream
+  walk as the buffer sizes (:func:`compute_skew`), and refuses a stream
+  longer than :data:`~repro.timing.events.MAX_STREAM_EVENTS`;
 * the *bound* method is the paper's: a closed-form upper bound per pair
   of (output statement, input statement) timing functions, maximising
   each term over its interval instead of solving the exact domain
-  intersection.
+  intersection.  The verifier checks that it dominates the exact skew.
 
 The per-channel skews combine by max; a floor of 1 keeps the address
 path (one-cycle hop per cell) ahead of every consumer.
@@ -28,7 +30,14 @@ from dataclasses import dataclass
 from ..cellcodegen.emit import CellCode
 from ..errors import MappingError
 from ..lang.ast import Channel
-from .events import TooManyEventsError, count_stream_events, stream_event_times
+import numpy as np
+
+from .events import (
+    MAX_STREAM_EVENTS,
+    check_budget,
+    count_stream_events,
+    stream_event_times,
+)
 from .tau import TimingFunction, time_difference_bounds
 from .vectors import characterize_stream, input_stream, output_stream
 
@@ -65,12 +74,16 @@ def minimum_skew_exact(code: CellCode, channel: Channel) -> ChannelSkew:
     return _exact_from_times(channel, sends, recvs)
 
 
-def _exact_from_times(channel, sends, recvs) -> ChannelSkew:
-    if recvs.size > sends.size:
+def _check_conservation(channel: Channel, n_sends: int, n_recvs: int) -> None:
+    if n_recvs > n_sends:
         raise MappingError(
-            f"channel {channel}: a cell receives {recvs.size} items from "
-            f"its left neighbour but the neighbour only sends {sends.size}"
+            f"channel {channel}: a cell receives {n_recvs} items from its "
+            f"left neighbour but the neighbour only sends {n_sends}"
         )
+
+
+def _exact_from_times(channel, sends, recvs) -> ChannelSkew:
+    _check_conservation(channel, sends.size, recvs.size)
     if recvs.size == 0:
         return ChannelSkew(channel, int(sends.size), 0, 0, "none")
     # Clamp at zero: when every receive already trails its send the
@@ -107,11 +120,7 @@ def channel_skew_bound(
     the channel's output and input statements."""
     n_sends = sum(o.char.total_executions for o in outputs)
     n_recvs = sum(i.char.total_executions for i in inputs)
-    if n_recvs > n_sends:
-        raise MappingError(
-            f"channel {channel}: a cell receives {n_recvs} items from its "
-            f"left neighbour but the neighbour only sends {n_sends}"
-        )
+    _check_conservation(channel, n_sends, n_recvs)
     if not inputs or not outputs:
         return ChannelSkew(channel, n_sends, n_recvs, 0, "none")
     numerators, denominator = time_difference_bounds(outputs, inputs)
@@ -122,55 +131,50 @@ def channel_skew_bound(
     return ChannelSkew(channel, n_sends, n_recvs, skew, "bound")
 
 
-def compute_skew(
-    code: CellCode,
-    method: str = "auto",
-    max_events: int = 2_000_000,
-    n_cells: int = 2,
-) -> SkewResult:
-    """Compute the array's inter-cell skew.
+#: Each channel's send and receive cycles, as :func:`compute_skew`
+#: walked them.
+ChannelTimes = dict[Channel, tuple[np.ndarray, np.ndarray]]
 
-    ``method``: ``'exact'``, ``'bound'``, or ``'auto'`` (exact while the
-    event count fits ``max_events``, the paper's bound beyond that).
-    ``n_cells``: with a single cell there are no inter-cell links — both
-    neighbours are the host — so no skew or conservation constraint
-    applies.
+
+def compute_skew(
+    code: CellCode, n_cells: int = 2
+) -> tuple[SkewResult, ChannelTimes]:
+    """The array's exact inter-cell skew and the channel event times it
+    was computed from, each stream walked once; the buffer sizes reuse
+    them.  A channel whose receives outnumber its sends raises
+    :class:`~repro.errors.MappingError` (X, then Y), then a stream past
+    :data:`~repro.timing.events.MAX_STREAM_EVENTS` raises
+    :class:`~repro.timing.events.TooManyEventsError` (X sends first, Y
+    receives last), before any walk.  One cell has no inter-cell links
+    (both neighbours are the host): no constraint applies and nothing is
+    walked.
     """
+    streams = {
+        channel: (output_stream(channel), input_stream(channel))
+        for channel in (Channel.X, Channel.Y)
+    }
+    counts = {
+        stream: count_stream_events(code.items, stream)
+        for pair in streams.values()
+        for stream in pair
+    }
     if n_cells == 1:
-        # No inter-cell links, so no constraint — but report the true
-        # static send/receive counts so downstream conservation checks
-        # can still cross-check them.
-        return SkewResult(
-            skew=1,
-            channels=tuple(
-                ChannelSkew(
-                    channel,
-                    count_stream_events(code.items, output_stream(channel)),
-                    count_stream_events(code.items, input_stream(channel)),
-                    0,
-                    "none",
-                )
-                for channel in (Channel.X, Channel.Y)
-            ),
+        # The true static counts, for downstream conservation checks.
+        channels = tuple(
+            ChannelSkew(channel, counts[sends], counts[recvs], 0, "none")
+            for channel, (sends, recvs) in streams.items()
         )
-    channels: list[ChannelSkew] = []
-    for channel in (Channel.X, Channel.Y):
-        if method == "bound":
-            channels.append(minimum_skew_bound(code, channel))
-            continue
-        if method == "exact":
-            channels.append(minimum_skew_exact(code, channel))
-            continue
-        try:
-            sends = stream_event_times(
-                code, output_stream(channel), max_events=max_events
-            )
-            recvs = stream_event_times(
-                code, input_stream(channel), max_events=max_events
-            )
-        except TooManyEventsError:
-            channels.append(minimum_skew_bound(code, channel))
-        else:
-            channels.append(_exact_from_times(channel, sends, recvs))
+        return SkewResult(skew=1, channels=channels), {}
+    for channel, (sends, recvs) in streams.items():
+        _check_conservation(channel, counts[sends], counts[recvs])
+    for stream, total in counts.items():
+        check_budget(stream, total, MAX_STREAM_EVENTS)
+    times = {
+        channel: tuple(stream_event_times(code, s, None) for s in pair)
+        for channel, pair in streams.items()
+    }
+    channels = tuple(
+        _exact_from_times(channel, *pair) for channel, pair in times.items()
+    )
     skew = max([1] + [c.skew for c in channels])
-    return SkewResult(skew=skew, channels=tuple(channels))
+    return SkewResult(skew=skew, channels=channels), times

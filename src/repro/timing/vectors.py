@@ -26,7 +26,8 @@ from ..cellcodegen.emit import (
     IOEvent,
     ScheduledBlock,
     ScheduledItem,
-    _item_cycles,
+    block_runs,
+    pass_cycles,
 )
 from ..ir.dag import OpKind, QueueRef
 from ..lang.ast import Channel, Direction
@@ -82,13 +83,10 @@ class IOCharacterization:
 
 def count_stream_events(items: list[ScheduledItem], stream: Stream) -> int:
     """Dynamic events of ``stream`` in one execution of ``items``."""
-    total = 0
-    for item in items:
-        if isinstance(item, ScheduledBlock):
-            total += sum(1 for e in item.io_events if stream.matches(e))
-        else:
-            total += item.trip * count_stream_events(item.body, stream)
-    return total
+    return sum(
+        runs * sum(1 for e in block.io_events if stream.matches(e))
+        for block, runs in block_runs(items)
+    )
 
 
 def characterize_stream(
@@ -128,7 +126,7 @@ def characterize_stream(
                 offset += item.length
             else:
                 per_iter = count_stream_events(item.body, stream)
-                iter_len = sum(_item_cycles(child) for child in item.body)
+                iter_len = pass_cycles(item.body)
                 loop_stack.append((item.trip, per_iter, count, iter_len, offset))
                 walk(item.body)
                 loop_stack.pop()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledLoop
+from ..cellcodegen.emit import block_runs
 from ..config import WarpConfig
 from ..iucodegen.codegen import IUBlock, IULoop, IUProgram, MAX_LOOKBEHIND
 from .replay import BlockReplay
@@ -275,10 +276,4 @@ def _check_block(
 
 
 def _dynamic_emissions(items) -> int:
-    total = 0
-    for item in items:
-        if isinstance(item, IUBlock):
-            total += len(item.emissions)
-        else:
-            total += item.trip * _dynamic_emissions(item.body)
-    return total
+    return sum(runs * len(b.emissions) for b, runs in block_runs(items))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cellcodegen.emit import ScheduledBlock, _item_cycles
+from repro.cellcodegen.emit import ScheduledBlock, pass_cycles
 from repro.compiler import compile_w2
 from repro.lang import Channel
 from repro.timing import (
@@ -149,7 +149,7 @@ def _walk_times_by_statement(code, stream):
                         )
                 offset += item.length
             else:
-                iter_len = sum(_item_cycles(child) for child in item.body)
+                iter_len = pass_cycles(item.body)
                 for i in range(item.trip):
                     walk(item.body, offset + i * iter_len)
                 offset += item.trip * iter_len

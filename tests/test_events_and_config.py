@@ -10,7 +10,7 @@ from repro import errors
 from repro.compiler import compile_w2
 from repro.config import DEFAULT_CONFIG, CellConfig, IUConfig, WarpConfig
 from repro.lang import Channel
-from repro.programs import polynomial
+from repro.programs import passthrough, polynomial
 from repro.timing import (
     TooManyEventsError,
     count_stream_events,
@@ -51,25 +51,77 @@ class TestEventBudgets:
         code = build_program(block(3))
         assert stream_event_times(code, input_stream(Channel.X)).size == 0
 
-    def test_auto_skew_falls_back_to_bound(self):
-        """With a tiny enumeration budget, compute_skew switches to the
-        closed-form bound and still produces a safe skew."""
+    def test_bound_covers_compiled_skew(self):
+        """The paper's closed-form bound per channel is at least the
+        exact skew the compiler chose, and a program run at the bound's
+        (possibly larger) skew still simulates cleanly."""
         from repro.machine import simulate
-        from repro.timing import compute_skew
+        from repro.timing import minimum_skew_bound
 
-        program = compile_w2(polynomial(40, 4), skew_method="auto")
-        bounded = compute_skew(
-            program.cell_code, method="auto", max_events=4, n_cells=4
-        )
-        assert bounded.skew >= program.skew.skew
-        assert any(c.method == "bound" for c in bounded.channels)
-        # The (possibly larger) bound skew must still simulate cleanly.
-        object.__setattr__(program.skew, "skew", bounded.skew)
+        program = compile_w2(polynomial(40, 4))
+        bounds = [
+            minimum_skew_bound(program.cell_code, channel)
+            for channel in (Channel.X, Channel.Y)
+        ]
+        for bound in bounds:
+            assert bound.method in ("bound", "none")
+            exact = program.skew.channel(bound.channel)
+            assert bound.skew >= exact.skew
+            assert (bound.n_sends, bound.n_receives) == (
+                exact.n_sends,
+                exact.n_receives,
+            )
+        bounded = max([1] + [b.skew for b in bounds])
+        assert bounded >= program.skew.skew
+        object.__setattr__(program.skew, "skew", bounded)
         rng = np.random.default_rng(0)
         simulate(
             program,
             {"z": rng.uniform(-1, 1, 40), "c": rng.standard_normal(4)},
         )
+
+
+class TestOneWalkPerStream:
+    """A compile walks each channel's send and receive streams once:
+    the skew and the buffer sizes share the walk."""
+
+    @pytest.mark.parametrize(
+        "source, verify, walks",
+        [
+            (polynomial(40, 4), "quick", 4),
+            (polynomial(40, 4), "full", 8),
+            (passthrough(8, 1), "quick", 0),
+        ],
+        ids=["multi-cell-quick", "multi-cell-full", "one-cell-quick"],
+    )
+    def test_walks_per_compile(self, monkeypatch, source, verify, walks):
+        """At ``full`` the verifier walks its own four labelled streams."""
+        from repro.timing import events
+
+        calls = []
+        walk = events._walk_stream
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(events, "_walk_stream", counted)
+        config = dataclasses.replace(DEFAULT_CONFIG, verify=verify)
+        compile_w2(source, config=config)
+        assert len(calls) == walks
+
+    def test_skew_and_buffers_share_the_times(self):
+        from repro.timing import check_buffers, compute_skew
+
+        program = compile_w2(polynomial(40, 4))
+        skew, times = compute_skew(program.cell_code, n_cells=4)
+        assert skew == program.skew
+        assert list(times) == [Channel.X, Channel.Y]
+        for channel, (sends, receives) in times.items():
+            assert sends.size == skew.channel(channel).n_sends
+            assert receives.size == skew.channel(channel).n_receives
+        buffers = check_buffers(times, skew.skew, DEFAULT_CONFIG.queue_depth)
+        assert buffers == program.buffers
 
 
 class TestConfigs:

@@ -10,6 +10,7 @@ from repro.compiler import compile_w2
 from repro.config import DEFAULT_CONFIG
 from repro.lang import analyze, parse_module
 from repro.machine import interpret, simulate
+from repro.programs import binop, passthrough
 
 
 def check(source, inputs):
@@ -611,6 +612,24 @@ def index_after_loop_source() -> str:
     )
 
 
+#: Each cell receives two words on X per word it sends.
+OUTRUN_SOURCE = """
+module m (a in, b out)
+float a[{n}];
+float b[{n}];
+cellprogram (cid : 0 : 1)
+begin
+    float t, u;
+    int i;
+    for i := 0 to {last} do begin
+        receive (L, X, t, a[i]);
+        receive (L, X, u, a[i]);
+        send (R, X, t + u, b[i]);
+    end;
+end
+"""
+
+
 class TestTooManyTimingEvents:
     """Found by mutating bundled sources: a loop bound of ``999999999``
     gave streams too long to enumerate, and the buffer check let the
@@ -621,6 +640,56 @@ class TestTooManyTimingEvents:
 
         with pytest.raises(CompilationError, match="too long to enumerate"):
             compile_w2(huge_loop_source())
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                lambda: passthrough(3_000_000, 2),
+                "stream send(R.X) has 3000000 events (budget 2000000); "
+                "its timing is too long to enumerate exactly",
+            ),
+            (
+                huge_loop_source,
+                "stream send(R.X) has 1000000008 events (budget 2000000); "
+                "its timing is too long to enumerate exactly",
+            ),
+            (
+                lambda: binop(1400, 1400),
+                "stream send(R.X) has 3920000 events (budget 2000000); "
+                "its timing is too long to enumerate exactly",
+            ),
+        ],
+        ids=["passthrough", "huge_loop", "binop"],
+    )
+    def test_refusal_messages(self, source, message):
+        from repro.timing import TooManyEventsError
+
+        with pytest.raises(TooManyEventsError) as excinfo:
+            compile_w2(source())
+        assert str(excinfo.value) == message
+
+    def test_one_cell_stream_past_the_budget_compiles(self):
+        """One cell has no inter-cell queue, so nothing is walked."""
+        program = compile_w2(passthrough(3_000_000, 1))
+        assert program.buffers == []
+        assert program.skew.channels[0].n_sends == 3_000_000
+
+    @pytest.mark.parametrize("channel", ["X", "Y"])
+    def test_receives_outrunning_sends_refused_before_the_budget(
+        self, channel
+    ):
+        """A channel whose receives outnumber its sends is unmappable,
+        whatever the length of its streams."""
+        from repro.errors import MappingError
+
+        source = OUTRUN_SOURCE.format(n=3_000_000, last=2_999_999)
+        with pytest.raises(MappingError) as excinfo:
+            compile_w2(source.replace("X", channel))
+        assert str(excinfo.value) == (
+            f"channel {channel}: a cell receives 6000000 items from its "
+            "left neighbour but the neighbour only sends 3000000"
+        )
 
     def test_variable_skew_plan_refuses_alike(self, monkeypatch):
         from repro.errors import CompilationError

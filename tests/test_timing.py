@@ -11,6 +11,7 @@ import pytest
 from repro.lang import Channel
 from repro.timing import (
     TimingFunction,
+    compute_skew,
     characterize_stream,
     check_buffers,
     input_stream,
@@ -236,20 +237,20 @@ class TestBuffers:
         assert occupancy_requirement(np.array([1, 2]), np.array([]), 0) == 2
 
     def test_buffer_grows_with_skew(self):
-        code = figure_6_4_program()
-        small = minimum_buffer_sizes(code, skew=18)
-        large = minimum_buffer_sizes(code, skew=40)
+        _skew, times = compute_skew(figure_6_4_program())
+        small = minimum_buffer_sizes(times, skew=18)
+        large = minimum_buffer_sizes(times, skew=40)
         x_small = next(b for b in small if b.channel is Channel.X)
         x_large = next(b for b in large if b.channel is Channel.X)
         assert x_large.required >= x_small.required
 
     def test_overflow_reported(self):
-        code = figure_6_4_program()
+        _skew, times = compute_skew(figure_6_4_program())
         with pytest.raises(QueueOverflowError) as excinfo:
-            check_buffers(code, skew=18, queue_depth=1)
+            check_buffers(times, skew=18, queue_depth=1)
         assert excinfo.value.required > 1
 
     def test_paper_queue_fits(self):
-        code = figure_6_4_program()
-        requirements = check_buffers(code, skew=18, queue_depth=128)
+        _skew, times = compute_skew(figure_6_4_program())
+        requirements = check_buffers(times, skew=18, queue_depth=128)
         assert all(r.required <= 128 for r in requirements)
