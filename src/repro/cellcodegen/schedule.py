@@ -402,7 +402,7 @@ class BlockScheduler:
             if count == 0:
                 heapq.heappush(ready, (-priority[item_id], item_id, 0))
 
-        resource_use: dict[tuple[int, str], int] = {}
+        resource_use: dict[tuple[int, object], int] = {}
         literal_at: dict[int, float] = {}
         capacities = {
             "alu": 1,
@@ -495,14 +495,14 @@ class BlockScheduler:
         self,
         item_id: int,
         cycle: int,
-        resource_use: dict[tuple[int, str], int],
+        resource_use: dict[tuple[int, object], int],
         literal_at: dict[int, float],
         capacities: dict[str, int],
     ) -> bool:
         item = self._items[item_id]
         if item.kind in ("deq", "enq"):
             assert item.node is not None
-            resource = f"{item.kind}:{item.node.attr}"
+            resource = (item.kind, item.node.attr)
             capacity = 1
         else:
             resource = item.kind

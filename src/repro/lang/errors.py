@@ -8,12 +8,12 @@ one is available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position in a W2 source text (1-based line and column)."""
+class SourceLocation(NamedTuple):
+    """A position in a W2 source text (1-based line and column): an
+    immutable record, one per token, so a tuple for cheap creation."""
 
     line: int
     column: int

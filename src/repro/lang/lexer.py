@@ -24,7 +24,8 @@ _OPERATORS = "|".join(
 #: any word character but a decimal digit; :func:`tokenize` refuses one
 #: that starts with a non-letter such as ``²``.  Numbers take ASCII
 #: digits only.  Operators are tried longest first, so ``:=`` wins over
-#: ``:``.
+#: ``:``.  Any other character is ``other``, which :func:`tokenize`
+#: refuses, so the matches cover the source without a gap.
 _TOKEN = re.compile(
     rf"""
     (?P<space>[ \t\r\n]+)
@@ -34,6 +35,7 @@ _TOKEN = re.compile(
   | (?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:{_EXPONENT})?|[0-9]+{_EXPONENT})
   | (?P<int>[0-9]+)
   | (?P<op>{_OPERATORS})
+  | (?P<other>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -52,22 +54,15 @@ def tokenize(source: str) -> list[Token]:
     with, or at a ``/*`` that no ``*/`` closes.
     """
     tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
+    line, line_start = 1, 0
     for match in _TOKEN.finditer(source):
-        start = match.start()
-        if start != pos:
-            raise _unexpected(
-                source[pos], SourceLocation(line, pos - line_start + 1)
-            )
-        pos = match.end()
-        group = match.lastgroup
-        text = match.group()
+        group, text = match.lastgroup, match.group()
         if group == "space" or group == "comment":
             if "\n" in text:
                 line += text.count("\n")
-                line_start = source.rindex("\n", start, pos) + 1
+                line_start = source.rindex("\n", *match.span()) + 1
             continue
-        location = SourceLocation(line, start - line_start + 1)
+        location = SourceLocation(line, match.start() - line_start + 1)
         if group == "word":
             if not (text[0].isalpha() or text[0] == "_"):
                 raise _unexpected(text[0], location)
@@ -78,12 +73,12 @@ def tokenize(source: str) -> list[Token]:
             kind = TokenKind.INT_LITERAL
         elif group == "float":
             kind = TokenKind.FLOAT_LITERAL
-        else:
+        elif group == "unclosed":
             raise LexError("unterminated comment", location)
+        else:
+            raise _unexpected(text, location)
         tokens.append(Token(kind, text, location))
-    location = SourceLocation(line, pos - line_start + 1)
-    if pos != len(source):
-        raise _unexpected(source[pos], location)
+    location = SourceLocation(line, len(source) - line_start + 1)
     tokens.append(Token(TokenKind.EOF, "", location))
     return tokens
 

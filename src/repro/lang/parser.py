@@ -21,34 +21,37 @@ Grammar (EBNF; ``{}`` = repetition, ``[]`` = option)::
     lvalue      = IDENT ["[" expr {"," expr} "]"]
 
 Expressions use the usual precedence: ``or`` < ``and`` < ``not`` <
-comparison < additive < multiplicative < unary minus < primary.
+comparison < additive < multiplicative < unary minus < primary, parsed
+by precedence climbing over one table of binary operators.
 """
 
 from __future__ import annotations
 
 from . import ast
-from .errors import ParseError, SourceLocation
+from .errors import ParseError
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 
-_COMPARISON_OPS = {
-    TokenKind.EQ: ast.BinaryOp.EQ,
-    TokenKind.NE: ast.BinaryOp.NE,
-    TokenKind.LT: ast.BinaryOp.LT,
-    TokenKind.LE: ast.BinaryOp.LE,
-    TokenKind.GT: ast.BinaryOp.GT,
-    TokenKind.GE: ast.BinaryOp.GE,
+#: Binary operators by token: (binding level, operator).  A higher level
+#: binds tighter; ``not`` binds between ``and`` and the comparisons,
+#: which do not chain.
+_BINARY_OPS = {
+    TokenKind.OR: (1, ast.BinaryOp.OR),
+    TokenKind.AND: (2, ast.BinaryOp.AND),
+    TokenKind.EQ: (4, ast.BinaryOp.EQ),
+    TokenKind.NE: (4, ast.BinaryOp.NE),
+    TokenKind.LT: (4, ast.BinaryOp.LT),
+    TokenKind.LE: (4, ast.BinaryOp.LE),
+    TokenKind.GT: (4, ast.BinaryOp.GT),
+    TokenKind.GE: (4, ast.BinaryOp.GE),
+    TokenKind.PLUS: (5, ast.BinaryOp.ADD),
+    TokenKind.MINUS: (5, ast.BinaryOp.SUB),
+    TokenKind.STAR: (6, ast.BinaryOp.MUL),
+    TokenKind.SLASH: (6, ast.BinaryOp.DIV),
 }
-
-_ADDITIVE_OPS = {
-    TokenKind.PLUS: ast.BinaryOp.ADD,
-    TokenKind.MINUS: ast.BinaryOp.SUB,
-}
-
-_MULTIPLICATIVE_OPS = {
-    TokenKind.STAR: ast.BinaryOp.MUL,
-    TokenKind.SLASH: ast.BinaryOp.DIV,
-}
+_NOT_LEVEL = 3
+_COMPARISON_LEVEL = 4
+_TIGHTEST_LEVEL = 6
 
 _STATEMENT_STARTERS = (
     TokenKind.IDENT,
@@ -65,35 +68,37 @@ class Parser:
     """Parse a token stream into a :class:`repro.lang.ast.Module`."""
 
     def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+        # One EOF past the end, so that reading the current token needs
+        # no bounds check even once the final EOF has been consumed.
+        self._tokens = [*tokens, tokens[-1]]
+        self._kinds = [token.kind for token in self._tokens]
         self._pos = 0
 
     # Token-stream helpers -----------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def _at(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._kinds[self._pos] is kind
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
-        if token.kind is not TokenKind.EOF:
-            self._pos += 1
+        self._pos += 1
         return token
 
     def _expect(self, kind: TokenKind) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not kind:
             raise ParseError(
                 f"expected {kind.value!r} but found {token.text or token.kind.value!r}",
                 token.location,
             )
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _accept(self, kind: TokenKind) -> Token | None:
-        if self._at(kind):
+        if self._kinds[self._pos] is kind:
             return self._advance()
         return None
 
@@ -207,7 +212,7 @@ class Parser:
         while allow_functions and self._at(TokenKind.FUNCTION):
             functions.append(self._parse_function())
         body: list[ast.Stmt] = []
-        while self._peek().kind in _STATEMENT_STARTERS:
+        while self._kinds[self._pos] in _STATEMENT_STARTERS:
             body.append(self._parse_statement())
         return locals_, functions, body
 
@@ -359,7 +364,7 @@ class Parser:
     def _parse_compound(self) -> ast.Compound:
         start = self._expect(TokenKind.BEGIN).location
         statements: list[ast.Stmt] = []
-        while self._peek().kind in _STATEMENT_STARTERS:
+        while self._kinds[self._pos] in _STATEMENT_STARTERS:
             statements.append(self._parse_statement())
         self._expect(TokenKind.END)
         self._accept(TokenKind.SEMICOLON)
@@ -381,61 +386,29 @@ class Parser:
             )
         return ast.VarRef(location=name_token.location, name=name_token.text)
 
-    def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
-        expr = self._parse_and()
-        while self._at(TokenKind.OR):
+    def _parse_expr(self, min_level: int = 1) -> ast.Expr:
+        """An expression of binary operators binding at ``min_level`` or
+        tighter (precedence climbing): ``or`` and ``and`` associate to
+        the left, as do the additive and multiplicative operators; a
+        comparison takes one on each side; ``not`` is a prefix below the
+        comparisons."""
+        if self._at(TokenKind.NOT) and min_level <= _NOT_LEVEL:
             location = self._advance().location
-            right = self._parse_and()
-            expr = ast.BinaryExpr(location, ast.BinaryOp.OR, expr, right)
-        return expr
-
-    def _parse_and(self) -> ast.Expr:
-        expr = self._parse_not()
-        while self._at(TokenKind.AND):
+            operand = self._parse_expr(_NOT_LEVEL)
+            expr = ast.UnaryExpr(location, ast.UnaryOp.NOT, operand)
+            limit = _NOT_LEVEL - 1
+        else:
+            expr = self._parse_unary()
+            limit = _TIGHTEST_LEVEL
+        while True:
+            entry = _BINARY_OPS.get(self._kinds[self._pos])
+            if entry is None or not min_level <= entry[0] <= limit:
+                return expr
+            level, op = entry
             location = self._advance().location
-            right = self._parse_not()
-            expr = ast.BinaryExpr(location, ast.BinaryOp.AND, expr, right)
-        return expr
-
-    def _parse_not(self) -> ast.Expr:
-        if self._at(TokenKind.NOT):
-            location = self._advance().location
-            operand = self._parse_not()
-            return ast.UnaryExpr(location, ast.UnaryOp.NOT, operand)
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expr:
-        expr = self._parse_additive()
-        if self._peek().kind in _COMPARISON_OPS:
-            token = self._advance()
-            right = self._parse_additive()
-            expr = ast.BinaryExpr(
-                token.location, _COMPARISON_OPS[token.kind], expr, right
-            )
-        return expr
-
-    def _parse_additive(self) -> ast.Expr:
-        expr = self._parse_multiplicative()
-        while self._peek().kind in _ADDITIVE_OPS:
-            token = self._advance()
-            right = self._parse_multiplicative()
-            expr = ast.BinaryExpr(
-                token.location, _ADDITIVE_OPS[token.kind], expr, right
-            )
-        return expr
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        expr = self._parse_unary()
-        while self._peek().kind in _MULTIPLICATIVE_OPS:
-            token = self._advance()
-            right = self._parse_unary()
-            expr = ast.BinaryExpr(
-                token.location, _MULTIPLICATIVE_OPS[token.kind], expr, right
-            )
-        return expr
+            right = self._parse_expr(level + 1)
+            expr = ast.BinaryExpr(location, op, expr, right)
+            limit = level - 1 if level == _COMPARISON_LEVEL else level
 
     def _parse_unary(self) -> ast.Expr:
         if self._at(TokenKind.MINUS):

@@ -9,7 +9,7 @@ primitives ``send`` and ``receive``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SourceLocation
 
@@ -93,9 +93,9 @@ PUNCTUATION: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token with its spelling and source location."""
+class Token(NamedTuple):
+    """A single lexical token with its spelling and source location: an
+    immutable record, so a tuple for cheap creation."""
 
     kind: TokenKind
     text: str

@@ -20,8 +20,13 @@ def polynomial(n_points: int = 100, n_cells: int = 10) -> str:
 
     One coefficient per cell; ``n_cells`` is also the number of
     coefficients.  Evaluates ``P(z) = c[0]*z^(K-1) + ... + c[K-1]`` for
-    ``n_points`` input values.
+    ``n_points`` input values.  A cell passes on every coefficient but
+    its own, so at least two cells (and coefficients) are needed.
     """
+    if n_cells < 2:
+        raise ValueError(
+            f"polynomial needs at least 2 cells (coefficients), got {n_cells}"
+        )
     k = n_cells
     return f"""
 /* Polynomial evaluation (Figure 4-1 of the paper).             */

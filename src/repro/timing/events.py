@@ -12,11 +12,11 @@ sizes; callers bound their cost with ``max_events``.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..cellcodegen.emit import CellCode, ScheduledBlock, pass_cycles
+from ..cellcodegen.emit import CellCode, ScheduledBlock
 from ..errors import CompilationError
 from .vectors import Stream, count_stream_events
 
@@ -41,15 +41,6 @@ def check_budget(stream: Stream, total: int, max_events: int) -> None:
         )
 
 
-def stream_events(
-    code: CellCode, stream: Stream, max_events: int | None = MAX_STREAM_EVENTS
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(times, statements)`` of every dynamic event of ``stream``, in
-    order: its absolute cycle and the ``io_index`` of its static
-    statement, as int64 arrays."""
-    return tuple(_walk_stream(code, stream, max_events, labelled=True))
-
-
 def stream_event_times(
     code: CellCode, stream: Stream, max_events: int | None = MAX_STREAM_EVENTS
 ) -> np.ndarray:
@@ -60,18 +51,9 @@ def stream_event_times(
 def stream_times_by_statement(
     code: CellCode, stream: Stream, max_events: int | None = MAX_STREAM_EVENTS
 ) -> dict[int, np.ndarray]:
-    """Per-static-statement event times, keyed by io_index.
-
-    The ground truth each statement's tau function is validated against
-    (by the verifier and the tests)."""
-    return group_by_statement(*stream_events(code, stream, max_events))
-
-
-def group_by_statement(
-    times: np.ndarray, statements: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Split :func:`stream_events` output into each statement's times,
-    in stream order."""
+    """Per-static-statement event times, keyed by io_index: the ground
+    truth each statement's tau function is checked against."""
+    times, statements = _walk_stream(code, stream, max_events, labelled=True)
     order = np.argsort(statements, kind="stable")
     keys, starts = np.unique(statements[order], return_index=True)
     parts = np.split(times[order], starts[1:])
@@ -80,24 +62,39 @@ def group_by_statement(
 
 def _walk_stream(
     code: CellCode, stream: Stream, max_events: int | None, labelled: bool
-) -> np.ndarray:
-    """The cycles of ``stream``'s events and, when ``labelled``, their
-    statements (the compile-time skew and buffer analyses need only the
-    times), once their count is within ``max_events``."""
+) -> tuple[np.ndarray, ...]:
+    """:func:`walk_streams` of ``stream`` alone, once its count is within
+    ``max_events``."""
     if max_events is not None:
-        total = count_stream_events(code.items, stream)
-        check_budget(stream, total, max_events)
+        check_budget(stream, count_stream_events(code.items, stream), max_events)
+    return walk_streams(code, (stream,), labelled)[0]
+
+
+def walk_streams(
+    code: CellCode, streams: Sequence[Stream], labelled: bool = False
+) -> list[tuple[np.ndarray, ...]]:
+    """Each of ``streams``' events in order, from one walk of the loop
+    tree: the absolute cycle of every event and, when ``labelled``, the
+    ``io_index`` of its static statement, as int64 arrays.  There is no
+    budget here: callers count the events first
+    (:func:`~repro.timing.vectors.count_stream_events`)."""
+    lookup = {(stream.kind, stream.queue): s for s, stream in enumerate(streams)}
 
     def rows(block: ScheduledBlock, _env: dict) -> list[np.ndarray] | None:
-        matched = [e for e in block.io_events if stream.matches(e)]
+        matched = [
+            (e.cycle, s, e.io_index)
+            for e in block.io_events
+            if (s := lookup.get((e.kind, e.queue))) is not None
+        ]
         if not matched:
             return None
-        cycles = np.array([e.cycle for e in matched], np.int64)
-        if not labelled:
-            return [cycles]
-        return [cycles, np.array([e.io_index for e in matched], np.int64)]
+        return list(np.array(matched, np.int64).T)
 
-    return walk_events(code.items, rows, (True, False)[: 1 + labelled])
+    events = walk_events(code.items, rows, (True, False, False))
+    kept = events[[0, 2] if labelled else [0]]
+    order = np.argsort(events[1], kind="stable")
+    bounds = np.cumsum(np.bincount(events[1], minlength=len(streams)))[:-1]
+    return [tuple(part) for part in np.split(kept[:, order], bounds, axis=1)]
 
 
 def walk_events(
@@ -121,7 +118,8 @@ def walk_events(
     def visit(items, nest: tuple, shape: tuple[int, ...]):
         """The events of ``items`` in the loops ``nest``, shaped ``(k,
         *shape, per trip)`` over their trips with times from the start
-        of each trip, or None."""
+        of each trip, or None; and the cycles of one pass over
+        ``items``."""
         env, parts, offset = _IndexGrids(nest), [], 0
         for item in items:
             if not hasattr(item, "body"):
@@ -130,8 +128,7 @@ def walk_events(
                     parts.append(_fill(block, offset, shape, times))
                 offset += item.length
                 continue
-            length = pass_cycles(item.body)
-            events = visit(item.body, (*nest, item), (*shape, item.trip))
+            events, length = visit(item.body, (*nest, item), (*shape, item.trip))
             if events is not None:
                 starts = offset + length * np.arange(item.trip, dtype=np.int64)
                 for r in timed:
@@ -140,10 +137,10 @@ def walk_events(
                 parts.append(events.reshape(k, *shape, width))
             offset += item.trip * length
         if len(parts) > 1:
-            return np.concatenate(parts, axis=-1)
-        return parts[0] if parts else None
+            return np.concatenate(parts, axis=-1), offset
+        return (parts[0] if parts else None), offset
 
-    events = visit(items, (), ())
+    events, _cycles = visit(items, (), ())
     return np.empty((k, 0), np.int64) if events is None else events
 
 

@@ -35,11 +35,16 @@ import numpy as np
 from .events import (
     MAX_STREAM_EVENTS,
     check_budget,
-    count_stream_events,
     stream_event_times,
+    walk_streams,
 )
 from .tau import TimingFunction, time_difference_bounds
-from .vectors import characterize_stream, input_stream, output_stream
+from .vectors import (
+    characterize_stream,
+    input_stream,
+    output_stream,
+    stream_event_counts,
+)
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,8 @@ def compute_skew(
     code: CellCode, n_cells: int = 2
 ) -> tuple[SkewResult, ChannelTimes]:
     """The array's exact inter-cell skew and the channel event times it
-    was computed from, each stream walked once; the buffer sizes reuse
-    them.  A channel whose receives outnumber its sends raises
+    was computed from, all four streams in one walk; the buffer sizes
+    reuse them.  A channel whose receives outnumber its sends raises
     :class:`~repro.errors.MappingError` (X, then Y), then a stream past
     :data:`~repro.timing.events.MAX_STREAM_EVENTS` raises
     :class:`~repro.timing.events.TooManyEventsError` (X sends first, Y
@@ -153,11 +158,8 @@ def compute_skew(
         channel: (output_stream(channel), input_stream(channel))
         for channel in (Channel.X, Channel.Y)
     }
-    counts = {
-        stream: count_stream_events(code.items, stream)
-        for pair in streams.values()
-        for stream in pair
-    }
+    ordered = [stream for pair in streams.values() for stream in pair]
+    counts = dict(zip(ordered, stream_event_counts(code.items, ordered)))
     if n_cells == 1:
         # The true static counts, for downstream conservation checks.
         channels = tuple(
@@ -169,9 +171,10 @@ def compute_skew(
         _check_conservation(channel, counts[sends], counts[recvs])
     for stream, total in counts.items():
         check_budget(stream, total, MAX_STREAM_EVENTS)
+    walked = walk_streams(code, ordered)
     times = {
-        channel: tuple(stream_event_times(code, s, None) for s in pair)
-        for channel, pair in streams.items()
+        channel: (walked[2 * c][0], walked[2 * c + 1][0])
+        for c, channel in enumerate(streams)
     }
     channels = tuple(
         _exact_from_times(channel, *pair) for channel, pair in times.items()

@@ -18,9 +18,9 @@ form over ``n`` and the ``g(j)`` remainders (with rational coefficients,
 as in the paper's ``52/3 + 5/3 n - 2/3 (n-4) mod 3`` example), each
 ``g(j)`` ranging over a known interval.
 
-The scalar methods are the reference; :meth:`TimingFunction.evaluate_domain`
-and :func:`time_difference_bounds` evaluate the same closed forms in
-bulk, exactly (integers only, never floats).
+The scalar methods are the reference; :func:`evaluate_domains` and
+:func:`time_difference_bounds` evaluate the same closed forms in bulk,
+exactly (integers only, never floats).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -104,25 +105,6 @@ class TimingFunction:
     def domain(self) -> list[int]:
         """All valid ordinals (enumerated; use with small programs)."""
         return [n for n in range(self.n_min(), self.n_max() + 1) if self.in_domain(n)]
-
-    def evaluate_domain(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(domain(), [tau(n) for n in domain()])`` as int64 arrays.
-
-        The same decomposition as :meth:`in_domain` and :meth:`__call__`,
-        applied to every ordinal in ``[n_min, n_max]`` at once: one
-        ``divmod`` per loop level.
-        """
-        n = np.arange(self.n_min(), self.n_max() + 1, dtype=np.int64)
-        g = n
-        times = np.zeros_like(n)
-        valid = np.ones(n.shape, dtype=bool)
-        for j in range(self._k):
-            adjusted = g - self.char.S[j]
-            iteration, g = np.divmod(adjusted, self.char.N[j])
-            valid &= (adjusted >= 0) & (iteration < self.char.R[j])
-            times += self.char.T[j] + iteration * self.char.L[j]
-        valid &= g == 0
-        return n[valid], times[valid]
 
     # Domain extremes ------------------------------------------------------
 
@@ -205,6 +187,57 @@ class TimingFunction:
             if upper >= lower:
                 ranges.append((j, lower, upper))
         return ranges
+
+
+def evaluate_domains(
+    chars: Sequence[IOCharacterization],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every statement's domain and tau(n) over it, for all of ``chars``
+    in one pass: ``(owner, domain, times)`` as int64 arrays, ``owner``
+    being each entry's index into ``chars``.  Each statement's entries
+    are contiguous and in ascending ``n``, statements in the order given.
+
+    Each statement's iteration box (``R[0] x ... x R[k-1]``, outermost
+    first) is enumerated and mapped to its ordinal ``n = sum_j S[j] +
+    i_j * N[j]``; an iteration vector is kept when the decomposition of
+    ``n`` gives it back, that is when every inner remainder ``g(j+1) =
+    sum_{m > j} S[m] + i_m * N[m]`` lies in ``[0, N[j])``.  Where every
+    ``N[j] >= 1`` (a statement is one of each of its loops' body events,
+    so every characterisation :func:`~repro.timing.vectors.characterize_streams`
+    builds), the kept ordinals are exactly :meth:`TimingFunction.domain`,
+    in order, from one element per promised execution rather than one
+    per ordinal in ``[n_min, n_max]``.  Shorter statements are padded on
+    the inside with single-iteration levels (``R = N = 1``, ``S = L =
+    0``), which change no ordinal and no time.
+    """
+    if not chars:
+        empty = np.empty(0, np.int64)
+        return empty, empty, empty
+    depth = max(char.depth for char in chars)
+    fills = (1, 1, 0, 0)  # R, N, S and L of a single-iteration level
+    # (statements, 4, depth): R, N, S and L, outermost level first.
+    levels = np.array(
+        [
+            [v + (f,) * (depth - len(v)) for v, f in zip((c.R, c.N, c.S, c.L), fills)]
+            for c in chars
+        ],
+        np.int64,
+    ).reshape(len(chars), 4, depth)
+    sizes = np.prod(np.maximum(levels[:, 0], 0), axis=1)
+    owner = np.repeat(np.arange(len(chars)), sizes)
+    R, N, S, L = np.repeat(levels, sizes, axis=0).transpose(1, 2, 0)
+    # Each entry's index in its statement's box, consumed level by level
+    # from the innermost (least significant) digit.
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    times = np.repeat(np.array([sum(c.T) for c in chars], np.int64), sizes)
+    n = np.zeros_like(owner)
+    kept = np.ones(owner.size, dtype=bool)
+    for j in reversed(range(depth)):
+        kept &= (n >= 0) & (n < N[j])
+        rank, iteration = np.divmod(rank, R[j])
+        n += S[j] + iteration * N[j]
+        times += iteration * L[j]
+    return owner[kept], n[kept], times[kept]
 
 
 def max_time_difference_bound(

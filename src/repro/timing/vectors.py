@@ -20,6 +20,7 @@ receives-from-left on X consume, ordinal by ordinal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..cellcodegen.emit import (
     CellCode,
@@ -27,7 +28,6 @@ from ..cellcodegen.emit import (
     ScheduledBlock,
     ScheduledItem,
     block_runs,
-    pass_cycles,
 )
 from ..ir.dag import OpKind, QueueRef
 from ..lang.ast import Channel, Direction
@@ -83,10 +83,21 @@ class IOCharacterization:
 
 def count_stream_events(items: list[ScheduledItem], stream: Stream) -> int:
     """Dynamic events of ``stream`` in one execution of ``items``."""
-    return sum(
-        runs * sum(1 for e in block.io_events if stream.matches(e))
-        for block, runs in block_runs(items)
-    )
+    return stream_event_counts(items, (stream,))[0]
+
+
+def stream_event_counts(
+    items: list[ScheduledItem], streams: Sequence[Stream]
+) -> list[int]:
+    """:func:`count_stream_events` of each of ``streams``, in one pass."""
+    lookup = {(stream.kind, stream.queue): s for s, stream in enumerate(streams)}
+    counts = [0] * len(streams)
+    for block, runs in block_runs(items):
+        for event in block.io_events:
+            s = lookup.get((event.kind, event.queue))
+            if s is not None:
+                counts[s] += runs
+    return counts
 
 
 def characterize_stream(
@@ -94,44 +105,57 @@ def characterize_stream(
 ) -> list[IOCharacterization]:
     """Compute the five vectors of every static statement in ``stream``,
     in program order."""
-    results: list[IOCharacterization] = []
-    # Each stack entry describes one enclosing loop:
-    # (trip, stream-events per iteration, S, iteration length, T).
-    loop_stack: list[tuple[int, int, int, int, int]] = []
+    return characterize_streams(code, (stream,))[0]
 
-    def walk(items: list[ScheduledItem]) -> None:
-        """Process one context (the program, or one loop-body iteration).
-        ``count``/``offset`` track stream events seen and cycles elapsed
-        within this context."""
-        count = 0
+
+def characterize_streams(
+    code: CellCode, streams: Sequence[Stream]
+) -> list[list[IOCharacterization]]:
+    """:func:`characterize_stream` of each of ``streams``, from one walk
+    of the loop tree: each loop's events per iteration and iteration
+    length are summed once, as its body's walk returns."""
+    lookup = {(stream.kind, stream.queue): s for s, stream in enumerate(streams)}
+    # Per statement: (stream, io_index, enclosing loop frames, S, T).
+    # A frame is [trip, per-stream S, T, per-stream N, L]; N and L are
+    # filled in when the loop's body has been walked.
+    found: list[tuple[int, int, tuple[list, ...], int, int]] = []
+
+    def walk(items: list[ScheduledItem], loops: tuple[list, ...]):
+        """One context (the program, or one loop-body iteration): its
+        events of each stream and its cycles."""
+        counts = [0] * len(streams)
         offset = 0
         for item in items:
             if isinstance(item, ScheduledBlock):
                 for event in item.io_events:
-                    if not stream.matches(event):
-                        continue
-                    results.append(
-                        IOCharacterization(
-                            io_index=event.io_index,
-                            stream=stream,
-                            R=tuple(e[0] for e in loop_stack) + (1,),
-                            N=tuple(e[1] for e in loop_stack) + (1,),
-                            S=tuple(e[2] for e in loop_stack) + (count,),
-                            L=tuple(e[3] for e in loop_stack) + (1,),
-                            T=tuple(e[4] for e in loop_stack)
-                            + (offset + event.cycle,),
+                    s = lookup.get((event.kind, event.queue))
+                    if s is not None:
+                        found.append(
+                            (s, event.io_index, loops, counts[s], offset + event.cycle)
                         )
-                    )
-                    count += 1
+                        counts[s] += 1
                 offset += item.length
             else:
-                per_iter = count_stream_events(item.body, stream)
-                iter_len = pass_cycles(item.body)
-                loop_stack.append((item.trip, per_iter, count, iter_len, offset))
-                walk(item.body)
-                loop_stack.pop()
-                count += item.trip * per_iter
+                frame = [item.trip, tuple(counts), offset]
+                per_iter, iter_len = walk(item.body, (*loops, frame))
+                frame += (per_iter, iter_len)
+                for s, n in enumerate(per_iter):
+                    counts[s] += item.trip * n
                 offset += item.trip * iter_len
+        return counts, offset
 
-    walk(code.items)
+    walk(code.items, ())
+    results: list[list[IOCharacterization]] = [[] for _ in streams]
+    for s, io_index, loops, count, cycle in found:
+        results[s].append(
+            IOCharacterization(
+                io_index=io_index,
+                stream=streams[s],
+                R=tuple(f[0] for f in loops) + (1,),
+                N=tuple(f[3][s] for f in loops) + (1,),
+                S=tuple(f[1][s] for f in loops) + (count,),
+                L=tuple(f[4] for f in loops) + (1,),
+                T=tuple(f[2] for f in loops) + (cycle,),
+            )
+        )
     return results

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from ..cellcodegen.emit import CellCode, ScheduledBlock
 from ..cellcodegen.isa import AddressSource, Lit, MicroInstr, Reg
 from ..config import CellConfig
-from ..ir.dag import OpKind
+from ..ir.dag import OpKind, QueueRef
 from .report import VerificationReport
 
 
@@ -58,9 +58,9 @@ class BlockReplay:
     #: ``(cycle, is_load)`` of queue-addressed memory ops, in
     #: instruction-slot order.
     addr_ops: list[tuple[int, bool]] = field(default_factory=list)
-    #: ``(kind, queue-str) -> cycles`` of the I/O ops actually present
+    #: ``(kind, queue) -> cycles`` of the I/O ops actually present
     #: in the instruction words, in slot order.
-    io_ops: dict[tuple[OpKind, str], list[int]] = field(default_factory=dict)
+    io_ops: dict[tuple[OpKind, QueueRef], list[int]] = field(default_factory=dict)
 
 
 def _landing(issue: int, latency: int) -> int:
@@ -191,12 +191,12 @@ def _check_structural(
             block_id=block.block_id,
             cycle=cycle,
         )
-    per_queue_enq: dict[str, int] = {}
-    per_queue_deq: dict[str, int] = {}
+    per_queue_enq: dict[QueueRef, int] = {}
+    per_queue_deq: dict[QueueRef, int] = {}
     for enq in instr.enqs:
-        per_queue_enq[str(enq.queue)] = per_queue_enq.get(str(enq.queue), 0) + 1
+        per_queue_enq[enq.queue] = per_queue_enq.get(enq.queue, 0) + 1
     for deq in instr.deqs:
-        per_queue_deq[str(deq.queue)] = per_queue_deq.get(str(deq.queue), 0) + 1
+        per_queue_deq[deq.queue] = per_queue_deq.get(deq.queue, 0) + 1
     for queue, count in per_queue_enq.items():
         if count > 1:
             report.add(
@@ -328,9 +328,9 @@ def _check_metadata(
             "(cycle, is_load) in slot order",
             block_id=block.block_id,
         )
-    declared_io: dict[tuple[OpKind, str], list[int]] = {}
+    declared_io: dict[tuple[OpKind, QueueRef], list[int]] = {}
     for event in block.io_events:
-        declared_io.setdefault((event.kind, str(event.queue)), []).append(
+        declared_io.setdefault((event.kind, event.queue), []).append(
             event.cycle
         )
     actual_io = {
@@ -342,10 +342,16 @@ def _check_metadata(
     if declared_sorted != actual_io:
         report.add(
             "stream.io_events",
-            f"io_events metadata {declared_sorted} does not match the "
-            f"sends/receives present in the instruction words {actual_io}",
+            f"io_events metadata {_named(declared_sorted)} does not match "
+            "the sends/receives present in the instruction words "
+            f"{_named(actual_io)}",
             block_id=block.block_id,
         )
+
+
+def _named(io: dict[tuple[OpKind, QueueRef], list[int]]) -> dict:
+    """``io`` keyed as a diagnostic prints it: by (kind, queue name)."""
+    return {(kind, str(queue)): cycles for (kind, queue), cycles in io.items()}
 
 
 def replay_block(
@@ -375,13 +381,9 @@ def replay_block(
             if mem.address_source is not AddressSource.LITERAL:
                 replay.addr_ops.append((cycle, mem.is_load))
         for deq in instr.deqs:
-            replay.io_ops.setdefault(
-                (OpKind.RECV, str(deq.queue)), []
-            ).append(cycle)
+            replay.io_ops.setdefault((OpKind.RECV, deq.queue), []).append(cycle)
         for enq in instr.enqs:
-            replay.io_ops.setdefault(
-                (OpKind.SEND, str(enq.queue)), []
-            ).append(cycle)
+            replay.io_ops.setdefault((OpKind.SEND, enq.queue), []).append(cycle)
     _check_registers(block, writes, reads, pinned, report)
     _check_metadata(block, replay, report)
     return replay

@@ -19,9 +19,10 @@ instruction words) and compare:
 * **tau** — every statement's closed-form tau(n) reproduces the
   enumerated event times over its whole domain (Section 6.2.1).
 
-Each stream's facts (timing functions, event times and their
-statements) are derived once per verification and shared by every
-check; the closed forms are evaluated over whole arrays.
+The four streams' facts (timing functions, event times and their
+statements) come from one characterisation walk and one event walk per
+verification and are shared by every check; the closed forms of every
+statement are evaluated in one pass over whole arrays.
 """
 
 from __future__ import annotations
@@ -36,16 +37,25 @@ from ..errors import MappingError
 from ..hostcodegen.io_program import HostProgram
 from ..lang.ast import Channel
 from ..timing.buffers import BufferRequirement, occupancy_requirement
-from ..timing.events import TooManyEventsError, group_by_statement, stream_events
+from ..timing.events import walk_streams
 from ..timing.skew import SkewResult, channel_skew_bound
-from ..timing.tau import TimingFunction
-from ..timing.vectors import Stream, characterize_stream, input_stream, output_stream
+from ..timing.tau import TimingFunction, evaluate_domains
+from ..timing.vectors import (
+    Stream,
+    characterize_streams,
+    input_stream,
+    output_stream,
+)
 from .report import VerificationReport
 
 #: How many dynamic events (IU emissions, stream events) the ``full``
 #: level enumerates before it skips a dynamic check and notes the skip.
 #: Default conv2d, the largest bundled program, needs 524,288.
 MAX_EVENTS = 1_000_000
+
+#: How many events a stream's statements may promise before ``full``
+#: skips the stream's tau(n) closed-form check and notes the skip.
+TAU_BUDGET = 20_000
 
 STREAM_CHECKS = (
     "stream.conservation",
@@ -69,21 +79,48 @@ class StreamFacts:
     stream: Stream
     #: One per static statement, in program order.
     timing: list[TimingFunction]
+    #: The events those statements promise in all.
+    promised: int
     #: Cycle and statement ``io_index`` of every dynamic event, in stream
-    #: order; None when the stream exceeds the enumeration budget.
+    #: order; None when the channel exceeds the enumeration budget.
     times: np.ndarray | None
     statements: np.ndarray | None
 
 
-def _stream_facts(
-    code: CellCode, stream: Stream, max_events: int | None
-) -> StreamFacts:
-    timing = [TimingFunction(c) for c in characterize_stream(code, stream)]
-    try:
-        times, statements = stream_events(code, stream, max_events)
-    except TooManyEventsError:
-        times = statements = None
-    return StreamFacts(stream, timing, times, statements)
+def _channel_facts(
+    code: CellCode, max_events: int | None
+) -> dict[Channel, tuple[StreamFacts, StreamFacts]]:
+    """The (sends, receives) facts of each channel, from one
+    characterisation walk and one event walk for all four streams.  A
+    channel with a stream over ``max_events`` is characterised but not
+    walked."""
+    pairs = {
+        channel: (output_stream(channel), input_stream(channel))
+        for channel in (Channel.X, Channel.Y)
+    }
+    streams = [stream for pair in pairs.values() for stream in pair]
+    chars = dict(zip(streams, characterize_streams(code, streams)))
+    promised = {s: sum(char.total_executions for char in chars[s]) for s in streams}
+    walked = [
+        stream
+        for pair in pairs.values()
+        if max_events is None or max(promised[s] for s in pair) <= max_events
+        for stream in pair
+    ]
+    events = dict(zip(walked, walk_streams(code, walked, labelled=True)))
+    facts = {
+        stream: StreamFacts(
+            stream,
+            [TimingFunction(char) for char in chars[stream]],
+            promised[stream],
+            *events.get(stream, (None, None)),
+        )
+        for stream in streams
+    }
+    return {
+        channel: (facts[sends], facts[recvs])
+        for channel, (sends, recvs) in pairs.items()
+    }
 
 
 def check_streams(
@@ -96,7 +133,6 @@ def check_streams(
     n_cells: int,
     report: VerificationReport,
     max_events: int | None = MAX_EVENTS,
-    tau_budget: int = 20_000,
 ) -> None:
     for check in STREAM_CHECKS:
         report.ran(check)
@@ -107,9 +143,17 @@ def check_streams(
             "that keeps the address path one hop ahead",
         )
     declared_buffers = {str(b.channel): b for b in buffers}
-    for channel in (Channel.X, Channel.Y):
-        sends = _stream_facts(code, output_stream(channel), max_events)
-        recvs = _stream_facts(code, input_stream(channel), max_events)
+    channels = _channel_facts(code, max_events)
+    tau_failures = _tau_failures(
+        [
+            facts
+            for pair in channels.values()
+            if pair[0].times is not None
+            for facts in pair
+            if facts.promised <= TAU_BUDGET
+        ]
+    )
+    for channel, (sends, recvs) in channels.items():
         if sends.times is None or recvs.times is None:
             report.notes.append(
                 f"channel {channel}: event streams exceed the "
@@ -128,7 +172,13 @@ def check_streams(
                 report,
             )
         for facts in (recvs, sends):
-            _check_tau(channel, facts, report, tau_budget)
+            if facts.promised > TAU_BUDGET:
+                report.notes.append(
+                    f"stream {facts.stream}: {facts.promised} events exceed "
+                    f"the tau budget of {TAU_BUDGET}; closed-form check skipped"
+                )
+            for message in tau_failures.get(facts.stream, ()):
+                report.add("tau.closed_form", message, channel=str(channel))
     if n_cells > 1:
         _check_address_queue(
             emissions, skew_result, config, n_cells, report, max_events
@@ -298,52 +348,77 @@ def _check_address_queue(
         )
 
 
-def _check_tau(
-    channel: Channel,
-    facts: StreamFacts,
-    report: VerificationReport,
-    tau_budget: int,
-) -> None:
+def _tau_failures(streams: list[StreamFacts]) -> dict[Stream, list[str]]:
     """tau(n) closed forms vs. the enumerated event times, per statement
-    and over the statement's entire ordinal domain."""
-    stream = facts.stream
-    if not facts.timing:
-        return
-    total = sum(tau.char.total_executions for tau in facts.timing)
-    if total > tau_budget:
-        report.notes.append(
-            f"stream {stream}: {total} events exceed the tau budget "
-            f"of {tau_budget}; closed-form check skipped"
-        )
-        return
-    per_statement = group_by_statement(facts.times, facts.statements)
-    for tau in facts.timing:
-        char = tau.char
-        times = per_statement.get(char.io_index)
-        if times is None:
-            report.add(
-                "tau.closed_form",
+    and over the statement's entire ordinal domain, for every statement
+    of ``streams`` in one :func:`evaluate_domains` pass: each statement
+    is compared with its own events (those of its stream labelled with
+    its ``io_index``, in stream order).  Returns each stream's failure
+    messages, in statement order."""
+    failures: dict[Stream, list[str]] = {facts.stream: [] for facts in streams}
+    chars = [tau.char for facts in streams for tau in facts.timing]
+    if not chars:
+        return failures
+    owner, _domain, evaluated = evaluate_domains(chars)
+    sizes = np.bincount(owner, minlength=len(chars))
+    starts = np.cumsum(sizes) - sizes
+    # Each statement's events are one slice of all events sorted by
+    # (stream, statement).
+    stream_of = np.repeat(
+        np.arange(len(streams)), [len(facts.timing) for facts in streams]
+    )
+    stream_ids = np.repeat(
+        np.arange(len(streams)), [facts.times.size for facts in streams]
+    )
+    labels = np.concatenate([facts.statements for facts in streams])
+    order = np.lexsort((labels, stream_ids))
+    stream_ids, labels = stream_ids[order], labels[order]
+    executed = np.concatenate([facts.times for facts in streams])[order]
+    heads = np.ones(len(labels), dtype=bool)
+    heads[1:] = (stream_ids[1:] != stream_ids[:-1]) | (labels[1:] != labels[:-1])
+    bounds = np.flatnonzero(np.append(heads, True)).tolist()
+    slices = {
+        (int(stream_ids[a]), int(labels[a])): (a, b - a)
+        for a, b in zip(bounds, bounds[1:])
+    }
+    first, counts = np.array(
+        [
+            slices.get((s, char.io_index), (0, 0))
+            for s, char in zip(stream_of.tolist(), chars)
+        ],
+        np.int64,
+    ).T
+    # Statements whose whole promised domain lines up one to one with
+    # their events are compared element by element, all at once.
+    aligned = (counts == sizes) & np.array(
+        [size == char.total_executions for size, char in zip(sizes.tolist(), chars)]
+    )
+    positions = np.flatnonzero(np.repeat(aligned, sizes))
+    events = positions + np.repeat(first - starts, sizes)[positions]
+    differs = np.zeros(len(chars), dtype=bool)
+    differs[owner[positions][evaluated[positions] != executed[events]]] = True
+    for c in np.flatnonzero((counts == 0) | ~aligned | differs).tolist():
+        char, size = chars[c], int(sizes[c])
+        stream = streams[stream_of[c]].stream
+        if counts[c] == 0:
+            message = (
                 f"statement {char.io_index} of {stream} never "
                 "executes in the schedule but its characterisation "
-                f"promises {char.total_executions} executions",
-                channel=str(channel),
+                f"promises {char.total_executions} executions"
             )
-            continue
-        domain, evaluated = tau.evaluate_domain()
-        if domain.size != char.total_executions:
-            report.add(
-                "tau.closed_form",
+        elif size != char.total_executions:
+            message = (
                 f"statement {char.io_index} of {stream}: domain has "
-                f"{domain.size} ordinals but the characterisation "
-                f"promises {char.total_executions} executions",
-                channel=str(channel),
+                f"{size} ordinals but the characterisation "
+                f"promises {char.total_executions} executions"
             )
-            continue
-        if not np.array_equal(evaluated, times):
-            report.add(
-                "tau.closed_form",
+        else:
+            ours = evaluated[starts[c] : starts[c] + size]
+            theirs = executed[first[c] : first[c] + counts[c]]
+            message = (
                 f"statement {char.io_index} of {stream}: tau(n) "
-                f"yields {evaluated[:8].tolist()}... but the schedule "
-                f"executes at {times[:8].tolist()}...",
-                channel=str(channel),
+                f"yields {ours[:8].tolist()}... but the schedule "
+                f"executes at {theirs[:8].tolist()}..."
             )
+        failures[stream].append(message)
+    return failures

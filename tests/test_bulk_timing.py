@@ -1,7 +1,8 @@
 """The bulk (array) timing evaluations equal their scalar references.
 
-``TimingFunction.evaluate_domain``, ``time_difference_bounds`` and the
-tiled ``stream_times_by_statement`` are what the verifier runs; the
+``evaluate_domains``, ``time_difference_bounds`` and the tiled stream
+walk (here through ``stream_times_by_statement``) are what the verifier
+runs; the
 scalar ``in_domain``/``__call__``, the per-pair
 ``max_time_difference_bound`` and a per-iteration walk stay the
 references they are checked against here.
@@ -27,7 +28,7 @@ from repro.timing import (
     stream_times_by_statement,
 )
 from repro.timing.skew import channel_skew_bound
-from repro.timing.tau import time_difference_bounds
+from repro.timing.tau import evaluate_domains, time_difference_bounds
 
 
 @st.composite
@@ -53,18 +54,32 @@ def characterizations(draw, stream=output_stream(Channel.X)):
     )
 
 
-class TestEvaluateDomain:
-    @given(characterizations())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_scalar_reference(self, char):
+#: Up to five statements' characterisations, checked in one pass.
+CHARACTERIZATION_LISTS = st.lists(characterizations(), max_size=5)
+
+
+def check_domains(chars):
+    """``evaluate_domains`` gives every statement exactly the ordinals
+    the scalar ``in_domain`` accepts over ``[n_min, n_max]``, in order,
+    and ``tau(n)`` of each; statements stay contiguous, in order."""
+    owner, domain, times = evaluate_domains(chars)
+    assert owner.dtype == domain.dtype == times.dtype == np.int64
+    assert owner.tolist() == sorted(owner.tolist())
+    for c, char in enumerate(chars):
         tau = TimingFunction(char)
-        domain, times = tau.evaluate_domain()
-        assert domain.dtype == np.int64 and times.dtype == np.int64
         expected = [
             n for n in range(tau.n_min(), tau.n_max() + 1) if tau.in_domain(n)
         ]
-        assert domain.tolist() == expected == tau.domain()
-        assert times.tolist() == [tau(n) for n in expected]
+        mine = owner == c
+        assert domain[mine].tolist() == expected == tau.domain()
+        assert times[mine].tolist() == [tau(n) for n in expected]
+
+
+class TestEvaluateDomain:
+    @given(CHARACTERIZATION_LISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_reference(self, chars):
+        check_domains(chars)
 
     def test_multi_level_example(self):
         # Two outer iterations of three stream events each; the statement
@@ -78,7 +93,8 @@ class TestEvaluateDomain:
             L=(10, 1),
             T=(5, 4),
         )
-        domain, times = TimingFunction(char).evaluate_domain()
+        owner, domain, times = evaluate_domains([char])
+        assert owner.tolist() == [0, 0]
         assert domain.tolist() == [1, 4]
         assert times.tolist() == [9, 19]
 

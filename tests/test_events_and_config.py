@@ -82,30 +82,31 @@ class TestEventBudgets:
 
 
 class TestOneWalkPerStream:
-    """A compile walks each channel's send and receive streams once:
-    the skew and the buffer sizes share the walk."""
+    """A compile walks its four channel streams (X/Y sends and receives)
+    once, together: the skew and the buffer sizes share the walk."""
 
     @pytest.mark.parametrize(
         "source, verify, walks",
         [
-            (polynomial(40, 4), "quick", 4),
-            (polynomial(40, 4), "full", 8),
+            (polynomial(40, 4), "quick", 1),
+            (polynomial(40, 4), "full", 2),
             (passthrough(8, 1), "quick", 0),
         ],
         ids=["multi-cell-quick", "multi-cell-full", "one-cell-quick"],
     )
     def test_walks_per_compile(self, monkeypatch, source, verify, walks):
-        """At ``full`` the verifier walks its own four labelled streams."""
+        """At ``full`` the verifier walks its own four labelled streams,
+        in one walk of its own."""
         from repro.timing import events
 
         calls = []
-        walk = events._walk_stream
+        walk = events.walk_events
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[0])
             return walk(*args, **kwargs)
 
-        monkeypatch.setattr(events, "_walk_stream", counted)
+        monkeypatch.setattr(events, "walk_events", counted)
         config = dataclasses.replace(DEFAULT_CONFIG, verify=verify)
         compile_w2(source, config=config)
         assert len(calls) == walks

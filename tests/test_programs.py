@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compiler import compile_w2
 from repro.lang import analyze, parse_module
 from repro.programs import (
     TABLE_7_1_PROGRAMS,
@@ -41,6 +42,15 @@ class TestParameterisation:
     @pytest.mark.parametrize("op", ["+", "-", "*"])
     def test_binop_operators_parse(self, op):
         analyze(parse_module(binop(4, 4, 2, op=op)))
+
+    @pytest.mark.parametrize("n_cells", [1, 0])
+    def test_polynomial_needs_two_cells(self, n_cells):
+        """One coefficient left the coefficient loop ``for i := 1 to 0``
+        with no trip, which the compiler refuses; the factory refuses
+        such a size first, naming the minimum."""
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            polynomial(40, n_cells)
+        compile_w2(polynomial(40, 2))
 
     def test_matmul_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):

@@ -248,6 +248,95 @@ class TestArtifactSurgery:
         assert summary  # one-line form for VerificationError messages
 
 
+class TestTauClosedForm:
+    """The tau check's four outcomes, each from one tampered
+    characterisation: statement 4 of polynomial(16, 4), the receive of
+    ``z[i]`` (R=(16, 1), N=(1, 1), S=(4, 0), L=(12, 1), T=(8, 0))."""
+
+    @pytest.fixture()
+    def tau_findings(self, monkeypatch):
+        from repro.verify import streams
+
+        program = _compile_unverified(polynomial(16, 4))
+        characterize = streams.characterize_streams
+
+        def run(**changes):
+            def tampered(code, stream_list):
+                return [
+                    [
+                        dataclasses.replace(char, **changes)
+                        if char.io_index == 4
+                        else char
+                        for char in chars
+                    ]
+                    for chars in characterize(code, stream_list)
+                ]
+
+            monkeypatch.setattr(streams, "characterize_streams", tampered)
+            report = verify_program(program, level="full")
+            messages = [
+                (d.channel, d.message)
+                for d in report.diagnostics
+                if d.check == "tau.closed_form"
+            ]
+            notes = [note for note in report.notes if "tau budget" in note]
+            return messages, notes
+
+        return run
+
+    def test_untampered_passes(self, tau_findings):
+        assert tau_findings() == ([], [])
+
+    def test_statement_that_never_executes(self, tau_findings):
+        assert tau_findings(io_index=99) == (
+            [
+                (
+                    "X",
+                    "statement 99 of recv(L.X) never executes in the "
+                    "schedule but its characterisation promises 16 "
+                    "executions",
+                )
+            ],
+            [],
+        )
+
+    def test_domain_smaller_than_promised(self, tau_findings):
+        # The statement's ordinal within an iteration (S[1] = 1) no
+        # longer fits the iteration's one stream event (N[0] = 1).
+        assert tau_findings(S=(4, 1)) == (
+            [
+                (
+                    "X",
+                    "statement 4 of recv(L.X): domain has 0 ordinals but "
+                    "the characterisation promises 16 executions",
+                )
+            ],
+            [],
+        )
+
+    def test_closed_form_off_by_one_cycle(self, tau_findings):
+        assert tau_findings(T=(8, 1)) == (
+            [
+                (
+                    "X",
+                    "statement 4 of recv(L.X): tau(n) yields "
+                    "[9, 21, 33, 45, 57, 69, 81, 93]... but the schedule "
+                    "executes at [8, 20, 32, 44, 56, 68, 80, 92]...",
+                )
+            ],
+            [],
+        )
+
+    def test_stream_over_the_tau_budget(self, tau_findings):
+        assert tau_findings(R=(20_000, 1)) == (
+            [],
+            [
+                "stream recv(L.X): 20004 events exceed the tau budget of "
+                "20000; closed-form check skipped"
+            ],
+        )
+
+
 class TestReport:
     def test_clean_report_reads_clean(self, compiled_polynomial):
         report = verify_program(compiled_polynomial, level="full")
