@@ -9,8 +9,9 @@ CSE happens structurally through DAG value numbering
 node-construction time through :func:`fold`:
 
 * constant folding — any pure operation over constants;
-* algebraic simplification / idempotent-operation removal — ``x+0``,
-  ``x*1``, ``x*0``, ``x/1``, ``--x``, ``x and x``, ``select(c,a,a)``, …;
+* algebraic simplification / idempotent-operation removal — ``x-0``,
+  ``x*1``, ``x/1``, ``--x``, ``x and x``, ``select(c,a,a)``, …, each
+  exact on IEEE floats (inf, NaN and signed zeros included);
 * height reduction — associative chains of ``+``/``*`` are rebalanced
   incrementally so the critical path through the 5-stage pipelined FPUs
   shortens.
@@ -197,23 +198,16 @@ def _algebraic(
     operands: list[Node],
     values: list[Optional[float]],
 ) -> Optional[Node]:
-    if op is OpKind.FADD:
-        if values[0] == 0.0:
-            return operands[1]
-        if values[1] == 0.0:
+    # Only IEEE-exact identities: ``x + 0`` (-0 + 0 is +0), ``x - x``
+    # and ``x * 0`` (inf and NaN give NaN) are not folded.
+    if op is OpKind.FSUB:
+        if values[1] == 0.0 and math.copysign(1.0, values[1]) > 0:
             return operands[0]
-    elif op is OpKind.FSUB:
-        if values[1] == 0.0:
-            return operands[0]
-        if operands[0].node_id == operands[1].node_id:
-            return dag.const(0.0)
     elif op is OpKind.FMUL:
         if values[0] == 1.0:
             return operands[1]
         if values[1] == 1.0:
             return operands[0]
-        if values[0] == 0.0 or values[1] == 0.0:
-            return dag.const(0.0)
     elif op is OpKind.FDIV:
         if values[1] == 1.0:
             return operands[0]

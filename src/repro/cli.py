@@ -154,14 +154,12 @@ def _make_cache(
 
 
 def _compile_from_args(args: argparse.Namespace, faults=None):
-    """Compile the requested program through the selected cache (the
-    injection plan, when present, partitions the cache key)."""
+    """Compile the requested program through the selected cache (an
+    injection plan with cache faults corrupts that cache's disk reads;
+    the key and the program are a clean compile's)."""
     cache = _make_cache(args, faults=faults)
     program = compile_w2(
-        _load_source(args.program),
-        unroll=args.unroll,
-        cache=cache,
-        faults=faults,
+        _load_source(args.program), unroll=args.unroll, cache=cache
     )
     return program, cache
 

@@ -118,7 +118,6 @@ def compile_w2(
     unroll: int | str = 1,
     local_opt: bool = True,
     cache: "CompileCache | None" = None,
-    faults=None,
 ) -> CompiledProgram:
     """Compile a W2 module for the Warp machine.
 
@@ -140,11 +139,9 @@ def compile_w2(
     any work, keyed on the exact (source, config, flags) content hash;
     a hit returns the cached artefact and skips every phase.  Telemetry
     records ``cache.hit`` / ``cache.miss`` (and ``cache.disk_hit``)
-    counters either way.
-
-    ``faults`` (an :class:`~repro.faults.InjectionPlan`) does not change
-    compilation at all — it only partitions the cache key, so artefacts
-    touched by fault-injection runs can never be served to clean ones.
+    counters either way.  A fault-injected run shares its program's
+    entry: injection acts on runs and on disk-cache reads, never on the
+    compile.
     """
     if unroll != "auto" and (
         type(unroll) is not int or unroll < 1  # bool is not a factor
@@ -159,9 +156,7 @@ def compile_w2(
         from ..exec.keys import cache_key
 
         with obs.span("cache.lookup"):
-            key = cache_key(
-                source, config, "auto", unroll, local_opt, faults=faults
-            )
+            key = cache_key(source, config, "auto", unroll, local_opt)
             cached = cache.get(key)
         if cached is not None:
             obs.counter("cache.hit")

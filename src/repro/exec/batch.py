@@ -228,7 +228,7 @@ _worker_machine: WarpMachine | None = None
 _worker_plan: "InjectionPlan | None" = None
 
 
-def _init_worker(program_blob: bytes, plan_doc: dict | None = None) -> None:
+def _init_worker(program_blob: bytes, plan_doc: dict | None) -> None:
     global _worker_machine, _worker_plan
     _worker_machine = WarpMachine(pickle.loads(program_blob))
     if plan_doc is not None:

@@ -10,7 +10,10 @@ optimisation flags, and a format version bumped whenever the
 incompatibly.
 
 The compiler is deterministic, so equal keys imply equal artefacts;
-unequal inputs produce unequal keys up to SHA-256 collisions.
+unequal inputs produce unequal keys up to SHA-256 collisions.  A fault
+plan is not part of the key: injection acts on runs and on disk-cache
+reads, never on the compile, and a corrupted read fails its digest and
+recompiles.
 """
 
 from __future__ import annotations
@@ -46,17 +49,12 @@ def cache_key(
     skew_method: str = "auto",
     unroll: int | str = 1,
     local_opt: bool = True,
-    faults: Any = None,
 ) -> str:
     """The content hash identifying one compile of ``source``.
 
-    ``faults`` (an :class:`~repro.faults.InjectionPlan`, or anything
-    with a ``fingerprint()``) partitions the key space: artefacts
-    produced under fault injection can never be served to — or poison —
-    clean runs.  ``None`` (the clean case) leaves the payload, and
-    therefore every pre-existing key, byte-identical.  So does
-    ``skew_method``: the compiler has one skew method and always passes
-    ``"auto"``, kept in the payload so existing keys do not move.
+    ``skew_method`` changes nothing the compiler does: it has one skew
+    method and always passes ``"auto"``, kept in the payload so existing
+    keys do not move.
     """
     document: dict[str, Any] = {
         "version": CACHE_KEY_VERSION,
@@ -66,7 +64,5 @@ def cache_key(
         "unroll": unroll,
         "local_opt": bool(local_opt),
     }
-    if faults is not None:
-        document["faults"] = faults.fingerprint()
     payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -4,10 +4,9 @@ A plan is a plain, frozen dataclass so it can be
 
 * **serialised** — :meth:`InjectionPlan.to_json` /
   :meth:`InjectionPlan.from_json` round-trip through JSON (the batch
-  runner ships plans to its worker processes this way), and
-  :meth:`InjectionPlan.fingerprint` folds the plan into the compile
-  cache key so a faulty run can never poison the cache with an artefact
-  produced under injection;
+  runner ships plans to its worker processes this way); a plan never
+  reaches the compiler, so a faulty run shares its program's compile
+  cache entry;
 * **deterministic** — every fault site is addressed statically (cell
   index, channel, nth occurrence, item index, attempt window), so the
   same plan against the same program and inputs always injects the same
@@ -24,8 +23,6 @@ addresses the link index directly.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -199,13 +196,6 @@ class InjectionPlan:
             seed=doc.get("seed"),
         )
 
-    def fingerprint(self) -> str:
-        """A stable content hash of the plan, folded into compile-cache
-        keys so artefacts compiled under injection never shadow clean
-        ones (and vice versa)."""
-        payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
     # Generation ----------------------------------------------------------
 
     @classmethod
@@ -214,17 +204,16 @@ class InjectionPlan:
         seed: int,
         n_cells: int = 4,
         n_faults: int | None = None,
-        max_index: int = 8,
-        kinds: Iterable[FaultKind] = tuple(sorted(MACHINE_KINDS)),
     ) -> "InjectionPlan":
         """A deterministic random plan derived from ``seed`` alone.
 
-        Only machine-level kinds by default: a random plan is meant to
-        be thrown at ``simulate`` (the soak and the property tests);
-        worker/cache faults need a batch/cache context to mean anything.
+        Only machine-level kinds, each site index below 8: a random
+        plan is meant to be thrown at ``simulate`` (the soak and the
+        property tests); worker/cache faults need a batch/cache context
+        to mean anything.
         """
         rng = random.Random(seed)
-        kinds = tuple(kinds)
+        kinds = tuple(sorted(MACHINE_KINDS))
         count = n_faults if n_faults is not None else rng.randint(1, 3)
         specs = []
         for _ in range(count):
@@ -250,7 +239,7 @@ class InjectionPlan:
                         kind=kind,
                         cell=cell,
                         channel=channel,
-                        index=rng.randrange(max_index),
+                        index=rng.randrange(8),
                         bitmask=1 << rng.randrange(64),
                     )
                 )

@@ -560,14 +560,14 @@ class IRBuilder:
 
     # Expressions ---------------------------------------------------------
 
-    def _pure(self, op: OpKind, *operands: Node, attr: object = None) -> Node:
+    def _pure(self, op: OpKind, *operands: Node) -> Node:
         dag = self._dag
         assert dag is not None
         if self._enable_local_opt:
             folded = local_opt.fold(dag, op, operands)
             if folded is not None:
                 return folded
-        return dag.pure(op, *operands, attr=attr)
+        return dag.pure(op, *operands)
 
     def _build_expr(self, expr: ast.Expr, renamer: _Renamer) -> Node:
         dag = self._dag

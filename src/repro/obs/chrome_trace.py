@@ -52,9 +52,7 @@ def _meta(pid: int, name: str, tid: int | None = None) -> dict[str, Any]:
     return event
 
 
-def compile_trace_events(
-    telemetry: Telemetry, pid: int = COMPILER_PID
-) -> list[dict[str, Any]]:
+def compile_trace_events(telemetry: Telemetry) -> list[dict[str, Any]]:
     """``B``/``E`` span pairs for one compile, relative to its start.
 
     Events are emitted in properly nested order (a span's ``B``, its
@@ -67,8 +65,8 @@ def compile_trace_events(
     for index, span in enumerate(telemetry.spans):
         children.setdefault(span.parent, []).append(index)
     events: list[dict[str, Any]] = [
-        _meta(pid, "compiler"),
-        _meta(pid, "driver", tid=0),
+        _meta(COMPILER_PID, "compiler"),
+        _meta(COMPILER_PID, "driver", tid=0),
     ]
 
     def emit(index: int) -> None:
@@ -77,7 +75,7 @@ def compile_trace_events(
         events.append(
             {
                 "ph": "B",
-                "pid": pid,
+                "pid": COMPILER_PID,
                 "tid": 0,
                 "name": span.name,
                 "ts": begin,
@@ -89,7 +87,7 @@ def compile_trace_events(
         events.append(
             {
                 "ph": "E",
-                "pid": pid,
+                "pid": COMPILER_PID,
                 "tid": 0,
                 "name": span.name,
                 "ts": begin + span.duration * 1e6,
@@ -104,24 +102,26 @@ def compile_trace_events(
 def machine_trace_events(
     metrics: MachineMetrics,
     record: list[CellSpans] | None = None,
-    pid: int = MACHINE_PID,
 ) -> list[dict[str, Any]]:
     """Lanes for cells, queues, IU and host from one simulated run."""
-    events: list[dict[str, Any]] = [_meta(pid, "warp machine")]
+    events: list[dict[str, Any]] = [_meta(MACHINE_PID, "warp machine")]
     tid = 0
 
     def complete(
         tid: int, name: str, ts: int, dur: int, args: dict | None = None
     ) -> None:
         """Append an ``X`` event: ``dur`` cycles from ``ts`` on lane ``tid``."""
-        event = {"ph": "X", "pid": pid, "tid": tid, "name": name, "ts": ts, "dur": dur}
+        event = {
+            "ph": "X", "pid": MACHINE_PID, "tid": tid,
+            "name": name, "ts": ts, "dur": dur,
+        }
         if args is not None:
             event["args"] = args
         events.append(event)
 
     # Host lane -----------------------------------------------------------
     host_tid = tid
-    events.append(_meta(pid, "host", tid=host_tid))
+    events.append(_meta(MACHINE_PID, "host", tid=host_tid))
     tid += 1
     feed = [q for name, q in metrics.queues.items() if name.startswith("link0")]
     feed_items = sum(q.items_sent for q in feed)
@@ -132,7 +132,7 @@ def machine_trace_events(
 
     # IU lane -------------------------------------------------------------
     iu_tid = tid
-    events.append(_meta(pid, "IU address path", tid=iu_tid))
+    events.append(_meta(MACHINE_PID, "IU address path", tid=iu_tid))
     tid += 1
     iu = metrics.iu
     if iu.addresses_emitted:
@@ -143,7 +143,7 @@ def machine_trace_events(
     cell_tids: dict[int, int] = {}
     for cell in metrics.cells:
         cell_tids[cell.cell] = tid
-        events.append(_meta(pid, f"cell {cell.cell}", tid=tid))
+        events.append(_meta(MACHINE_PID, f"cell {cell.cell}", tid=tid))
         tid += 1
     for lane in record or ():
         lane_tid = cell_tids[lane.cell]
@@ -167,7 +167,7 @@ def machine_trace_events(
     # Queue lanes: item residency spans + occupancy counters --------------
     for name, queue in metrics.queues.items():
         queue_tid = tid
-        events.append(_meta(pid, f"queue {name}", tid=queue_tid))
+        events.append(_meta(MACHINE_PID, f"queue {name}", tid=queue_tid))
         tid += 1
         consumed = min(queue.send_times.size, queue.recv_times.size)
         truncated = consumed > MAX_EVENTS_PER_LANE
@@ -184,7 +184,7 @@ def machine_trace_events(
             events.append(
                 {
                     "ph": "C",
-                    "pid": pid,
+                    "pid": MACHINE_PID,
                     "tid": queue_tid,
                     "name": f"occupancy {name}",
                     "ts": t,

@@ -126,19 +126,14 @@ class QueueMetrics:
         keep = np.append(times[1:] != times[:-1], True)
         return times[keep], occupancy[keep]
 
-    def occupancy_histogram(self, n_bins: int = 0) -> dict[int, int]:
-        """Cycles spent at each occupancy level (occupancy -> cycles).
-
-        ``n_bins`` > 0 clips levels above ``n_bins`` into one bucket.
-        """
+    def occupancy_histogram(self) -> dict[int, int]:
+        """Cycles spent at each occupancy level (occupancy -> cycles)."""
         times, occupancy = self.occupancy_series()
         if times.size == 0:
             return {}
         durations = np.append(np.diff(times), 1)  # last level holds 1 cycle
         histogram: dict[int, int] = {}
         for level, duration in zip(occupancy.tolist(), durations.tolist()):
-            if n_bins and level > n_bins:
-                level = n_bins
             histogram[level] = histogram.get(level, 0) + duration
         return histogram
 

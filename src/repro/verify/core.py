@@ -34,7 +34,7 @@ from ..timing.skew import SkewResult
 from .iupath import check_emissions, check_iu_path, walk_emissions
 from .replay import replay_cell_code
 from .report import VerificationReport
-from .streams import MAX_EVENTS, check_streams
+from .streams import check_streams
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..compiler.driver import CompiledProgram
@@ -68,7 +68,6 @@ def verify_artifacts(
     config: WarpConfig,
     n_cells: int,
     level: str = "full",
-    max_events: int | None = MAX_EVENTS,
 ) -> VerificationReport:
     """Run the verifier over one compiled module's artifacts."""
     level = resolve_level(level)
@@ -82,11 +81,9 @@ def verify_artifacts(
             cell_code, iu_program, config, replays, report
         )
         if level == "full":
-            emissions = walk_emissions(iu_program, max_events)
+            emissions = walk_emissions(iu_program)
             if shape_ok:
-                check_emissions(
-                    iu_program, config, emissions, report, max_events
-                )
+                check_emissions(iu_program, config, emissions, report)
             check_streams(
                 cell_code,
                 emissions,
@@ -96,7 +93,6 @@ def verify_artifacts(
                 config,
                 n_cells,
                 report,
-                max_events=max_events,
             )
     obs.counter("verify.checks", len(report.checks_run))
     obs.counter("verify.diagnostics", len(report.diagnostics))

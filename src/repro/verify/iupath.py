@@ -22,6 +22,7 @@ from ..config import WarpConfig
 from ..iucodegen.codegen import IUBlock, IULoop, IUProgram, MAX_LOOKBEHIND
 from .replay import BlockReplay
 from .report import VerificationReport
+from .streams import MAX_EVENTS
 
 IU_CHECKS = (
     "iu.shape",
@@ -34,15 +35,12 @@ IU_CHECKS = (
 )
 
 
-def walk_emissions(
-    iu: IUProgram, max_events: int | None
-) -> np.ndarray | None:
+def walk_emissions(iu: IUProgram) -> np.ndarray | None:
     """Every dynamic emission's (emit cycle, deadline cycle, address),
     as :meth:`~repro.iucodegen.codegen.IUProgram.emission_times` rows
     (taken once per verification); None when the static tree promises
-    more than ``max_events`` of them."""
-    total = _dynamic_emissions(iu.items)
-    if max_events is not None and total > max_events:
+    more than :data:`~repro.verify.streams.MAX_EVENTS` of them."""
+    if _dynamic_emissions(iu.items) > MAX_EVENTS:
         return None
     return iu.emission_times()
 
@@ -66,14 +64,13 @@ def check_emissions(
     config: WarpConfig,
     emissions: np.ndarray | None,
     report: VerificationReport,
-    max_events: int | None,
 ) -> None:
     """The dynamic checks over the whole emission walk: FIFO order and
     deadlines on the absolute timeline, addresses inside cell memory."""
     total = _dynamic_emissions(iu.items)
     if emissions is None:
         report.notes.append(
-            f"iu: {total} dynamic emissions exceed the {max_events} "
+            f"iu: {total} dynamic emissions exceed the {MAX_EVENTS} "
             "budget; dynamic address checks skipped"
         )
         return

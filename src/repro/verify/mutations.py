@@ -79,11 +79,10 @@ def mutate(program: "CompiledProgram", kind: str, seed: int) -> Mutant | None:
 
 def mutation_suite(
     program: "CompiledProgram",
-    kinds: tuple[str, ...] = MUTATION_KINDS,
     seeds: tuple[int, ...] = (0, 1, 2),
 ) -> Iterator[Mutant]:
     """All applicable (kind, seed) mutants of one program."""
-    for kind in kinds:
+    for kind in MUTATION_KINDS:
         for seed in seeds:
             mutant = mutate(program, kind, seed)
             if mutant is not None:

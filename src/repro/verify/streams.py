@@ -88,12 +88,12 @@ class StreamFacts:
 
 
 def _channel_facts(
-    code: CellCode, max_events: int | None
+    code: CellCode,
 ) -> dict[Channel, tuple[StreamFacts, StreamFacts]]:
     """The (sends, receives) facts of each channel, from one
     characterisation walk and one event walk for all four streams.  A
-    channel with a stream over ``max_events`` is characterised but not
-    walked."""
+    channel with a stream over :data:`MAX_EVENTS` is characterised but
+    not walked."""
     pairs = {
         channel: (output_stream(channel), input_stream(channel))
         for channel in (Channel.X, Channel.Y)
@@ -104,7 +104,7 @@ def _channel_facts(
     walked = [
         stream
         for pair in pairs.values()
-        if max_events is None or max(promised[s] for s in pair) <= max_events
+        if max(promised[s] for s in pair) <= MAX_EVENTS
         for stream in pair
     ]
     events = dict(zip(walked, walk_streams(code, walked, labelled=True)))
@@ -132,7 +132,6 @@ def check_streams(
     config: WarpConfig,
     n_cells: int,
     report: VerificationReport,
-    max_events: int | None = MAX_EVENTS,
 ) -> None:
     for check in STREAM_CHECKS:
         report.ran(check)
@@ -143,7 +142,7 @@ def check_streams(
             "that keeps the address path one hop ahead",
         )
     declared_buffers = {str(b.channel): b for b in buffers}
-    channels = _channel_facts(code, max_events)
+    channels = _channel_facts(code)
     tau_failures = _tau_failures(
         [
             facts
@@ -157,7 +156,7 @@ def check_streams(
         if sends.times is None or recvs.times is None:
             report.notes.append(
                 f"channel {channel}: event streams exceed the "
-                f"{max_events} budget; exact stream checks skipped"
+                f"{MAX_EVENTS} budget; exact stream checks skipped"
             )
             continue
         _check_host_counts(host, channel, sends.times, recvs.times, report)
@@ -180,9 +179,7 @@ def check_streams(
             for message in tau_failures.get(facts.stream, ()):
                 report.add("tau.closed_form", message, channel=str(channel))
     if n_cells > 1:
-        _check_address_queue(
-            emissions, skew_result, config, n_cells, report, max_events
-        )
+        _check_address_queue(emissions, skew_result, config, n_cells, report)
 
 
 def _check_host_counts(
@@ -321,14 +318,13 @@ def _check_address_queue(
     config: WarpConfig,
     n_cells: int,
     report: VerificationReport,
-    max_events: int | None,
 ) -> None:
     """The address FIFO of the most-delayed cell: emissions enter at
     ``emit + i*hop`` and leave at ``deadline + i*skew``; with skew >=
     hop, the last cell sees the worst backlog."""
     if emissions is None:
         report.notes.append(
-            f"address path: more than {max_events} emissions; "
+            f"address path: more than {MAX_EVENTS} emissions; "
             "address-queue occupancy check skipped"
         )
         return

@@ -631,6 +631,19 @@ class TestCacheOptions:
         assert main(args) == 0
         assert "compile cache: disk-hit" in capsys.readouterr().out
 
+    def test_injected_run_hits_the_clean_entry(self, tmp_path, capsys):
+        """A fault plan is not part of the compile key: a run under
+        ``--inject`` reads the entry a clean run stored."""
+        cache_dir = tmp_path / "cache"
+        args = ["run", "polynomial", "--cache-dir", str(cache_dir)]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(
+            [*args, "--inject", "stall_cell:cell=9,cycles=2", "--trace", "2"]
+        ) == 0
+        assert "[compile cache: disk-hit" in capsys.readouterr().out
+        assert len(list(cache_dir.glob("*.w2c"))) == 1
+
     def test_run_trace_annotates_cache_status(self, capsys):
         assert main(
             ["run", "passthrough", "--input", "din=1,2", "--trace", "4"]

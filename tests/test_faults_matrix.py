@@ -286,17 +286,25 @@ class TestCacheCorruption:
         # The corrupted entry cost a recompile, never a wrong program.
         _assert_identical(simulate(recompiled, inputs), clean)
 
-    def test_faulty_plan_partitions_the_cache_key(self, tmp_path):
-        source = polynomial(12, 4)
+    def test_faulty_run_shares_the_clean_entry(self, fleet, tmp_path):
+        """A plan never reaches the compiler: a compile under a
+        corrupting plan reads and rewrites the clean entry, and a clean
+        compile after it hits that one entry on disk."""
+        program, inputs, clean = fleet["polynomial"]
+        source = PROGRAM_FACTORIES["polynomial"]()
+        compile_w2(source, cache=CompileCache(cache_dir=tmp_path))
         plan = InjectionPlan(specs=(FaultSpec(kind=FaultKind.CORRUPT_CACHE),))
+        faulty = CompileCache(
+            cache_dir=tmp_path, injector=FaultInjector(plan)
+        )
+        compile_w2(source, cache=faulty)
+        assert faulty.last_event == "miss"
+        assert faulty.stats.stores == 1
         cache = CompileCache(cache_dir=tmp_path)
-        compile_w2(source, cache=cache, faults=plan)
-        assert cache.last_event == "miss"
-        compile_w2(source, cache=cache)
-        # The clean compile must not see the faulty run's artefact.
-        assert cache.last_event == "miss"
-        compile_w2(source, cache=cache, faults=plan)
-        assert cache.last_event == "memory-hit"
+        shared = compile_w2(source, cache=cache)
+        assert cache.last_event == "disk-hit"
+        assert len(list(tmp_path.glob("*.w2c"))) == 1
+        _assert_identical(simulate(shared, inputs), clean)
 
 
 @pytest.mark.timeout(120)

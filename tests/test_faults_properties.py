@@ -54,13 +54,12 @@ class TestRandomPlans:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_plans_are_reproducible(self, seed):
-        """The same seed yields the same plan, serialisation
-        round-trips, and the fingerprint is stable."""
+        """The same seed yields the same plan, and serialisation
+        round-trips."""
         plan = InjectionPlan.random(seed, n_cells=_PROGRAM.n_cells)
         again = InjectionPlan.random(seed, n_cells=_PROGRAM.n_cells)
         assert plan == again
         assert InjectionPlan.from_json(plan.to_json()) == plan
-        assert plan.fingerprint() == again.fingerprint()
 
 
 def _x_requirement(program) -> int:

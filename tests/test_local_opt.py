@@ -56,10 +56,26 @@ class TestConstantFolding:
 
 class TestAlgebraicIdentities:
     def test_add_zero(self):
+        """``-0.0 + 0.0`` is ``+0.0``, so ``x + 0`` is not ``x``."""
+        dag = Dag()
+        a, zero = dag.read("a"), dag.const(0.0)
+        for node in (
+            fold2(dag, OpKind.FADD, a, zero),
+            fold2(dag, OpKind.FADD, zero, a),
+        ):
+            assert node.op is OpKind.FADD
+            assert set(node.operands) == {a.node_id, zero.node_id}
+
+    def test_sub_zero(self):
+        """``x - (+0.0)`` is ``x`` for every float; ``x - (-0.0)`` is
+        ``x + 0.0``, which is not."""
         dag = Dag()
         a = dag.read("a")
-        assert fold2(dag, OpKind.FADD, a, dag.const(0.0)) is a
-        assert fold2(dag, OpKind.FADD, dag.const(0.0), a) is a
+        assert fold2(dag, OpKind.FSUB, a, dag.const(0.0)) is a
+        other = Dag()
+        b = other.read("b")
+        node = fold2(other, OpKind.FSUB, b, other.const(-0.0))
+        assert node.op is OpKind.FSUB
 
     def test_mul_one(self):
         dag = Dag()
@@ -67,16 +83,22 @@ class TestAlgebraicIdentities:
         assert fold2(dag, OpKind.FMUL, a, dag.const(1.0)) is a
 
     def test_mul_zero(self):
+        """``inf * 0`` and ``nan * 0`` are NaN, so ``x * 0`` is not 0."""
         dag = Dag()
-        a = dag.read("a")
-        node = fold2(dag, OpKind.FMUL, a, dag.const(0.0))
-        assert node.op is OpKind.CONST and node.attr == 0.0
+        a, zero = dag.read("a"), dag.const(0.0)
+        for node in (
+            fold2(dag, OpKind.FMUL, a, zero),
+            fold2(dag, OpKind.FMUL, zero, a),
+        ):
+            assert node.op is OpKind.FMUL
 
-    def test_sub_self_is_zero(self):
+    def test_sub_self_is_not_folded(self):
+        """``inf - inf`` is NaN, so ``x - x`` is not 0."""
         dag = Dag()
         a = dag.read("a")
         node = fold2(dag, OpKind.FSUB, a, a)
-        assert node.attr == 0.0
+        assert node.op is OpKind.FSUB
+        assert node.operands == (a.node_id, a.node_id)
 
     def test_div_one(self):
         dag = Dag()

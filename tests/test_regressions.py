@@ -137,6 +137,82 @@ end
         assert run_iu_program(lowered) == expected
 
 
+def _exact_check(source, inputs):
+    """Compiled and interpreted outputs have NaNs and signs at the same
+    positions, and agree to rounding elsewhere (height reduction
+    reassociates sums)."""
+    expected = interpret(analyze(parse_module(source)), inputs)
+    result = simulate(compile_w2(source), inputs)
+    for name, data in result.outputs.items():
+        want = expected[name]
+        assert np.array_equal(np.isnan(data), np.isnan(want)), (data, want)
+        assert np.array_equal(np.signbit(data), np.signbit(want)), (
+            data, want
+        )
+        assert np.allclose(data, want, equal_nan=True), (data, want)
+    return result
+
+
+class TestIEEEExactFolds:
+    """Local optimisation folded ``x - x`` and ``x * 0`` to 0 (NaN when
+    ``x`` is inf or NaN) and ``x + 0.0`` to ``x`` (``-0.0 + 0.0`` is
+    ``+0.0``), so compiled code and the interpreter disagreed."""
+
+    PIPELINE = """
+module fuzz (a in, b out)
+float a[5];
+float b[5];
+cellprogram (cid : 0 : 9)
+begin
+    float v0, v1, v2, v3;
+    int i;
+    v1 := 0.0;
+    v2 := 0.0;
+    v3 := 0.0;
+    for i := 0 to 4 do begin
+        receive (L, X, v0, a[i]);
+        v2 := {body};
+        send (R, X, v0 + v1 + v2 + v3, b[i]);
+    end;
+end
+"""
+
+    def test_sub_self_of_an_overflow_is_nan(self):
+        """Found by the end-to-end fuzzer: ``v2`` overflows to inf by
+        the second point, after which ``v2 - v2`` is NaN."""
+        source = self.PIPELINE.replace(
+            "{body}",
+            "(((v0 + v0) + (v2 - v2)) + ((v0 + v2) * (v0 + v2)))",
+        )
+        inputs = {"a": np.random.default_rng(0).uniform(-2, 2, 5)}
+        out = _exact_check(source, inputs).outputs["b"]
+        assert np.isinf(out[1]) and np.isnan(out[2:]).all(), out
+
+    def test_inf_times_zero_is_nan(self):
+        source = self.PIPELINE.replace("{body}", "(v0 * v2 * 0.0) + v0 * v0")
+        inputs = {"a": np.array([1e200, 1.0, 2.0, -1.0, 0.5])}
+        out = _exact_check(source, inputs).outputs["b"]
+        assert np.isnan(out[1:]).all(), out
+
+    def test_negative_zero_plus_zero_is_positive_zero(self):
+        source = """
+module negzero (a in, b out)
+float a[2];
+float b[2];
+cellprogram (cid : 0 : 1)
+begin
+    float v0;
+    int i;
+    for i := 0 to 1 do begin
+        receive (L, X, v0, a[i]);
+        send (R, X, v0 + 0.0, b[i]);
+    end;
+end
+"""
+        out = _exact_check(source, {"a": np.array([-0.0, 1.0])})
+        assert not np.signbit(out.outputs["b"][0])
+
+
 class TestIfConversionOldValue:
     def test_one_sided_if_on_fresh_block_variable(self):
         """A variable assigned in only one arm, not yet read in the

@@ -18,7 +18,7 @@ from repro.compiler import compile_w2
 from repro.config import DEFAULT_CONFIG
 from repro.errors import VerificationError
 from repro.exec import CompileCache
-from repro.programs import conv2d, polynomial
+from repro.programs import conv2d, passthrough, polynomial
 from repro.timing.skew import SkewResult
 from repro.verify import (
     LEVELS,
@@ -133,6 +133,18 @@ class TestLevels:
         assert all("tau budget" in note for note in report.notes), (
             report.notes
         )
+
+    def test_stream_over_the_event_budget_is_noted(self):
+        """A channel whose streams exceed ``MAX_EVENTS`` keeps its
+        static checks; its exact stream checks are skipped, with a
+        note naming the budget."""
+        program = _compile_unverified(passthrough(3_000_000, 1))
+        report = verify_program(program, level="full")
+        assert report.ok
+        assert report.notes == [
+            "channel X: event streams exceed the 1000000 budget; "
+            "exact stream checks skipped"
+        ]
 
 
 class TestDriverIntegration:
