@@ -52,12 +52,11 @@ class CommReport:
         return not (self.sends_left or self.receives_from_right)
 
     @property
-    def is_unidirectional_rl(self) -> bool:
-        return not (self.sends_right or self.receives_from_left)
-
-    @property
     def is_bidirectional(self) -> bool:
-        return not (self.is_unidirectional_lr or self.is_unidirectional_rl)
+        """Flow both ways: neither left-to-right nor its mirror image."""
+        return not self.is_unidirectional_lr and (
+            self.sends_right or self.receives_from_left
+        )
 
 
 def _receive_queue_for_send(queue: QueueRef) -> QueueRef:

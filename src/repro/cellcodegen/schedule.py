@@ -345,12 +345,13 @@ class BlockScheduler:
     # Literal bookkeeping -----------------------------------------------------
 
     def _literal_values(self, item: SchedItem) -> list[float]:
-        values = []
+        values = {}  # by bits: 0.0 and -0.0 are two literals
         for operand_id in item.operands:
             node = self._dag.nodes.get(operand_id)
             if node is not None and node.op is OpKind.CONST:
-                values.append(float(node.attr))  # type: ignore[arg-type]
-        return sorted(set(values))
+                value = float(node.attr)  # type: ignore[arg-type]
+                values[value.hex()] = value
+        return sorted(values.values())
 
     def _split_excess_literals(self) -> None:
         """An instruction has one literal field; operations needing two or
@@ -361,13 +362,14 @@ class BlockScheduler:
                 continue
             keep = literals[0]
             for value in literals[1:]:
+                bits = value.hex()
                 const_ids = [
                     oid
                     for oid in item.operands
                     if (
                         (n := self._dag.nodes.get(oid)) is not None
                         and n.op is OpKind.CONST
-                        and float(n.attr) == value  # type: ignore[arg-type]
+                        and float(n.attr).hex() == bits  # type: ignore[arg-type]
                     )
                 ]
                 move = self._add_item(None, MOVE, (const_ids[0],))
@@ -403,7 +405,7 @@ class BlockScheduler:
                 heapq.heappush(ready, (-priority[item_id], item_id, 0))
 
         resource_use: dict[tuple[int, object], int] = {}
-        literal_at: dict[int, float] = {}
+        literal_at: dict[int, str] = {}  # each cycle's literal, by bits
         capacities = {
             "alu": 1,
             "mpy": 1,
@@ -496,7 +498,7 @@ class BlockScheduler:
         item_id: int,
         cycle: int,
         resource_use: dict[tuple[int, object], int],
-        literal_at: dict[int, float],
+        literal_at: dict[int, str],
         capacities: dict[str, int],
     ) -> bool:
         item = self._items[item_id]
@@ -512,13 +514,12 @@ class BlockScheduler:
         literals = self._literal_values(item)
         if literals:
             current = literal_at.get(cycle)
-            if current is not None and any(v != current for v in literals):
-                return False
-            if len(literals) > 1:  # split beforehand; defensive
+            # One literal field: any second one was split off beforehand.
+            if len(literals) > 1 or current not in (None, literals[0].hex()):
                 return False
         resource_use[(cycle, resource)] = resource_use.get((cycle, resource), 0) + 1
         if literals:
-            literal_at[cycle] = literals[0]
+            literal_at[cycle] = literals[0].hex()
         return True
 
 

@@ -35,7 +35,7 @@ from ..lang.parser import Parser
 from ..machine.plan import ExecutionPlan
 from ..config import DEFAULT_CONFIG, WarpConfig
 from ..obs import get_telemetry
-from .mirror import mirror_module
+from .mirror import flows_right_to_left, mirror_module
 from ..timing import (
     BufferRequirement,
     SkewResult,
@@ -129,6 +129,12 @@ def compile_w2(
     than :data:`~repro.timing.events.MAX_STREAM_EVENTS` refuses the
     program with :class:`~repro.timing.events.TooManyEventsError`.
 
+    Data flow must be one way (Section 5.1.1): a right-to-left module
+    (:func:`~repro.compiler.mirror.flows_right_to_left`) is mirrored
+    right after parsing, so every later phase sees left-to-right code.
+    Mixed flow, at any cell count, and more cells than ``config`` has
+    (checked before any code is built) raise :class:`MappingError`.
+
     ``unroll`` unrolls innermost loops up to that factor before
     scheduling, amortising block-drain cycles over several iterations
     (throughput optimisation; 1 = off).  ``unroll="auto"`` tries
@@ -169,8 +175,16 @@ def compile_w2(
     obs.counter("frontend.tokens", len(tokens))
     with obs.span("frontend.parse"):
         module = Parser(tokens).parse_module()
+    mirrored = flows_right_to_left(module)
+    if mirrored:  # the array is symmetric: compile the mirror image
+        module = mirror_module(module)
     with obs.span("frontend.semantic"):
         analyzed = analyze(module)
+    if analyzed.n_cells > config.n_cells:
+        raise MappingError(
+            f"module uses {analyzed.n_cells} cells but the machine has "
+            f"{config.n_cells}"
+        )
     if unroll == "auto":
         with obs.span("driver.choose-unroll"):
             unroll, ir, cell_code = _choose_unroll_factor(
@@ -184,27 +198,7 @@ def compile_w2(
 
     with obs.span("analysis.comm"):
         comm = analyze_communication(ir.tree)
-    mirrored = False
-    if (
-        ir.n_cells > 1
-        and comm.is_mappable
-        and not comm.is_unidirectional_lr
-        and comm.is_unidirectional_rl
-    ):
-        # Right-to-left flow: run the mirror image on the reversed array.
-        with obs.span("driver.mirror"):
-            analyzed = analyze(mirror_module(module))
-            ir, cell_code = _generate_with_demotion(
-                analyzed, config, unroll, local_opt
-            )
-            comm = analyze_communication(ir.tree)
-        mirrored = True
-    _check_mappability(comm, ir)
-    if ir.n_cells > config.n_cells:
-        raise MappingError(
-            f"module uses {ir.n_cells} cells but the machine has "
-            f"{config.n_cells}"
-        )
+    _check_mappability(comm)
     if obs.enabled:
         blocks = list(ir.tree.blocks())
         obs.counter("ir.blocks", len(blocks))
@@ -354,14 +348,14 @@ def _generate_with_demotion(
     raise last_error
 
 
-def _check_mappability(comm: CommReport, ir: CellProgramIR) -> None:
+def _check_mappability(comm: CommReport) -> None:
     if not comm.is_mappable:
         raise MappingError(
             "program has both left and right communication cycles and "
             "cannot be mapped onto the skewed computation model "
             "(Section 5.1.1)"
         )
-    if ir.n_cells > 1 and not comm.is_unidirectional_lr:
+    if not comm.is_unidirectional_lr:
         raise MappingError(
             "only unidirectional left-to-right programs are supported "
             "(receive from L, send to R); the paper's compiler has the "

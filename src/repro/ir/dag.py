@@ -168,7 +168,10 @@ class Dag:
         return node
 
     def const(self, value: float) -> Node:
-        return self._pure(OpKind.CONST, (), float(value))
+        value = float(value)
+        # Numbered by bits: 0.0 == -0.0, but they are two constants.
+        key = (OpKind.CONST, (), value.hex())
+        return self._numbered(key, OpKind.CONST, (), value)
 
     def read(self, var: str) -> Node:
         return self._pure(OpKind.READ, (), var)
@@ -176,7 +179,12 @@ class Dag:
     def _pure(self, op: OpKind, operands: tuple[int, ...], attr: object) -> Node:
         if op in COMMUTATIVE_OPS and len(operands) == 2:
             operands = tuple(sorted(operands))
-        key = (op, operands, attr)
+        return self._numbered((op, operands, attr), op, operands, attr)
+
+    def _numbered(
+        self, key: tuple, op: OpKind, operands: tuple[int, ...], attr: object
+    ) -> Node:
+        """The node value-numbered ``key``, made on first request."""
         existing = self._value_numbers.get(key)
         if existing is not None:
             self.cse_hits += 1

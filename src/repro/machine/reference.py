@@ -2,9 +2,10 @@
 
 Executes the *AST* directly under the programmer's model of Section 4:
 asynchronous send/receive with unbounded buffers, true branching for
-conditionals, no timing.  Because compilable programs flow left to
-right, cells can be interpreted sequentially, each consuming the streams
-its left neighbour produced.
+conditionals, no timing.  Because compilable programs flow one way
+(left to right, or its mirror image), cells can be interpreted
+sequentially, each consuming the streams its upstream neighbour
+produced.
 
 This is a second, independent implementation of W2 semantics: end-to-end
 tests require the compiled-and-simulated machine to reproduce the
@@ -24,33 +25,6 @@ from ..errors import HostDataError
 from ..lang import ast
 from ..lang.semantic import AnalyzedModule
 from .host import HostMemory
-
-
-def _flows_right_to_left(module: ast.Module) -> bool:
-    """True when every receive comes from the right (and none from the
-    left): the mirror image of a canonical program."""
-    directions: list[ast.Direction] = []
-
-    def scan(stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Compound):
-            for inner in stmt.statements:
-                scan(inner)
-        elif isinstance(stmt, ast.Receive):
-            directions.append(stmt.direction)
-        elif isinstance(stmt, ast.If):
-            scan(stmt.then_body)
-            if stmt.else_body is not None:
-                scan(stmt.else_body)
-        elif isinstance(stmt, ast.For):
-            scan(stmt.body)
-
-    for function in module.cellprogram.functions:
-        scan(function.body)
-    for stmt in module.cellprogram.body:
-        scan(stmt)
-    return bool(directions) and all(
-        d is ast.Direction.RIGHT for d in directions
-    )
 
 
 @dataclass
@@ -290,14 +264,10 @@ def interpret(
     NaN every simulated run returns
     (:meth:`~repro.machine.host.HostMemory.outputs`).
 
-    Right-to-left modules (receives from R, sends to L) are mirrored
-    first, exactly as the compiler does — the array is symmetric.
+    A cell reads no direction: cell 0 takes the receives' externals and
+    the last cell stores the sends', so a right-to-left module runs as
+    its mirror image does, with no mirroring.
     """
-    if _flows_right_to_left(analyzed.module):
-        from ..compiler.mirror import mirror_module
-        from ..lang.semantic import analyze as _analyze
-
-        analyzed = _analyze(mirror_module(analyzed.module))
     module = analyzed.module
     shapes = {
         param.name: module.host_decl(param.name).dimensions

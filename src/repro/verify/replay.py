@@ -144,12 +144,12 @@ def _register_reads(cycle: int, instr: MicroInstr) -> list[tuple[int, int]]:
     return reads
 
 
-def _literal_values(instr: MicroInstr) -> set[float]:
-    values: set[float] = set()
+def _literal_values(instr: MicroInstr) -> set[str]:
+    values: set[str] = set()  # by bits: 0.0 and -0.0 take two fields
 
     def operand(op) -> None:
         if isinstance(op, Lit):
-            values.add(op.value)
+            values.add(float(op.value).hex())
 
     if instr.alu is not None:
         for source in instr.alu.sources:

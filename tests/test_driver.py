@@ -30,10 +30,19 @@ class TestMappability:
         with pytest.raises(MappingError, match="unidirectional"):
             compile_w2(bidirectional_exchange())
 
-    def test_too_many_cells_rejected(self):
+    def test_too_many_cells_rejected(self, monkeypatch):
+        """Refused right after semantic analysis, before any code."""
+        from repro.compiler import driver
+
+        built = []
+        monkeypatch.setattr(driver, "build_ir", lambda *a, **k: built.append(a))
         config = WarpConfig(n_cells=2)
-        with pytest.raises(MappingError, match="cells"):
-            compile_w2(polynomial(10, 5), config=config)
+        for unroll in (1, "auto"):
+            with pytest.raises(
+                MappingError, match="^module uses 5 cells but the machine has 2$"
+            ):
+                compile_w2(polynomial(10, 5), config=config, unroll=unroll)
+        assert built == []
 
     def test_single_cell_can_receive_from_host_only(self):
         from repro.programs import mandelbrot

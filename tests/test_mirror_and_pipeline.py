@@ -1,16 +1,40 @@
 """Tests for right-to-left mirroring and the pipelining-headroom
 (ResMII) analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cellcodegen import pipelining_report, resource_min_interval
 from repro.compiler import compile_w2
-from repro.compiler.mirror import mirror_module
+from repro.compiler.mirror import flows_right_to_left, mirror_module
 from repro.errors import MappingError
-from repro.lang import Direction, analyze, parse_module
-from repro.machine import simulate
-from repro.programs import polynomial
+from repro.lang import Direction, analyze, format_module, parse_module
+from repro.machine import interpret, simulate
+from repro.programs import deep_nest, mandelbrot, polynomial
+
+from conftest import small_program_suite
+
+#: Every bundled program at its test size, with inputs.
+SUITE = [
+    (name, source, inputs)
+    for name, source, inputs, _reference in small_program_suite(
+        np.random.default_rng(20261021)
+    )
+] + [("deep_nest", deep_nest(), {"x": np.arange(4.0) - 1.5})]
+
+
+def mirrored_source(source: str) -> str:
+    return format_module(mirror_module(parse_module(source)))
+
+
+def assert_bitwise_equal(got: dict, expected: dict) -> None:
+    assert got.keys() <= expected.keys()
+    for name, data in got.items():
+        assert np.array_equal(
+            data.view(np.uint64), expected[name].view(np.uint64)
+        ), name
 
 RL_PIPELINE = """
 module rl (din in, dout out)
@@ -88,6 +112,137 @@ end
         assert program.mirrored
         result = simulate(program, {"a": np.array([-1.0, 2.0, -3.0, 4.0])})
         assert list(result.outputs["b"]) == [0.0, 2.0, 0.0, 4.0]
+
+
+class TestMirrorIsExact:
+    """A program's mirror image compiles to the same machine: the same
+    metrics, skew and buffers, and bitwise the same outputs."""
+
+    @pytest.mark.parametrize(
+        "name, source, inputs", SUITE, ids=[case[0] for case in SUITE]
+    )
+    def test_mirror_image_matches(self, name, source, inputs):
+        # Both sides canonically formatted, so W2 line counts agree.
+        forward = compile_w2(format_module(parse_module(source)))
+        mirrored = compile_w2(mirrored_source(source))
+        assert not forward.mirrored and mirrored.mirrored
+        assert dataclasses.replace(
+            mirrored.metrics, compile_seconds=0.0
+        ) == dataclasses.replace(forward.metrics, compile_seconds=0.0)
+        assert mirrored.skew == forward.skew
+        assert mirrored.buffers == forward.buffers
+        assert_bitwise_equal(
+            simulate(mirrored, inputs).outputs,
+            simulate(forward, inputs).outputs,
+        )
+
+
+ONE_CELL_RL = """
+module rl1 (a in, b out)
+float a[4];
+float b[4];
+cellprogram (cid : 0 : 0)
+begin
+    float t;
+    int i;
+    for i := 0 to 3 do begin
+        receive (R, X, t, a[i]);
+        send (L, X, t * t - 1.0, b[i]);
+    end;
+end
+"""
+
+
+class TestDirectionDecision:
+    """The front end decides the direction once, before any code is
+    built, at every cell count."""
+
+    @pytest.mark.parametrize(
+        "source, inputs",
+        [
+            (ONE_CELL_RL, {"a": np.array([1.0, -2.0, 0.5, 3.0])}),
+            (
+                mirrored_source(mandelbrot(8, 8, 4)),
+                {
+                    "cx": np.random.default_rng(1).uniform(-2, 1, 64),
+                    "cy": np.random.default_rng(2).uniform(-1.5, 1.5, 64),
+                },
+            ),
+        ],
+        ids=["four-words", "mandelbrot"],
+    )
+    def test_one_cell_right_to_left_runs(self, source, inputs):
+        program = compile_w2(source)
+        assert program.mirrored and program.n_cells == 1
+        expected = interpret(analyze(parse_module(source)), inputs)
+        assert_bitwise_equal(simulate(program, inputs).outputs, expected)
+
+    def test_one_cell_mixed_direction_refused(self):
+        source = ONE_CELL_RL.replace("send (L,", "send (R,")
+        assert not flows_right_to_left(parse_module(source))
+        with pytest.raises(MappingError, match="unidirectional"):
+            compile_w2(source)
+
+    UNCALLED = """
+module uncalled (a in, b out)
+float a[4];
+float b[4];
+cellprogram (cid : 0 : 2)
+begin
+    float t;
+    int i;
+    function unused
+    begin
+        send ({unused}, Y, 0.0);
+    end
+    for i := 0 to 3 do begin
+        receive ({recv}, X, t, a[i]);
+        send ({send}, X, t + 1.0, b[i]);
+    end;
+end
+"""
+
+    @pytest.mark.parametrize(
+        "recv, send, unused, mirrored",
+        [("L", "R", "L", False), ("R", "L", "R", True)],
+        ids=["left-to-right", "right-to-left"],
+    )
+    def test_uncalled_function_does_not_flip_the_decision(
+        self, recv, send, unused, mirrored
+    ):
+        source = self.UNCALLED.format(recv=recv, send=send, unused=unused)
+        assert flows_right_to_left(parse_module(source)) is mirrored
+        program = compile_w2(source)
+        assert program.mirrored is mirrored
+        data = np.arange(4.0)
+        assert list(simulate(program, {"a": data}).outputs["b"]) == list(
+            data + 3.0
+        )
+
+    def test_no_transfers_is_not_mirrored(self):
+        source = ONE_CELL_RL.replace(
+            "receive (R, X, t, a[i]);", "t := 1.0;"
+        ).replace("send (L, X, t * t - 1.0, b[i]);", "t := t + 1.0;")
+        assert not flows_right_to_left(parse_module(source))
+
+    @pytest.mark.parametrize("unroll, builds", [(1, 1), ("auto", 4)])
+    def test_right_to_left_builds_ir_once_per_factor(
+        self, monkeypatch, unroll, builds
+    ):
+        from repro.compiler import driver
+
+        calls = []
+        build_ir = driver.build_ir
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["unroll_factor"])
+            return build_ir(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "build_ir", counted)
+        source = mirrored_source(polynomial(16, 8))
+        assert compile_w2(source, unroll=unroll).mirrored
+        assert len(calls) == builds
+        assert len(set(calls)) == builds
 
 
 class TestPipeliningReport:

@@ -212,6 +212,31 @@ end
         out = _exact_check(source, {"a": np.array([-0.0, 1.0])})
         assert not np.signbit(out.outputs["b"][0])
 
+    def test_signed_zero_constants_stay_apart(self):
+        """``-0.0`` folds to the constant -0.0, which value numbering by
+        ``==`` merged with a ``0.0`` made earlier, so ``v0 * -0.0`` lost
+        its sign: constants are numbered, and literal fields told apart,
+        by bits."""
+        source = """
+module negzero (a in, b out)
+float a[2];
+float b[2];
+cellprogram (cid : 0 : 0)
+begin
+    float v0;
+    int i;
+    for i := 0 to 1 do begin
+        receive (L, X, v0, a[i]);
+        send (R, X, v0 * -0.0, b[i]);
+    end;
+end
+"""
+        inputs = {"a": np.array([1.0, -2.0])}
+        expected = interpret(analyze(parse_module(source)), inputs)["b"]
+        got = simulate(compile_w2(source), inputs).outputs["b"]
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert list(np.signbit(got)) == [True, False]
+
 
 class TestIfConversionOldValue:
     def test_one_sided_if_on_fresh_block_variable(self):
